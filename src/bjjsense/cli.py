@@ -8,6 +8,7 @@ config and seed, so a rerun with the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,6 +45,9 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+# Output column of each susceptibility method.
+CHI_COLUMN = {"moment": "chi_mom", "classical": "chi_cl", "quantum": "chi_q"}
+
 # Config keys per subcommand: name -> (default, description).  Defaults of
 # None mark required or conditionally required keys.
 SCAN_KEYS = {
@@ -61,7 +65,7 @@ SCAN_KEYS = {
     "methods": (list(METHODS), "subset of moment/classical/quantum"),
     "epsilon0": (1e-4, "fidelity displacement scale"),
     "seed": (0, "unused by scan; recorded for provenance"),
-    "threads": (None, "worker cap (default: all cores)"),
+    "threads": (None, "unused; recorded for provenance"),
 }
 
 SCALING_KEYS = {
@@ -72,7 +76,7 @@ SCALING_KEYS = {
     "epsilon0": (1e-4, "fidelity displacement scale"),
     "tunneling": (1.0, "Rabi coupling Omega"),
     "seed": (0, "unused by scaling; recorded for provenance"),
-    "threads": (None, "worker cap (default: all cores)"),
+    "threads": (None, "unused; recorded for provenance"),
 }
 
 CRITICAL_KEYS = {
@@ -192,10 +196,7 @@ def cmd_scan(args) -> int:
             epsilon0=float(config["epsilon0"]),
         )
         columns = {"T": table["temperature"]}
-        for m, col in (("moment", "chi_mom"), ("classical", "chi_cl"),
-                       ("quantum", "chi_q")):
-            if m in methods:
-                columns[col] = table[m]
+        columns.update({CHI_COLUMN[m]: table[m] for m in METHODS if m in methods})
         write_columns(
             _out(args, "scan.csv"), columns, _provenance("scan", config)
         )
@@ -208,18 +209,16 @@ def cmd_scan(args) -> int:
         float(config["lambda_min"]), float(config["lambda_max"]),
         float(config["lambda_step"]),
     )
-    template = ModelParams(
-        n_particles=int(config["n_particles"]),
-        tunneling=float(config["tunneling"]),
-        imbalance=float(config["delta"]),
-    )
     scan_cfg = ScanConfig(
-        params_template=template,
+        params_template=ModelParams(
+            n_particles=int(config["n_particles"]),
+            tunneling=float(config["tunneling"]),
+            imbalance=float(config["delta"]),
+        ),
         lambda_grid=grid,
         temperature=float(config["temperature"]),
         which=methods,
         epsilon0=float(config["epsilon0"]),
-        threads=int(config["threads"]),
     )
     curve = scan_lambda(scan_cfg)
     if config["refine"]:
@@ -231,27 +230,13 @@ def cmd_scan(args) -> int:
             peak.lambda_peak - half, peak.lambda_peak + half, step
         )
         merged = np.unique(np.concatenate([grid, fine]))
-        curve = scan_lambda(
-            ScanConfig(
-                params_template=template,
-                lambda_grid=merged,
-                temperature=float(config["temperature"]),
-                which=methods,
-                epsilon0=float(config["epsilon0"]),
-                threads=int(config["threads"]),
-            )
-        )
+        curve = scan_lambda(dataclasses.replace(scan_cfg, lambda_grid=merged))
     columns = {
         "lambda": curve.lambda_grid,
         "mean_jz": curve.mean_jz,
         "var_jz": curve.var_jz,
     }
-    if curve.chi_mom is not None:
-        columns["chi_mom"] = curve.chi_mom
-    if curve.chi_cl is not None:
-        columns["chi_cl"] = curve.chi_cl
-    if curve.chi_q is not None:
-        columns["chi_q"] = curve.chi_q
+    columns.update({CHI_COLUMN[m]: curve.chi(m) for m in METHODS if m in methods})
     write_columns(_out(args, "scan.csv"), columns, _provenance("scan", config))
     return 0
 
@@ -293,7 +278,6 @@ def cmd_scaling(args) -> int:
         window_points=window_points,
         epsilon0=float(config["epsilon0"]),
         tunneling=float(config["tunneling"]),
-        threads=int(config["threads"]),
     )
     write_columns(
         _out(args, "scaling.csv"),
@@ -304,15 +288,12 @@ def cmd_scaling(args) -> int:
             "delta_star_mom": result.delta_star["moment"],
             "delta_star_cl": result.delta_star["classical"],
             "delta_star_q": result.delta_star["quantum"],
-            "chi_mom": result.chi["moment"],
-            "chi_cl": result.chi["classical"],
-            "chi_q": result.chi["quantum"],
+            **{CHI_COLUMN[m]: result.chi[m] for m in METHODS},
         },
         comments,
     )
     fit_rows = []
-    for m, col in (("moment", "chi_mom"), ("classical", "chi_cl"),
-                   ("quantum", "chi_q")):
+    for m, col in CHI_COLUMN.items():
         fit = result.fits[m]
         fit_rows.append(
             (f"{col}_over_N", fit.prefactor, fit.exponent, fit.r_squared)
@@ -523,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", required=True, help="output directory (must exist)")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--threads", type=int, help="cap worker threads")
+        p.add_argument("--threads", type=int,
+                       help="unused; recorded for provenance")
         p.add_argument(
             "--quick", action="store_true",
             help="reduced grids and replica counts for CI",

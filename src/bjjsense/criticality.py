@@ -13,8 +13,7 @@ transition:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -52,8 +51,6 @@ class ScanConfig:
     temperature: float = 0.0
     which: tuple[str, ...] = METHODS
     epsilon0: float = 1e-4
-    rel_cutoff: float = 1e-12
-    threads: int = 1
 
     def __post_init__(self):
         grid = np.asarray(self.lambda_grid, dtype=float)
@@ -67,7 +64,7 @@ class ScanConfig:
         bad = [w for w in self.which if w not in METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.epsilon0 <= 0:
             raise ValueError(f"epsilon0 must be > 0, got {self.epsilon0}")
@@ -185,83 +182,96 @@ class ScalingStudyResult:
 # scans
 
 
-def _point_worker(config: ScanConfig, lam: float):
-    """Susceptibility ingredients at one lambda: moments and fidelity fits."""
-    template = config.params_template
-    t = config.temperature
-    cut = config.rel_cutoff
-    center = equilibrium_state(
-        template.replace(lambda_control=lam), t, rel_cutoff=cut
-    )
+def _displaced_states(
+    params: ModelParams,
+    temperature: float,
+    which: tuple[str, ...],
+    epsilon0: float,
+) -> tuple[float, float, dict[str, float]]:
+    """<J_z>, Var(J_z) and the requested chi at one working point.
+
+    Builds the equilibrium state at lambda and, when any chi is requested,
+    the four states displaced to lambda + eps (``default_epsilons``).
+    "classical" and "quantum" come from fidelity fits against the centre
+    state; "moment" is the least-squares slope of <J_z> through the five
+    states, squared over the centre variance.
+    """
+    lam = params.lambda_control
+    center = equilibrium_state(params, temperature)
     dist_c = jz_distribution(center)
-    mean, var = dist_c.mean, dist_c.variance
-    want_cl = "classical" in config.which
-    want_q = "quantum" in config.which
-    chi_cl = chi_q = np.nan
-    if want_cl or want_q:
-        rho_c = DensityOperator.from_state(center) if want_q else None
-        eps = default_epsilons(lam, config.epsilon0)
-        fid_cl: dict[float, float] = {}
-        fid_q: dict[float, float] = {}
-        for e in eps:
-            shifted = equilibrium_state(
-                template.replace(lambda_control=lam + e), t, rel_cutoff=cut
-            )
-            if want_cl:
-                fid_cl[e] = bhattacharyya_fidelity(
-                    dist_c, jz_distribution(shifted)
-                )
-            if want_q:
-                fid_q[e] = uhlmann_fidelity(
-                    rho_c, DensityOperator.from_state(shifted)
-                )
-        if want_cl:
-            chi_cl = susceptibility_from_fidelity(
-                fid_cl.__getitem__, eps, "classical"
+    chi: dict[str, float] = {}
+    if not which:
+        return dist_c.mean, dist_c.variance, chi
+    want_dist = "classical" in which or "moment" in which
+    rho_c = DensityOperator.from_state(center) if "quantum" in which else None
+    eps = default_epsilons(lam, epsilon0)
+    means = {0.0: dist_c.mean}
+    fid_cl: dict[float, float] = {}
+    fid_q: dict[float, float] = {}
+    for e in eps:
+        shifted = equilibrium_state(
+            replace(params, lambda_control=lam + e), temperature
+        )
+        if want_dist:
+            dist_s = jz_distribution(shifted)
+            means[e] = dist_s.mean
+            if "classical" in which:
+                fid_cl[e] = bhattacharyya_fidelity(dist_c, dist_s)
+        if rho_c is not None:
+            fid_q[e] = uhlmann_fidelity(rho_c, DensityOperator.from_state(shifted))
+    if "moment" in which:
+        offsets = np.array(sorted(means))
+        vals = np.array([means[o] for o in offsets])
+        slope = float(offsets @ vals / (offsets @ offsets))
+        var = dist_c.variance
+        if var <= 0:
+            raise ValueError(f"non-positive J_z variance {var} at {params}")
+        chi["moment"] = slope * slope / var
+    for method, fid in (("classical", fid_cl), ("quantum", fid_q)):
+        if method in which:
+            chi[method] = susceptibility_from_fidelity(
+                fid.__getitem__, eps, method
             ).value
-        if want_q:
-            chi_q = susceptibility_from_fidelity(
-                fid_q.__getitem__, eps, "quantum"
-            ).value
-    return mean, var, chi_cl, chi_q
+    return dist_c.mean, dist_c.variance, chi
 
 
 def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
     """Compute the requested susceptibilities along ``config.lambda_grid``.
 
-    chi_cl and chi_q come from fidelities between states displaced by the
-    four-point epsilon grid around each lambda; chi_mom comes from central
-    differences of <J_z> along the scan grid itself.
+    Each grid point goes through the same displaced-state loop as
+    ``chi_at_point`` for chi_cl and chi_q.  chi_mom instead comes from
+    central differences of <J_z> along the scan grid itself, so the loop
+    builds no J_z distributions of displaced states unless chi_cl is asked
+    for.
 
     Returns
     -------
     SusceptibilityCurve
     """
     grid = config.lambda_grid
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda l: _point_worker(config, l), grid))
-    else:
-        rows = [_point_worker(config, lam) for lam in grid]
+    which = tuple(m for m in config.which if m != "moment")
+    rows = [
+        _displaced_states(
+            replace(config.params_template, lambda_control=lam),
+            config.temperature, which, config.epsilon0,
+        )
+        for lam in grid
+    ]
     mean = np.array([r[0] for r in rows])
     var = np.array([r[1] for r in rows])
-    chi_cl = np.array([r[2] for r in rows])
-    chi_q = np.array([r[3] for r in rows])
-    chi_mom = None
+    chi = {m: np.array([r[2][m] for r in rows]) for m in which}
     if "moment" in config.which:
-        chi_mom = np.array(
-            [
-                chi_mom_from_curves(mean, var, grid, i).value
-                for i in range(grid.size)
-            ]
-        )
+        chi["moment"] = np.array([
+            chi_mom_from_curves(mean, var, grid, i).value
+            for i in range(grid.size)
+        ])
     return SusceptibilityCurve(
         lambda_grid=grid,
         mean_jz=mean,
         var_jz=var,
-        chi_mom=chi_mom,
-        chi_cl=chi_cl if "classical" in config.which else None,
-        chi_q=chi_q if "quantum" in config.which else None,
+        chi_mom=chi.get("moment"),
+        chi_cl=chi.get("classical"),
+        chi_q=chi.get("quantum"),
         config=config,
     )
 
@@ -279,13 +289,14 @@ def chi_at_point(
     temperature: float = 0.0,
     which: tuple[str, ...] = METHODS,
     epsilon0: float = 1e-4,
-    rel_cutoff: float = 1e-12,
 ) -> dict[str, float]:
     """All requested susceptibilities at a single working point.
 
-    Unlike ``scan_lambda``, the moment susceptibility here uses the same
-    five states lambda + {0, +-eps, +-2eps} as the fidelity fits: the
-    derivative of <J_z> is the least-squares slope through the five means.
+    The equilibrium state at lambda and the four states at lambda + eps
+    (eps from ``default_epsilons``) give every method: chi_cl and chi_q from
+    fidelity fits, and chi_mom from the least-squares slope of <J_z> through
+    the five states.  ``scan_lambda`` shares this loop but takes chi_mom
+    from its grid instead.
 
     Returns
     -------
@@ -294,44 +305,7 @@ def chi_at_point(
     bad = [w for w in which if w not in METHODS]
     if bad:
         raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
-    lam = params.lambda_control
-    eps = default_epsilons(lam, epsilon0)
-    center = equilibrium_state(params, temperature, rel_cutoff=rel_cutoff)
-    dist_c = jz_distribution(center)
-    rho_c = DensityOperator.from_state(center) if "quantum" in which else None
-    means = {0.0: dist_c.mean}
-    fid_cl: dict[float, float] = {}
-    fid_q: dict[float, float] = {}
-    for e in eps:
-        shifted = equilibrium_state(
-            params.replace(lambda_control=lam + e),
-            temperature,
-            rel_cutoff=rel_cutoff,
-        )
-        dist_s = jz_distribution(shifted)
-        means[e] = dist_s.mean
-        if "classical" in which:
-            fid_cl[e] = bhattacharyya_fidelity(dist_c, dist_s)
-        if "quantum" in which:
-            fid_q[e] = uhlmann_fidelity(rho_c, DensityOperator.from_state(shifted))
-    out: dict[str, float] = {}
-    if "moment" in which:
-        offsets = np.array(sorted(means))
-        vals = np.array([means[o] for o in offsets])
-        slope = float(offsets @ vals / (offsets @ offsets))
-        var = dist_c.variance
-        if var <= 0:
-            raise ValueError(f"non-positive J_z variance {var} at {params}")
-        out["moment"] = slope * slope / var
-    if "classical" in which:
-        out["classical"] = susceptibility_from_fidelity(
-            fid_cl.__getitem__, eps, "classical"
-        ).value
-    if "quantum" in which:
-        out["quantum"] = susceptibility_from_fidelity(
-            fid_q.__getitem__, eps, "quantum"
-        ).value
-    return out
+    return _displaced_states(params, temperature, which, epsilon0)[2]
 
 
 def temperature_sweep(
@@ -343,7 +317,6 @@ def temperature_sweep(
     tunneling: float = 1.0,
     which: tuple[str, ...] = METHODS,
     epsilon0: float = 1e-4,
-    rel_cutoff: float = 1e-12,
 ) -> dict[str, np.ndarray]:
     """Susceptibilities against temperature at a fixed working point.
 
@@ -354,24 +327,17 @@ def temperature_sweep(
     temps = np.asarray(list(temperatures), dtype=float)
     if temps.size < 1:
         raise ValueError("need at least one temperature")
-    if np.any(temps < 0):
-        raise ValueError("temperatures must be >= 0")
+    if not np.all(temps >= 0):
+        raise ValueError(f"temperatures must be >= 0, got {temps}")
     params = ModelParams(
         n_particles=n_particles,
         tunneling=tunneling,
         lambda_control=lambda_value,
         imbalance=imbalance,
     )
+    points = [chi_at_point(params, float(t), which, epsilon0) for t in temps]
     out = {"temperature": temps}
-    for m in which:
-        out[m] = np.empty(temps.size)
-    for i, t in enumerate(temps):
-        point = chi_at_point(
-            params, float(t), which=which, epsilon0=epsilon0,
-            rel_cutoff=rel_cutoff,
-        )
-        for m in which:
-            out[m][i] = point[m]
+    out.update({m: np.array([p[m] for p in points]) for m in which})
     return out
 
 
@@ -416,7 +382,7 @@ def locate_critical_gap(
 
     def gap(lam: float) -> float:
         ev = eigenvalues_only(
-            build_hamiltonian(params.replace(lambda_control=lam)), k
+            build_hamiltonian(replace(params, lambda_control=lam)), k
         )
         return float(ev[upper] - ev[lower])
 
@@ -466,9 +432,7 @@ def optimize_delta(
     delta_grid: np.ndarray | None = None,
     window_points: int = 41,
     epsilon0: float = 1e-4,
-    refine: bool = True,
     tunneling: float = 1.0,
-    threads: int = 1,
 ) -> DeltaOptimization:
     """Tilt delta* whose chi(lambda) peak is closest to lambda_c^(N).
 
@@ -511,7 +475,6 @@ def optimize_delta(
             temperature=temperature,
             which=(method,),
             epsilon0=epsilon0,
-            threads=threads,
         )
         peak = scan_lambda(config).peak(method)
         if not peak.interior:
@@ -530,27 +493,25 @@ def optimize_delta(
     for d, o in valid[1:]:
         if abs(o) < abs(best_off):
             best_delta, best_off = d, o
-    if refine:
-        bracket = None
-        for (d1, o1), (d2, o2) in zip(valid[:-1], valid[1:]):
-            if o1 == 0.0:
-                bracket = None
-                best_delta, best_off = d1, o1
-                break
-            if o1 * o2 < 0:
-                bracket = (d1, d2)
-                break
-        if bracket is not None:
-            log_star = brentq(
-                lambda u: offset(float(np.exp(u))),
-                np.log(bracket[0]),
-                np.log(bracket[1]),
-                xtol=1e-3,
-            )
-            cand = float(np.exp(log_star))
-            cand_off = offset(cand)
-            if cand_off is not None and abs(cand_off) < abs(best_off):
-                best_delta, best_off = cand, cand_off
+    bracket = None
+    for (d1, o1), (d2, o2) in zip(valid[:-1], valid[1:]):
+        if o1 == 0.0:
+            best_delta, best_off = d1, o1
+            break
+        if o1 * o2 < 0:
+            bracket = (d1, d2)
+            break
+    if bracket is not None:
+        log_star = brentq(
+            lambda u: offset(float(np.exp(u))),
+            np.log(bracket[0]),
+            np.log(bracket[1]),
+            xtol=1e-3,
+        )
+        cand = float(np.exp(log_star))
+        cand_off = offset(cand)
+        if cand_off is not None and abs(cand_off) < abs(best_off):
+            best_delta, best_off = cand, cand_off
     return DeltaOptimization(
         n_particles=n_particles,
         method=method,
@@ -603,7 +564,6 @@ def scaling_study(
     window_points: int = 41,
     epsilon0: float = 1e-4,
     tunneling: float = 1.0,
-    threads: int = 1,
 ) -> ScalingStudyResult:
     """Optimized susceptibilities against N with power-law fits.
 
@@ -635,7 +595,6 @@ def scaling_study(
                 window_points=window_points,
                 epsilon0=epsilon0,
                 tunneling=tunneling,
-                threads=threads,
             )
             delta_star[m][i] = opt.delta
             point = chi_at_point(

@@ -44,6 +44,8 @@ class MeasurementSeries:
         a = np.asarray(self.scattering_lengths, dtype=float)
         if a.size < 2:
             raise ValueError(f"need >= 2 scattering lengths, got {a.size}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("scattering_lengths contains non-finite values")
         if np.any(np.diff(a) <= 0):
             raise ValueError("scattering_lengths must be strictly increasing")
         if len(self.records) != a.size:
@@ -53,8 +55,10 @@ class MeasurementSeries:
         for i, r in enumerate(self.records):
             if np.asarray(r).size == 0:
                 raise ValueError(f"empty record at index {i}")
-            if np.any(np.abs(r) > 1.0):
-                raise ValueError(f"samples outside [-1, 1] at index {i}")
+            if not np.all(np.abs(r) <= 1.0):
+                raise ValueError(
+                    f"samples non-finite or outside [-1, 1] at index {i}"
+                )
         object.__setattr__(self, "scattering_lengths", a)
 
     @property

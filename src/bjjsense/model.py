@@ -13,10 +13,17 @@ symmetry-breaking quantum phase transition at lambda = -1 (attractive side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+# Levels whose Boltzmann weight relative to the ground state falls below
+# this are left out of thermal states; the neglected weight is at most
+# dimension * REL_CUTOFF.
+REL_CUTOFF = 1e-12
 
 
 class EigensolverError(RuntimeError):
@@ -46,8 +53,13 @@ class ModelParams:
     imbalance: float = 0.0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
+        n = self.n_particles
+        if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n_particles must be an integer >= 1, got {n!r}")
+        for name in ("tunneling", "lambda_control", "imbalance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tunneling <= 0:
             raise ValueError(f"tunneling must be > 0, got {self.tunneling}")
 
@@ -59,16 +71,6 @@ class ModelParams:
     @property
     def dimension(self) -> int:
         return self.n_particles + 1
-
-    def replace(self, **kwargs) -> "ModelParams":
-        data = {
-            "n_particles": self.n_particles,
-            "tunneling": self.tunneling,
-            "lambda_control": self.lambda_control,
-            "imbalance": self.imbalance,
-        }
-        data.update(kwargs)
-        return ModelParams(**data)
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,40 @@ def _select_sign(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _eigh(
+    hamiltonian: TridiagonalHamiltonian,
+    vectors: bool,
+    n_levels: int | None = None,
+    window: tuple[float, float] | None = None,
+):
+    """The one call into the tridiagonal eigensolver.
+
+    Solves for the lowest ``n_levels`` levels (all if None) or, when
+    ``window`` = (lo, hi) is given, for the levels with lo < E <= hi.  The
+    full spectrum uses the implicit QL/QR algorithm, subsets use bisection
+    plus inverse iteration.  Returns the eigenvalues, or (eigenvalues,
+    eigenvectors) when ``vectors``.  A 1 x 1 matrix is its own eigenpair.
+    """
+    d = hamiltonian.diagonal
+    if d.size == 1:
+        return (d.copy(), np.ones((1, 1))) if vectors else d.copy()
+    select, select_range = "a", None
+    if window is not None:
+        select, select_range = "v", window
+    elif n_levels is not None and n_levels != d.size:
+        select, select_range = "i", (0, n_levels - 1)
+    try:
+        return eigh_tridiagonal(
+            d, hamiltonian.offdiagonal, eigvals_only=not vectors,
+            select=select, select_range=select_range,
+        )
+    except np.linalg.LinAlgError as err:
+        raise EigensolverError(
+            f"tridiagonal solver failed for dimension {d.size} "
+            f"(params={hamiltonian.params})"
+        ) from err
+
+
 def diagonalize(
     hamiltonian: TridiagonalHamiltonian,
     n_levels: int | None = None,
@@ -228,26 +264,10 @@ def diagonalize(
         Ascending eigenvalues; eigenvector signs fixed so the
         largest-magnitude component of each vector is positive.
     """
-    d = hamiltonian.diagonal
-    e = hamiltonian.offdiagonal
-    dim = d.size
-    if n_levels is not None:
-        if not 1 <= n_levels <= dim:
-            raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
-    if dim == 1:
-        return Spectrum(d.copy(), np.ones((1, 1)), hamiltonian.params)
-    try:
-        if n_levels is None or n_levels == dim:
-            vals, vecs = eigh_tridiagonal(d, e)
-        else:
-            vals, vecs = eigh_tridiagonal(
-                d, e, select="i", select_range=(0, n_levels - 1)
-            )
-    except np.linalg.LinAlgError as err:
-        raise EigensolverError(
-            f"tridiagonal solver failed for dimension {dim} "
-            f"(params={hamiltonian.params})"
-        ) from err
+    dim = hamiltonian.dimension
+    if n_levels is not None and not 1 <= n_levels <= dim:
+        raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
+    vals, vecs = _eigh(hamiltonian, True, n_levels)
     return Spectrum(vals, _select_sign(vecs), hamiltonian.params)
 
 
@@ -256,21 +276,7 @@ def eigenvalues_only(
     n_levels: int | None = None,
 ) -> np.ndarray:
     """Lowest ``n_levels`` eigenvalues (all if None), no eigenvectors."""
-    d = hamiltonian.diagonal
-    e = hamiltonian.offdiagonal
-    if d.size == 1:
-        return d.copy()
-    try:
-        if n_levels is None or n_levels == d.size:
-            return eigh_tridiagonal(d, e, eigvals_only=True)
-        return eigh_tridiagonal(
-            d, e, eigvals_only=True, select="i", select_range=(0, n_levels - 1)
-        )
-    except np.linalg.LinAlgError as err:
-        raise EigensolverError(
-            f"tridiagonal solver failed for dimension {d.size} "
-            f"(params={hamiltonian.params})"
-        ) from err
+    return _eigh(hamiltonian, False, n_levels)
 
 
 def thermal_state(spectrum: Spectrum, temperature: float) -> ThermalState:
@@ -290,7 +296,7 @@ def thermal_state(spectrum: Spectrum, temperature: float) -> ThermalState:
     -------
     ThermalState
     """
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0.0:
         w = np.zeros(spectrum.n_levels)
@@ -301,105 +307,50 @@ def thermal_state(spectrum: Spectrum, temperature: float) -> ThermalState:
     return ThermalState(spectrum, w / w.sum(), float(temperature))
 
 
-def equilibrium_state(
-    params: ModelParams,
-    temperature: float,
-    rel_cutoff: float = 1e-12,
-    full_fraction: float = 0.25,
-) -> ThermalState:
-    """Build the Gibbs state, solving only for thermally occupied levels.
+def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
+    """Gibbs state on the thermally occupied levels only.
 
-    Levels with relative weight exp(-(E - E_0)/T) below ``rel_cutoff`` are
-    discarded before normalization; the neglected weight is at most
-    dimension * rel_cutoff.  Falls back to a full diagonalization when the
-    occupied window covers more than ``full_fraction`` of the spectrum,
-    where the partial (bisection) driver is slower than QL/QR.
+    T = 0 is the ground state alone.  At T > 0 the ground energy E_0 comes
+    first, then one bisection call returns the eigenpairs with
+    E - E_0 <= T ln(1 / REL_CUTOFF), i.e. every level whose relative
+    Boltzmann weight is at least REL_CUTOFF.  The weight left out is at most
+    dimension * REL_CUTOFF.
 
     Parameters
     ----------
     params : ModelParams
     temperature : float
-    rel_cutoff : float
-        Relative Boltzmann weight below which levels are dropped.
-    full_fraction : float
-        Occupation fraction beyond which the full solver is used.
+        T >= 0 in units of the tunneling.
 
     Returns
     -------
     ThermalState
     """
+    if not temperature >= 0:
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
     h = build_hamiltonian(params)
     if temperature == 0.0:
         return thermal_state(diagonalize(h, n_levels=1), 0.0)
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    dim = h.dimension
     e0 = float(eigenvalues_only(h, n_levels=1)[0])
-    window = temperature * np.log(1.0 / rel_cutoff)
-    d, e = h.diagonal, h.offdiagonal
-    if dim == 1:
-        spect = diagonalize(h)
-        return thermal_state(spect, temperature)
-    # Count eigenvalues in the occupied window before extracting vectors.
-    n_occ = int(
-        np.count_nonzero(
-            eigh_tridiagonal(d, e, eigvals_only=True) <= e0 + window
-        )
-    ) if dim <= 64 else None
-    if n_occ is None:
-        try:
-            in_window = eigh_tridiagonal(
-                d, e, eigvals_only=True, select="v",
-                select_range=(e0 - 1.0, e0 + window),
-            )
-        except np.linalg.LinAlgError as err:
-            raise EigensolverError(
-                f"tridiagonal solver failed for dimension {dim} "
-                f"(params={params})"
-            ) from err
-        n_occ = max(in_window.size, 1)
-    if n_occ >= full_fraction * dim:
-        spect = diagonalize(h)
-    else:
-        spect = diagonalize(h, n_levels=n_occ)
-    state = thermal_state(spect, temperature)
-    keep = state.weights > rel_cutoff * state.weights[0]
-    if np.all(keep):
-        return state
-    sub = Spectrum(
-        spect.eigenvalues[keep], spect.eigenvectors[:, keep], params
-    )
-    w = state.weights[keep]
-    return ThermalState(sub, w / w.sum(), float(temperature))
+    window = temperature * np.log(1.0 / REL_CUTOFF)
+    vals, vecs = _eigh(h, True, window=(e0 - 1.0, e0 + window))
+    return thermal_state(Spectrum(vals, _select_sign(vecs), params), temperature)
 
 
-def jz_distribution(
-    state: ThermalState, weight_cutoff: float = 0.0
-) -> DistributionOverM:
+def jz_distribution(state: ThermalState) -> DistributionOverM:
     """J_z outcome distribution P(m) = sum_k w_k |<m|psi_k>|^2.
 
     Parameters
     ----------
     state : ThermalState
-    weight_cutoff : float
-        Levels with weight <= cutoff are skipped; the remaining weights are
-        renormalized.  Default keeps everything.
 
     Returns
     -------
     DistributionOverM
     """
-    spect = state.spectrum
-    keep = state.weights > weight_cutoff
-    if not np.any(keep):
-        raise ValueError(
-            f"weight_cutoff={weight_cutoff} removed every level"
-        )
-    w = state.weights[keep]
-    w = w / w.sum()
-    vecs = spect.eigenvectors[:, keep]
-    probs = (vecs * vecs) @ w
-    j = spect.params.n_particles / 2.0
+    vecs = state.spectrum.eigenvectors
+    probs = (vecs * vecs) @ state.weights
+    j = state.spectrum.params.n_particles / 2.0
     m = np.arange(probs.size) - j
     return DistributionOverM(m_values=m, probabilities=probs)
 

@@ -1,0 +1,26 @@
+"""The physics walkthroughs in ``demos/`` run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["energy_gap.py", "susceptibility_scan.py", "finite_size_scaling.py"],
+)
+def test_demo_exits_cleanly(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr

@@ -41,6 +41,15 @@ def test_series_validation():
         MeasurementSeries(np.array([1.0, 2.0]), (good, np.array([])))
 
 
+def test_series_rejects_non_finite_input():
+    good = np.array([0.1, -0.2])
+    with pytest.raises(ValueError, match="non-finite"):
+        MeasurementSeries(np.array([1.0, 2.0]), (good, np.array([0.3, np.nan])))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementSeries(np.array([0.0, bad]), (good, good))
+
+
 def test_synth_centered_gaussian_mean():
     gen = _mixture(0.0, 0.1)
     series = synth_samples([0.0, 1.0], [gen, gen], 100_000, seed=1)

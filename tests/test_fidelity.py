@@ -1,5 +1,6 @@
 """Bhattacharyya and Uhlmann fidelities and the chi extraction routes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -150,7 +151,9 @@ def test_measurement_cannot_increase_distinguishability():
         lam = float(rng.uniform(-1.6, -0.4))
         temperature = float(rng.choice([0.0, 0.3, 1.0]))
         p1 = ModelParams(n_particles=25, lambda_control=lam, imbalance=2e-3)
-        p2 = p1.replace(lambda_control=lam + float(rng.uniform(0.005, 0.05)))
+        p2 = dataclasses.replace(
+            p1, lambda_control=lam + float(rng.uniform(0.005, 0.05))
+        )
         s1 = equilibrium_state(p1, temperature)
         s2 = equilibrium_state(p2, temperature)
         f_cl = bhattacharyya_fidelity(jz_distribution(s1), jz_distribution(s2))

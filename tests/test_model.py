@@ -1,5 +1,6 @@
 """Hamiltonian assembly, diagonalization, thermal states, J_z statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -308,10 +309,35 @@ def test_params_validation():
         ModelParams(n_particles=10, tunneling=-1.0)
 
 
+@pytest.mark.parametrize("n", [10.5, 10.0, True, "10"])
+def test_params_reject_non_integer_particle_number(n):
+    with pytest.raises(ValueError, match="n_particles"):
+        ModelParams(n_particles=n)
+
+
+@pytest.mark.parametrize("field", ["tunneling", "lambda_control", "imbalance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelParams(n_particles=10, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(ModelParams(n_particles=10), **{field: value})
+
+
+def test_params_accept_numpy_scalars():
+    params = ModelParams(np.int64(10), lambda_control=np.float64(-1.1))
+    assert params.dimension == 11
+
+
+def test_equilibrium_rejects_nan_temperature():
+    with pytest.raises(ValueError, match="temperature"):
+        equilibrium_state(ModelParams(n_particles=10), math.nan)
+
+
 def test_params_replace_and_dimension():
     params = ModelParams(n_particles=20, lambda_control=-1.0, imbalance=1e-3)
     assert params.dimension == 21
-    moved = params.replace(lambda_control=-0.5)
+    moved = dataclasses.replace(params, lambda_control=-0.5)
     assert moved.lambda_control == -0.5
     assert moved.n_particles == 20
     assert moved.imbalance == 1e-3
