@@ -28,4 +28,4 @@ for method in ("moment", "classical", "quantum"):
 
 worst = float(np.max(curve.chi_mom / curve.chi_cl - 1.0))
 print(f"\nlargest chi_mom excess over chi_cl on the grid: {worst:.2e} "
-      "(finite-difference bias only)")
+      "(roundoff of the five-state fits only)")

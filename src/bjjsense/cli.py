@@ -146,8 +146,6 @@ def _load_config(args, keys) -> dict:
         config["seed"] = args.seed
     if args.threads is not None:
         config["threads"] = args.threads
-    if config.get("threads") is None:
-        config["threads"] = os.cpu_count() or 1
     return config
 
 

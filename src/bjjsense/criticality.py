@@ -21,7 +21,6 @@ from scipy.optimize import brentq, minimize_scalar
 from .fidelity import (
     DensityOperator,
     bhattacharyya_fidelity,
-    chi_mom_from_curves,
     default_epsilons,
     susceptibility_from_fidelity,
     uhlmann_fidelity,
@@ -190,11 +189,12 @@ def _displaced_states(
 ) -> tuple[float, float, dict[str, float]]:
     """<J_z>, Var(J_z) and the requested chi at one working point.
 
-    Builds the equilibrium state at lambda and, when any chi is requested,
-    the four states displaced to lambda + eps (``default_epsilons``).
-    "classical" and "quantum" come from fidelity fits against the centre
-    state; "moment" is the least-squares slope of <J_z> through the five
-    states, squared over the centre variance.
+    The one code path for every susceptibility: builds the equilibrium
+    state at lambda and, when any chi is requested, the four states
+    displaced to lambda + eps (``default_epsilons``).  "classical" and
+    "quantum" come from fidelity fits against the centre state; "moment"
+    is the least-squares slope of <J_z> through the five states, squared
+    over the centre variance.
     """
     lam = params.lambda_control
     center = equilibrium_state(params, temperature)
@@ -238,37 +238,26 @@ def _displaced_states(
 def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
     """Compute the requested susceptibilities along ``config.lambda_grid``.
 
-    Each grid point goes through the same displaced-state loop as
-    ``chi_at_point`` for chi_cl and chi_q.  chi_mom instead comes from
-    central differences of <J_z> along the scan grid itself, so the loop
-    builds no J_z distributions of displaced states unless chi_cl is asked
-    for.
+    Each grid point goes through the displaced-state loop of
+    ``chi_at_point``, so every chi, chi_mom included, is a pointwise value
+    that does not depend on the neighbouring grid points.
 
     Returns
     -------
     SusceptibilityCurve
     """
-    grid = config.lambda_grid
-    which = tuple(m for m in config.which if m != "moment")
     rows = [
         _displaced_states(
             replace(config.params_template, lambda_control=lam),
-            config.temperature, which, config.epsilon0,
+            config.temperature, config.which, config.epsilon0,
         )
-        for lam in grid
+        for lam in config.lambda_grid
     ]
-    mean = np.array([r[0] for r in rows])
-    var = np.array([r[1] for r in rows])
-    chi = {m: np.array([r[2][m] for r in rows]) for m in which}
-    if "moment" in config.which:
-        chi["moment"] = np.array([
-            chi_mom_from_curves(mean, var, grid, i).value
-            for i in range(grid.size)
-        ])
+    chi = {m: np.array([r[2][m] for r in rows]) for m in config.which}
     return SusceptibilityCurve(
-        lambda_grid=grid,
-        mean_jz=mean,
-        var_jz=var,
+        lambda_grid=config.lambda_grid,
+        mean_jz=np.array([r[0] for r in rows]),
+        var_jz=np.array([r[1] for r in rows]),
         chi_mom=chi.get("moment"),
         chi_cl=chi.get("classical"),
         chi_q=chi.get("quantum"),
@@ -295,8 +284,7 @@ def chi_at_point(
     The equilibrium state at lambda and the four states at lambda + eps
     (eps from ``default_epsilons``) give every method: chi_cl and chi_q from
     fidelity fits, and chi_mom from the least-squares slope of <J_z> through
-    the five states.  ``scan_lambda`` shares this loop but takes chi_mom
-    from its grid instead.
+    the five states.  ``scan_lambda`` runs the same loop at each grid point.
 
     Returns
     -------
@@ -459,6 +447,27 @@ def optimize_delta(
         raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
     if lambda_c is None:
         lambda_c = locate_critical_gap(n_particles, tunneling=tunneling).lambda_c
+    return _optimize_deltas(
+        n_particles, (method,), temperature, lambda_c, delta_grid,
+        window_points, epsilon0, tunneling,
+    )[method]
+
+
+def _optimize_deltas(
+    n_particles: int,
+    methods: tuple[str, ...],
+    temperature: float,
+    lambda_c: float,
+    delta_grid: np.ndarray | None,
+    window_points: int,
+    epsilon0: float,
+    tunneling: float,
+) -> dict[str, DeltaOptimization]:
+    """``optimize_delta`` for several methods, scanning each grid tilt once.
+
+    The window scan at every tilt of the grid computes all ``methods``
+    together; the bracket and the root find then run per method.
+    """
     deltas = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
     if deltas.size < 2 or np.any(deltas <= 0):
         raise ValueError("delta_grid must hold >= 2 positive values")
@@ -466,61 +475,69 @@ def optimize_delta(
     window = _peak_window(n_particles, lambda_c, window_points)
     tol = 0.5 * (window[1] - window[0])
 
-    def offset(delta: float) -> float | None:
+    def offsets(delta: float, which: tuple[str, ...]) -> dict[str, float | None]:
         config = ScanConfig(
             params_template=ModelParams(
                 n_particles=n_particles, tunneling=tunneling, imbalance=delta
             ),
             lambda_grid=window,
             temperature=temperature,
-            which=(method,),
+            which=which,
             epsilon0=epsilon0,
         )
-        peak = scan_lambda(config).peak(method)
-        if not peak.interior:
-            return None
-        return peak.lambda_peak - lambda_c
+        curve = scan_lambda(config)
+        out = {}
+        for m in which:
+            peak = curve.peak(m)
+            out[m] = peak.lambda_peak - lambda_c if peak.interior else None
+        return out
 
-    offsets = [offset(d) for d in deltas]
-    valid = [(d, o) for d, o in zip(deltas, offsets) if o is not None]
-    if not valid:
-        raise ValueError(
-            f"no delta in [{deltas[0]:.3g}, {deltas[-1]:.3g}] produced an "
-            f"interior peak for method {method!r}"
+    grid_offsets = [offsets(d, methods) for d in deltas]
+    result = {}
+    for method in methods:
+        valid = [
+            (d, o[method]) for d, o in zip(deltas, grid_offsets)
+            if o[method] is not None
+        ]
+        if not valid:
+            raise ValueError(
+                f"no delta in [{deltas[0]:.3g}, {deltas[-1]:.3g}] produced an "
+                f"interior peak for method {method!r}"
+            )
+        # Strict < keeps the earlier (smaller) delta on ties.
+        best_delta, best_off = valid[0]
+        for d, o in valid[1:]:
+            if abs(o) < abs(best_off):
+                best_delta, best_off = d, o
+        bracket = None
+        for (d1, o1), (d2, o2) in zip(valid[:-1], valid[1:]):
+            if o1 == 0.0:
+                best_delta, best_off = d1, o1
+                break
+            if o1 * o2 < 0:
+                bracket = (d1, d2)
+                break
+        if bracket is not None:
+            log_star = brentq(
+                lambda u: offsets(float(np.exp(u)), (method,))[method],
+                np.log(bracket[0]),
+                np.log(bracket[1]),
+                xtol=1e-3,
+            )
+            cand = float(np.exp(log_star))
+            cand_off = offsets(cand, (method,))[method]
+            if cand_off is not None and abs(cand_off) < abs(best_off):
+                best_delta, best_off = cand, cand_off
+        result[method] = DeltaOptimization(
+            n_particles=n_particles,
+            method=method,
+            delta=float(best_delta),
+            lambda_c=float(lambda_c),
+            peak_lambda=float(lambda_c + best_off),
+            peak_offset=float(best_off),
+            within_tolerance=bool(abs(best_off) <= tol),
         )
-    # Strict < keeps the earlier (smaller) delta on ties.
-    best_delta, best_off = valid[0]
-    for d, o in valid[1:]:
-        if abs(o) < abs(best_off):
-            best_delta, best_off = d, o
-    bracket = None
-    for (d1, o1), (d2, o2) in zip(valid[:-1], valid[1:]):
-        if o1 == 0.0:
-            best_delta, best_off = d1, o1
-            break
-        if o1 * o2 < 0:
-            bracket = (d1, d2)
-            break
-    if bracket is not None:
-        log_star = brentq(
-            lambda u: offset(float(np.exp(u))),
-            np.log(bracket[0]),
-            np.log(bracket[1]),
-            xtol=1e-3,
-        )
-        cand = float(np.exp(log_star))
-        cand_off = offset(cand)
-        if cand_off is not None and abs(cand_off) < abs(best_off):
-            best_delta, best_off = cand, cand_off
-    return DeltaOptimization(
-        n_particles=n_particles,
-        method=method,
-        delta=float(best_delta),
-        lambda_c=float(lambda_c),
-        peak_lambda=float(lambda_c + best_off),
-        peak_offset=float(best_off),
-        within_tolerance=bool(abs(best_off) <= tol),
-    )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +585,8 @@ def scaling_study(
     """Optimized susceptibilities against N with power-law fits.
 
     Per N: locate lambda_c^(N), optimize delta separately for each method
-    (their peaks sit at slightly different tilts), then evaluate chi at
-    (lambda_c^(N), delta*).  Fits are chi/N against N for each method,
+    (their peaks sit at slightly different tilts; one window scan per grid
+    tilt serves all three), then evaluate chi at (lambda_c^(N), delta*).  Fits are chi/N against N for each method,
     plus the critical-point shift -1 - lambda_c^(N) against N.
 
     Returns
@@ -585,17 +602,11 @@ def scaling_study(
     for i, n in enumerate(n_values):
         crit = locate_critical_gap(int(n), tunneling=tunneling)
         lambda_c[i] = crit.lambda_c
-        for m in METHODS:
-            opt = optimize_delta(
-                int(n),
-                m,
-                temperature=temperature,
-                lambda_c=crit.lambda_c,
-                delta_grid=delta_grid,
-                window_points=window_points,
-                epsilon0=epsilon0,
-                tunneling=tunneling,
-            )
+        opts = _optimize_deltas(
+            int(n), METHODS, temperature, crit.lambda_c, delta_grid,
+            window_points, epsilon0, tunneling,
+        )
+        for m, opt in opts.items():
             delta_star[m][i] = opt.delta
             point = chi_at_point(
                 ModelParams(

@@ -22,8 +22,6 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .fidelity import _central_derivative
-
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
 
@@ -386,6 +384,21 @@ def fit_series(
 
 # ---------------------------------------------------------------------------
 # estimators
+
+
+def _central_derivative(values: np.ndarray, xs: np.ndarray, i: int) -> float:
+    """Three-point derivative on a non-uniform grid; one-sided at the ends."""
+    n = xs.size
+    if i == 0:
+        return float((values[1] - values[0]) / (xs[1] - xs[0]))
+    if i == n - 1:
+        return float((values[-1] - values[-2]) / (xs[-1] - xs[-2]))
+    h1 = xs[i] - xs[i - 1]
+    h2 = xs[i + 1] - xs[i]
+    w_prev = -h2 / (h1 * (h1 + h2))
+    w_here = (h2 - h1) / (h1 * h2)
+    w_next = h1 / (h2 * (h1 + h2))
+    return float(w_prev * values[i - 1] + w_here * values[i] + w_next * values[i + 1])
 
 
 def chi_mom_experimental(

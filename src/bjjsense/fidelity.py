@@ -9,7 +9,9 @@ chi_mom <= chi_cl <= chi_Q:
 * quantum:      chi_Q from the Uhlmann fidelity of the density operators
 
 Each fidelity behaves as F = 1 - (chi/8) * eps^2 for small eps, so chi is
-read off as the slope of 1 - F against eps^2 / 8.
+read off as the slope of 1 - F against eps^2 / 8.  This module holds the
+fidelities and that fit; ``criticality`` evaluates them, and the <J_z>
+slope behind chi_mom, on the same displaced states.
 """
 
 from __future__ import annotations
@@ -55,12 +57,11 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class SusceptibilityEstimate:
-    """Susceptibility with the residual of its defining fit.
+    """Fidelity susceptibility with the residual of its defining fit.
 
-    ``method`` is one of "moment", "classical", "quantum"; ``fit_residual``
-    is the rms misfit of 1 - F against (chi/8) eps^2 (zero for the moment
-    route, which involves no fit).  ``epsilon_grid`` records the
-    displacements used, None for the moment route.
+    ``method`` labels the fidelity ("classical" or "quantum");
+    ``fit_residual`` is the rms misfit of 1 - F against (chi/8) eps^2 and
+    ``epsilon_grid`` records the displacements used.
     """
 
     value: float
@@ -168,64 +169,3 @@ def susceptibility_from_fidelity(
     resid = deficits - slope * x
     rms = float(np.sqrt(np.mean(resid * resid)))
     return SusceptibilityEstimate(max(slope, 0.0), method, rms, grid)
-
-
-def chi_mom_from_curves(
-    means: np.ndarray,
-    variances: np.ndarray,
-    grid: np.ndarray,
-    index: int,
-) -> SusceptibilityEstimate:
-    """Moment susceptibility (d<J_z>/dlambda)^2 / Var at one grid point.
-
-    The derivative uses the three-point stencil exact for quadratics on a
-    possibly non-uniform grid; endpoints fall back to the one-sided
-    difference.
-
-    Parameters
-    ----------
-    means, variances : ndarray
-        <J_z> and Var(J_z) sampled along ``grid``.
-    grid : ndarray
-        Strictly increasing lambda values.
-    index : int
-        Grid point at which to evaluate.
-
-    Returns
-    -------
-    SusceptibilityEstimate with method "moment".
-    """
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if not (means.size == variances.size == grid.size):
-        raise ValueError(
-            f"curve lengths differ: means {means.size}, variances "
-            f"{variances.size}, grid {grid.size}"
-        )
-    if grid.size < 2:
-        raise ValueError("need at least two grid points for a derivative")
-    if not 0 <= index < grid.size:
-        raise ValueError(f"index {index} outside grid of size {grid.size}")
-    var = variances[index]
-    if var <= 0.0:
-        raise ValueError(
-            f"non-positive variance {var} at grid index {index}"
-        )
-    deriv = _central_derivative(means, grid, index)
-    return SusceptibilityEstimate(deriv * deriv / var, "moment", 0.0)
-
-
-def _central_derivative(values: np.ndarray, xs: np.ndarray, i: int) -> float:
-    """Three-point derivative on a non-uniform grid; one-sided at the ends."""
-    n = xs.size
-    if i == 0:
-        return float((values[1] - values[0]) / (xs[1] - xs[0]))
-    if i == n - 1:
-        return float((values[-1] - values[-2]) / (xs[-1] - xs[-2]))
-    h1 = xs[i] - xs[i - 1]
-    h2 = xs[i + 1] - xs[i]
-    w_prev = -h2 / (h1 * (h1 + h2))
-    w_here = (h2 - h1) / (h1 * h2)
-    w_next = h1 / (h2 * (h1 + h2))
-    return float(w_prev * values[i - 1] + w_here * values[i] + w_next * values[i + 1])

@@ -106,9 +106,9 @@ def test_peak_susceptibility_super_extensive_scaling(scaling):
     # chi/N^(4/3) at the optimized tilt follows A (1 - c' N^(-2/3)) with
     # c' ~ 6-7 (the optimization is scaling-consistent: delta* N is nearly
     # constant), so a plain power law over N = 200..1000 reads the
-    # correction as an exponent ~0.42.  The fit therefore carries the
+    # correction as an exponent ~0.43.  The fit therefore carries the
     # N^(-2/3) correction, giving b ~ 0.34.  The moment prefactor then fits
-    # at ~1.05 (inside 1.18 +- 15%); the classical and quantum ones fit at
+    # at ~1.11 (inside 1.18 +- 15%); the classical and quantum ones fit at
     # ~1.32, and chi_Q/N^(4/3) keeps rising to ~1.41 at N = 8000, against an
     # advertised 1.08 that stays as written.  See README.
     advertised = {"moment": 1.18, "classical": 1.08, "quantum": 1.08}

@@ -22,6 +22,11 @@ def _outdir(tmp_path, name):
     return str(path)
 
 
+def _data_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in fh if not line.startswith("#")]
+
+
 def test_scan_temperature_sweep_columns(tmp_path):
     config = _write_config(tmp_path, "cfg.json", {
         "n_particles": 60,
@@ -82,6 +87,28 @@ def test_scan_refine_densifies_peak_region(tmp_path):
     assert fine["lambda"].size > coarse["lambda"].size
     step = np.min(np.diff(fine["lambda"]))
     assert step < 0.002
+    # every chi is pointwise, so the added fine points leave the coarse
+    # rows untouched
+    fine_rows = set(_data_rows(os.path.join(out_f, "scan.csv")))
+    for row in _data_rows(os.path.join(out_c, "scan.csv")):
+        assert row in fine_rows, row
+
+
+def test_provenance_does_not_depend_on_host_cpu_count(tmp_path, monkeypatch):
+    config = _write_config(tmp_path, "cfg.json", {
+        "n_particles": 20,
+        "lambda_min": -1.3,
+        "lambda_max": -1.2,
+        "lambda_step": 0.05,
+    })
+    blobs = []
+    for cpus in (1, 7):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = _outdir(tmp_path, f"cpus{cpus}")
+        assert main(["scan", "--config", config, "--out", out]) == 0
+        with open(os.path.join(out, "scan.csv"), "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
 
 
 def test_scan_missing_outdir_exits_2(tmp_path, capsys):

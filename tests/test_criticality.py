@@ -72,9 +72,7 @@ def test_scan_dominance_and_peak_coincidence():
     curve = scan_lambda(config)
     mom, cl, q = curve.chi_mom, curve.chi_cl, curve.chi_q
     assert np.all(mom >= 0) and np.all(cl >= 0) and np.all(q >= 0)
-    # chi_mom carries O(step^2) central-difference bias, so only
-    # violations beyond one percent are meaningful
-    assert np.all(mom <= cl * 1.01)
+    assert np.all(mom <= cl * (1.0 + 1e-6))
     assert np.all(cl <= q * (1.0 + 1e-6))
     peaks = [curve.peak(m).index for m in ("moment", "classical", "quantum")]
     assert max(peaks) - min(peaks) <= 2
@@ -138,6 +136,7 @@ def test_chi_at_point_matches_scan_fidelity_routes():
     point = chi_at_point(
         dataclasses.replace(params, lambda_control=lam), temperature=0.3
     )
+    assert_allclose(point["moment"], curve.chi_mom[1], rtol=1e-12)
     assert_allclose(point["classical"], curve.chi_cl[1], rtol=1e-12)
     assert_allclose(point["quantum"], curve.chi_q[1], rtol=1e-12)
 

@@ -12,7 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script",
-    ["energy_gap.py", "susceptibility_scan.py", "finite_size_scaling.py"],
+    [
+        "energy_gap.py",
+        "susceptibility_scan.py",
+        "finite_size_scaling.py",
+        "estimation_pipeline.py",
+    ],
 )
 def test_demo_exits_cleanly(script):
     env = dict(os.environ)

@@ -1,4 +1,4 @@
-"""Bhattacharyya and Uhlmann fidelities and the chi extraction routes."""
+"""Bhattacharyya and Uhlmann fidelities and the fidelity chi fit."""
 
 import dataclasses
 import math
@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dense_oracle import dense_hamiltonian, dense_thermal_rho
-
 from bjjsense.fidelity import (
     DensityOperator,
     bhattacharyya_fidelity,
-    chi_mom_from_curves,
     default_epsilons,
     susceptibility_from_fidelity,
     uhlmann_fidelity,
@@ -22,7 +19,6 @@ from bjjsense.model import (
     ModelParams,
     equilibrium_state,
     jz_distribution,
-    jz_moments,
 )
 
 
@@ -247,58 +243,3 @@ def test_chi_stable_under_epsilon_rescaling():
     base = values[1]
     assert abs(values[0] - base) < 5e-3 * base
     assert abs(values[2] - base) < 5e-3 * base
-
-
-def test_chi_mom_linear_mean_any_grid():
-    grid = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
-    a, b, v = -3.0, 0.7, 0.2
-    means = a * grid + b
-    variances = np.full(grid.size, v)
-    for i in range(grid.size):
-        est = chi_mom_from_curves(means, variances, grid, i)
-        assert_allclose(est.value, a * a / v, rtol=1e-12)
-        assert est.method == "moment"
-
-
-def test_chi_mom_constant_mean_is_zero():
-    grid = np.linspace(0.0, 1.0, 7)
-    est = chi_mom_from_curves(np.full(7, 0.4), np.full(7, 1.0), grid, 3)
-    assert est.value == 0.0
-
-
-def test_chi_mom_rejects_degenerate_input():
-    grid = np.linspace(0.0, 1.0, 5)
-    means = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        chi_mom_from_curves(means, np.zeros(5), grid, 2)
-    with pytest.raises(ValueError):
-        chi_mom_from_curves(means, np.ones(4), grid, 2)
-    with pytest.raises(ValueError):
-        chi_mom_from_curves(means, np.ones(5), grid, 5)
-    with pytest.raises(ValueError):
-        chi_mom_from_curves(means[:1], np.ones(1), grid[:1], 0)
-
-
-def test_chi_mom_matches_dense_pipeline():
-    n, lam0, delta, step = 10, -1.5, 1e-3, 1e-3
-    grid = lam0 + step * np.arange(-2.0, 3.0)
-    means = np.empty(grid.size)
-    variances = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        params = ModelParams(n_particles=n, lambda_control=lam,
-                             imbalance=delta)
-        means[i], variances[i] = jz_moments(equilibrium_state(params, 0.0))
-    est = chi_mom_from_curves(means, variances, grid, 2)
-
-    # independent dense route: Jacobi eigensolver, dense Gibbs states
-    m = np.arange(n + 1) - n / 2.0
-    dense_means = np.empty(grid.size)
-    dense_vars = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        rho = dense_thermal_rho(dense_hamiltonian(n, 1.0, lam, delta), 0.0)
-        p = np.clip(np.diag(rho), 0.0, None)
-        dense_means[i] = m @ p
-        dense_vars[i] = (m - dense_means[i]) ** 2 @ p
-    deriv = (dense_means[3] - dense_means[1]) / (2.0 * step)
-    reference = deriv * deriv / dense_vars[2]
-    assert_allclose(est.value, reference, rtol=1e-6)

@@ -6,10 +6,18 @@
   adjacent m with a negative sign), so the Bhattacharyya coefficient of the
   J_z distributions equals the state overlap and chi_cl = chi_Q.
 
-Both hold for the finite-difference estimators at any displacement.  The
-displacement scale is 1e-3 rather than the scan default 1e-4: there the
-fidelity deficits of a chi near 0.02 are about 1e-10, and roundoff in the
-fidelities alone moves chi by up to 2e-6 of its value.
+* Dominance chain chi_mom <= chi_cl <= chi_Q: measuring J_z cannot reveal
+  more than the quantum state holds, and the first two moments of the J_z
+  distribution cannot reveal more than the whole distribution.
+
+The first two hold for the finite-difference estimators at any
+displacement and are checked at the displacement scale 1e-3 rather than
+the scan default 1e-4: there the fidelity deficits of a chi near 0.02 are
+about 1e-10, and roundoff in the fidelities alone moves chi by up to 2e-6
+of its value.  The chain holds exactly only in the eps -> 0 limit; it is
+checked at the default scale, with a relative slack of 1e-5 for that
+roundoff, because at 1e-3 the eps^2 bias alone can put chi_mom above
+chi_cl by more than 1e-5.
 """
 
 import dataclasses
@@ -55,3 +63,17 @@ def test_classical_equals_quantum_at_zero_temperature(n, lam, delta):
     params = ModelParams(n, lambda_control=lam, imbalance=delta)
     chi = chi_at_point(params, 0.0, ("classical", "quantum"), EPSILON0)
     assert_allclose(chi["classical"], chi["quantum"], rtol=1e-6)
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 40),
+    lam=lambdas,
+    delta=st.floats(-0.1, 0.1),
+    temperature=temperatures,
+)
+def test_dominance_chain(n, lam, delta, temperature):
+    params = ModelParams(n, lambda_control=lam, imbalance=delta)
+    chi = chi_at_point(params, temperature)
+    assert chi["moment"] <= chi["classical"] * (1.0 + 1e-5), chi
+    assert chi["classical"] <= chi["quantum"] * (1.0 + 1e-5), chi
