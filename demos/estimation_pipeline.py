@@ -10,8 +10,7 @@ zbar = 0.2 + 0.22 * (a + 2.4) + 0.12 * (1.0 + np.tanh((a + 1.75) / 0.2))
 truth = [est.DoubleGaussianFit(z, 0.1, 0.5, 0.5) for z in zbar]
 
 series = est.synth_samples(a, truth, n_samples=4000, seed=11)
-fits = est.fit_series(series)
-points = est.series_estimates(series, fits=fits)
+points = est.series_estimates(series)
 
 boots = {
     name: est.bootstrap(series, name, n_replicas=300, seed=11)
@@ -19,9 +18,9 @@ boots = {
 }
 
 print("fitted separation vs generating value:")
-for ai, zi, fit in zip(a, zbar, fits):
-    print(f"  a = {ai:6.2f}   zbar = {zi:.3f}   fitted = {fit.separation:.3f}"
-          f"   width = {fit.width:.3f}")
+for ai, zi, fz, fw in zip(a, zbar, points["zbar"], points["sigma"]):
+    print(f"  a = {ai:6.2f}   zbar = {zi:.3f}   fitted = {fz:.3f}"
+          f"   width = {fw:.3f}")
 
 print()
 print(f"{'a':>7} {'chi_mom':>16} {'chi_cl':>16}")

@@ -30,7 +30,6 @@ from .estimation import (
     DoubleGaussianFit,
     HistogramSpec,
     bootstrap,
-    fit_series,
     series_estimates,
     synth_samples,
 )
@@ -219,6 +218,7 @@ def cmd_scan(args) -> int:
         epsilon0=float(config["epsilon0"]),
     )
     curve = scan_lambda(scan_cfg)
+    columns = _curve_columns(curve, methods)
     if config["refine"]:
         ref = "quantum" if "quantum" in methods else methods[0]
         peak = curve.peak(ref)
@@ -227,16 +227,25 @@ def cmd_scan(args) -> int:
         fine = default_lambda_grid(
             peak.lambda_peak - half, peak.lambda_peak + half, step
         )
-        merged = np.unique(np.concatenate([grid, fine]))
-        curve = scan_lambda(dataclasses.replace(scan_cfg, lambda_grid=merged))
+        # Every chi is pointwise: scan only the fine points that are new.
+        new = dataclasses.replace(scan_cfg, lambda_grid=np.setdiff1d(fine, grid))
+        extra = _curve_columns(scan_lambda(new), methods)
+        order = np.argsort(np.concatenate([grid, new.lambda_grid]))
+        columns = {
+            k: np.concatenate([v, extra[k]])[order] for k, v in columns.items()
+        }
+    write_columns(_out(args, "scan.csv"), columns, _provenance("scan", config))
+    return 0
+
+
+def _curve_columns(curve, methods) -> dict[str, np.ndarray]:
     columns = {
         "lambda": curve.lambda_grid,
         "mean_jz": curve.mean_jz,
         "var_jz": curve.var_jz,
     }
     columns.update({CHI_COLUMN[m]: curve.chi(m) for m in METHODS if m in methods})
-    write_columns(_out(args, "scan.csv"), columns, _provenance("scan", config))
-    return 0
+    return columns
 
 
 def cmd_scaling(args) -> int:
@@ -364,14 +373,9 @@ def _resolve_series(config):
         )
         for z, s, p, q in zip(zbar, sigma, ap, am)
     ]
-    n_samples = config["n_samples"]
-    if not np.isscalar(n_samples):
-        n_samples = [int(n) for n in n_samples]
-    else:
-        n_samples = int(n_samples)
     try:
         return synth_samples(
-            [float(v) for v in a], gens, n_samples, int(config["seed"])
+            [float(v) for v in a], gens, config["n_samples"], int(config["seed"])
         )
     except ValueError as err:
         raise CliError("series", str(err))
@@ -393,8 +397,7 @@ def cmd_pipeline(args) -> int:
         n_replicas = min(n_replicas, 100)
     series = _resolve_series(config)
     spec = HistogramSpec(bin_width=float(config["bin_width"]))
-    fits = fit_series(series, spec)
-    estimates = series_estimates(series, spec, fits)
+    estimates = series_estimates(series, spec)
     comments = _provenance("pipeline", config)
     boots = {}
     for estimator in ("chi_mom", "chi_cl"):

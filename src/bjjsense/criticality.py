@@ -338,18 +338,15 @@ def locate_critical_gap(
     lambda_bracket: tuple[float, float] = (-1.5, -0.85),
     *,
     tunneling: float = 1.0,
-    imbalance: float = 0.0,
     levels: tuple[int, int] = (0, 2),
-    n_coarse: int = 61,
-    xtol: float = 1e-8,
 ) -> CriticalPointResult:
     """Finite-size critical point lambda_c^(N): minimum of the level gap.
 
     The default gap E_2 - E_0 pairs the ground state with its second
     excited partner; at zero tilt E_1 merges with E_0 in the broken phase
-    and carries no interior minimum.  A coarse grid over
+    and carries no interior minimum.  A coarse 61-point grid over
     ``lambda_bracket`` brackets the minimum, then golden-section search
-    refines it.
+    refines it to xtol 1e-8.
 
     Raises
     ------
@@ -364,9 +361,7 @@ def locate_critical_gap(
     if lower == upper:
         raise ValueError(f"levels must differ, got {levels}")
     k = upper + 1
-    params = ModelParams(
-        n_particles=n_particles, tunneling=tunneling, imbalance=imbalance
-    )
+    params = ModelParams(n_particles=n_particles, tunneling=tunneling)
 
     def gap(lam: float) -> float:
         ev = eigenvalues_only(
@@ -374,7 +369,7 @@ def locate_critical_gap(
         )
         return float(ev[upper] - ev[lower])
 
-    grid = np.linspace(lo, hi, n_coarse)
+    grid = np.linspace(lo, hi, 61)
     gaps = np.array([gap(lam) for lam in grid])
     i = int(np.argmin(gaps))
     if i == 0 or i == grid.size - 1:
@@ -386,7 +381,7 @@ def locate_critical_gap(
         gap,
         bracket=(grid[i - 1], grid[i], grid[i + 1]),
         method="golden",
-        options={"xtol": xtol},
+        options={"xtol": 1e-8},
     )
     lam_c = float(res.x)
     return CriticalPointResult(
@@ -466,7 +461,10 @@ def _optimize_deltas(
     """``optimize_delta`` for several methods, scanning each grid tilt once.
 
     The window scan at every tilt of the grid computes all ``methods``
-    together; the bracket and the root find then run per method.
+    together; the bracket and the root find then run per method.  Peak
+    offsets are kept per (delta, method), so no window is scanned twice
+    for one method: ``brentq`` returns a tilt it has already evaluated,
+    and its bracket ends are often grid tilts.
     """
     deltas = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
     if deltas.size < 2 or np.any(deltas <= 0):
@@ -475,22 +473,26 @@ def _optimize_deltas(
     window = _peak_window(n_particles, lambda_c, window_points)
     tol = 0.5 * (window[1] - window[0])
 
+    known: dict[tuple[float, str], float | None] = {}
+
     def offsets(delta: float, which: tuple[str, ...]) -> dict[str, float | None]:
-        config = ScanConfig(
-            params_template=ModelParams(
-                n_particles=n_particles, tunneling=tunneling, imbalance=delta
-            ),
-            lambda_grid=window,
-            temperature=temperature,
-            which=which,
-            epsilon0=epsilon0,
-        )
-        curve = scan_lambda(config)
-        out = {}
-        for m in which:
-            peak = curve.peak(m)
-            out[m] = peak.lambda_peak - lambda_c if peak.interior else None
-        return out
+        todo = tuple(m for m in which if (delta, m) not in known)
+        if todo:
+            curve = scan_lambda(ScanConfig(
+                params_template=ModelParams(
+                    n_particles=n_particles, tunneling=tunneling, imbalance=delta
+                ),
+                lambda_grid=window,
+                temperature=temperature,
+                which=todo,
+                epsilon0=epsilon0,
+            ))
+            for m in todo:
+                peak = curve.peak(m)
+                known[delta, m] = (
+                    peak.lambda_peak - lambda_c if peak.interior else None
+                )
+        return {m: known[delta, m] for m in which}
 
     grid_offsets = [offsets(d, methods) for d in deltas]
     result = {}
@@ -504,16 +506,10 @@ def _optimize_deltas(
                 f"no delta in [{deltas[0]:.3g}, {deltas[-1]:.3g}] produced an "
                 f"interior peak for method {method!r}"
             )
-        # Strict < keeps the earlier (smaller) delta on ties.
-        best_delta, best_off = valid[0]
-        for d, o in valid[1:]:
-            if abs(o) < abs(best_off):
-                best_delta, best_off = d, o
+        # min keeps the first, i.e. the smaller, delta on ties.
+        best_delta, best_off = min(valid, key=lambda v: abs(v[1]))
         bracket = None
         for (d1, o1), (d2, o2) in zip(valid[:-1], valid[1:]):
-            if o1 == 0.0:
-                best_delta, best_off = d1, o1
-                break
             if o1 * o2 < 0:
                 bracket = (d1, d2)
                 break

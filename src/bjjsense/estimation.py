@@ -7,11 +7,15 @@ Bohr radius a_0).  The analysis chain is:
 1. histogram the z samples per a_s with a fixed bin size,
 2. fit each histogram with a double Gaussian
    A+ G(z - zbar; sigma) + A- G(z + zbar; sigma),
-3. chi_mom from the nearest-neighbor derivative of zbar over a_s,
-   chi_cl from Bhattacharyya overlaps of neighboring histograms,
+3. chi_mom from ``np.gradient`` of zbar over a_s, chi_cl from the
+   Bhattacharyya overlaps of neighboring histograms, fitted as the
+   model's fidelities are (``fidelity``),
 4. error bars by parametric bootstrap: resample records from the fitted
    mixtures, rerun the chain, and fit a Gaussian (optionally on an
    exponential background) to the replica histogram of each estimate.
+
+Steps 1-3 live in one private chain, ``_estimates``; ``series_estimates``
+and every bootstrap replica run it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
+from .fidelity import _fit_chi, bhattacharyya_fidelity
+
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
+
+# Bins of each grid point's histogram of bootstrap replica values.
+_REPLICA_BINS = 100
 
 
 @dataclass(frozen=True)
@@ -85,14 +94,6 @@ class DoubleGaussianFit:
             raise ValueError(f"width must be > 0, got {self.width}")
         if self.separation < 0:
             raise ValueError(f"separation must be >= 0, got {self.separation}")
-
-    def density(self, z: np.ndarray) -> np.ndarray:
-        """Mixture probability density at z."""
-        z = np.asarray(z, dtype=float)
-        up = (z - self.separation) / self.width
-        um = (z + self.separation) / self.width
-        g = lambda u: np.exp(-0.5 * u * u) / (_SQRT2PI * self.width)
-        return self.amplitude_plus * g(up) + self.amplitude_minus * g(um)
 
 
 @dataclass(frozen=True)
@@ -245,19 +246,32 @@ def build_histogram(samples: np.ndarray, spec: HistogramSpec) -> Histogram:
 # double-Gaussian fitting
 
 
-def _mixture_model_and_jacobian(p: np.ndarray, z: np.ndarray, w: float):
-    zbar, sigma, ap, am = p
+def _gaussian_pair(p: np.ndarray, z: np.ndarray):
+    """Standardized offsets and unit-area Gaussians of the two peaks."""
+    zbar, sigma = p[0], p[1]
     up = (z - zbar) / sigma
     um = (z + zbar) / sigma
     gp = np.exp(-0.5 * up * up) / (_SQRT2PI * sigma)
     gm = np.exp(-0.5 * um * um) / (_SQRT2PI * sigma)
-    model = w * (ap * gp + am * gm)
+    return up, um, gp, gm
+
+
+def _mixture_model(p: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
+    """Bin probabilities of the mixture: w (A+ G+ + A- G-)."""
+    _, _, gp, gm = _gaussian_pair(p, z)
+    return w * (p[2] * gp + p[3] * gm)
+
+
+def _mixture_jacobian(p: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
+    """Derivatives of ``_mixture_model`` in (zbar, sigma, A+, A-)."""
+    sigma, ap, am = p[1], p[2], p[3]
+    up, um, gp, gm = _gaussian_pair(p, z)
     jac = np.empty((z.size, 4))
     jac[:, 0] = w * (ap * up * gp - am * um * gm) / sigma
     jac[:, 1] = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
     jac[:, 2] = w * gp
     jac[:, 3] = w * gm
-    return model, jac
+    return jac
 
 
 def _histogram_moments(hist: Histogram) -> tuple[float, float]:
@@ -316,10 +330,10 @@ def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
     ]
 
     def residual(p):
-        return _mixture_model_and_jacobian(p, z, w)[0] - h
+        return _mixture_model(p, z, w) - h
 
     def jacobian(p):
-        return _mixture_model_and_jacobian(p, z, w)[1]
+        return _mixture_jacobian(p, z, w)
 
     best = None
     for p0 in starts:
@@ -349,9 +363,10 @@ def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
         zbar, ap, am = -zbar, am, ap
     ok = sigma > 0 and ap > -1e-6 and am > -1e-6
     ap, am = max(ap, 0.0), max(am, 0.0)
-    r = residual(np.array([zbar, max(sigma, 1e-12), ap, am]))
+    p_final = np.array([zbar, max(sigma, 1e-12), ap, am])
+    r = residual(p_final)
     rnorm = float(np.linalg.norm(r))
-    jac_final = jacobian(np.array([zbar, max(sigma, 1e-12), ap, am]))
+    jac_final = jacobian(p_final)
     grad = jac_final.T @ r
     # Stationarity relative to the Jacobian magnitude: a stalled or failed
     # fit sits orders of magnitude above this, a true optimum orders below.
@@ -386,21 +401,6 @@ def fit_series(
 # estimators
 
 
-def _central_derivative(values: np.ndarray, xs: np.ndarray, i: int) -> float:
-    """Three-point derivative on a non-uniform grid; one-sided at the ends."""
-    n = xs.size
-    if i == 0:
-        return float((values[1] - values[0]) / (xs[1] - xs[0]))
-    if i == n - 1:
-        return float((values[-1] - values[-2]) / (xs[-1] - xs[-2]))
-    h1 = xs[i] - xs[i - 1]
-    h2 = xs[i + 1] - xs[i]
-    w_prev = -h2 / (h1 * (h1 + h2))
-    w_here = (h2 - h1) / (h1 * h2)
-    w_next = h1 / (h2 * (h1 + h2))
-    return float(w_prev * values[i - 1] + w_here * values[i] + w_next * values[i + 1])
-
-
 def chi_mom_experimental(
     fits: Sequence[DoubleGaussianFit],
     scattering_lengths: Sequence[float],
@@ -408,22 +408,27 @@ def chi_mom_experimental(
 ) -> float:
     """Moment susceptibility (d zbar / d a_s)^2 / sigma^2 at one grid point.
 
-    The derivative is the nearest-neighbor central difference on the
-    (possibly non-uniform) a_s grid; endpoints use the one-sided
-    two-point formula and carry lower confidence.  With a_s in units of
-    a_0 the result is dimensionless.
+    The derivative is ``np.gradient`` over the (possibly non-uniform) a_s
+    grid: the three-point central difference inside, the one-sided
+    two-point formula at the endpoints, which carry lower confidence.  With
+    a_s in units of a_0 the result is dimensionless.
     """
     a = np.asarray(scattering_lengths, dtype=float)
     if len(fits) != a.size:
         raise ValueError(f"{len(fits)} fits for {a.size} scattering lengths")
     if not 0 <= index < a.size:
         raise ValueError(f"index {index} outside grid of size {a.size}")
-    sigma = fits[index].width
-    if sigma <= 0:
-        raise ValueError(f"zero width at index {index}")
-    zbars = np.array([f.separation for f in fits])
-    deriv = _central_derivative(zbars, a, index)
-    return float((deriv / sigma) ** 2)
+    zbar = np.array([f.separation for f in fits])
+    sigma = np.array([f.width for f in fits])
+    return float(_chi_mom(zbar, sigma, a)[index])
+
+
+def _chi_mom(zbar: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # float_power squares with libm pow, as Python's scalar float ** does,
+    # so every chi_mom equals the pointwise (d / sigma) ** 2 bit for bit;
+    # array ** 2 multiplies x * x, which differs in the last bit for about
+    # one value in 1,000.
+    return np.float_power(np.gradient(zbar, a) / sigma, 2)
 
 
 def chi_cl_experimental(
@@ -433,9 +438,10 @@ def chi_cl_experimental(
 ) -> float:
     """Classical susceptibility from overlaps with the two neighbor points.
 
-    Computes the Bhattacharyya coefficient F_ij = sum_z sqrt(h_i h_j) for
-    j = index +- 1 and fits 1 - F = (chi/8) eps^2 through both points by
-    one-parameter least squares, eps being the a_s spacing in units of a_0.
+    Takes the Bhattacharyya coefficients F of the histogram at ``index``
+    with those at index +- 1 and fits 1 - F = (chi/8) eps^2 through both
+    by one-parameter least squares, eps being the a_s offset in units of
+    a_0; both steps are the ones ``fidelity`` applies to model states.
 
     Raises
     ------
@@ -451,51 +457,55 @@ def chi_cl_experimental(
         raise ValueError(
             f"chi_cl needs both neighbors; index {index} of {a.size} points"
         )
-    eps = []
-    deficit = []
-    for j in (index - 1, index + 1):
-        hi = histograms[index].probabilities
-        hj = histograms[j].probabilities
-        if hi.size != hj.size:
-            raise ValueError("histograms use different binning")
-        overlap = float(np.sqrt(hi * hj).sum())
-        eps.append(a[j] - a[index])
-        deficit.append(1.0 - overlap)
-    eps = np.asarray(eps)
-    deficit = np.asarray(deficit)
-    if np.all(np.abs(deficit) < 1e-14):
-        return 0.0
-    x = eps * eps / 8.0
-    return float(max((x @ deficit) / (x @ x), 0.0))
+    window = slice(index - 1, index + 2)
+    return float(_chi_cl(histograms[window], a[window])[1])
+
+
+def _chi_cl(hists: Sequence[Histogram], a: np.ndarray) -> np.ndarray:
+    """chi_cl at every interior grid point, NaN at the two ends."""
+    overlaps = np.array(
+        [bhattacharyya_fidelity(p, q) for p, q in zip(hists, hists[1:])]
+    )
+    chi = np.full(a.size, np.nan)
+    for i in range(1, a.size - 1):
+        eps = np.array([a[i - 1] - a[i], a[i + 1] - a[i]])
+        chi[i] = _fit_chi(eps, 1.0 - overlaps[i - 1 : i + 1], "classical").value
+    return chi
+
+
+def _estimates(
+    records: Sequence[np.ndarray],
+    a: np.ndarray,
+    spec: HistogramSpec,
+    fit: bool = True,
+) -> tuple[dict[str, np.ndarray], tuple[DoubleGaussianFit, ...]]:
+    """The estimator chain on one record per grid point.
+
+    Histograms give chi_cl; with ``fit`` the double-Gaussian fits add zbar,
+    sigma and chi_mom.  Returns the estimates and the fits (none without
+    ``fit``, since chi_cl needs histograms only).
+    """
+    hists = [build_histogram(r, spec) for r in records]
+    fits = tuple(fit_double_gaussian(h) for h in hists) if fit else ()
+    out = {}
+    if fit:
+        zbar = np.array([f.separation for f in fits])
+        sigma = np.array([f.width for f in fits])
+        out = {"zbar": zbar, "sigma": sigma, "chi_mom": _chi_mom(zbar, sigma, a)}
+    out["chi_cl"] = _chi_cl(hists, a)
+    return out, fits
 
 
 def series_estimates(
-    series: MeasurementSeries,
-    spec: HistogramSpec | None = None,
-    fits: Sequence[DoubleGaussianFit] | None = None,
+    series: MeasurementSeries, spec: HistogramSpec | None = None
 ) -> dict[str, np.ndarray]:
     """Full estimator chain on a series: zbar, sigma, chi_mom, chi_cl.
 
     chi_cl is NaN at the endpoints where a neighbor is missing.
     """
-    spec = spec or HistogramSpec()
-    hists = [build_histogram(r, spec) for r in series.records]
-    if fits is None:
-        fits = tuple(fit_double_gaussian(h) for h in hists)
-    a = series.scattering_lengths
-    n = a.size
-    chi_mom = np.array(
-        [chi_mom_experimental(fits, a, i) for i in range(n)]
-    )
-    chi_cl = np.full(n, np.nan)
-    for i in range(1, n - 1):
-        chi_cl[i] = chi_cl_experimental(hists, a, i)
-    return {
-        "zbar": np.array([f.separation for f in fits]),
-        "sigma": np.array([f.width for f in fits]),
-        "chi_mom": chi_mom,
-        "chi_cl": chi_cl,
-    }
+    return _estimates(
+        series.records, series.scattering_lengths, spec or HistogramSpec()
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +531,6 @@ def bootstrap(
     seed: int = 0,
     spec: HistogramSpec | None = None,
     background_kind: str | None = None,
-    n_bins: int = 100,
 ) -> BootstrapResult:
     """Parametric bootstrap error bars for chi_mom or chi_cl.
 
@@ -533,10 +542,10 @@ def bootstrap(
     double-Gaussian fit comes back invalid is redrawn once; persistent
     failures count toward an abort threshold of 10%.
 
-    Per grid point the replica values go into an ``n_bins``-bin histogram
-    fitted with a Gaussian (chi_cl) or a Gaussian on an exponential
-    background anchored at chi = 0 (chi_mom); the fit's center and width
-    are the reported value and error bar.
+    Per grid point the replica values go into a 100-bin histogram fitted
+    with a Gaussian (chi_cl) or a Gaussian on an exponential background
+    anchored at chi = 0 (chi_mom); the fit's center and width are the
+    reported value and error bar.
 
     Parameters
     ----------
@@ -549,8 +558,6 @@ def bootstrap(
     spec : HistogramSpec, optional
     background_kind : str, optional
         "none" or "exponential"; default follows the estimator.
-    n_bins : int
-        Bins of the replica histograms.
 
     Returns
     -------
@@ -587,8 +594,11 @@ def bootstrap(
             records = [
                 _draw_mixture(rng, f, n) for f, n in zip(base_fits, counts)
             ]
-            row = _replica_chain(records, a, spec, estimator)
-            if row is not None:
+            estimates, replica_fits = _estimates(
+                records, a, spec, fit=estimator == "chi_mom"
+            )
+            if all(_fit_is_valid(f) for f in replica_fits):
+                row = estimates[estimator]
                 break
         if row is None:
             n_failures += 1
@@ -610,7 +620,7 @@ def bootstrap(
         if col.size < 2:
             fits.append(None)
             continue
-        hist_counts, edges = np.histogram(col, bins=n_bins)
+        hist_counts, edges = np.histogram(col, bins=_REPLICA_BINS)
         fit = fit_gaussian_with_background(
             hist_counts, edges, background_kind
         )
@@ -628,21 +638,6 @@ def bootstrap(
         replica_values=tuple(replica_cols),
         fits=tuple(fits),
     )
-
-
-def _replica_chain(records, a, spec, estimator):
-    """One replica's estimates; None if a required fit is invalid."""
-    hists = [build_histogram(rec, spec) for rec in records]
-    n = a.size
-    if estimator == "chi_mom":
-        fits = [fit_double_gaussian(h) for h in hists]
-        if not all(_fit_is_valid(f) for f in fits):
-            return None
-        return np.array([chi_mom_experimental(fits, a, i) for i in range(n)])
-    out = np.full(n, np.nan)
-    for i in range(1, n - 1):
-        out[i] = chi_cl_experimental(hists, a, i)
-    return out
 
 
 def fit_gaussian_with_background(

@@ -10,8 +10,10 @@ chi_mom <= chi_cl <= chi_Q:
 
 Each fidelity behaves as F = 1 - (chi/8) * eps^2 for small eps, so chi is
 read off as the slope of 1 - F against eps^2 / 8.  This module holds the
-fidelities and that fit; ``criticality`` evaluates them, and the <J_z>
-slope behind chi_mom, on the same displaced states.
+fidelities and that fit.  ``criticality`` evaluates them, and the <J_z>
+slope behind chi_mom, on the same displaced states; ``estimation`` applies
+the Bhattacharyya coefficient and the same fit to histograms of measured
+imbalance records.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ def bhattacharyya_fidelity(p: DistributionOverM, q: DistributionOverM) -> float:
     """Bhattacharyya coefficient sum_m sqrt(P(m) Q(m)).
 
     Equals 1 iff the distributions coincide; this is the classical fidelity
-    attainable from J_z measurement statistics alone.
+    attainable from J_z measurement statistics alone.  Any pair with
+    ``probabilities`` arrays on one support will do, shot histograms
+    (``estimation.Histogram``) included.
     """
     if p.probabilities.size != q.probabilities.size:
         raise ValueError(
@@ -89,8 +93,9 @@ def uhlmann_fidelity(rho1: DensityOperator, rho2: DensityOperator) -> float:
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
 
     Works in the span of the factorizations: with A = sqrt(w1) (V1^T V2)
-    sqrt(w2), F equals the nuclear norm of A, computed from the eigenvalues
-    of the smaller of A A^T and A^T A.  For two pure states this reduces to
+    sqrt(w2), F is the nuclear norm of A: the sum of its singular values,
+    taken from A itself, since an eigenvalue of A A^T at roundoff (1e-16)
+    would add its square root to F.  For two pure states this reduces to
     |<psi1|psi2>|.
     """
     if rho1.basis.shape[0] != rho2.basis.shape[0]:
@@ -105,13 +110,7 @@ def uhlmann_fidelity(rho1: DensityOperator, rho2: DensityOperator) -> float:
         )
     cross = rho1.basis.T @ rho2.basis
     a = np.sqrt(rho1.weights)[:, None] * cross * np.sqrt(rho2.weights)[None, :]
-    if a.shape[0] <= a.shape[1]:
-        gram = a @ a.T
-    else:
-        gram = a.T @ a
-    vals = np.linalg.eigvalsh(gram)
-    # Tiny negatives are roundoff from the squared formulation.
-    return float(np.sqrt(np.clip(vals, 0.0, None)).sum())
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def default_epsilons(lambda_value: float, epsilon0: float = 1e-4) -> np.ndarray:
@@ -161,6 +160,17 @@ def susceptibility_from_fidelity(
             f"displacements must span at least two magnitudes, got {epsilons!r}"
         )
     deficits = np.array([1.0 - fidelity_at(float(e)) for e in eps])
+    return _fit_chi(eps, deficits, method)
+
+
+def _fit_chi(
+    eps: np.ndarray, deficits: np.ndarray, method: str
+) -> SusceptibilityEstimate:
+    """Least-squares fit of 1 - F = (chi/8) eps^2 through the origin.
+
+    Shared by the model fidelities and by the shot-histogram overlaps of
+    ``estimation.chi_cl_experimental``; the caller checks the displacements.
+    """
     x = eps * eps / 8.0
     grid = tuple(float(e) for e in eps)
     if np.all(np.abs(deficits) < 1e-14):

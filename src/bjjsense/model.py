@@ -120,10 +120,6 @@ class Spectrum:
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
-    @property
-    def ground_state(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
     def gap(self, upper: int = 2, lower: int = 0) -> float:
         """Energy difference E_upper - E_lower."""
         if upper >= self.n_levels or lower >= self.n_levels:

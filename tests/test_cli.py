@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import bjjsense.cli as cli
 from bjjsense.cli import KEYS_BY_COMMAND, build_parser, main
 from bjjsense.io import read_table
 
@@ -92,6 +93,29 @@ def test_scan_refine_densifies_peak_region(tmp_path):
     fine_rows = set(_data_rows(os.path.join(out_f, "scan.csv")))
     for row in _data_rows(os.path.join(out_c, "scan.csv")):
         assert row in fine_rows, row
+
+
+def test_scan_refine_evaluates_each_lambda_once(tmp_path, monkeypatch):
+    real_scan = cli.scan_lambda
+    seen = []
+
+    def recording_scan(config):
+        seen.extend(config.lambda_grid.tolist())
+        return real_scan(config)
+
+    monkeypatch.setattr(cli, "scan_lambda", recording_scan)
+    config = _write_config(tmp_path, "cfg.json", {
+        "n_particles": 40,
+        "lambda_min": -1.4,
+        "lambda_max": -0.9,
+        "lambda_step": 0.01,
+        "refine": True,
+    })
+    out = _outdir(tmp_path, "out")
+    assert main(["scan", "--config", config, "--out", out]) == 0
+    table, _ = read_table(os.path.join(out, "scan.csv"))
+    assert len(seen) == len(set(seen)) == table["lambda"].size
+    assert np.array_equal(np.sort(seen), table["lambda"])
 
 
 def test_provenance_does_not_depend_on_host_cpu_count(tmp_path, monkeypatch):

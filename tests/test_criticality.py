@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from dense_oracle import dense_chi_point
 
+import bjjsense.criticality as criticality
 from bjjsense.criticality import (
     PeakEstimate,
     ScanConfig,
@@ -272,6 +273,26 @@ def test_scaling_study_small_systems():
         assert np.all(res.delta_star[method] > 0)
     # zero temperature: measured and quantum routes coincide
     assert_allclose(res.chi["classical"], res.chi["quantum"], rtol=1e-6)
+
+
+def test_scaling_study_scans_each_tilt_once_per_method(monkeypatch):
+    real_scan = criticality.scan_lambda
+    seen = []
+
+    def recording_scan(config):
+        params = config.params_template
+        seen.extend(
+            (params.n_particles, params.imbalance, m) for m in config.which
+        )
+        return real_scan(config)
+
+    monkeypatch.setattr(criticality, "scan_lambda", recording_scan)
+    scaling_study(
+        n_values=(40, 60, 80),
+        delta_grid=np.logspace(-4, -2, 6),
+        window_points=15,
+    )
+    assert len(seen) == len(set(seen))
 
 
 def test_scaling_study_needs_three_sizes():

@@ -336,20 +336,26 @@ def test_bootstrap_validation():
         bootstrap(series, "chi_cl", n_replicas=120, background_kind="linear")
 
 
+_INVALID_FIT = DoubleGaussianFit(separation=0.4, width=0.1, amplitude_plus=0.5,
+                                 amplitude_minus=0.5, residual=np.inf,
+                                 converged=False)
+
+
 def test_bootstrap_redraws_failed_replicas_once(monkeypatch):
     a = np.array([-2.0, -1.8, -1.6])
     gens = [_mixture(0.4, 0.1) for _ in a]
     series = synth_samples(a, gens, 200, seed=4)
-    real_chain = est._replica_chain
+    real_chain = est._estimates
     calls = {"n": 0}
 
-    def flaky(records, grid, spec, estimator):
+    def flaky(*args, **kwargs):
         calls["n"] += 1
+        estimates, fits = real_chain(*args, **kwargs)
         if calls["n"] % 2 == 1:
-            return None
-        return real_chain(records, grid, spec, estimator)
+            return estimates, fits + (_INVALID_FIT,)
+        return estimates, fits
 
-    monkeypatch.setattr(est, "_replica_chain", flaky)
+    monkeypatch.setattr(est, "_estimates", flaky)
     result = bootstrap(series, "chi_cl", n_replicas=120, seed=2)
     assert result.n_failures == 0
     assert all(col.size == 120 for col in result.replica_values[1:-1])
@@ -359,9 +365,31 @@ def test_bootstrap_aborts_on_persistent_failures(monkeypatch):
     a = np.array([-2.0, -1.8, -1.6])
     gens = [_mixture(0.4, 0.1) for _ in a]
     series = synth_samples(a, gens, 200, seed=4)
-    monkeypatch.setattr(est, "_replica_chain", lambda *args: None)
+    monkeypatch.setattr(est, "_estimates",
+                        lambda *args, **kwargs: ({}, (_INVALID_FIT,)))
     with pytest.raises(RuntimeError):
         bootstrap(series, "chi_cl", n_replicas=120, seed=2)
+
+
+def test_bootstrap_replica_runs_the_series_chain():
+    # replica r of seed s redraws every record from the base fits with the
+    # stream [s, r, 0]; its row must be series_estimates on those records
+    a = np.arange(-2.7, -1.7, 0.18)
+    zbars = 0.25 + 0.40 / (1.0 + np.exp((a + 1.746) / 0.15))
+    series = synth_samples(a, [_mixture(float(z), 0.1) for z in zbars], 400,
+                           seed=5)
+    seed, r = 9, 37
+    rng = np.random.default_rng([seed, r, 0])
+    redrawn = MeasurementSeries(a, tuple(
+        est._draw_mixture(rng, f, rec.size)
+        for f, rec in zip(fit_series(series), series.records)
+    ))
+    expected = series_estimates(redrawn)
+    for estimator in ("chi_mom", "chi_cl"):
+        result = bootstrap(series, estimator, n_replicas=100, seed=seed)
+        assert result.n_failures == 0
+        row = [col[r] if col.size else np.nan for col in result.replica_values]
+        assert np.array_equal(row, expected[estimator], equal_nan=True)
 
 
 def test_background_fit_pure_gaussian():
