@@ -28,4 +28,4 @@ for method in ("moment", "classical", "quantum"):
 
 worst = float(np.max(curve.chi_mom / curve.chi_cl - 1.0))
 print(f"\nlargest chi_mom excess over chi_cl on the grid: {worst:.2e} "
-      "(roundoff of the five-state fits only)")
+      "(every chi is an exact derivative: only roundoff could push it above 0)")

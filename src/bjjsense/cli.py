@@ -62,7 +62,7 @@ SCAN_KEYS = {
     "delta": (2e-3, "symmetry-breaking tilt delta/Omega"),
     "tunneling": (1.0, "Rabi coupling Omega"),
     "methods": (list(METHODS), "subset of moment/classical/quantum"),
-    "epsilon0": (1e-4, "fidelity displacement scale"),
+    "epsilon0": (1e-4, "unused; recorded for provenance"),
     "seed": (0, "unused by scan; recorded for provenance"),
     "threads": (None, "unused; recorded for provenance"),
 }
@@ -72,7 +72,7 @@ SCALING_KEYS = {
     "temperature": (0.0, "temperature in units of Omega"),
     "delta_points": (25, "log-spaced tilt grid size over [1e-6, 1e-1]"),
     "window_points": (41, "lambda window points per tilt"),
-    "epsilon0": (1e-4, "fidelity displacement scale"),
+    "epsilon0": (1e-4, "unused; recorded for provenance"),
     "tunneling": (1.0, "Rabi coupling Omega"),
     "seed": (0, "unused by scaling; recorded for provenance"),
     "threads": (None, "unused; recorded for provenance"),
@@ -190,7 +190,6 @@ def cmd_scan(args) -> int:
             imbalance=float(config["delta"]),
             tunneling=float(config["tunneling"]),
             which=methods,
-            epsilon0=float(config["epsilon0"]),
         )
         columns = {"T": table["temperature"]}
         columns.update({CHI_COLUMN[m]: table[m] for m in METHODS if m in methods})
@@ -215,7 +214,6 @@ def cmd_scan(args) -> int:
         lambda_grid=grid,
         temperature=float(config["temperature"]),
         which=methods,
-        epsilon0=float(config["epsilon0"]),
     )
     curve = scan_lambda(scan_cfg)
     columns = _curve_columns(curve, methods)
@@ -283,7 +281,6 @@ def cmd_scaling(args) -> int:
         float(config["temperature"]),
         delta_grid=delta_grid,
         window_points=window_points,
-        epsilon0=float(config["epsilon0"]),
         tunneling=float(config["tunneling"]),
     )
     write_columns(

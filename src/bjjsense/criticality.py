@@ -9,6 +9,12 @@ transition:
    lambda_c^(N).
 3. ``scaling_study``: susceptibilities at (lambda_c^(N), delta*) across N,
    fitted to power laws chi/N ~ a N^b.
+
+Every susceptibility is the exact lambda-derivative of the Gibbs state at
+one working point (``_point``): one equilibrium solve, plus one tridiagonal
+solve per occupied level for the part of the derivative outside the
+occupied levels.  ``chi_at_point(..., epsilon0=...)`` keeps the
+finite-difference fidelity fit as a cross-check.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq, minimize_scalar
 
 from .fidelity import (
@@ -26,6 +33,7 @@ from .fidelity import (
     uhlmann_fidelity,
 )
 from .model import (
+    EigensolverError,
     ModelParams,
     build_hamiltonian,
     eigenvalues_only,
@@ -49,7 +57,6 @@ class ScanConfig:
     lambda_grid: np.ndarray
     temperature: float = 0.0
     which: tuple[str, ...] = METHODS
-    epsilon0: float = 1e-4
 
     def __post_init__(self):
         grid = np.asarray(self.lambda_grid, dtype=float)
@@ -65,8 +72,6 @@ class ScanConfig:
             raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
         if not self.temperature >= 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.epsilon0 <= 0:
-            raise ValueError(f"epsilon0 must be > 0, got {self.epsilon0}")
 
 
 @dataclass(frozen=True)
@@ -181,29 +186,104 @@ class ScalingStudyResult:
 # scans
 
 
-def _displaced_states(
+def _point(
+    params: ModelParams, temperature: float, which: tuple[str, ...]
+) -> tuple[float, float, dict[str, float]]:
+    """<J_z>, Var(J_z) and the requested chi at one working point.
+
+    The one code path for every susceptibility: one equilibrium solve and
+    the exact derivative of the Gibbs state rho = sum_n p_n |n><n|.  With
+    V = dH/dlambda = (Omega/N) J_z^2, shifted to zero mean (a constant
+    changes no chi):
+
+    * inside the occupied window, <n|drho|k> = G_nk = V_nk (p_n - p_k) /
+      (E_n - E_k), written through expm1 so that equal energies give the
+      limit -p V_nk / T, and G_nn = dp_n = -p_n (V_nn - <V>) / T;
+    * outside it, level n contributes y_n = Q d|n>, the solution of
+      (H - E_n) y = -Q V |n> with Q the projector off the window; the
+      singular system is consistent, so y is pinned to 0 at the largest
+      entry of |n> and the tridiagonal system solved directly.
+
+    Then chi_Q = 2 sum G^2 / (p_n + p_k) + 4 sum p_n |y_n|^2 (the Bures
+    metric), chi_cl = sum (dP)^2 / P over the J_z distribution P(m) and
+    chi_mom = (m . dP)^2 / Var(J_z), with dP the diagonal of drho.  At T = 0
+    all reduce to the ground state: chi_cl = chi_Q = 4 |y_0|^2.
+    """
+    state = equilibrium_state(params, temperature)
+    dist = jz_distribution(state)
+    chi: dict[str, float] = {}
+    if not which:
+        return dist.mean, dist.variance, chi
+    h = state.hamiltonian
+    energies = state.spectrum.eigenvalues
+    u = state.spectrum.eigenvectors
+    p = state.weights
+    m = dist.m_values
+    v = (params.tunneling / params.n_particles) * m * m
+    vu = (v - v.mean())[:, None] * u
+    vw = u.T @ vu
+    g = np.zeros_like(vw)
+    if temperature > 0.0:
+        beta = 1.0 / temperature
+        x = beta * np.abs(energies[:, None] - energies[None, :])
+        ratio = np.ones_like(x)
+        gapped = x > 0.0
+        ratio[gapped] = -np.expm1(-x[gapped]) / x[gapped]
+        g = -beta * np.maximum.outer(p, p) * ratio * vw
+        vdiag = np.diag(vw)
+        np.fill_diagonal(g, -beta * p * (vdiag - p @ vdiag))
+    y = np.zeros_like(u)
+    if p.size < m.size:
+        rhs = u @ vw - vu
+        for n in range(p.size):
+            pin = int(np.argmax(np.abs(u[:, n])))
+            off = h.offdiagonal.copy()
+            off[max(pin - 1, 0) : pin + 1] = 0.0
+            diag = h.diagonal - energies[n]
+            diag[pin] = 1.0
+            b = rhs[:, n : n + 1].copy()
+            b[pin] = 0.0
+            _, _, _, sol, info = dgtsv(off, diag, off, b)
+            if info != 0:
+                raise EigensolverError(
+                    f"tridiagonal solve failed (info={info}) at {params}"
+                )
+            y[:, n] = sol[:, 0]
+        y -= u @ (u.T @ y)
+    dp = np.sum((u @ g) * u, axis=1) + 2.0 * (u * y) @ p
+    if "quantum" in which:
+        bures = 2.0 * np.sum(g * g / np.add.outer(p, p))
+        chi["quantum"] = float(bures + 4.0 * p @ np.sum(y * y, axis=0))
+    if "classical" in which:
+        prob = dist.probabilities
+        occupied = prob > 0.0
+        chi["classical"] = float(np.sum(dp[occupied] ** 2 / prob[occupied]))
+    if "moment" in which:
+        var = dist.variance
+        if var <= 0:
+            raise ValueError(f"non-positive J_z variance {var} at {params}")
+        chi["moment"] = float((m @ dp) ** 2 / var)
+    return dist.mean, dist.variance, chi
+
+
+def _finite_difference_point(
     params: ModelParams,
     temperature: float,
     which: tuple[str, ...],
     epsilon0: float,
-) -> tuple[float, float, dict[str, float]]:
-    """<J_z>, Var(J_z) and the requested chi at one working point.
+) -> dict[str, float]:
+    """The requested chi from states displaced to lambda + eps.
 
-    The one code path for every susceptibility: builds the equilibrium
-    state at lambda and, when any chi is requested, the four states
-    displaced to lambda + eps (``default_epsilons``).  "classical" and
-    "quantum" come from fidelity fits against the centre state; "moment"
-    is the least-squares slope of <J_z> through the five states, squared
-    over the centre variance.
+    The reference route of ``chi_at_point(..., epsilon0=...)``: the
+    equilibrium state at lambda and the four states at lambda + eps
+    (``default_epsilons``).  "classical" and "quantum" come from fidelity
+    fits against the centre state; "moment" is the least-squares slope of
+    <J_z> through the five states, squared over the centre variance.
     """
     lam = params.lambda_control
     center = equilibrium_state(params, temperature)
     dist_c = jz_distribution(center)
-    chi: dict[str, float] = {}
-    if not which:
-        return dist_c.mean, dist_c.variance, chi
-    want_dist = "classical" in which or "moment" in which
-    rho_c = DensityOperator.from_state(center) if "quantum" in which else None
+    rho_c = DensityOperator.from_state(center)
     eps = default_epsilons(lam, epsilon0)
     means = {0.0: dist_c.mean}
     fid_cl: dict[float, float] = {}
@@ -212,13 +292,11 @@ def _displaced_states(
         shifted = equilibrium_state(
             replace(params, lambda_control=lam + e), temperature
         )
-        if want_dist:
-            dist_s = jz_distribution(shifted)
-            means[e] = dist_s.mean
-            if "classical" in which:
-                fid_cl[e] = bhattacharyya_fidelity(dist_c, dist_s)
-        if rho_c is not None:
-            fid_q[e] = uhlmann_fidelity(rho_c, DensityOperator.from_state(shifted))
+        dist_s = jz_distribution(shifted)
+        means[e] = dist_s.mean
+        fid_cl[e] = bhattacharyya_fidelity(dist_c, dist_s)
+        fid_q[e] = uhlmann_fidelity(rho_c, DensityOperator.from_state(shifted))
+    chi: dict[str, float] = {}
     if "moment" in which:
         offsets = np.array(sorted(means))
         vals = np.array([means[o] for o in offsets])
@@ -232,24 +310,24 @@ def _displaced_states(
             chi[method] = susceptibility_from_fidelity(
                 fid.__getitem__, eps, method
             ).value
-    return dist_c.mean, dist_c.variance, chi
+    return chi
 
 
 def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
     """Compute the requested susceptibilities along ``config.lambda_grid``.
 
-    Each grid point goes through the displaced-state loop of
-    ``chi_at_point``, so every chi, chi_mom included, is a pointwise value
-    that does not depend on the neighbouring grid points.
+    Each grid point takes one equilibrium solve and the exact derivative of
+    its Gibbs state, as in ``chi_at_point``, so every chi is a pointwise
+    value that does not depend on the neighbouring grid points.
 
     Returns
     -------
     SusceptibilityCurve
     """
     rows = [
-        _displaced_states(
+        _point(
             replace(config.params_template, lambda_control=lam),
-            config.temperature, config.which, config.epsilon0,
+            config.temperature, config.which,
         )
         for lam in config.lambda_grid
     ]
@@ -277,14 +355,17 @@ def chi_at_point(
     params: ModelParams,
     temperature: float = 0.0,
     which: tuple[str, ...] = METHODS,
-    epsilon0: float = 1e-4,
+    epsilon0: float | None = None,
 ) -> dict[str, float]:
     """All requested susceptibilities at a single working point.
 
-    The equilibrium state at lambda and the four states at lambda + eps
-    (eps from ``default_epsilons``) give every method: chi_cl and chi_q from
-    fidelity fits, and chi_mom from the least-squares slope of <J_z> through
-    the five states.  ``scan_lambda`` runs the same loop at each grid point.
+    By default each chi is the exact derivative of the Gibbs state at
+    lambda, from one equilibrium solve; ``scan_lambda`` runs the same code
+    at each grid point.  Given ``epsilon0``, the finite-difference
+    reference route runs instead: fidelity fits for chi_cl and chi_Q and
+    the least-squares slope of <J_z> for chi_mom, over the states at
+    lambda + eps (eps from ``default_epsilons``).  It is kept as a
+    cross-check of the exact route.
 
     Returns
     -------
@@ -293,7 +374,11 @@ def chi_at_point(
     bad = [w for w in which if w not in METHODS]
     if bad:
         raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
-    return _displaced_states(params, temperature, which, epsilon0)[2]
+    if epsilon0 is None:
+        return _point(params, temperature, which)[2]
+    if not epsilon0 > 0:
+        raise ValueError(f"epsilon0 must be > 0, got {epsilon0}")
+    return _finite_difference_point(params, temperature, which, epsilon0)
 
 
 def temperature_sweep(
@@ -304,7 +389,6 @@ def temperature_sweep(
     *,
     tunneling: float = 1.0,
     which: tuple[str, ...] = METHODS,
-    epsilon0: float = 1e-4,
 ) -> dict[str, np.ndarray]:
     """Susceptibilities against temperature at a fixed working point.
 
@@ -323,7 +407,7 @@ def temperature_sweep(
         lambda_control=lambda_value,
         imbalance=imbalance,
     )
-    points = [chi_at_point(params, float(t), which, epsilon0) for t in temps]
+    points = [chi_at_point(params, float(t), which) for t in temps]
     out = {"temperature": temps}
     out.update({m: np.array([p[m] for p in points]) for m in which})
     return out
@@ -414,7 +498,6 @@ def optimize_delta(
     lambda_c: float | None = None,
     delta_grid: np.ndarray | None = None,
     window_points: int = 41,
-    epsilon0: float = 1e-4,
     tunneling: float = 1.0,
 ) -> DeltaOptimization:
     """Tilt delta* whose chi(lambda) peak is closest to lambda_c^(N).
@@ -444,7 +527,7 @@ def optimize_delta(
         lambda_c = locate_critical_gap(n_particles, tunneling=tunneling).lambda_c
     return _optimize_deltas(
         n_particles, (method,), temperature, lambda_c, delta_grid,
-        window_points, epsilon0, tunneling,
+        window_points, tunneling,
     )[method]
 
 
@@ -455,7 +538,6 @@ def _optimize_deltas(
     lambda_c: float,
     delta_grid: np.ndarray | None,
     window_points: int,
-    epsilon0: float,
     tunneling: float,
 ) -> dict[str, DeltaOptimization]:
     """``optimize_delta`` for several methods, scanning each grid tilt once.
@@ -485,7 +567,6 @@ def _optimize_deltas(
                 lambda_grid=window,
                 temperature=temperature,
                 which=todo,
-                epsilon0=epsilon0,
             ))
             for m in todo:
                 peak = curve.peak(m)
@@ -575,7 +656,6 @@ def scaling_study(
     *,
     delta_grid: np.ndarray | None = None,
     window_points: int = 41,
-    epsilon0: float = 1e-4,
     tunneling: float = 1.0,
 ) -> ScalingStudyResult:
     """Optimized susceptibilities against N with power-law fits.
@@ -600,7 +680,7 @@ def scaling_study(
         lambda_c[i] = crit.lambda_c
         opts = _optimize_deltas(
             int(n), METHODS, temperature, crit.lambda_c, delta_grid,
-            window_points, epsilon0, tunneling,
+            window_points, tunneling,
         )
         for m, opt in opts.items():
             delta_star[m][i] = opt.delta
@@ -613,7 +693,6 @@ def scaling_study(
                 ),
                 temperature=temperature,
                 which=(m,),
-                epsilon0=epsilon0,
             )
             chi[m][i] = point[m]
     fits = {

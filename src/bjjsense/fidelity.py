@@ -8,12 +8,14 @@ chi_mom <= chi_cl <= chi_Q:
                 outcome distributions at lambda and lambda + eps
 * quantum:      chi_Q from the Uhlmann fidelity of the density operators
 
-Each fidelity behaves as F = 1 - (chi/8) * eps^2 for small eps, so chi is
-read off as the slope of 1 - F against eps^2 / 8.  This module holds the
-fidelities and that fit.  ``criticality`` evaluates them, and the <J_z>
-slope behind chi_mom, on the same displaced states; ``estimation`` applies
-the Bhattacharyya coefficient and the same fit to histograms of measured
-imbalance records.
+Each fidelity behaves as F = 1 - (chi/8) * eps^2 for small eps, so chi can
+be read off as the slope of 1 - F against eps^2 / 8.  This module holds the
+fidelities and that fit.  ``estimation`` applies the Bhattacharyya
+coefficient and the fit to histograms of measured imbalance records, which
+only give finite differences.  For the model, ``criticality`` takes every
+chi as an exact derivative of the Gibbs state and runs these fidelities
+only on its finite-difference cross-check, ``chi_at_point(...,
+epsilon0=...)``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ symmetry-breaking quantum phase transition at lambda = -1 (attractive side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -136,11 +136,13 @@ class ThermalState:
 
     ``weights[k]`` is the normalized Boltzmann weight of ``spectrum``'s k-th
     level.  At temperature zero only the ground state carries weight.
+    ``hamiltonian`` is the matrix the levels were solved from, when known.
     """
 
     spectrum: Spectrum
     weights: np.ndarray
     temperature: float
+    hamiltonian: TridiagonalHamiltonian | None = None
 
     @property
     def rank(self) -> int:
@@ -309,7 +311,9 @@ def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
     T = 0 is the ground state alone.  At T > 0 the ground energy E_0 comes
     first, then one bisection call returns the eigenpairs with
     E - E_0 <= T ln(1 / REL_CUTOFF), i.e. every level whose relative
-    Boltzmann weight is at least REL_CUTOFF.  The weight left out is at most
+    Boltzmann weight is at least REL_CUTOFF.  When that bound lies above the
+    Gershgorin upper bound of H, every level is occupied and one full QL/QR
+    solve replaces the bisection.  The weight left out is at most
     dimension * REL_CUTOFF.
 
     Parameters
@@ -321,16 +325,22 @@ def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
     Returns
     -------
     ThermalState
+        Carries the Hamiltonian it was solved from.
     """
     if not temperature >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     h = build_hamiltonian(params)
     if temperature == 0.0:
-        return thermal_state(diagonalize(h, n_levels=1), 0.0)
-    e0 = float(eigenvalues_only(h, n_levels=1)[0])
-    window = temperature * np.log(1.0 / REL_CUTOFF)
-    vals, vecs = _eigh(h, True, window=(e0 - 1.0, e0 + window))
-    return thermal_state(Spectrum(vals, _select_sign(vecs), params), temperature)
+        spectrum = diagonalize(h, n_levels=1)
+    else:
+        e0 = float(eigenvalues_only(h, n_levels=1)[0])
+        top = e0 + temperature * np.log(1.0 / REL_CUTOFF)
+        off = np.abs(h.offdiagonal)
+        gershgorin = np.max(h.diagonal + np.append(off, 0.0) + np.append(0.0, off))
+        window = None if top > gershgorin else (e0 - 1.0, top)
+        vals, vecs = _eigh(h, True, window=window)
+        spectrum = Spectrum(vals, _select_sign(vecs), params)
+    return replace(thermal_state(spectrum, temperature), hamiltonian=h)
 
 
 def jz_distribution(state: ThermalState) -> DistributionOverM:

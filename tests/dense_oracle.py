@@ -156,3 +156,61 @@ def dense_chi_point(
         "classical": chi_cl,
         "quantum": chi_q,
     }
+
+
+def dense_exact_chi(
+    n_particles: int,
+    lambda_control: float,
+    imbalance: float,
+    temperature: float,
+) -> dict[str, float]:
+    """chi_mom, chi_cl, chi_Q as exact lambda-derivatives, all-dense.
+
+    Sum over all Jacobi eigenstates of the untruncated Gibbs state: in the
+    eigenbasis, d rho has entries V_ab (p_a - p_b) / (E_a - E_b) off the
+    diagonal (V = dH/dlambda = Jz^2 / N, -V_ab p_a / T for equal energies)
+    and dp_a on it.  chi_Q = 2 sum |d rho_ab|^2 / (p_a + p_b), chi_cl is the
+    Fisher information of the J_z distribution's derivative, and chi_mom =
+    (d<J_z>)^2 / Var(J_z).  T = 0 takes the ground state alone.
+    """
+    h = dense_hamiltonian(n_particles, 1.0, lambda_control, imbalance)
+    vals, vecs = jacobi_eigh(h)
+    j = n_particles / 2.0
+    m = np.arange(n_particles + 1) - j
+    v_eig = vecs.T @ np.diag(m * m / n_particles) @ vecs
+    dim = vals.size
+    if temperature == 0.0:
+        p = np.zeros(dim)
+        p[0] = 1.0
+    else:
+        w = np.exp(-(vals - vals[0]) / temperature)
+        p = w / w.sum()
+    mean_v = float(p @ np.diag(v_eig))
+    drho = np.zeros((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            if a == b:
+                if temperature > 0.0:
+                    drho[a, a] = -p[a] * (v_eig[a, a] - mean_v) / temperature
+            elif vals[a] != vals[b]:
+                drho[a, b] = v_eig[a, b] * (p[a] - p[b]) / (vals[a] - vals[b])
+            elif temperature > 0.0:
+                drho[a, b] = -v_eig[a, b] * p[a] / temperature
+    chi_q = 0.0
+    for a in range(dim):
+        for b in range(dim):
+            if p[a] + p[b] > 0.0:
+                chi_q += 2.0 * drho[a, b] ** 2 / (p[a] + p[b])
+    rho_m = vecs @ np.diag(p) @ vecs.T
+    drho_m = vecs @ drho @ vecs.T
+    prob = np.diag(rho_m)
+    dprob = np.diag(drho_m)
+    keep = prob > 0.0
+    chi_cl = float(np.sum(dprob[keep] ** 2 / prob[keep]))
+    mean = float(m @ prob)
+    var = float((m - mean) ** 2 @ prob)
+    return {
+        "moment": float(m @ dprob) ** 2 / var,
+        "classical": chi_cl,
+        "quantum": float(chi_q),
+    }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dense_oracle import dense_chi_point
+from dense_oracle import dense_chi_point, dense_exact_chi
 
 import bjjsense.criticality as criticality
 from bjjsense.criticality import (
@@ -48,8 +48,8 @@ def test_scan_config_validation():
         _config(which=("moment", "bogus"))
     with pytest.raises(ValueError):
         _config(temperature=-0.5)
-    with pytest.raises(ValueError):
-        _config(epsilon0=0.0)
+    with pytest.raises(ValueError, match="epsilon0"):
+        chi_at_point(ModelParams(n_particles=10), epsilon0=0.0)
 
 
 def test_scan_config_rejects_nan_temperature():
@@ -153,6 +153,67 @@ def test_chi_at_point_matches_dense_oracle():
         ref = dense_chi_point(12, lam, delta, temperature, epsilon0=3e-2)
         for method in ("moment", "classical", "quantum"):
             assert_allclose(pkg[method], ref[method], rtol=1e-6)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3, 1.5])
+def test_chi_at_point_matches_dense_sum_over_states(temperature):
+    rng = np.random.default_rng(17)
+    cases = [
+        (int(rng.integers(2, 17)), float(rng.uniform(-2.0, 1.0)),
+         float(rng.uniform(-0.1, 0.1)))
+        for _ in range(8)
+    ]
+    for n, lam, delta in cases:
+        pkg = chi_at_point(
+            ModelParams(n_particles=n, lambda_control=lam, imbalance=delta),
+            temperature=temperature,
+        )
+        ref = dense_exact_chi(n, lam, delta, temperature)
+        for method in ("moment", "classical", "quantum"):
+            assert_allclose(pkg[method], ref[method], rtol=1e-8,
+                            err_msg=f"{method} at {(n, lam, delta)}")
+
+
+def test_chi_at_point_matches_dense_sum_over_states_with_low_weight_levels():
+    # The two points where an Uhlmann fidelity through the eigenvalues of
+    # A A^T put chi_Q below chi_cl: zero tilt, T = 0.05, deep in the broken
+    # phase, with thermal levels of weight ~1e-10.  <J_z> vanishes by
+    # symmetry there, so chi_mom is compared in units of chi_Q.
+    for n, lam in ((38, -1.5884), (27, -1.6495)):
+        pkg = chi_at_point(
+            ModelParams(n_particles=n, lambda_control=lam), temperature=0.05
+        )
+        ref = dense_exact_chi(n, lam, 0.0, 0.05)
+        assert_allclose(pkg["classical"], ref["classical"], rtol=1e-8)
+        assert_allclose(pkg["quantum"], ref["quantum"], rtol=1e-8)
+        assert pkg["classical"] < pkg["quantum"]
+        assert pkg["moment"] <= 1e-12 * pkg["quantum"]
+        assert ref["moment"] <= 1e-12 * ref["quantum"]
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.05, 1.0])
+def test_chi_is_exactly_zero_when_dh_dlambda_is_constant(temperature):
+    # At N = 1, J_z^2 = 1/4: lambda shifts H by a constant only.
+    for lam, delta in ((0.05, 0.05), (-1.5, 0.0), (0.7, -0.1)):
+        params = ModelParams(n_particles=1, lambda_control=lam, imbalance=delta)
+        chi = chi_at_point(params, temperature)
+        assert chi == {"moment": 0.0, "classical": 0.0, "quantum": 0.0}
+
+
+def test_scan_solves_one_equilibrium_state_per_point(monkeypatch):
+    real = criticality.equilibrium_state
+    calls = []
+
+    def counting(params, temperature):
+        calls.append(params.lambda_control)
+        return real(params, temperature)
+
+    monkeypatch.setattr(criticality, "equilibrium_state", counting)
+    for temperature in (0.0, 0.5):
+        calls.clear()
+        config = _config(temperature=temperature)
+        scan_lambda(config)
+        assert calls == list(config.lambda_grid)
 
 
 def test_quantum_chi_paramagnetic_formula():

@@ -10,14 +10,14 @@
   more than the quantum state holds, and the first two moments of the J_z
   distribution cannot reveal more than the whole distribution.
 
-The first two hold for the finite-difference estimators at any
-displacement and are checked at the displacement scale 1e-3 rather than
-the scan default 1e-4: there the fidelity deficits of a chi near 0.02 are
+Every chi is by default the exact derivative of the Gibbs state, so the
+first two hold to roundoff there and are checked at rtol 1e-9, the chain
+with a relative slack of 1e-9.  The finite-difference route of
+``chi_at_point(..., epsilon0=...)`` keeps both symmetries at any
+displacement; it is checked at the displacement scale 1e-3 with rtol 1e-6,
+because at the scale 1e-4 the fidelity deficits of a chi near 0.02 are
 about 1e-10, and roundoff in the fidelities alone moves chi by up to 2e-6
-of its value.  The chain holds exactly only in the eps -> 0 limit; it is
-checked at the default scale, with a relative slack of 1e-5 for that
-roundoff, because at 1e-3 the eps^2 bias alone can put chi_mom above
-chi_cl by more than 1e-5.
+of its value.
 """
 
 import dataclasses
@@ -29,7 +29,8 @@ from numpy.testing import assert_allclose
 from bjjsense.criticality import METHODS, chi_at_point
 from bjjsense.model import ModelParams, equilibrium_state, jz_moments
 
-EPSILON0 = 1e-3
+# (epsilon0, rtol): the exact default route and the finite-difference one.
+ROUTES = ((None, 1e-9), (1e-3, 1e-6))
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -51,18 +52,22 @@ def test_tilt_reversal_is_a_symmetry(n, lam, delta, temperature):
     mean_m, var_m = jz_moments(equilibrium_state(mirrored, temperature))
     assert_allclose(-mean_m, mean, rtol=1e-6)
     assert_allclose(var_m, var, rtol=1e-6)
-    chi = chi_at_point(params, temperature, METHODS, EPSILON0)
-    chi_m = chi_at_point(mirrored, temperature, METHODS, EPSILON0)
-    for method in METHODS:
-        assert_allclose(chi_m[method], chi[method], rtol=1e-6, err_msg=method)
+    for epsilon0, rtol in ROUTES:
+        chi = chi_at_point(params, temperature, METHODS, epsilon0)
+        chi_m = chi_at_point(mirrored, temperature, METHODS, epsilon0)
+        for method in METHODS:
+            assert_allclose(chi_m[method], chi[method], rtol=rtol,
+                            err_msg=f"{method}, epsilon0={epsilon0}")
 
 
 @SETTINGS
 @given(n=st.integers(1, 40), lam=lambdas, delta=st.floats(-0.1, 0.1))
 def test_classical_equals_quantum_at_zero_temperature(n, lam, delta):
     params = ModelParams(n, lambda_control=lam, imbalance=delta)
-    chi = chi_at_point(params, 0.0, ("classical", "quantum"), EPSILON0)
-    assert_allclose(chi["classical"], chi["quantum"], rtol=1e-6)
+    for epsilon0, rtol in ROUTES:
+        chi = chi_at_point(params, 0.0, ("classical", "quantum"), epsilon0)
+        assert_allclose(chi["classical"], chi["quantum"], rtol=rtol,
+                        err_msg=f"epsilon0={epsilon0}")
 
 
 @SETTINGS
@@ -80,5 +85,5 @@ def test_classical_equals_quantum_at_zero_temperature(n, lam, delta):
 def test_dominance_chain(n, lam, delta, temperature):
     params = ModelParams(n, lambda_control=lam, imbalance=delta)
     chi = chi_at_point(params, temperature)
-    assert chi["moment"] <= chi["classical"] * (1.0 + 1e-5), chi
-    assert chi["classical"] <= chi["quantum"] * (1.0 + 1e-5), chi
+    assert chi["moment"] <= chi["classical"] * (1.0 + 1e-9), chi
+    assert chi["classical"] <= chi["quantum"] * (1.0 + 1e-9), chi
