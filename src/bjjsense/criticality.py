@@ -13,8 +13,7 @@ transition:
 Every susceptibility is the exact lambda-derivative of the Gibbs state at
 one working point (``_point``): one equilibrium solve, plus one tridiagonal
 solve per occupied level for the part of the derivative outside the
-occupied levels.  ``chi_at_point(..., epsilon0=...)`` keeps the
-finite-difference fidelity fit as a cross-check.
+occupied levels.
 """
 
 from __future__ import annotations
@@ -25,13 +24,6 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq, minimize_scalar
 
-from .fidelity import (
-    DensityOperator,
-    bhattacharyya_fidelity,
-    default_epsilons,
-    susceptibility_from_fidelity,
-    uhlmann_fidelity,
-)
 from .model import (
     EigensolverError,
     ModelParams,
@@ -266,53 +258,6 @@ def _point(
     return dist.mean, dist.variance, chi
 
 
-def _finite_difference_point(
-    params: ModelParams,
-    temperature: float,
-    which: tuple[str, ...],
-    epsilon0: float,
-) -> dict[str, float]:
-    """The requested chi from states displaced to lambda + eps.
-
-    The reference route of ``chi_at_point(..., epsilon0=...)``: the
-    equilibrium state at lambda and the four states at lambda + eps
-    (``default_epsilons``).  "classical" and "quantum" come from fidelity
-    fits against the centre state; "moment" is the least-squares slope of
-    <J_z> through the five states, squared over the centre variance.
-    """
-    lam = params.lambda_control
-    center = equilibrium_state(params, temperature)
-    dist_c = jz_distribution(center)
-    rho_c = DensityOperator.from_state(center)
-    eps = default_epsilons(lam, epsilon0)
-    means = {0.0: dist_c.mean}
-    fid_cl: dict[float, float] = {}
-    fid_q: dict[float, float] = {}
-    for e in eps:
-        shifted = equilibrium_state(
-            replace(params, lambda_control=lam + e), temperature
-        )
-        dist_s = jz_distribution(shifted)
-        means[e] = dist_s.mean
-        fid_cl[e] = bhattacharyya_fidelity(dist_c, dist_s)
-        fid_q[e] = uhlmann_fidelity(rho_c, DensityOperator.from_state(shifted))
-    chi: dict[str, float] = {}
-    if "moment" in which:
-        offsets = np.array(sorted(means))
-        vals = np.array([means[o] for o in offsets])
-        slope = float(offsets @ vals / (offsets @ offsets))
-        var = dist_c.variance
-        if var <= 0:
-            raise ValueError(f"non-positive J_z variance {var} at {params}")
-        chi["moment"] = slope * slope / var
-    for method, fid in (("classical", fid_cl), ("quantum", fid_q)):
-        if method in which:
-            chi[method] = susceptibility_from_fidelity(
-                fid.__getitem__, eps, method
-            ).value
-    return chi
-
-
 def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
     """Compute the requested susceptibilities along ``config.lambda_grid``.
 
@@ -355,17 +300,12 @@ def chi_at_point(
     params: ModelParams,
     temperature: float = 0.0,
     which: tuple[str, ...] = METHODS,
-    epsilon0: float | None = None,
 ) -> dict[str, float]:
     """All requested susceptibilities at a single working point.
 
-    By default each chi is the exact derivative of the Gibbs state at
-    lambda, from one equilibrium solve; ``scan_lambda`` runs the same code
-    at each grid point.  Given ``epsilon0``, the finite-difference
-    reference route runs instead: fidelity fits for chi_cl and chi_Q and
-    the least-squares slope of <J_z> for chi_mom, over the states at
-    lambda + eps (eps from ``default_epsilons``).  It is kept as a
-    cross-check of the exact route.
+    Each chi is the exact derivative of the Gibbs state at lambda, from one
+    equilibrium solve; ``scan_lambda`` runs the same code at each grid
+    point.
 
     Returns
     -------
@@ -374,11 +314,7 @@ def chi_at_point(
     bad = [w for w in which if w not in METHODS]
     if bad:
         raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
-    if epsilon0 is None:
-        return _point(params, temperature, which)[2]
-    if not epsilon0 > 0:
-        raise ValueError(f"epsilon0 must be > 0, got {epsilon0}")
-    return _finite_difference_point(params, temperature, which, epsilon0)
+    return _point(params, temperature, which)[2]
 
 
 def temperature_sweep(

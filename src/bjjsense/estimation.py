@@ -8,8 +8,8 @@ Bohr radius a_0).  The analysis chain is:
 2. fit each histogram with a double Gaussian
    A+ G(z - zbar; sigma) + A- G(z + zbar; sigma),
 3. chi_mom from ``np.gradient`` of zbar over a_s, chi_cl from the
-   Bhattacharyya overlaps of neighboring histograms, fitted as the
-   model's fidelities are (``fidelity``),
+   Bhattacharyya overlaps of neighboring histograms, fitted to
+   1 - F = (chi/8) eps^2 (``fidelity``),
 4. error bars by parametric bootstrap: resample records from the fitted
    mixtures, rerun the chain, and fit a Gaussian (optionally on an
    exponential background) to the replica histogram of each estimate.
@@ -440,8 +440,8 @@ def chi_cl_experimental(
 
     Takes the Bhattacharyya coefficients F of the histogram at ``index``
     with those at index +- 1 and fits 1 - F = (chi/8) eps^2 through both
-    by one-parameter least squares, eps being the a_s offset in units of
-    a_0; both steps are the ones ``fidelity`` applies to model states.
+    by one-parameter least squares (``fidelity._fit_chi``), eps being the
+    a_s offset in units of a_0.
 
     Raises
     ------

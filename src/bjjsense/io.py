@@ -113,17 +113,6 @@ def read_table(path: str) -> tuple[dict[str, np.ndarray], list[str]]:
     return columns, comments
 
 
-def write_series_csv(
-    path: str, series: MeasurementSeries, comments: Sequence[str] = ()
-) -> None:
-    """Write a measurement series as (scattering_length_a0, z) rows."""
-    rows = []
-    for a, rec in zip(series.scattering_lengths, series.records):
-        for z in rec:
-            rows.append((a, z))
-    write_table(path, ["scattering_length_a0", "z"], rows, comments)
-
-
 def read_series_csv(path: str) -> MeasurementSeries:
     """Read a measurement series CSV (columns scattering_length_a0, z).
 

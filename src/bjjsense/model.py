@@ -120,15 +120,6 @@ class Spectrum:
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
-    def gap(self, upper: int = 2, lower: int = 0) -> float:
-        """Energy difference E_upper - E_lower."""
-        if upper >= self.n_levels or lower >= self.n_levels:
-            raise ValueError(
-                f"levels ({lower}, {upper}) not available, spectrum holds "
-                f"{self.n_levels}"
-            )
-        return float(self.eigenvalues[upper] - self.eigenvalues[lower])
-
 
 @dataclass(frozen=True)
 class ThermalState:
@@ -359,14 +350,3 @@ def jz_distribution(state: ThermalState) -> DistributionOverM:
     j = state.spectrum.params.n_particles / 2.0
     m = np.arange(probs.size) - j
     return DistributionOverM(m_values=m, probabilities=probs)
-
-
-def jz_moments(state: ThermalState) -> tuple[float, float]:
-    """Mean and variance of J_z in the given state.
-
-    Returns
-    -------
-    (mean, variance) : tuple of float
-    """
-    dist = jz_distribution(state)
-    return dist.mean, dist.variance

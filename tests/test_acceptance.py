@@ -19,21 +19,23 @@ from scipy.stats import norm
 
 import bjjsense.estimation as est
 from dense_oracle import dense_chi_point, dense_hamiltonian, jacobi_eigh
+from fd_reference import (
+    DensityOperator,
+    default_epsilons,
+    fd_chi_point,
+    susceptibility_from_fidelity,
+    uhlmann_fidelity,
+)
 
 from bjjsense.criticality import (
+    METHODS,
     ScanConfig,
     chi_at_point,
     default_lambda_grid,
     scaling_study,
     scan_lambda,
 )
-from bjjsense.fidelity import (
-    DensityOperator,
-    bhattacharyya_fidelity,
-    default_epsilons,
-    susceptibility_from_fidelity,
-    uhlmann_fidelity,
-)
+from bjjsense.fidelity import bhattacharyya_fidelity
 from bjjsense.model import (
     DistributionOverM,
     ModelParams,
@@ -197,10 +199,9 @@ def test_agrees_with_dense_reference():
         assert np.max(np.abs(vals - ref)) <= 1e-10
 
     for lam, delta, temperature in ((-1.5, 1e-3, 0.0), (-0.8, 2e-3, 1.0)):
-        pkg = chi_at_point(
+        pkg = fd_chi_point(
             ModelParams(n_particles=10, lambda_control=lam, imbalance=delta),
-            temperature=temperature,
-            epsilon0=3e-2,
+            temperature, METHODS, 3e-2,
         )
         ref = dense_chi_point(10, lam, delta, temperature, epsilon0=3e-2)
         for method in ("moment", "classical", "quantum"):

@@ -8,9 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dense_oracle import dense_chi_point, dense_exact_chi
+from fd_reference import fd_chi_point
 
 import bjjsense.criticality as criticality
 from bjjsense.criticality import (
+    METHODS,
     PeakEstimate,
     ScanConfig,
     SusceptibilityCurve,
@@ -48,8 +50,6 @@ def test_scan_config_validation():
         _config(which=("moment", "bogus"))
     with pytest.raises(ValueError):
         _config(temperature=-0.5)
-    with pytest.raises(ValueError, match="epsilon0"):
-        chi_at_point(ModelParams(n_particles=10), epsilon0=0.0)
 
 
 def test_scan_config_rejects_nan_temperature():
@@ -143,12 +143,13 @@ def test_chi_at_point_matches_scan_fidelity_routes():
 
 
 def test_chi_at_point_matches_dense_oracle():
+    # the dense oracle differentiates by finite differences, so it is
+    # compared with the finite-difference reference at the same displacement
     cases = [(-1.1, 2e-3, 0.0), (-0.8, 1e-3, 1.0), (-1.3, 5e-3, 1.5)]
     for lam, delta, temperature in cases:
-        pkg = chi_at_point(
+        pkg = fd_chi_point(
             ModelParams(n_particles=12, lambda_control=lam, imbalance=delta),
-            temperature=temperature,
-            epsilon0=3e-2,
+            temperature, METHODS, 3e-2,
         )
         ref = dense_chi_point(12, lam, delta, temperature, epsilon0=3e-2)
         for method in ("moment", "classical", "quantum"):

@@ -1,4 +1,9 @@
-"""Bhattacharyya and Uhlmann fidelities and the fidelity chi fit."""
+"""Bhattacharyya and Uhlmann fidelities and the fidelity chi fit.
+
+The Bhattacharyya coefficient and the fit are the package's; the Uhlmann
+fidelity, ``default_epsilons`` and ``susceptibility_from_fidelity`` are the
+finite-difference reference of ``fd_reference``.
+"""
 
 import dataclasses
 import math
@@ -7,13 +12,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bjjsense.fidelity import (
+from fd_reference import (
     DensityOperator,
-    bhattacharyya_fidelity,
     default_epsilons,
     susceptibility_from_fidelity,
     uhlmann_fidelity,
 )
+
+from bjjsense.fidelity import bhattacharyya_fidelity
 from bjjsense.model import (
     DistributionOverM,
     ModelParams,

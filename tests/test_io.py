@@ -12,7 +12,6 @@ from bjjsense.io import (
     read_series_csv,
     read_table,
     write_columns,
-    write_series_csv,
     write_table,
 )
 
@@ -81,7 +80,12 @@ def test_series_roundtrip(tmp_path):
     ]
     series = synth_samples([-2.0, -1.5, -1.0], gens, 200, seed=8)
     path = str(tmp_path / "series.csv")
-    write_series_csv(path, series)
+    rows = [
+        (a, z)
+        for a, record in zip(series.scattering_lengths, series.records)
+        for z in record
+    ]
+    write_table(path, ["scattering_length_a0", "z"], rows)
     back = read_series_csv(path)
     assert np.array_equal(back.scattering_lengths, series.scattering_lengths)
     for r1, r2 in zip(back.records, series.records):

@@ -18,7 +18,6 @@ from bjjsense.model import (
     eigenvalues_only,
     equilibrium_state,
     jz_distribution,
-    jz_moments,
     thermal_state,
 )
 
@@ -273,9 +272,9 @@ def test_jz_distribution_normalized_and_symmetric():
 def test_jz_variance_noninteracting():
     for n in (8, 31):
         state = equilibrium_state(ModelParams(n_particles=n), 0.0)
-        mean, variance = jz_moments(state)
-        assert abs(mean) < 1e-10
-        assert_allclose(variance, n / 4.0, rtol=1e-10)
+        dist = jz_distribution(state)
+        assert abs(dist.mean) < 1e-10
+        assert_allclose(dist.variance, n / 4.0, rtol=1e-10)
 
 
 def test_jz_variance_infinite_temperature_limit():
@@ -285,7 +284,7 @@ def test_jz_variance_infinite_temperature_limit():
     spect = diagonalize(build_hamiltonian(params))
     width = float(spect.eigenvalues[-1] - spect.eigenvalues[0])
     state = thermal_state(spect, 1e9 * width)
-    _, variance = jz_moments(state)
+    variance = jz_distribution(state).variance
     assert_allclose(variance, j * (j + 1.0) / 3.0, rtol=1e-6)
 
 
@@ -296,7 +295,7 @@ def test_mean_tilts_against_imbalance():
         params = ModelParams(
             n_particles=60, lambda_control=-1.5, imbalance=delta
         )
-        mean, _ = jz_moments(equilibrium_state(params, 0.0))
+        mean = jz_distribution(equilibrium_state(params, 0.0)).mean
         assert mean * delta < 0
 
 
@@ -346,9 +345,10 @@ def test_params_replace_and_dimension():
 def test_gap_requires_available_levels():
     spect = diagonalize(build_hamiltonian(ModelParams(n_particles=6)),
                         n_levels=2)
-    assert spect.gap(upper=1) > 0
-    with pytest.raises(ValueError):
-        spect.gap(upper=2)
+    assert spect.n_levels == 2
+    assert spect.eigenvalues[1] - spect.eigenvalues[0] > 0
+    with pytest.raises(IndexError):
+        spect.eigenvalues[2]
 
 
 def test_diagonalize_rejects_bad_level_count():
