@@ -29,8 +29,8 @@ from .criticality import (
 from .estimation import (
     DoubleGaussianFit,
     HistogramSpec,
+    _series_estimates,
     bootstrap,
-    series_estimates,
     synth_samples,
 )
 from .io import read_series_csv, write_columns, write_table
@@ -394,13 +394,13 @@ def cmd_pipeline(args) -> int:
         n_replicas = min(n_replicas, 100)
     series = _resolve_series(config)
     spec = HistogramSpec(bin_width=float(config["bin_width"]))
-    estimates = series_estimates(series, spec)
+    estimates, fits = _series_estimates(series, spec)
     comments = _provenance("pipeline", config)
     boots = {}
     for estimator in ("chi_mom", "chi_cl"):
         boots[estimator] = bootstrap(
             series, estimator, n_replicas=n_replicas,
-            seed=int(config["seed"]), spec=spec,
+            seed=int(config["seed"]), spec=spec, base_fits=fits,
         )
     write_columns(
         _out(args, "pipeline_results.csv"),

@@ -14,8 +14,15 @@ Bohr radius a_0).  The analysis chain is:
    mixtures, rerun the chain, and fit a Gaussian (optionally on an
    exponential background) to the replica histogram of each estimate.
 
-Steps 1-3 live in one private chain, ``_estimates``; ``series_estimates``
-and every bootstrap replica run it.
+Steps 1-3 live in one private chain, ``_estimates``, which takes a stack of
+series; ``series_estimates`` runs it on a stack of one, ``bootstrap`` on
+all its replicas at once.  Every double-Gaussian fit goes through one
+batched Levenberg-Marquardt fitter, ``_fit_mixtures``: both starts of every
+histogram are lanes of one array, each lane damped, accepted and stopped on
+its own (when its step falls below 1e-14 of its parameters, or after 2,000
+steps), so a fit is the same bit for bit alone or among thousands.  The
+bootstrap holds only histograms: each replica's samples are drawn,
+histogrammed and dropped in turn, then all replicas are fitted in one call.
 """
 
 from __future__ import annotations
@@ -29,6 +36,15 @@ from scipy.optimize import least_squares
 from .fidelity import _fit_chi, bhattacharyya_fidelity
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
+
+# Levenberg-Marquardt: initial damping relative to diag(J^T J), relative
+# step size at which a lane stops, step cap per lane, floor of the damping
+# scale (keeps every damped matrix non-singular), lanes per block.
+_MU0 = 1e-3
+_XTOL = 1e-14
+_MAX_ITER = 2000
+_TINY = 1e-300
+_BLOCK = 512
 
 # Bins of each grid point's histogram of bootstrap replica values.
 _REPLICA_BINS = 100
@@ -246,9 +262,9 @@ def build_histogram(samples: np.ndarray, spec: HistogramSpec) -> Histogram:
 # double-Gaussian fitting
 
 
-def _gaussian_pair(p: np.ndarray, z: np.ndarray):
-    """Standardized offsets and unit-area Gaussians of the two peaks."""
-    zbar, sigma = p[0], p[1]
+def _gaussians(p: np.ndarray, z: np.ndarray):
+    """Standardized offsets and unit-area Gaussians of both peaks, per lane."""
+    zbar, sigma = p[:, :1], p[:, 1:2]
     up = (z - zbar) / sigma
     um = (z + zbar) / sigma
     gp = np.exp(-0.5 * up * up) / (_SQRT2PI * sigma)
@@ -256,41 +272,210 @@ def _gaussian_pair(p: np.ndarray, z: np.ndarray):
     return up, um, gp, gm
 
 
-def _mixture_model(p: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
-    """Bin probabilities of the mixture: w (A+ G+ + A- G-)."""
-    _, _, gp, gm = _gaussian_pair(p, z)
-    return w * (p[2] * gp + p[3] * gm)
+def _residuals(p: np.ndarray, h: np.ndarray, z: np.ndarray, w: float):
+    """Mixture bin probabilities w (A+ G+ + A- G-) minus ``h``, per lane."""
+    gauss = _gaussians(p, z)
+    return w * (p[:, 2:3] * gauss[2] + p[:, 3:4] * gauss[3]) - h, gauss
 
 
-def _mixture_jacobian(p: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
-    """Derivatives of ``_mixture_model`` in (zbar, sigma, A+, A-)."""
-    sigma, ap, am = p[1], p[2], p[3]
-    up, um, gp, gm = _gaussian_pair(p, z)
-    jac = np.empty((z.size, 4))
-    jac[:, 0] = w * (ap * up * gp - am * um * gm) / sigma
-    jac[:, 1] = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
-    jac[:, 2] = w * gp
-    jac[:, 3] = w * gm
-    return jac
+def _jacobian(p: np.ndarray, w: float, gauss) -> np.ndarray:
+    """(lanes, 4, bins) derivatives of the model in (zbar, sigma, A+, A-)."""
+    up, um, gp, gm = gauss
+    sigma, ap, am = p[:, 1:2], p[:, 2:3], p[:, 3:4]
+    d_zbar = w * (ap * up * gp - am * um * gm) / sigma
+    d_sigma = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
+    return np.stack([d_zbar, d_sigma, w * gp, w * gm], axis=1)
 
 
-def _histogram_moments(hist: Histogram) -> tuple[float, float]:
-    """Mean of |z| and std of |z| about that mean, from bin probabilities."""
-    z = hist.centers
-    h = hist.probabilities
-    mean_abs = float(np.abs(z) @ h)
-    var_abs = float(((np.abs(z) - mean_abs) ** 2) @ h)
-    return mean_abs, float(np.sqrt(max(var_abs, 0.0)))
+def _normal_equations(jac: np.ndarray, r: np.ndarray):
+    """J^T J and J^T r per lane.
+
+    Every entry is a sum along one lane's contiguous bin axis, so a lane's
+    numbers never depend on the other lanes (a BLAS product may block them).
+    """
+    return (
+        (jac[:, :, None, :] * jac[:, None, :, :]).sum(axis=-1),
+        (jac * r[:, None, :]).sum(axis=-1),
+    )
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched solve of a x = b; NaN rows where a lane's matrix is singular.
+
+    ``np.linalg.solve`` raises for the whole batch if one matrix is exactly
+    singular, so that batch is solved again lane by lane.
+    """
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(b.shape[0]):
+            try:
+                x[i] = np.linalg.solve(a[i : i + 1], b[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _levenberg_marquardt(p: np.ndarray, h: np.ndarray, z: np.ndarray, w: float):
+    """Minimize the squared residual of every lane from the start ``p``.
+
+    Marquardt's damped normal equations (J^T J + mu D) step = -J^T r, D the
+    running maximum of diag(J^T J), with Nielsen's update of mu.  A step is
+    accepted where it lowers the lane's cost.  A lane stops when its step,
+    accepted or not, is below _XTOL relative to the parameters (at the
+    optimum the Gauss-Newton step shrinks to roundoff), when the step is not
+    finite, or after _MAX_ITER steps.  Stopped lanes leave the active set.
+    Returns the parameters and the cost 0.5 |r|^2 of every lane.
+    """
+    p = p.copy()
+    r, gauss = _residuals(p, h, z, w)
+    cost = 0.5 * np.sum(r * r, axis=1)
+    a, g = _normal_equations(_jacobian(p, w, gauss), r)
+    scale = np.maximum(np.diagonal(a, axis1=1, axis2=2), _TINY)
+    mu = np.full(len(p), _MU0)
+    nu = np.full(len(p), 2.0)
+    active = np.arange(len(p))
+    diag = np.arange(4)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            if not active.size:
+                break
+            damped = a[active]
+            damped[:, diag, diag] += mu[active, None] * scale[active]
+            g_act = g[active]
+            step = _solve(damped, -g_act)
+            trial = p[active] + step
+            r_t, gauss_t = _residuals(trial, h[active], z, w)
+            cost_t = 0.5 * np.sum(r_t * r_t, axis=1)
+            better = cost_t < cost[active]
+            predicted = 0.5 * np.sum(
+                step * (mu[active, None] * scale[active] * step - g_act), axis=1
+            )
+            rho = (cost[active] - cost_t) / predicted
+            stop = ~np.all(np.isfinite(step), axis=1) | (
+                np.sqrt(np.sum(step * step, axis=1))
+                <= _XTOL * (np.sqrt(np.sum(p[active] ** 2, axis=1)) + _XTOL)
+            )
+
+            up = active[better]
+            p[up] = trial[better]
+            cost[up] = cost_t[better]
+            a[up], g[up] = _normal_equations(
+                _jacobian(trial[better], w, [x[better] for x in gauss_t]),
+                r_t[better],
+            )
+            scale[up] = np.maximum(scale[up], np.diagonal(a[up], axis1=1, axis2=2))
+            mu[up] *= np.fmax(1.0 / 3.0, 1.0 - (2.0 * rho[better] - 1.0) ** 3)
+            nu[up] = 2.0
+            down = active[~better]
+            mu[down] *= nu[down]
+            nu[down] *= 2.0
+            active = active[~stop]
+    return p, cost
+
+
+def _fit_mixtures(probabilities: np.ndarray, spec: HistogramSpec) -> dict:
+    """Double-Gaussian fits of a stack of histograms, in one batch.
+
+    ``probabilities`` is (histograms, bins) on ``spec``'s bins.  Each
+    histogram is fitted from two starts, (a) the moment initialization
+    zbar0 = <|z|>, sigma0 = std(|z|) and (b) an even split of the total
+    variance between separation and width; both run as lanes of one
+    Levenberg-Marquardt batch (``_levenberg_marquardt``) and the lower cost
+    wins, the first start on a tie.  The winner is canonicalized to
+    zbar >= 0, sigma > 0 (the model is even in sigma and even in zbar up to
+    an amplitude swap) and flagged converged when its amplitudes are
+    non-negative within 1e-6 and its gradient J^T r is below 1e-10 of the
+    largest Jacobian entry (at least 1).  A histogram whose winner is not
+    finite gets the moment start with equal amplitudes, residual inf and
+    ``converged`` False.
+
+    Lanes are fitted in blocks of _BLOCK to bound memory; no lane's
+    arithmetic depends on another, so a histogram's fit is the same bit for
+    bit alone or in any batch.
+
+    Returns a dict of per-histogram arrays keyed by the fields of
+    ``DoubleGaussianFit``.
+    """
+    h = np.asarray(probabilities, dtype=float)
+    z = spec.centers
+    w = spec.bin_width
+    absz = np.abs(z)
+    mean_abs = np.sum(h * absz, axis=1)
+    std_abs = np.sqrt(
+        np.maximum(np.sum((absz - mean_abs[:, None]) ** 2 * h, axis=1), 0.0)
+    )
+    mean_z = np.sum(h * z, axis=1)
+    half_var = np.sqrt(0.5 * np.sum((z - mean_z[:, None]) ** 2 * h, axis=1))
+    mass_plus = np.sum(np.where(z > 0, h, 0.0), axis=1)
+    mass_minus = np.sum(np.where(z < 0, h, 0.0), axis=1)
+    half_zero = 0.5 * (1.0 - mass_plus - mass_minus)
+    floor = 0.5 * w
+    moment_start = np.stack([np.maximum(mean_abs, floor), np.maximum(std_abs, floor),
+                             mass_plus + half_zero, mass_minus + half_zero], axis=1)
+    split = np.maximum(half_var, floor)
+    half = np.full_like(split, 0.5)
+    split_start = np.stack([split, split, half, half], axis=1)
+    # lanes 2k and 2k + 1 are the two starts of histogram k
+    starts = np.stack([moment_start, split_start], axis=1).reshape(-1, 4)
+    lanes_h = np.repeat(h, 2, axis=0)
+    p = np.empty_like(starts)
+    cost = np.empty(len(starts))
+    for lo in range(0, len(starts), _BLOCK):
+        hi = lo + _BLOCK
+        p[lo:hi], cost[lo:hi] = _levenberg_marquardt(
+            starts[lo:hi], lanes_h[lo:hi], z, w
+        )
+    cost = np.where(np.isnan(cost), np.inf, cost).reshape(-1, 2)
+    second = (cost[:, 1] < cost[:, 0]).astype(int)
+    p = p.reshape(-1, 2, 4)[np.arange(len(h)), second]
+    failed = ~np.all(np.isfinite(p), axis=1)
+    fallback = moment_start.copy()
+    fallback[:, 2:] = 0.5
+    p[failed] = fallback[failed]
+
+    zbar, sigma, ap, am = p.T
+    sigma = np.abs(sigma)
+    swap = zbar < 0
+    zbar = np.abs(zbar)
+    ap, am = np.where(swap, am, ap), np.where(swap, ap, am)
+    ok = (sigma > 0) & (ap > -1e-6) & (am > -1e-6)
+    ap, am = np.maximum(ap, 0.0), np.maximum(am, 0.0)
+    final = np.stack([zbar, np.maximum(sigma, 1e-12), ap, am], axis=1)
+    r, gauss = _residuals(final, h, z, w)
+    jac = _jacobian(final, w, gauss)
+    grad = np.max(np.abs(np.sum(jac * r[:, None, :], axis=2)), axis=1)
+    # Stationarity relative to the Jacobian magnitude: a stalled or failed
+    # fit sits orders of magnitude above this, a true optimum orders below.
+    scale = np.maximum(1.0, np.max(np.abs(jac), axis=(1, 2)))
+    return {
+        "separation": zbar,
+        "width": np.where(sigma > 0, sigma, 1e-12),
+        "amplitude_plus": ap,
+        "amplitude_minus": am,
+        "residual": np.where(failed, np.inf, np.sum(r * r, axis=1)),
+        "converged": ok & (grad < 1e-10 * scale) & ~failed,
+    }
+
+
+def _fit_at(fits: dict, index) -> DoubleGaussianFit:
+    """One histogram's entry of ``_fit_mixtures`` as a DoubleGaussianFit."""
+    return DoubleGaussianFit(**{k: v[index].item() for k, v in fits.items()})
 
 
 def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
     """Least-squares double-Gaussian fit to a normalized histogram.
 
-    Levenberg-Marquardt with the analytic Jacobian, started from (a) the
-    moment initialization zbar0 = <|z|>, sigma0 = std(|z|) and (b) an even
-    split of the total variance between separation and width.  The lower
-    residual wins.  ``converged`` reflects the gradient norm at the
-    solution; a failed fit is returned flagged rather than raised.
+    The model gives the bin centered at z the probability
+    w (A+ G(z - zbar; sigma) + A- G(z + zbar; sigma)), w the bin width.
+    This is the batched fitter ``_fit_mixtures`` on a batch of one:
+    Levenberg-Marquardt with the analytic Jacobian from (a) the moment
+    initialization zbar0 = <|z|>, sigma0 = std(|z|) and (b) an even split of
+    the total variance between separation and width, each iterated until
+    its step falls below 1e-14 of its parameter norm (at most 2,000 steps);
+    the lower residual wins.  ``converged`` reflects the gradient norm at
+    the solution; a failed fit is returned flagged rather than raised.
 
     Parameters
     ----------
@@ -300,91 +485,7 @@ def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
     -------
     DoubleGaussianFit
     """
-    z = hist.centers
-    h = hist.probabilities
-    w = hist.spec.bin_width
-    mean_abs, std_abs = _histogram_moments(hist)
-    mean_z = float(z @ h)
-    var_z = float(((z - mean_z) ** 2) @ h)
-    mass_plus = float(h[z > 0].sum())
-    mass_minus = float(h[z < 0].sum())
-    on_zero = 1.0 - mass_plus - mass_minus
-    floor = 0.5 * w
-    starts = [
-        np.array(
-            [
-                max(mean_abs, floor),
-                max(std_abs, floor),
-                mass_plus + 0.5 * on_zero,
-                mass_minus + 0.5 * on_zero,
-            ]
-        ),
-        np.array(
-            [
-                max(np.sqrt(0.5 * var_z), floor),
-                max(np.sqrt(0.5 * var_z), floor),
-                0.5,
-                0.5,
-            ]
-        ),
-    ]
-
-    def residual(p):
-        return _mixture_model(p, z, w) - h
-
-    def jacobian(p):
-        return _mixture_jacobian(p, z, w)
-
-    best = None
-    for p0 in starts:
-        try:
-            res = least_squares(
-                residual, p0, jac=jacobian, method="lm",
-                xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
-            )
-        except Exception:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None or not np.all(np.isfinite(best.x)):
-        return DoubleGaussianFit(
-            separation=max(mean_abs, floor),
-            width=max(std_abs, floor),
-            amplitude_plus=0.5,
-            amplitude_minus=0.5,
-            residual=float("inf"),
-            converged=False,
-        )
-    zbar, sigma, ap, am = best.x
-    # The model is even in sigma and even in zbar up to an amplitude swap;
-    # canonicalize to the zbar >= 0, sigma > 0 branch.
-    sigma = abs(sigma)
-    if zbar < 0:
-        zbar, ap, am = -zbar, am, ap
-    ok = sigma > 0 and ap > -1e-6 and am > -1e-6
-    ap, am = max(ap, 0.0), max(am, 0.0)
-    p_final = np.array([zbar, max(sigma, 1e-12), ap, am])
-    r = residual(p_final)
-    rnorm = float(np.linalg.norm(r))
-    jac_final = jacobian(p_final)
-    grad = jac_final.T @ r
-    # Stationarity relative to the Jacobian magnitude: a stalled or failed
-    # fit sits orders of magnitude above this, a true optimum orders below.
-    scale = max(1.0, float(np.max(np.abs(jac_final))))
-    tight = float(np.max(np.abs(grad))) < 1e-10 * scale
-    if sigma <= 0:
-        return DoubleGaussianFit(
-            separation=abs(zbar), width=1e-12, amplitude_plus=ap,
-            amplitude_minus=am, residual=rnorm * rnorm, converged=False,
-        )
-    return DoubleGaussianFit(
-        separation=float(zbar),
-        width=float(sigma),
-        amplitude_plus=float(ap),
-        amplitude_minus=float(am),
-        residual=rnorm * rnorm,
-        converged=bool(ok and tight),
-    )
+    return _fit_at(_fit_mixtures(hist.probabilities[None, :], hist.spec), 0)
 
 
 def fit_series(
@@ -392,9 +493,13 @@ def fit_series(
 ) -> tuple[DoubleGaussianFit, ...]:
     """Double-Gaussian fit at every scattering length of a series."""
     spec = spec or HistogramSpec()
-    return tuple(
-        fit_double_gaussian(build_histogram(r, spec)) for r in series.records
-    )
+    fits = _fit_mixtures(_histograms(series.records, spec), spec)
+    return tuple(_fit_at(fits, i) for i in range(series.n_points))
+
+
+def _histograms(records: Sequence[np.ndarray], spec: HistogramSpec) -> np.ndarray:
+    """(records, bins) bin probabilities, one row per record."""
+    return np.array([build_histogram(r, spec).probabilities for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +533,7 @@ def _chi_mom(zbar: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
     # so every chi_mom equals the pointwise (d / sigma) ** 2 bit for bit;
     # array ** 2 multiplies x * x, which differs in the last bit for about
     # one value in 1,000.
-    return np.float_power(np.gradient(zbar, a) / sigma, 2)
+    return np.float_power(np.gradient(zbar, a, axis=-1) / sigma, 2)
 
 
 def chi_cl_experimental(
@@ -474,26 +579,49 @@ def _chi_cl(hists: Sequence[Histogram], a: np.ndarray) -> np.ndarray:
 
 
 def _estimates(
-    records: Sequence[np.ndarray],
+    probabilities: np.ndarray,
     a: np.ndarray,
     spec: HistogramSpec,
     fit: bool = True,
-) -> tuple[dict[str, np.ndarray], tuple[DoubleGaussianFit, ...]]:
-    """The estimator chain on one record per grid point.
+) -> tuple[dict[str, np.ndarray], dict | None]:
+    """The estimator chain on a stack of series.
 
-    Histograms give chi_cl; with ``fit`` the double-Gaussian fits add zbar,
-    sigma and chi_mom.  Returns the estimates and the fits (none without
-    ``fit``, since chi_cl needs histograms only).
+    ``probabilities[s, i]`` is the histogram of series s at grid point i.
+    Histograms give chi_cl; with ``fit`` the double-Gaussian fits of all
+    series, one ``_fit_mixtures`` batch, add zbar, sigma and chi_mom.
+    Returns the estimates, each (series, points), and the fits, each field
+    (series, points), or None without ``fit``, since chi_cl needs
+    histograms only.
     """
-    hists = [build_histogram(r, spec) for r in records]
-    fits = tuple(fit_double_gaussian(h) for h in hists) if fit else ()
+    n_series, n_points, n_bins = probabilities.shape
     out = {}
+    fits = None
     if fit:
-        zbar = np.array([f.separation for f in fits])
-        sigma = np.array([f.width for f in fits])
+        fits = {
+            k: v.reshape(n_series, n_points)
+            for k, v in _fit_mixtures(
+                probabilities.reshape(-1, n_bins), spec
+            ).items()
+        }
+        zbar, sigma = fits["separation"], fits["width"]
         out = {"zbar": zbar, "sigma": sigma, "chi_mom": _chi_mom(zbar, sigma, a)}
-    out["chi_cl"] = _chi_cl(hists, a)
+    out["chi_cl"] = np.array(
+        [_chi_cl([Histogram(spec, p) for p in row], a) for row in probabilities]
+    )
     return out, fits
+
+
+def _series_estimates(
+    series: MeasurementSeries, spec: HistogramSpec
+) -> tuple[dict[str, np.ndarray], tuple[DoubleGaussianFit, ...]]:
+    """``series_estimates`` and the double-Gaussian fits it rests on."""
+    estimates, fits = _estimates(
+        _histograms(series.records, spec)[None], series.scattering_lengths, spec
+    )
+    return (
+        {k: v[0] for k, v in estimates.items()},
+        tuple(_fit_at(fits, (0, i)) for i in range(series.n_points)),
+    )
 
 
 def series_estimates(
@@ -503,9 +631,7 @@ def series_estimates(
 
     chi_cl is NaN at the endpoints where a neighbor is missing.
     """
-    return _estimates(
-        series.records, series.scattering_lengths, spec or HistogramSpec()
-    )[0]
+    return _series_estimates(series, spec or HistogramSpec())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +650,31 @@ def _fit_is_valid(fit: DoubleGaussianFit) -> bool:
     )
 
 
+def _valid_series(fits: dict | None, n_series: int) -> np.ndarray:
+    """Per series of a fit stack from ``_estimates``: is every fit valid.
+
+    Valid as in ``_fit_is_valid``; a stack without fits (chi_cl) is valid.
+    """
+    if fits is None:
+        return np.ones(n_series, dtype=bool)
+    ok = (fits["width"] > 0) & (fits["amplitude_plus"] + fits["amplitude_minus"] > 0)
+    for k in ("separation", "width", "amplitude_plus", "amplitude_minus", "residual"):
+        ok &= np.isfinite(fits[k])
+    return np.all(ok, axis=1)
+
+
+def _replica_histograms(
+    rng: np.random.Generator,
+    base_fits: Sequence[DoubleGaussianFit],
+    counts: Sequence[int],
+    spec: HistogramSpec,
+) -> np.ndarray:
+    """One replica: redraw every record from its base fit and histogram it."""
+    return _histograms(
+        [_draw_mixture(rng, f, n) for f, n in zip(base_fits, counts)], spec
+    )
+
+
 def bootstrap(
     series: MeasurementSeries,
     estimator: str,
@@ -531,16 +682,25 @@ def bootstrap(
     seed: int = 0,
     spec: HistogramSpec | None = None,
     background_kind: str | None = None,
+    base_fits: Sequence[DoubleGaussianFit] | None = None,
 ) -> BootstrapResult:
     """Parametric bootstrap error bars for chi_mom or chi_cl.
 
-    The original records are fitted once; each replica redraws every record
-    from its fitted mixture (records of the original lengths), reruns the
-    estimator chain, and contributes one value per grid point.  Replica
-    streams are seeded as (seed, replica) so results are independent of
-    execution order and bit-identical across runs.  A replica whose
-    double-Gaussian fit comes back invalid is redrawn once; persistent
-    failures count toward an abort threshold of 10%.
+    Each replica redraws every record from its base fit, the double-Gaussian
+    fit of the original record (records of the original lengths), reruns
+    the estimator chain, and contributes one value per grid point.  Replica
+    r draws from the stream (seed, r, 0), so results are independent of
+    execution order and bit-identical across runs.
+
+    Replicas run in two phases.  First every replica is drawn and
+    histogrammed in turn, its samples dropped at once, so only histograms
+    are held.  Then the chain runs on all replicas together: for chi_mom
+    every replica histogram is one lane of a single batched
+    Levenberg-Marquardt fit (``_fit_mixtures``).  A replica with an invalid
+    double-Gaussian fit is redrawn from the stream (seed, r, 1); the
+    redrawn replicas run as one more batch.  Replicas still invalid after
+    that count as failures, and more than 10% of ``n_replicas`` aborts the
+    bootstrap once the retry batch is done.
 
     Per grid point the replica values go into a 100-bin histogram fitted
     with a Gaussian (chi_cl) or a Gaussian on an exponential background
@@ -558,10 +718,20 @@ def bootstrap(
     spec : HistogramSpec, optional
     background_kind : str, optional
         "none" or "exponential"; default follows the estimator.
+    base_fits : sequence of DoubleGaussianFit, optional
+        The fits of ``series`` on ``spec``, when the caller has them;
+        by default the series is fitted here.
 
     Returns
     -------
     BootstrapResult
+
+    Raises
+    ------
+    ValueError
+        On bad arguments or an invalid base fit.
+    RuntimeError
+        When more than 10% of the replicas fail.
     """
     if estimator not in ("chi_mom", "chi_cl"):
         raise ValueError(
@@ -574,7 +744,12 @@ def bootstrap(
         background_kind = "exponential" if estimator == "chi_mom" else "none"
     if background_kind not in ("none", "exponential"):
         raise ValueError(f"unknown background_kind {background_kind!r}")
-    base_fits = fit_series(series, spec)
+    if base_fits is None:
+        base_fits = fit_series(series, spec)
+    if len(base_fits) != series.n_points:
+        raise ValueError(
+            f"{len(base_fits)} base fits for {series.n_points} grid points"
+        )
     for i, f in enumerate(base_fits):
         if not _fit_is_valid(f):
             raise ValueError(
@@ -585,30 +760,28 @@ def bootstrap(
     n_points = a.size
     counts = [r.size for r in series.records]
     values = np.full((n_replicas, n_points), np.nan)
-    n_failures = 0
-    max_failures = int(0.1 * n_replicas)
-    for r in range(n_replicas):
-        row = None
-        for attempt in (0, 1):
-            rng = np.random.default_rng([seed, r, attempt])
-            records = [
-                _draw_mixture(rng, f, n) for f, n in zip(base_fits, counts)
-            ]
-            estimates, replica_fits = _estimates(
-                records, a, spec, fit=estimator == "chi_mom"
+    pending = np.arange(n_replicas)
+    for attempt in (0, 1):
+        probabilities = np.array([
+            _replica_histograms(
+                np.random.default_rng([seed, r, attempt]), base_fits, counts, spec
             )
-            if all(_fit_is_valid(f) for f in replica_fits):
-                row = estimates[estimator]
-                break
-        if row is None:
-            n_failures += 1
-            if n_failures > max_failures:
-                raise RuntimeError(
-                    f"{n_failures} of {r + 1} bootstrap replicas failed "
-                    f"(> 10% of {n_replicas}); aborting"
-                )
-            continue
-        values[r] = row
+            for r in pending
+        ])
+        estimates, mixtures = _estimates(
+            probabilities, a, spec, fit=estimator == "chi_mom"
+        )
+        valid = _valid_series(mixtures, pending.size)
+        values[pending[valid]] = estimates[estimator][valid]
+        pending = pending[~valid]
+        if not pending.size:
+            break
+    n_failures = int(pending.size)
+    if n_failures > int(0.1 * n_replicas):
+        raise RuntimeError(
+            f"{n_failures} of {n_replicas} bootstrap replicas failed "
+            f"(> 10%); aborting"
+        )
     centers = np.full(n_points, np.nan)
     widths = np.full(n_points, np.nan)
     fits: list[GaussianBackgroundFit | None] = []

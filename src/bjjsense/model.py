@@ -25,6 +25,10 @@ from scipy.linalg import eigh_tridiagonal
 # dimension * REL_CUTOFF.
 REL_CUTOFF = 1e-12
 
+# An untilted ground state is rejected when E_1 - E_0 falls below this many
+# units of roundoff, eps * ||H|| (Gershgorin bound).
+GAP_ROUNDOFF = 1e3
+
 
 class EigensolverError(RuntimeError):
     """Raised when the tridiagonal eigensolver fails to converge."""
@@ -296,10 +300,25 @@ def thermal_state(spectrum: Spectrum, temperature: float) -> ThermalState:
     return ThermalState(spectrum, w / w.sum(), float(temperature))
 
 
+def _gershgorin(h: TridiagonalHamiltonian, diagonal: np.ndarray) -> float:
+    """max_i (diagonal_i + |e_(i-1)| + |e_i|) over the rows of H."""
+    off = np.abs(h.offdiagonal)
+    return float(np.max(diagonal + np.append(off, 0.0) + np.append(0.0, off)))
+
+
 def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
     """Gibbs state on the thermally occupied levels only.
 
-    T = 0 is the ground state alone.  At T > 0 the ground energy E_0 comes
+    T = 0 is the ground state alone.  Without a tilt (imbalance 0) the
+    ground state has a mirror partner, and deep in the broken phase their
+    splitting E_1 - E_0 falls below roundoff: the computed ground state is
+    then an arbitrary mix of the two wells and every chi is noise.  So at
+    T = 0 and imbalance 0 the two lowest eigenvalues are computed first, and
+    a splitting below GAP_ROUNDOFF * eps * ||H|| = 1e3 eps ||H|| (eps the
+    double-precision machine epsilon, ||H|| the Gershgorin bound on |E|)
+    raises ValueError: below it the eigenvector error, about
+    eps ||H|| / (E_1 - E_0), exceeds 1e-3.  A tilted point takes no extra
+    solve.  At T > 0 the ground energy E_0 comes
     first, then one bisection call returns the eigenpairs with
     E - E_0 <= T ln(1 / REL_CUTOFF), i.e. every level whose relative
     Boltzmann weight is at least REL_CUTOFF.  When that bound lies above the
@@ -322,12 +341,22 @@ def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     h = build_hamiltonian(params)
     if temperature == 0.0:
+        if params.imbalance == 0.0:
+            e0, e1 = eigenvalues_only(h, n_levels=2)
+            roundoff = np.finfo(float).eps * _gershgorin(h, np.abs(h.diagonal))
+            bound = GAP_ROUNDOFF * roundoff
+            if e1 - e0 < bound:
+                raise ValueError(
+                    f"untilted ground state unresolved at N={params.n_particles}, "
+                    f"lambda={params.lambda_control}: E1 - E0 = {e1 - e0:.3g} is "
+                    f"below the roundoff bound {bound:.3g}; give the junction a "
+                    f"nonzero imbalance"
+                )
         spectrum = diagonalize(h, n_levels=1)
     else:
         e0 = float(eigenvalues_only(h, n_levels=1)[0])
         top = e0 + temperature * np.log(1.0 / REL_CUTOFF)
-        off = np.abs(h.offdiagonal)
-        gershgorin = np.max(h.diagonal + np.append(off, 0.0) + np.append(0.0, off))
+        gershgorin = _gershgorin(h, h.diagonal)
         window = None if top > gershgorin else (e0 - 1.0, top)
         vals, vecs = _eigh(h, True, window=window)
         spectrum = Spectrum(vals, _select_sign(vecs), params)

@@ -68,6 +68,7 @@ def full_scans():
     return curves
 
 
+@pytest.mark.slow
 def test_finite_size_critical_shift_power_law(scaling):
     fit = scaling.shift_fit
     assert abs(fit.exponent - (-2.0 / 3.0)) <= 0.05, (
@@ -104,6 +105,7 @@ def _corrected_power_law(n, y):
     return float(np.exp(log_a)), float(b), float(c)
 
 
+@pytest.mark.slow
 def test_peak_susceptibility_super_extensive_scaling(scaling):
     # chi/N^(4/3) at the optimized tilt follows A (1 - c' N^(-2/3)) with
     # c' ~ 6-7 (the optimization is scaling-consistent: delta* N is nearly
@@ -170,6 +172,7 @@ def test_broken_phase_closed_form():
         )
 
 
+@pytest.mark.slow
 def test_susceptibility_dominance_chain(full_scans):
     for temperature, curve in full_scans.items():
         mom_excess = float(np.max(curve.chi_mom / curve.chi_cl - 1.0))
@@ -265,6 +268,7 @@ def _population_histogram(zbar, sigma, spec):
     return est.Histogram(spec, p)
 
 
+@pytest.mark.slow
 def test_bootstrap_bars_cover_population_truth():
     # Family with a slope floor: every grid point keeps chi well above the
     # finite-sample Bhattacharyya bias ~ 2 m_bins / (n Delta^2), so the

@@ -201,6 +201,39 @@ def test_chi_is_exactly_zero_when_dh_dlambda_is_constant(temperature):
         assert chi == {"moment": 0.0, "classical": 0.0, "quantum": 0.0}
 
 
+@pytest.mark.parametrize("n", [80, 100])
+def test_untilted_ground_state_below_roundoff_is_rejected(n):
+    # Deep in the broken phase the tunnel splitting of the two wells falls
+    # below roundoff (E1 - E0 is exactly 0.0 here): the solver returns an
+    # arbitrary mix of the wells and every chi would be noise.
+    with pytest.raises(ValueError, match=rf"N={n}, lambda=-2.0: E1 - E0 = 0 "):
+        chi_at_point(ModelParams(n, lambda_control=-2.0), 0.0)
+    tilted = chi_at_point(ModelParams(n, lambda_control=-2.0, imbalance=1e-3))
+    assert all(np.isfinite(v) and v > 0 for v in tilted.values())
+
+
+def test_untilted_ground_state_above_roundoff_keeps_mirror_symmetry():
+    chi = chi_at_point(ModelParams(20, lambda_control=-2.0), 0.0)
+    assert chi["moment"] <= 1e-12 * chi["quantum"]
+
+
+def test_splitting_check_costs_tilted_points_no_solve(monkeypatch):
+    import bjjsense.model as model
+
+    real = model.eigenvalues_only
+    calls = []
+
+    def counting(hamiltonian, n_levels=None):
+        calls.append(n_levels)
+        return real(hamiltonian, n_levels)
+
+    monkeypatch.setattr(model, "eigenvalues_only", counting)
+    chi_at_point(ModelParams(40, lambda_control=-2.0, imbalance=1e-3))
+    assert calls == []
+    chi_at_point(ModelParams(40, lambda_control=-2.0))
+    assert calls == [2]
+
+
 def test_scan_solves_one_equilibrium_state_per_point(monkeypatch):
     real = criticality.equilibrium_state
     calls = []
