@@ -8,32 +8,35 @@ Bohr radius a_0).  The analysis chain is:
 2. fit each histogram with a double Gaussian
    A+ G(z - zbar; sigma) + A- G(z + zbar; sigma),
 3. chi_mom from ``np.gradient`` of zbar over a_s, chi_cl from the
-   Bhattacharyya overlaps of neighboring histograms, fitted to
-   1 - F = (chi/8) eps^2 (``fidelity``),
-4. error bars by parametric bootstrap: resample records from the fitted
-   mixtures, rerun the chain, and fit a Gaussian (optionally on an
+   Bhattacharyya overlaps of neighboring histograms (``fidelity``), with
+   1 - F = (chi/8) eps^2 fitted through both neighbors in closed form,
+4. error bars by parametric bootstrap: redraw every histogram from its
+   fitted mixture, rerun the chain, and fit a Gaussian (optionally on an
    exponential background) to the replica histogram of each estimate.
 
-Steps 1-3 live in one private chain, ``_estimates``, which takes a stack of
-series; ``series_estimates`` runs it on a stack of one, ``bootstrap`` on
-all its replicas at once.  Every double-Gaussian fit goes through one
-batched Levenberg-Marquardt fitter, ``_fit_mixtures``: both starts of every
+Steps 2-3 live in one private chain, ``_estimates``, which takes a stack of
+histogram series and computes only the estimates asked for;
+``series_estimates`` runs it on a stack of one, ``bootstrap`` on all its
+replicas at once.  Every double-Gaussian fit goes through one batched
+Levenberg-Marquardt fitter, ``_fit_mixtures``: both starts of every
 histogram are lanes of one array, each lane damped, accepted and stopped on
 its own (when its step falls below 1e-14 of its parameters, or after 2,000
 steps), so a fit is the same bit for bit alone or among thousands.  The
-bootstrap holds only histograms: each replica's samples are drawn,
-histogrammed and dropped in turn, then all replicas are fitted in one call.
+bootstrap never draws a sample: a replica of a record is a multinomial
+draw of its bin counts from the exact bin masses of the fitted mixture.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.special import ndtr
 
-from .fidelity import _fit_chi, bhattacharyya_fidelity
+from .fidelity import _overlaps
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -50,13 +53,18 @@ _BLOCK = 512
 _REPLICA_BINS = 100
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MeasurementSeries:
     """Imbalance records over a strictly increasing scattering-length grid.
 
     ``records[i]`` holds the z samples taken at ``scattering_lengths[i]``
-    (units of a_0).  ``rng_seed`` records the generator seed for synthetic
-    series, -1 for imported data.
+    (units of a_0), stored as a float array.  ``rng_seed`` records the
+    generator seed for synthetic series, -1 for imported data.
     """
 
     scattering_lengths: np.ndarray
@@ -71,18 +79,18 @@ class MeasurementSeries:
             raise ValueError("scattering_lengths contains non-finite values")
         if np.any(np.diff(a) <= 0):
             raise ValueError("scattering_lengths must be strictly increasing")
-        if len(self.records) != a.size:
-            raise ValueError(
-                f"{len(self.records)} records for {a.size} scattering lengths"
-            )
-        for i, r in enumerate(self.records):
-            if np.asarray(r).size == 0:
-                raise ValueError(f"empty record at index {i}")
+        records = tuple(np.asarray(r, dtype=float) for r in self.records)
+        if len(records) != a.size:
+            raise ValueError(f"{len(records)} records for {a.size} scattering lengths")
+        for i, r in enumerate(records):
+            if r.ndim != 1 or r.size == 0:
+                raise ValueError(f"record at index {i} is not a non-empty 1-D array")
             if not np.all(np.abs(r) <= 1.0):
                 raise ValueError(
                     f"samples non-finite or outside [-1, 1] at index {i}"
                 )
         object.__setattr__(self, "scattering_lengths", a)
+        object.__setattr__(self, "records", records)
 
     @property
     def n_points(self) -> int:
@@ -95,7 +103,9 @@ class DoubleGaussianFit:
 
     ``separation`` is the half-distance zbar between the two peaks (equal to
     the fitted <|z|> when the peaks are resolved); ``width`` is the common
-    sigma.  Amplitudes float independently: a tilt biases the two wells.
+    sigma.  Amplitudes float independently (a tilt biases the two wells)
+    but are never negative.  A failed fit keeps finite parameters and is
+    marked by ``residual`` inf.
     """
 
     separation: float
@@ -106,10 +116,16 @@ class DoubleGaussianFit:
     converged: bool = True
 
     def __post_init__(self):
+        for name in ("separation", "width", "amplitude_plus", "amplitude_minus"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.width <= 0:
             raise ValueError(f"width must be > 0, got {self.width}")
         if self.separation < 0:
             raise ValueError(f"separation must be >= 0, got {self.separation}")
+        amplitudes = (self.amplitude_plus, self.amplitude_minus)
+        if min(amplitudes) < 0:
+            raise ValueError(f"amplitudes must be >= 0, got {amplitudes}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +133,9 @@ class HistogramSpec:
     """Fixed-width binning of z, edges anchored at z = 0.
 
     The range extends to +-ceil(1/bin_width)*bin_width so the bins tile it
-    exactly; samples live in [-1, 1] and always fall inside.
+    exactly; samples live in [-1, 1] and always fall inside.  Where that
+    product rounds to just inside +-1 (bin_width = 1/49, for one), the
+    outer edges are moved out to +-1.
     """
 
     bin_width: float = 0.05
@@ -129,7 +147,9 @@ class HistogramSpec:
     @property
     def edges(self) -> np.ndarray:
         k = int(np.ceil(1.0 / self.bin_width - 1e-12))
-        return self.bin_width * np.arange(-k, k + 1)
+        edges = self.bin_width * np.arange(-k, k + 1)
+        edges[0], edges[-1] = min(edges[0], -1.0), max(edges[-1], 1.0)
+        return edges
 
     @property
     def centers(self) -> np.ndarray:
@@ -220,20 +240,13 @@ def synth_samples(
         raise ValueError(
             f"{len(fit_params)} parameter sets for {a.size} scattering lengths"
         )
-    if np.isscalar(n_samples):
-        counts = [int(n_samples)] * a.size
-    else:
-        counts = [int(n) for n in n_samples]
-        if len(counts) != a.size:
-            raise ValueError(
-                f"{len(counts)} sample counts for {a.size} scattering lengths"
-            )
+    counts = [n_samples] * a.size if np.isscalar(n_samples) else list(n_samples)
+    if len(counts) != a.size:
+        raise ValueError(f"{len(counts)} sample counts for {a.size} scattering lengths")
+    for n in counts:
+        _check_integer("n_samples", n, 1)
     rng = np.random.default_rng(seed)
-    records = []
-    for fit, n in zip(fit_params, counts):
-        if n < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n}")
-        records.append(_draw_mixture(rng, fit, n))
+    records = [_draw_mixture(rng, fit, n) for fit, n in zip(fit_params, counts)]
     return MeasurementSeries(
         scattering_lengths=a, records=tuple(records), rng_seed=int(seed)
     )
@@ -545,8 +558,8 @@ def chi_cl_experimental(
 
     Takes the Bhattacharyya coefficients F of the histogram at ``index``
     with those at index +- 1 and fits 1 - F = (chi/8) eps^2 through both
-    by one-parameter least squares (``fidelity._fit_chi``), eps being the
-    a_s offset in units of a_0.
+    by one-parameter least squares (``_chi_cl``), eps being the a_s offset
+    in units of a_0.
 
     Raises
     ------
@@ -563,18 +576,29 @@ def chi_cl_experimental(
             f"chi_cl needs both neighbors; index {index} of {a.size} points"
         )
     window = slice(index - 1, index + 2)
-    return float(_chi_cl(histograms[window], a[window])[1])
+    probabilities = np.array([h.probabilities for h in histograms[window]])
+    return float(_chi_cl(probabilities, a[window])[1])
 
 
-def _chi_cl(hists: Sequence[Histogram], a: np.ndarray) -> np.ndarray:
-    """chi_cl at every interior grid point, NaN at the two ends."""
-    overlaps = np.array(
-        [bhattacharyya_fidelity(p, q) for p, q in zip(hists, hists[1:])]
-    )
-    chi = np.full(a.size, np.nan)
-    for i in range(1, a.size - 1):
-        eps = np.array([a[i - 1] - a[i], a[i + 1] - a[i]])
-        chi[i] = _fit_chi(eps, 1.0 - overlaps[i - 1 : i + 1], "classical").value
+def _chi_cl(probabilities: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """chi_cl at every interior grid point of a stack of series.
+
+    ``probabilities`` is (..., points, bins); the result is (..., points),
+    NaN at the two ends.  The Bhattacharyya coefficients F of neighboring
+    histograms give the deficits d = 1 - F on either side of each interior
+    point, at offsets eps = a[i -+ 1] - a[i].  chi is the least-squares
+    slope of d against x = eps^2 / 8 through the origin,
+    (x- d- + x+ d+) / (x-^2 + x+^2), clamped at 0, and 0 where both
+    deficits are below 1e-14.  Every number depends on its own series only.
+    """
+    deficits = 1.0 - _overlaps(probabilities[..., :-1, :], probabilities[..., 1:, :])
+    d_lo, d_hi = deficits[..., :-1], deficits[..., 1:]
+    eps_lo, eps_hi = a[:-2] - a[1:-1], a[2:] - a[1:-1]
+    x_lo, x_hi = eps_lo * eps_lo / 8.0, eps_hi * eps_hi / 8.0
+    slope = (x_lo * d_lo + x_hi * d_hi) / (x_lo * x_lo + x_hi * x_hi)
+    flat = (np.abs(d_lo) < 1e-14) & (np.abs(d_hi) < 1e-14)
+    chi = np.full(probabilities.shape[:-1], np.nan)
+    chi[..., 1:-1] = np.where(flat, 0.0, np.maximum(slope, 0.0))
     return chi
 
 
@@ -582,21 +606,20 @@ def _estimates(
     probabilities: np.ndarray,
     a: np.ndarray,
     spec: HistogramSpec,
-    fit: bool = True,
+    names: Sequence[str] = ("zbar", "sigma", "chi_mom", "chi_cl"),
 ) -> tuple[dict[str, np.ndarray], dict | None]:
-    """The estimator chain on a stack of series.
+    """The estimator chain on a stack of series, for the estimates ``names``.
 
     ``probabilities[s, i]`` is the histogram of series s at grid point i.
-    Histograms give chi_cl; with ``fit`` the double-Gaussian fits of all
-    series, one ``_fit_mixtures`` batch, add zbar, sigma and chi_mom.
-    Returns the estimates, each (series, points), and the fits, each field
-    (series, points), or None without ``fit``, since chi_cl needs
-    histograms only.
+    zbar, sigma and chi_mom rest on the double-Gaussian fits of all series,
+    one ``_fit_mixtures`` batch, made only when one of them is asked for;
+    chi_cl needs the histograms only (``_chi_cl``).  Returns the estimates
+    asked for, each (series, points), and the fits, each field
+    (series, points), or None when no fit was made.
     """
-    n_series, n_points, n_bins = probabilities.shape
-    out = {}
-    fits = None
-    if fit:
+    out, fits = {}, None
+    if set(names) - {"chi_cl"}:
+        n_series, n_points, n_bins = probabilities.shape
         fits = {
             k: v.reshape(n_series, n_points)
             for k, v in _fit_mixtures(
@@ -605,10 +628,9 @@ def _estimates(
         }
         zbar, sigma = fits["separation"], fits["width"]
         out = {"zbar": zbar, "sigma": sigma, "chi_mom": _chi_mom(zbar, sigma, a)}
-    out["chi_cl"] = np.array(
-        [_chi_cl([Histogram(spec, p) for p in row], a) for row in probabilities]
-    )
-    return out, fits
+    if "chi_cl" in names:
+        out["chi_cl"] = _chi_cl(probabilities, a)
+    return {k: out[k] for k in names}, fits
 
 
 def _series_estimates(
@@ -638,41 +660,44 @@ def series_estimates(
 # bootstrap
 
 
-def _fit_is_valid(fit: DoubleGaussianFit) -> bool:
-    vals = (
-        fit.separation, fit.width, fit.amplitude_plus,
-        fit.amplitude_minus, fit.residual,
-    )
-    return (
-        all(np.isfinite(v) for v in vals)
-        and fit.width > 0
-        and fit.amplitude_plus + fit.amplitude_minus > 0
-    )
+def _valid_fits(fits: dict) -> np.ndarray:
+    """Elementwise over a fit stack: finite fields, sigma > 0, A+ + A- > 0.
+
+    The residual is inf where ``_fit_mixtures`` failed, and both amplitudes
+    are 0 where it clamped them; no replica can be drawn from either.
+    """
+    ok = (fits["width"] > 0) & (fits["amplitude_plus"] + fits["amplitude_minus"] > 0)
+    for k in ("separation", "width", "amplitude_plus", "amplitude_minus", "residual"):
+        ok &= np.isfinite(fits[k])
+    return ok
 
 
 def _valid_series(fits: dict | None, n_series: int) -> np.ndarray:
     """Per series of a fit stack from ``_estimates``: is every fit valid.
 
-    Valid as in ``_fit_is_valid``; a stack without fits (chi_cl) is valid.
+    Valid as in ``_valid_fits``; a stack without fits (chi_cl) is valid.
     """
     if fits is None:
         return np.ones(n_series, dtype=bool)
-    ok = (fits["width"] > 0) & (fits["amplitude_plus"] + fits["amplitude_minus"] > 0)
-    for k in ("separation", "width", "amplitude_plus", "amplitude_minus", "residual"):
-        ok &= np.isfinite(fits[k])
-    return np.all(ok, axis=1)
+    return np.all(_valid_fits(fits), axis=1)
 
 
-def _replica_histograms(
-    rng: np.random.Generator,
-    base_fits: Sequence[DoubleGaussianFit],
-    counts: Sequence[int],
-    spec: HistogramSpec,
-) -> np.ndarray:
-    """One replica: redraw every record from its base fit and histogram it."""
-    return _histograms(
-        [_draw_mixture(rng, f, n) for f, n in zip(base_fits, counts)], spec
-    )
+def _bin_masses(fits: dict, spec: HistogramSpec) -> np.ndarray:
+    """Exact bin probabilities of each fit's clipped mixture, (fits, bins).
+
+    ``fits`` holds (fits,) arrays keyed by the fields of DoubleGaussianFit.
+    Each bin's mass is a difference of normal CDFs of both peaks, weighted
+    as ``_draw_mixture`` picks them.  Samples clipped to -+1 land in the
+    outer bins, so the outer edges are taken at -+inf.
+    """
+    edges = spec.edges
+    edges[[0, -1]] = -np.inf, np.inf
+    zbar, sigma = fits["separation"][:, None], fits["width"][:, None]
+    ap, am = fits["amplitude_plus"][:, None], fits["amplitude_minus"][:, None]
+    p_plus = ap / (ap + am)
+    plus = np.diff(ndtr((edges - zbar) / sigma))
+    minus = np.diff(ndtr((edges + zbar) / sigma))
+    return p_plus * plus + (1.0 - p_plus) * minus
 
 
 def bootstrap(
@@ -687,20 +712,21 @@ def bootstrap(
     """Parametric bootstrap error bars for chi_mom or chi_cl.
 
     Each replica redraws every record from its base fit, the double-Gaussian
-    fit of the original record (records of the original lengths), reruns
-    the estimator chain, and contributes one value per grid point.  Replica
-    r draws from the stream (seed, r, 0), so results are independent of
+    fit of the original record, reruns the estimator chain, and contributes
+    one value per grid point.  The chain reads histograms only, so a
+    replica is a histogram per record: a multinomial draw of the record's
+    length over the exact bin masses of its base fit (``_bin_masses``), the
+    law of the binned, clipped samples.  Replica r takes one multinomial
+    call on the stream (seed, r, 0), so results are independent of
     execution order and bit-identical across runs.
 
-    Replicas run in two phases.  First every replica is drawn and
-    histogrammed in turn, its samples dropped at once, so only histograms
-    are held.  Then the chain runs on all replicas together: for chi_mom
-    every replica histogram is one lane of a single batched
-    Levenberg-Marquardt fit (``_fit_mixtures``).  A replica with an invalid
-    double-Gaussian fit is redrawn from the stream (seed, r, 1); the
-    redrawn replicas run as one more batch.  Replicas still invalid after
-    that count as failures, and more than 10% of ``n_replicas`` aborts the
-    bootstrap once the retry batch is done.
+    All replicas are drawn, then run through the chain together for the
+    requested estimator only: for chi_mom one batched fit
+    (``_fit_mixtures``), for chi_cl one array of overlaps (``_chi_cl``).  A
+    chi_mom replica with an invalid double-Gaussian fit is redrawn from
+    the stream (seed, r, 1); the redrawn replicas run as one more batch.
+    Replicas still invalid after that count as failures, and more than 10%
+    of ``n_replicas`` aborts the bootstrap once the retry batch is done.
 
     Per grid point the replica values go into a 100-bin histogram fitted
     with a Gaussian (chi_cl) or a Gaussian on an exponential background
@@ -715,6 +741,7 @@ def bootstrap(
     n_replicas : int
         At least 100.
     seed : int
+        Non-negative.
     spec : HistogramSpec, optional
     background_kind : str, optional
         "none" or "exponential"; default follows the estimator.
@@ -737,8 +764,8 @@ def bootstrap(
         raise ValueError(
             f"estimator must be 'chi_mom' or 'chi_cl', got {estimator!r}"
         )
-    if n_replicas < 100:
-        raise ValueError(f"n_replicas must be >= 100, got {n_replicas}")
+    _check_integer("n_replicas", n_replicas, 100)
+    _check_integer("seed", seed, 0)
     spec = spec or HistogramSpec()
     if background_kind is None:
         background_kind = "exponential" if estimator == "chi_mom" else "none"
@@ -750,26 +777,29 @@ def bootstrap(
         raise ValueError(
             f"{len(base_fits)} base fits for {series.n_points} grid points"
         )
-    for i, f in enumerate(base_fits):
-        if not _fit_is_valid(f):
-            raise ValueError(
-                f"double-Gaussian fit invalid at grid index {i}; cannot "
-                f"bootstrap from it"
-            )
+    base = {
+        field.name: np.array([getattr(f, field.name) for f in base_fits])
+        for field in fields(DoubleGaussianFit)
+    }
+    invalid = np.flatnonzero(~_valid_fits(base))
+    if invalid.size:
+        raise ValueError(
+            f"double-Gaussian fit invalid at grid index {invalid[0]}; cannot "
+            f"bootstrap from it"
+        )
     a = series.scattering_lengths
     n_points = a.size
-    counts = [r.size for r in series.records]
+    counts = np.array([r.size for r in series.records])
+    masses = _bin_masses(base, spec)
     values = np.full((n_replicas, n_points), np.nan)
     pending = np.arange(n_replicas)
     for attempt in (0, 1):
-        probabilities = np.array([
-            _replica_histograms(
-                np.random.default_rng([seed, r, attempt]), base_fits, counts, spec
-            )
+        draws = np.array([
+            np.random.default_rng([seed, r, attempt]).multinomial(counts, masses)
             for r in pending
         ])
         estimates, mixtures = _estimates(
-            probabilities, a, spec, fit=estimator == "chi_mom"
+            draws / counts[:, None], a, spec, (estimator,)
         )
         valid = _valid_series(mixtures, pending.size)
         values[pending[valid]] = estimates[estimator][valid]

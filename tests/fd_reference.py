@@ -6,9 +6,11 @@ three numbers off finite differences instead: the Uhlmann fidelity of the
 low-rank density operators and the Bhattacharyya coefficient of the J_z
 distributions at lambda + {+-eps, +-2eps}, each fitted to
 F = 1 - (chi/8) eps^2, and the least-squares slope of <J_z> through the
-five states.  It shares the package's equilibrium solver and its fit
-(``fidelity._fit_chi``), so it checks the derivative, not the eigensolve;
-``dense_oracle`` checks that.
+five states.  It shares the package's equilibrium solver, so it checks the
+derivative, not the eigensolve; ``dense_oracle`` checks that.  Its fit,
+``_fit_chi``, is the pointwise least-squares form of the slope that
+``estimation._chi_cl`` takes in closed form for whole stacks of shot
+histograms; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -18,17 +20,47 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bjjsense.fidelity import (
-    SusceptibilityEstimate,
-    _fit_chi,
-    bhattacharyya_fidelity,
-)
+from bjjsense.fidelity import bhattacharyya_fidelity
 from bjjsense.model import (
     ModelParams,
     ThermalState,
     equilibrium_state,
     jz_distribution,
 )
+
+
+@dataclass(frozen=True)
+class SusceptibilityEstimate:
+    """Fidelity susceptibility with the residual of its defining fit.
+
+    ``method`` labels the fidelity ("classical" or "quantum");
+    ``fit_residual`` is the rms misfit of 1 - F against (chi/8) eps^2 and
+    ``epsilon_grid`` records the displacements used.
+    """
+
+    value: float
+    method: str
+    fit_residual: float = 0.0
+    epsilon_grid: tuple[float, ...] | None = None
+    degenerate: bool = False
+
+
+def _fit_chi(
+    eps: np.ndarray, deficits: np.ndarray, method: str
+) -> SusceptibilityEstimate:
+    """Least-squares fit of 1 - F = (chi/8) eps^2 through the origin.
+
+    Applied to the shot-histogram overlaps of
+    ``estimation.chi_cl_experimental``; the caller checks the displacements.
+    """
+    x = eps * eps / 8.0
+    grid = tuple(float(e) for e in eps)
+    if np.all(np.abs(deficits) < 1e-14):
+        return SusceptibilityEstimate(0.0, method, 0.0, grid, degenerate=True)
+    slope = float((x @ deficits) / (x @ x))
+    resid = deficits - slope * x
+    rms = float(np.sqrt(np.mean(resid * resid)))
+    return SusceptibilityEstimate(max(slope, 0.0), method, rms, grid)
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,6 @@ def _population_histogram(zbar, sigma, spec):
     return est.Histogram(spec, p)
 
 
-@pytest.mark.slow
 def test_bootstrap_bars_cover_population_truth():
     # Family with a slope floor: every grid point keeps chi well above the
     # finite-sample Bhattacharyya bias ~ 2 m_bins / (n Delta^2), so the

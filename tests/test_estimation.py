@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import norm
 
+import fd_reference
 import lsq_reference
 import bjjsense.estimation as est
+from bjjsense.fidelity import bhattacharyya_fidelity
 from bjjsense.estimation import (
     DoubleGaussianFit,
     Histogram,
@@ -51,6 +54,19 @@ def test_series_rejects_non_finite_input():
             MeasurementSeries(np.array([0.0, bad]), (good, good))
 
 
+def test_series_stores_records_as_float_arrays():
+    a = np.array([-2.0, -1.8, -1.6])
+    series = MeasurementSeries(a, ([0.3, -0.3, 0.2, -0.4], [0.5, -0.5, 0.4],
+                                   [0.6, -0.6, 0.7, -0.7, 0]))
+    for rec in series.records:
+        assert isinstance(rec, np.ndarray) and rec.dtype == float
+    base = [_mixture(0.4, 0.1) for _ in a]
+    result = bootstrap(series, "chi_cl", n_replicas=100, base_fits=base)
+    assert result.n_failures == 0
+    with pytest.raises(ValueError, match="1-D"):
+        MeasurementSeries(a, ([0.1], [[0.1, 0.2]], [0.3]))
+
+
 def test_synth_centered_gaussian_mean():
     gen = _mixture(0.0, 0.1)
     series = synth_samples([0.0, 1.0], [gen, gen], 100_000, seed=1)
@@ -86,6 +102,13 @@ def test_synth_validation():
         synth_samples([0.0, 1.0], [gen, gen], 0, seed=0)
 
 
+def test_synth_rejects_non_integer_sample_count():
+    gen = _mixture(0.3, 0.1)
+    for bad in (200.7, [200, 200.7], True):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            synth_samples([0.0, 1.0], [gen, gen], bad, seed=0)
+
+
 def test_histogram_single_bin():
     h = build_histogram(np.full(50, 0.12), HistogramSpec())
     assert_allclose(h.probabilities.sum(), 1.0, rtol=1e-15)
@@ -110,6 +133,15 @@ def test_histogram_edges_anchored_at_zero():
         assert 0.0 in edges
         assert_allclose(edges / width, np.round(edges / width), atol=1e-9)
         assert edges[0] <= -1.0 <= 1.0 <= edges[-1]
+
+
+def test_histogram_keeps_clipped_samples():
+    # k * bin_width rounds to 1 - 1.1e-16 for bin_width = 1/49
+    for width in (1 / 49, 1 / 98, 0.05, 0.07, 0.3):
+        spec = HistogramSpec(bin_width=width)
+        h = build_histogram(np.array([-1.0, 0.0, 1.0]), spec)
+        assert h.probabilities.sum() == 1.0
+        assert h.probabilities[0] == h.probabilities[-1] == 1 / 3
 
 
 def test_histogram_rejects_empty():
@@ -163,6 +195,25 @@ def test_fit_params_validation():
     with pytest.raises(ValueError):
         DoubleGaussianFit(separation=-0.1, width=0.1,
                           amplitude_plus=0.5, amplitude_minus=0.5)
+    good = dict(separation=0.1, width=0.1, amplitude_plus=0.5,
+                amplitude_minus=0.5)
+    for field in good:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                DoubleGaussianFit(**{**good, field: bad})
+    for field in ("amplitude_plus", "amplitude_minus"):
+        with pytest.raises(ValueError, match="amplitudes must be >= 0"):
+            DoubleGaussianFit(**{**good, field: -0.5})
+    # the failed-fit marker and the fitter's amplitude clamp stay
+    # constructible; bootstrap refuses to start from either
+    failed = DoubleGaussianFit(**good, residual=np.inf, converged=False)
+    clamped = DoubleGaussianFit(**{**good, "amplitude_plus": 0.0,
+                                   "amplitude_minus": 0.0})
+    series = synth_samples([0.0, 1.0], [_mixture(0.3, 0.1)] * 2, 200, seed=0)
+    for bad in (failed, clamped):
+        with pytest.raises(ValueError, match="invalid at grid index 1"):
+            bootstrap(series, "chi_cl", n_replicas=100,
+                      base_fits=[_mixture(0.3, 0.1), bad])
 
 
 def test_chi_mom_linear_zbar():
@@ -337,6 +388,22 @@ def test_bootstrap_validation():
         bootstrap(series, "chi_cl", n_replicas=120, background_kind="linear")
 
 
+def test_bootstrap_rejects_non_integer_replica_count():
+    a = np.array([-2.0, -1.8, -1.6])
+    series = synth_samples(a, [_mixture(0.4, 0.1) for _ in a], 200, seed=4)
+    for bad in (150.5, 150.0, "150"):
+        with pytest.raises(ValueError, match="n_replicas must be an integer"):
+            bootstrap(series, "chi_cl", n_replicas=bad)
+
+
+def test_bootstrap_rejects_bad_seed():
+    a = np.array([-2.0, -1.8, -1.6])
+    series = synth_samples(a, [_mixture(0.4, 0.1) for _ in a], 200, seed=4)
+    for bad in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            bootstrap(series, "chi_cl", n_replicas=100, seed=bad)
+
+
 def test_bootstrap_redraws_failed_replicas_once(monkeypatch):
     a = np.array([-2.0, -1.8, -1.6])
     gens = [_mixture(0.4, 0.1) for _ in a]
@@ -366,25 +433,154 @@ def test_bootstrap_aborts_on_persistent_failures(monkeypatch):
         bootstrap(series, "chi_cl", n_replicas=120, seed=2)
 
 
+def _fit_arrays(fits):
+    return {k: np.array([getattr(f, k) for f in fits])
+            for k in ("separation", "width", "amplitude_plus",
+                      "amplitude_minus")}
+
+
 def test_bootstrap_replica_runs_the_series_chain():
-    # replica r of seed s redraws every record from the base fits with the
-    # stream [s, r, 0]; its row must be series_estimates on those records
+    # replica r of seed s draws the bin counts of every record with one
+    # multinomial call on the stream [s, r, 0], over the exact bin masses of
+    # the base fits; its row must be the estimators on those histograms
     a = np.arange(-2.7, -1.7, 0.18)
     zbars = 0.25 + 0.40 / (1.0 + np.exp((a + 1.746) / 0.15))
     series = synth_samples(a, [_mixture(float(z), 0.1) for z in zbars], 400,
                            seed=5)
+    spec = HistogramSpec()
+    counts = np.array([rec.size for rec in series.records])
+    masses = est._bin_masses(_fit_arrays(fit_series(series)), spec)
     seed, r = 9, 37
-    rng = np.random.default_rng([seed, r, 0])
-    redrawn = MeasurementSeries(a, tuple(
-        est._draw_mixture(rng, f, rec.size)
-        for f, rec in zip(fit_series(series), series.records)
-    ))
-    expected = series_estimates(redrawn)
+    draw = np.random.default_rng([seed, r, 0]).multinomial(counts, masses)
+    hists = [Histogram(spec, c / n) for c, n in zip(draw, counts)]
+    fits = [fit_double_gaussian(h) for h in hists]
+    expected = {
+        "chi_mom": [chi_mom_experimental(fits, a, i) for i in range(a.size)],
+        "chi_cl": [np.nan] + [chi_cl_experimental(hists, a, i)
+                              for i in range(1, a.size - 1)] + [np.nan],
+    }
     for estimator in ("chi_mom", "chi_cl"):
         result = bootstrap(series, estimator, n_replicas=100, seed=seed)
         assert result.n_failures == 0
         row = [col[r] if col.size else np.nan for col in result.replica_values]
         assert np.array_equal(row, expected[estimator], equal_nan=True)
+
+
+def _clipped_mixture_masses(fit, spec):
+    """Bin probabilities of the clipped mixture, one component at a time."""
+    edges = spec.edges
+    p = np.zeros(edges.size - 1)
+    total = fit.amplitude_plus + fit.amplitude_minus
+    for mu, w in ((fit.separation, fit.amplitude_plus / total),
+                  (-fit.separation, fit.amplitude_minus / total)):
+        cdf = norm.cdf((edges - mu) / fit.width)
+        p += w * np.diff(cdf)
+        # everything beyond the outer edges is clipped into the outer bins
+        p[0] += w * cdf[0]
+        p[-1] += w * (1.0 - cdf[-1])
+    return p
+
+
+def test_bin_masses_match_clipped_mixture():
+    rng = np.random.default_rng(31)
+    fits = [
+        DoubleGaussianFit(separation=zb, width=sg, amplitude_plus=ap,
+                          amplitude_minus=1.0 - ap)
+        for zb, sg, ap in zip(rng.uniform(0.0, 1.2, 12),
+                              rng.uniform(0.03, 0.5, 12),
+                              rng.uniform(0.05, 0.95, 12))
+    ]
+    # some carry a tenth of their mass or more beyond +-1
+    assert max(norm.sf((1.0 - f.separation) / f.width) for f in fits) > 0.1
+    n, n_replicas = 500, 2000
+    for width in (0.05, 0.07, 0.3, 2.0, 1 / 49):
+        spec = HistogramSpec(bin_width=width)
+        masses = est._bin_masses(_fit_arrays(fits), spec)
+        assert np.all(np.abs(masses.sum(axis=1) - 1.0) <= 1e-14)
+        for fit, m in zip(fits, masses):
+            assert_allclose(m, _clipped_mixture_masses(fit, spec),
+                            rtol=1e-12, atol=1e-15)
+            # 5 sigma, plus five counts where a bin expects less than one
+            # and the normal approximation fails
+            draws = n * n_replicas
+            mean = rng.multinomial(n, m, size=n_replicas).sum(axis=0) / draws
+            sd = np.sqrt(m * (1.0 - m) / draws)
+            assert np.all(np.abs(mean - m) <= 5.0 * sd + 5.0 / draws)
+            # the masses are the law of binned samples of the mixture
+            draws = 200_000
+            h = build_histogram(est._draw_mixture(rng, fit, draws), spec)
+            sd = np.sqrt(m * (1.0 - m) / draws)
+            assert np.all(np.abs(h.probabilities - m) <= 5.0 * sd + 5.0 / draws)
+
+
+def test_stacked_chi_cl_matches_pointwise():
+    rng = np.random.default_rng(23)
+    spec = HistogramSpec()
+    a = np.cumsum(rng.uniform(0.05, 0.3, 6))
+    stack = np.array([
+        [build_histogram(np.clip(rng.normal(m, 0.15, 500), -1, 1),
+                         spec).probabilities
+         for m in rng.uniform(-0.4, 0.4, a.size)]
+        for _ in range(20)
+    ])
+    stack[3] = stack[3, 0]
+    chi = est._chi_cl(stack, a)
+    assert chi.shape == (20, a.size)
+    for row, values in zip(stack, chi):
+        hists = [Histogram(spec, p) for p in row]
+        pointwise = [chi_cl_experimental(hists, a, i)
+                     for i in range(1, a.size - 1)]
+        assert np.array_equal(values[1:-1], pointwise)
+        assert np.isnan(values[0]) and np.isnan(values[-1])
+        # the closed form is the pointwise least-squares fit
+        reference = [
+            fd_reference._fit_chi(
+                np.array([a[i - 1] - a[i], a[i + 1] - a[i]]),
+                1.0 - np.array([bhattacharyya_fidelity(hists[i - 1], hists[i]),
+                                bhattacharyya_fidelity(hists[i], hists[i + 1])]),
+                "classical",
+            ).value
+            for i in range(1, a.size - 1)
+        ]
+        assert_allclose(values[1:-1], reference, rtol=1e-13, atol=0)
+    assert np.all(chi[3, 1:-1] == 0.0)
+    assert np.all(np.delete(chi, 3, axis=0)[:, 1:-1] > 0.0)
+
+
+def test_stacked_chi_cl_flat_and_clamp_rules():
+    # both deficits below 1e-14 (here 8.9e-16): chi is exactly 0
+    p, q = np.array([0.5, 0.5]), np.array([0.5 + 4e-8, 0.5 - 4e-8])
+    chi = est._chi_cl(np.array([q, p, q]), np.array([0.0, 0.1, 0.2]))
+    assert chi[1] == 0.0
+    # a deficit of -2.2e-16 (the 20 equal bins sum past 1) weighted by a
+    # 1000x wider step outweighs one of 4.5e-13: the slope is negative and
+    # chi is clamped to 0
+    p = np.full(20, 0.05)
+    q = p + np.concatenate([[3e-7, -3e-7], np.zeros(18)])
+    a = np.array([0.0, 1000.0, 1001.0])
+    deficits = 1.0 - np.array([np.sqrt(p * p).sum(), np.sqrt(p * q).sum()])
+    x = np.array([1000.0, 1.0]) ** 2 / 8.0
+    assert deficits[0] < 0.0 < 1e-14 < deficits[1]
+    assert x @ deficits < 0.0
+    assert est._chi_cl(np.array([p, p, q]), a)[1] == 0.0
+
+
+def test_chi_mom_bootstrap_computes_no_overlap(monkeypatch):
+    a = np.array([-2.0, -1.8, -1.6])
+    series = synth_samples(a, [_mixture(z, 0.1) for z in (0.55, 0.45, 0.35)],
+                           300, seed=4)
+    real = est._chi_cl
+    calls = []
+
+    def counting(probabilities, grid):
+        calls.append(len(probabilities))
+        return real(probabilities, grid)
+
+    monkeypatch.setattr(est, "_chi_cl", counting)
+    bootstrap(series, "chi_mom", n_replicas=100, seed=1)
+    assert calls == []
+    bootstrap(series, "chi_cl", n_replicas=100, seed=1)
+    assert calls == [100]
 
 
 def test_background_fit_pure_gaussian():
