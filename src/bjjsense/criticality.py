@@ -11,9 +11,9 @@ transition:
    fitted to power laws chi/N ~ a N^b.
 
 Every susceptibility is the exact lambda-derivative of the Gibbs state at
-one working point (``_point``): one equilibrium solve, plus one tridiagonal
-solve per occupied level for the part of the derivative outside the
-occupied levels.
+its working point (``_points``): one equilibrium solve per point, plus a
+tridiagonal solve per occupied level for the part of the derivative outside
+the occupied levels.  A scan's whole window is one stack of points.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from scipy.optimize import brentq, minimize_scalar
 from .model import (
     EigensolverError,
     ModelParams,
-    build_hamiltonian,
-    eigenvalues_only,
-    equilibrium_state,
-    jz_distribution,
+    StateStack,
+    _diagonals,
+    _eigh,
+    equilibrium_states,
 )
 
 METHODS = ("moment", "classical", "quantum")
@@ -178,15 +178,20 @@ class ScalingStudyResult:
 # scans
 
 
-def _point(
-    params: ModelParams, temperature: float, which: tuple[str, ...]
-) -> tuple[float, float, dict[str, float]]:
-    """<J_z>, Var(J_z) and the requested chi at one working point.
+def _points(
+    params: ModelParams,
+    lambdas: np.ndarray,
+    temperature: float,
+    which: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """<J_z>, Var(J_z) and the requested chi at each of ``lambdas``.
 
-    The one code path for every susceptibility: one equilibrium solve and
-    the exact derivative of the Gibbs state rho = sum_n p_n |n><n|.  With
-    V = dH/dlambda = (Omega/N) J_z^2, shifted to zero mean (a constant
-    changes no chi):
+    The one code path for every susceptibility: N, Omega and delta come
+    from ``params``, the states from ``equilibrium_states``, and each stack
+    of points it yields goes through array expressions at once.  Each chi
+    is the exact derivative of the Gibbs state rho = sum_n p_n |n><n| at
+    its point.  With V = dH/dlambda = (Omega/N) J_z^2, shifted to zero mean
+    (a constant changes no chi):
 
     * inside the occupied window, <n|drho|k> = G_nk = V_nk (p_n - p_k) /
       (E_n - E_k), written through expm1 so that equal energies give the
@@ -194,68 +199,115 @@ def _point(
     * outside it, level n contributes y_n = Q d|n>, the solution of
       (H - E_n) y = -Q V |n> with Q the projector off the window; the
       singular system is consistent, so y is pinned to 0 at the largest
-      entry of |n> and the tridiagonal system solved directly.
+      entry of |n>.  Per occupied level, the systems of all points of a
+      stack are the blocks of one block-diagonal tridiagonal system, and
+      one ``dgtsv`` call solves them; the zero couplings between blocks
+      leave each block's elimination as it would be alone.
 
     Then chi_Q = 2 sum G^2 / (p_n + p_k) + 4 sum p_n |y_n|^2 (the Bures
     metric), chi_cl = sum (dP)^2 / P over the J_z distribution P(m) and
     chi_mom = (m . dP)^2 / Var(J_z), with dP the diagonal of drho.  At T = 0
     all reduce to the ground state: chi_cl = chi_Q = 4 |y_0|^2.
     """
-    state = equilibrium_state(params, temperature)
-    dist = jz_distribution(state)
-    chi: dict[str, float] = {}
-    if not which:
-        return dist.mean, dist.variance, chi
-    h = state.hamiltonian
-    energies = state.spectrum.eigenvalues
-    u = state.spectrum.eigenvectors
-    p = state.weights
-    m = dist.m_values
-    v = (params.tunneling / params.n_particles) * m * m
-    vu = (v - v.mean())[:, None] * u
-    vw = u.T @ vu
-    g = np.zeros_like(vw)
-    if temperature > 0.0:
-        beta = 1.0 / temperature
-        x = beta * np.abs(energies[:, None] - energies[None, :])
-        ratio = np.ones_like(x)
-        gapped = x > 0.0
-        ratio[gapped] = -np.expm1(-x[gapped]) / x[gapped]
-        g = -beta * np.maximum.outer(p, p) * ratio * vw
-        vdiag = np.diag(vw)
-        np.fill_diagonal(g, -beta * p * (vdiag - p @ vdiag))
-    y = np.zeros_like(u)
-    if p.size < m.size:
-        rhs = u @ vw - vu
-        for n in range(p.size):
-            pin = int(np.argmax(np.abs(u[:, n])))
-            off = h.offdiagonal.copy()
-            off[max(pin - 1, 0) : pin + 1] = 0.0
-            diag = h.diagonal - energies[n]
-            diag[pin] = 1.0
-            b = rhs[:, n : n + 1].copy()
-            b[pin] = 0.0
-            _, _, _, sol, info = dgtsv(off, diag, off, b)
-            if info != 0:
-                raise EigensolverError(
-                    f"tridiagonal solve failed (info={info}) at {params}"
+    n = params.n_particles
+    m = np.arange(n + 1) - n / 2.0
+    v = (params.tunneling / n) * m * m
+    v = v - v.mean()
+    mean, var = np.empty(lambdas.size), np.empty(lambdas.size)
+    chi = {w: np.empty(lambdas.size) for w in which}
+    for start, s in equilibrium_states(params, lambdas, temperature):
+        at = slice(start, start + s.size)
+        # Eigenvectors are rows: u[b, k] is level k at point b.
+        u, p = s.vectors, s.weights
+        prob = (p[:, None, :] @ (u * u))[:, 0]
+        mean[at] = prob @ m
+        var[at] = np.sum((m - mean[at, None]) ** 2 * prob, axis=1)
+        if not which:
+            continue
+        vu = u * v
+        vw = u @ np.swapaxes(vu, 1, 2)
+        if p.shape[1] <= n:
+            y = _outside(s, np.swapaxes(vw, 1, 2) @ u - vu, params, lambdas[at])
+            y -= (y @ np.swapaxes(u, 1, 2)) @ u
+        else:
+            y = np.zeros_like(u)
+        dp = 2.0 * (p[:, None, :] @ (u * y))[:, 0]
+        bures = 0.0
+        if temperature > 0.0:
+            beta = 1.0 / temperature
+            e = s.energies
+            x = beta * np.abs(e[:, :, None] - e[:, None, :])
+            ratio = np.ones_like(x)
+            gapped = x > 0.0
+            ratio[gapped] = -np.expm1(-x[gapped]) / x[gapped]
+            g = -beta * np.maximum(p[:, :, None], p[:, None, :]) * ratio * vw
+            vdiag = np.diagonal(vw, axis1=1, axis2=2)
+            level = np.arange(p.shape[1])
+            g[:, level, level] = -beta * p * (
+                vdiag - np.sum(p * vdiag, axis=1, keepdims=True)
+            )
+            dp += np.sum(u * (np.swapaxes(g, 1, 2) @ u), axis=1)
+            bures = np.sum(g * g / (p[:, :, None] + p[:, None, :]), axis=(1, 2))
+        if "quantum" in which:
+            chi["quantum"][at] = 2.0 * bures + 4.0 * np.sum(
+                p * np.sum(y * y, axis=2), axis=1
+            )
+        if "classical" in which:
+            occupied = prob > 0.0
+            fisher = np.zeros_like(dp)
+            fisher[occupied] = dp[occupied] ** 2 / prob[occupied]
+            chi["classical"][at] = np.sum(fisher, axis=1)
+        if "moment" in which:
+            bad = var[at] <= 0
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"non-positive J_z variance {var[at][i]} at "
+                    f"{replace(params, lambda_control=float(lambdas[start + i]))}"
                 )
-            y[:, n] = sol[:, 0]
-        y -= u @ (u.T @ y)
-    dp = np.sum((u @ g) * u, axis=1) + 2.0 * (u * y) @ p
-    if "quantum" in which:
-        bures = 2.0 * np.sum(g * g / np.add.outer(p, p))
-        chi["quantum"] = float(bures + 4.0 * p @ np.sum(y * y, axis=0))
-    if "classical" in which:
-        prob = dist.probabilities
-        occupied = prob > 0.0
-        chi["classical"] = float(np.sum(dp[occupied] ** 2 / prob[occupied]))
-    if "moment" in which:
-        var = dist.variance
-        if var <= 0:
-            raise ValueError(f"non-positive J_z variance {var} at {params}")
-        chi["moment"] = float((m @ dp) ** 2 / var)
-    return dist.mean, dist.variance, chi
+            chi["moment"][at] = (dp @ m) ** 2 / var[at]
+    return mean, var, chi
+
+
+def _outside(
+    s: StateStack, rhs: np.ndarray, params: ModelParams, lambdas: np.ndarray
+) -> np.ndarray:
+    """y_n = Q d|n> for every occupied level n of every point of ``s``.
+
+    Solves (H - E_n) y = rhs_n, pinned to 0 at the largest entry of |n>;
+    ``rhs`` (B, k, N+1) is overwritten.  Per level, the systems of all
+    points are the blocks of one block-diagonal system, solved by one
+    ``dgtsv`` call.
+    """
+    points, levels, size = rhs.shape
+    # Level-major (k, B, N+1), so that the blocks of one level are adjacent.
+    rhs = np.swapaxes(rhs, 0, 1)
+    diag = s.diagonal - s.energies.T[:, :, None]
+    pin = np.argmax(np.abs(s.vectors), axis=2).T
+    level, point = np.indices(pin.shape)
+    # Row r of a block couples to row r + 1 through band[r]; the last entry
+    # of each block is the zero coupling to the next block.
+    band = np.zeros_like(diag)
+    band[:, :, :-1] = s.offdiagonal
+    band[level, point, np.maximum(pin - 1, 0)] = 0.0
+    band[level, point, pin] = 0.0
+    diag[level, point, pin] = 1.0
+    rhs[level, point, pin] = 0.0
+    y = np.empty_like(diag)
+    for n in range(levels):
+        coupling = band[n].reshape(-1)[:-1]
+        _, _, _, sol, info = dgtsv(
+            coupling, diag[n].reshape(-1), coupling, rhs[n].reshape(-1, 1),
+            overwrite_d=True, overwrite_b=True,
+        )
+        if info != 0:
+            lam = float(lambdas[(info - 1) // size])
+            raise EigensolverError(
+                f"tridiagonal solve failed (info={info}) at "
+                f"{replace(params, lambda_control=lam)}"
+            )
+        y[n] = sol.reshape(points, size)
+    return np.swapaxes(y, 0, 1)
 
 
 def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
@@ -263,24 +315,21 @@ def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
 
     Each grid point takes one equilibrium solve and the exact derivative of
     its Gibbs state, as in ``chi_at_point``, so every chi is a pointwise
-    value that does not depend on the neighbouring grid points.
+    value that does not depend on the neighbouring grid points.  The grid
+    is one stack: its points are solved and differentiated together.
 
     Returns
     -------
     SusceptibilityCurve
     """
-    rows = [
-        _point(
-            replace(config.params_template, lambda_control=lam),
-            config.temperature, config.which,
-        )
-        for lam in config.lambda_grid
-    ]
-    chi = {m: np.array([r[2][m] for r in rows]) for m in config.which}
+    mean, var, chi = _points(
+        config.params_template, config.lambda_grid, config.temperature,
+        config.which,
+    )
     return SusceptibilityCurve(
         lambda_grid=config.lambda_grid,
-        mean_jz=np.array([r[0] for r in rows]),
-        var_jz=np.array([r[1] for r in rows]),
+        mean_jz=mean,
+        var_jz=var,
         chi_mom=chi.get("moment"),
         chi_cl=chi.get("classical"),
         chi_q=chi.get("quantum"),
@@ -304,8 +353,8 @@ def chi_at_point(
     """All requested susceptibilities at a single working point.
 
     Each chi is the exact derivative of the Gibbs state at lambda, from one
-    equilibrium solve; ``scan_lambda`` runs the same code at each grid
-    point.
+    equilibrium solve; ``scan_lambda`` runs the same code on a stack of
+    grid points, this is a stack of one.
 
     Returns
     -------
@@ -314,7 +363,9 @@ def chi_at_point(
     bad = [w for w in which if w not in METHODS]
     if bad:
         raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
-    return _point(params, temperature, which)[2]
+    lam = np.array([params.lambda_control], dtype=float)
+    chi = _points(params, lam, temperature, which)[2]
+    return {m: float(c[0]) for m, c in chi.items()}
 
 
 def temperature_sweep(
@@ -365,33 +416,37 @@ def locate_critical_gap(
     The default gap E_2 - E_0 pairs the ground state with its second
     excited partner; at zero tilt E_1 merges with E_0 in the broken phase
     and carries no interior minimum.  A coarse 61-point grid over
-    ``lambda_bracket`` brackets the minimum, then golden-section search
-    refines it to xtol 1e-8.
+    ``lambda_bracket`` brackets the minimum (its matrices built as one
+    stack), then golden-section search refines it to xtol 1e-8.
 
     Raises
     ------
     ValueError
-        If the coarse minimum lands on the bracket edge, i.e. the bracket
-        does not enclose an interior minimum.
+        If ``levels`` are not two different levels of the spectrum, or the
+        coarse minimum lands on the bracket edge, i.e. the bracket does not
+        enclose an interior minimum.
     """
     lo, hi = lambda_bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket {lambda_bracket}")
     lower, upper = sorted(levels)
-    if lower == upper:
-        raise ValueError(f"levels must differ, got {levels}")
-    k = upper + 1
+    if not 0 <= lower < upper <= n_particles:
+        raise ValueError(
+            f"levels must be two different levels in [0, {n_particles}], "
+            f"got {levels}"
+        )
     params = ModelParams(n_particles=n_particles, tunneling=tunneling)
 
+    def gaps(lams) -> np.ndarray:
+        diag, off = _diagonals(params, np.atleast_1d(np.asarray(lams, float)))
+        ev = np.array([_eigh(d, off, False, n_levels=upper + 1) for d in diag])
+        return ev[:, upper] - ev[:, lower]
+
     def gap(lam: float) -> float:
-        ev = eigenvalues_only(
-            build_hamiltonian(replace(params, lambda_control=lam)), k
-        )
-        return float(ev[upper] - ev[lower])
+        return float(gaps(lam)[0])
 
     grid = np.linspace(lo, hi, 61)
-    gaps = np.array([gap(lam) for lam in grid])
-    i = int(np.argmin(gaps))
+    i = int(np.argmin(gaps(grid)))
     if i == 0 or i == grid.size - 1:
         raise ValueError(
             f"gap minimum at bracket edge lambda={grid[i]:.6g}; widen "
@@ -482,12 +537,17 @@ def _optimize_deltas(
     together; the bracket and the root find then run per method.  Peak
     offsets are kept per (delta, method), so no window is scanned twice
     for one method: ``brentq`` returns a tilt it has already evaluated,
-    and its bracket ends are often grid tilts.
+    and its bracket ends are often grid tilts.  At T = 0 the ground state
+    is real with positive amplitudes, so chi_Q equals chi_cl and the
+    quantum tilt is the classical one: when both are asked for, only the
+    classical one is searched.
     """
     deltas = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
     if deltas.size < 2 or np.any(deltas <= 0):
         raise ValueError("delta_grid must hold >= 2 positive values")
     deltas = np.sort(deltas)
+    shared = temperature == 0.0 and {"classical", "quantum"} <= set(methods)
+    searched = tuple(m for m in methods if not (shared and m == "quantum"))
     window = _peak_window(n_particles, lambda_c, window_points)
     tol = 0.5 * (window[1] - window[0])
 
@@ -511,9 +571,9 @@ def _optimize_deltas(
                 )
         return {m: known[delta, m] for m in which}
 
-    grid_offsets = [offsets(d, methods) for d in deltas]
+    grid_offsets = [offsets(d, searched) for d in deltas]
     result = {}
-    for method in methods:
+    for method in searched:
         valid = [
             (d, o[method]) for d, o in zip(deltas, grid_offsets)
             if o[method] is not None
@@ -550,7 +610,9 @@ def _optimize_deltas(
             peak_offset=float(best_off),
             within_tolerance=bool(abs(best_off) <= tol),
         )
-    return result
+    if shared:
+        result["quantum"] = replace(result["classical"], method="quantum")
+    return {m: result[m] for m in methods}
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +660,10 @@ def scaling_study(
 
     Per N: locate lambda_c^(N), optimize delta separately for each method
     (their peaks sit at slightly different tilts; one window scan per grid
-    tilt serves all three), then evaluate chi at (lambda_c^(N), delta*).  Fits are chi/N against N for each method,
-    plus the critical-point shift -1 - lambda_c^(N) against N.
+    tilt serves all three, and at T = 0 the quantum tilt is the classical
+    one), then evaluate chi at (lambda_c^(N), delta*), once per distinct
+    tilt.  Fits are chi/N against N for each method, plus the
+    critical-point shift -1 - lambda_c^(N) against N.
 
     Returns
     -------
@@ -620,17 +684,20 @@ def scaling_study(
         )
         for m, opt in opts.items():
             delta_star[m][i] = opt.delta
+        for delta in dict.fromkeys(opt.delta for opt in opts.values()):
+            which = tuple(m for m, opt in opts.items() if opt.delta == delta)
             point = chi_at_point(
                 ModelParams(
                     n_particles=int(n),
                     tunneling=tunneling,
                     lambda_control=crit.lambda_c,
-                    imbalance=opt.delta,
+                    imbalance=delta,
                 ),
                 temperature=temperature,
-                which=(m,),
+                which=which,
             )
-            chi[m][i] = point[m]
+            for m in which:
+                chi[m][i] = point[m]
     fits = {
         m: fit_power_law(n_values, chi[m] / n_values) for m in METHODS
     }

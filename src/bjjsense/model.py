@@ -14,11 +14,11 @@ symmetry-breaking quantum phase transition at lambda = -1 (attractive side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein, dstevd
 
 # Levels whose Boltzmann weight relative to the ground state falls below
 # this are left out of thermal states; the neglected weight is at most
@@ -28,6 +28,10 @@ REL_CUTOFF = 1e-12
 # An untilted ground state is rejected when E_1 - E_0 falls below this many
 # units of roundoff, eps * ||H|| (Gershgorin bound).
 GAP_ROUNDOFF = 1e3
+
+# A stack of states from ``equilibrium_states`` holds at most this many
+# eigenvector entries.
+STACK_ENTRIES = 2**17
 
 
 class EigensolverError(RuntimeError):
@@ -131,13 +135,11 @@ class ThermalState:
 
     ``weights[k]`` is the normalized Boltzmann weight of ``spectrum``'s k-th
     level.  At temperature zero only the ground state carries weight.
-    ``hamiltonian`` is the matrix the levels were solved from, when known.
     """
 
     spectrum: Spectrum
     weights: np.ndarray
     temperature: float
-    hamiltonian: TridiagonalHamiltonian | None = None
 
     @property
     def rank(self) -> int:
@@ -172,6 +174,35 @@ class DistributionOverM:
         return float(((self.m_values - mu) ** 2) @ self.probabilities)
 
 
+def _diagonals(
+    params: ModelParams, lambdas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of H at each of ``lambdas`` and their shared off-diagonal.
+
+    N, Omega and delta come from ``params``; its own lambda is not read.
+    Returns the (B, N+1) diagonals zeta * m**2 + delta * m and the (N,)
+    off-diagonal, which lambda does not change.  Raises ValueError when an
+    entry overflows.
+    """
+    n = params.n_particles
+    j = n / 2.0
+    m = np.arange(n + 1, dtype=float) - j
+    mm = m[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = lambdas * params.tunneling / n
+        diag = zeta[:, None] * m * m + params.imbalance * m
+        # J_x matrix element between m and m+1: sqrt(j(j+1) - m(m+1)) / 2
+        off = -0.5 * params.tunneling * np.sqrt(j * (j + 1.0) - mm * (mm + 1.0))
+    finite = np.isfinite(diag).all(axis=1) & np.isfinite(off).all()
+    if not finite.all():
+        lam = float(lambdas[np.argmin(finite)])
+        raise ValueError(
+            f"Hamiltonian entries overflow at N={n}, lambda={lam}, "
+            f"delta={params.imbalance}, Omega={params.tunneling}"
+        )
+    return diag, off
+
+
 def build_hamiltonian(params: ModelParams) -> TridiagonalHamiltonian:
     """Assemble the tridiagonal matrix for the given parameters.
 
@@ -183,58 +214,71 @@ def build_hamiltonian(params: ModelParams) -> TridiagonalHamiltonian:
     -------
     TridiagonalHamiltonian
         Diagonal and first off-diagonal of the real symmetric matrix.
+
+    Raises
+    ------
+    ValueError
+        If an entry overflows to inf (e.g. lambda = 1e308).
     """
-    n = params.n_particles
-    j = n / 2.0
-    m = np.arange(n + 1, dtype=float) - j
-    zeta = params.interaction
-    diag = zeta * m * m + params.imbalance * m
-    # J_x matrix element between m and m+1: sqrt(j(j+1) - m(m+1)) / 2
-    mm = m[:-1]
-    off = -0.5 * params.tunneling * np.sqrt(j * (j + 1.0) - mm * (mm + 1.0))
-    return TridiagonalHamiltonian(diagonal=diag, offdiagonal=off, params=params)
+    diag, off = _diagonals(params, np.array([params.lambda_control], dtype=float))
+    return TridiagonalHamiltonian(diagonal=diag[0], offdiagonal=off, params=params)
 
 
-def _select_sign(vectors: np.ndarray) -> np.ndarray:
-    """Fix each eigenvector's overall sign: largest-|amplitude| entry > 0."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+def _select_sign(rows: np.ndarray) -> np.ndarray:
+    """Fix each eigenvector's overall sign: largest-|amplitude| entry > 0.
+
+    Eigenvectors are the rows (last axis) of ``rows``, so a (B, k, N+1)
+    stack is fixed at once.
+    """
+    idx = np.argmax(np.abs(rows), axis=-1)[..., None]
+    signs = np.sign(np.take_along_axis(rows, idx, axis=-1))
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return rows * signs
 
 
 def _eigh(
-    hamiltonian: TridiagonalHamiltonian,
+    d: np.ndarray,
+    e: np.ndarray,
     vectors: bool,
     n_levels: int | None = None,
     window: tuple[float, float] | None = None,
 ):
     """The one call into the tridiagonal eigensolver.
 
-    Solves for the lowest ``n_levels`` levels (all if None) or, when
-    ``window`` = (lo, hi) is given, for the levels with lo < E <= hi.  The
-    full spectrum uses the implicit QL/QR algorithm, subsets use bisection
-    plus inverse iteration.  Returns the eigenvalues, or (eigenvalues,
-    eigenvectors) when ``vectors``.  A 1 x 1 matrix is its own eigenpair.
+    Solves the matrix with diagonal ``d`` and off-diagonal ``e`` for the
+    lowest ``n_levels`` levels (all if None) or, when ``window`` = (lo, hi)
+    is given, for the levels with lo < E <= hi.  Calls the LAPACK drivers
+    that ``scipy.linalg.eigh_tridiagonal`` picks, with its arguments: the
+    full spectrum by divide and conquer (``dstevd``), subsets by bisection
+    (``dstebz``) plus inverse iteration (``dstein``).  Returns the
+    eigenvalues, or (eigenvalues, eigenvectors) when ``vectors``.  A 1 x 1
+    matrix is its own eigenpair.
     """
-    d = hamiltonian.diagonal
     if d.size == 1:
         return (d.copy(), np.ones((1, 1))) if vectors else d.copy()
-    select, select_range = "a", None
-    if window is not None:
-        select, select_range = "v", window
-    elif n_levels is not None and n_levels != d.size:
-        select, select_range = "i", (0, n_levels - 1)
-    try:
-        return eigh_tridiagonal(
-            d, hamiltonian.offdiagonal, eigvals_only=not vectors,
-            select=select, select_range=select_range,
+    if window is None and n_levels in (None, d.size):
+        driver = "dstevd"
+        w, v, info = dstevd(d, e, compute_v=vectors)
+    else:
+        driver = "dstebz"
+        select, lo, hi, top = (
+            (2, 0.0, 1.0, n_levels) if window is None else (1, *window, 1)
         )
-    except np.linalg.LinAlgError as err:
+        count, w, block, split, info = dstebz(
+            d, e, select, lo, hi, 1, top, 0.0, "B" if vectors else "E"
+        )
+        w = w[:count]
+        if vectors and info == 0:
+            driver = "dstein"
+            v, info = dstein(d, e, w, block, split)
+            order = np.argsort(w)
+            w, v = w[order], v[:, order]
+    if info != 0:
         raise EigensolverError(
-            f"tridiagonal solver failed for dimension {d.size} "
-            f"(params={hamiltonian.params})"
-        ) from err
+            f"tridiagonal solver {driver} failed (info={info}) for dimension "
+            f"{d.size}"
+        )
+    return (w, v) if vectors else w
 
 
 def diagonalize(
@@ -248,8 +292,8 @@ def diagonalize(
     hamiltonian : TridiagonalHamiltonian
     n_levels : int, optional
         If given, compute only the lowest ``n_levels`` eigenpairs (bisection
-        plus inverse iteration).  Default: the full spectrum via the implicit
-        QL/QR algorithm.
+        plus inverse iteration).  Default: the full spectrum by divide and
+        conquer.
 
     Returns
     -------
@@ -260,8 +304,10 @@ def diagonalize(
     dim = hamiltonian.dimension
     if n_levels is not None and not 1 <= n_levels <= dim:
         raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
-    vals, vecs = _eigh(hamiltonian, True, n_levels)
-    return Spectrum(vals, _select_sign(vecs), hamiltonian.params)
+    vals, vecs = _eigh(
+        hamiltonian.diagonal, hamiltonian.offdiagonal, True, n_levels
+    )
+    return Spectrum(vals, _select_sign(vecs.T).T, hamiltonian.params)
 
 
 def eigenvalues_only(
@@ -269,7 +315,17 @@ def eigenvalues_only(
     n_levels: int | None = None,
 ) -> np.ndarray:
     """Lowest ``n_levels`` eigenvalues (all if None), no eigenvectors."""
-    return _eigh(hamiltonian, False, n_levels)
+    return _eigh(hamiltonian.diagonal, hamiltonian.offdiagonal, False, n_levels)
+
+
+def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
+    """Normalized Boltzmann weights over the last axis of ``energies``."""
+    if temperature == 0.0:
+        w = np.zeros_like(energies)
+        w[..., 0] = 1.0
+        return w
+    w = np.exp(-(energies - energies[..., :1]) / temperature)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def thermal_state(spectrum: Spectrum, temperature: float) -> ThermalState:
@@ -291,40 +347,127 @@ def thermal_state(spectrum: Spectrum, temperature: float) -> ThermalState:
     """
     if not temperature >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0.0:
-        w = np.zeros(spectrum.n_levels)
-        w[0] = 1.0
-        return ThermalState(spectrum, w, 0.0)
-    shifted = spectrum.eigenvalues - spectrum.eigenvalues[0]
-    w = np.exp(-shifted / temperature)
-    return ThermalState(spectrum, w / w.sum(), float(temperature))
+    weights = _boltzmann(spectrum.eigenvalues, temperature)
+    return ThermalState(spectrum, weights, float(temperature))
 
 
-def _gershgorin(h: TridiagonalHamiltonian, diagonal: np.ndarray) -> float:
+def _gershgorin(diagonal: np.ndarray, offdiagonal: np.ndarray) -> float:
     """max_i (diagonal_i + |e_(i-1)| + |e_i|) over the rows of H."""
-    off = np.abs(h.offdiagonal)
+    off = np.abs(offdiagonal)
     return float(np.max(diagonal + np.append(off, 0.0) + np.append(0.0, off)))
+
+
+@dataclass(frozen=True)
+class StateStack:
+    """Gibbs states of H(lambda) at B points sharing N, Omega and delta.
+
+    Every point holds the same number k of occupied levels: ``diagonal``
+    (B, N+1) and the shared ``offdiagonal`` (N,) are the matrices,
+    ``energies`` (B, k) their occupied eigenvalues, ascending, ``vectors``
+    (B, k, N+1) the eigenvectors as rows, signs fixed as in
+    ``diagonalize``, and ``weights`` (B, k) the Boltzmann weights.
+    """
+
+    diagonal: np.ndarray
+    offdiagonal: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.energies.shape[0]
+
+
+def _occupied_levels(
+    d: np.ndarray, off: np.ndarray, params: ModelParams, lam: float,
+    temperature: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied eigenpairs of one matrix; see ``equilibrium_states``."""
+    if temperature == 0.0:
+        if params.imbalance == 0.0:
+            e0, e1 = _eigh(d, off, False, n_levels=2)
+            roundoff = np.finfo(float).eps * _gershgorin(np.abs(d), off)
+            bound = GAP_ROUNDOFF * roundoff
+            if e1 - e0 < bound:
+                raise ValueError(
+                    f"untilted ground state unresolved at N={params.n_particles}, "
+                    f"lambda={lam}: E1 - E0 = {e1 - e0:.3g} is "
+                    f"below the roundoff bound {bound:.3g}; give the junction a "
+                    f"nonzero imbalance"
+                )
+        return _eigh(d, off, True, n_levels=1)
+    e0 = float(_eigh(d, off, False, n_levels=1)[0])
+    top = e0 + temperature * np.log(1.0 / REL_CUTOFF)
+    window = None if top > _gershgorin(d, off) else (e0 - 1.0, top)
+    return _eigh(d, off, True, window=window)
+
+
+def equilibrium_states(params: ModelParams, lambdas, temperature: float):
+    """Gibbs states on the thermally occupied levels, at each of ``lambdas``.
+
+    The one state builder.  N, Omega and delta come from ``params``; one
+    array expression builds the diagonals of every point.  Yields
+    (start, StateStack) for runs of consecutive points that hold the same
+    number of occupied levels, so a run at T = 0 is the whole grid; a run
+    holds at most STACK_ENTRIES eigenvector entries (1 MB), which bounds
+    the memory of a thermal scan at large N.
+
+    Per point: T = 0 is the ground state alone.  Without a tilt
+    (imbalance 0) the ground state has a mirror partner, and deep in the
+    broken phase their splitting E_1 - E_0 falls below roundoff: the
+    computed ground state is then an arbitrary mix of the two wells and
+    every chi is noise.  So at T = 0 and imbalance 0 the two lowest
+    eigenvalues are computed first, and a splitting below
+    GAP_ROUNDOFF * eps * ||H|| = 1e3 eps ||H|| (eps the double-precision
+    machine epsilon, ||H|| the Gershgorin bound on |E|) raises ValueError:
+    below it the eigenvector error, about eps ||H|| / (E_1 - E_0), exceeds
+    1e-3.  A tilted point takes no extra solve.  At T > 0 the ground
+    energy E_0 comes first, then one bisection call returns the eigenpairs
+    with E - E_0 <= T ln(1 / REL_CUTOFF), i.e. every level whose relative
+    Boltzmann weight is at least REL_CUTOFF.  When that bound lies above
+    the Gershgorin upper bound of H, every level is occupied and one full
+    solve replaces the bisection.  The weight left out is at most
+    dimension * REL_CUTOFF.
+    """
+    if not temperature >= 0:
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    lambdas = np.asarray(lambdas, dtype=float)
+    diag, off = _diagonals(params, lambdas)
+    start, levels = 0, []
+
+    def stack(stop: int) -> StateStack:
+        energies = np.array([vals for vals, _ in levels])
+        vectors = _select_sign(np.array([vecs.T for _, vecs in levels]))
+        return StateStack(
+            diag[start:stop], off, energies, vectors,
+            _boltzmann(energies, temperature),
+        )
+
+    for b, lam in enumerate(lambdas):
+        try:
+            vals, vecs = _occupied_levels(diag[b], off, params, lam, temperature)
+        except EigensolverError as err:
+            raise EigensolverError(
+                f"{err} at N={params.n_particles}, lambda={lam}, "
+                f"delta={params.imbalance}"
+            ) from err
+        if levels and (
+            vals.size != levels[0][0].size
+            or (len(levels) + 1) * vecs.size > STACK_ENTRIES
+        ):
+            yield start, stack(b)
+            start, levels = b, []
+        levels.append((vals, vecs))
+    if levels:
+        yield start, stack(lambdas.size)
 
 
 def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
     """Gibbs state on the thermally occupied levels only.
 
-    T = 0 is the ground state alone.  Without a tilt (imbalance 0) the
-    ground state has a mirror partner, and deep in the broken phase their
-    splitting E_1 - E_0 falls below roundoff: the computed ground state is
-    then an arbitrary mix of the two wells and every chi is noise.  So at
-    T = 0 and imbalance 0 the two lowest eigenvalues are computed first, and
-    a splitting below GAP_ROUNDOFF * eps * ||H|| = 1e3 eps ||H|| (eps the
-    double-precision machine epsilon, ||H|| the Gershgorin bound on |E|)
-    raises ValueError: below it the eigenvector error, about
-    eps ||H|| / (E_1 - E_0), exceeds 1e-3.  A tilted point takes no extra
-    solve.  At T > 0 the ground energy E_0 comes
-    first, then one bisection call returns the eigenpairs with
-    E - E_0 <= T ln(1 / REL_CUTOFF), i.e. every level whose relative
-    Boltzmann weight is at least REL_CUTOFF.  When that bound lies above the
-    Gershgorin upper bound of H, every level is occupied and one full QL/QR
-    solve replaces the bisection.  The weight left out is at most
-    dimension * REL_CUTOFF.
+    The one-point case of ``equilibrium_states``, which documents the
+    protocol.
 
     Parameters
     ----------
@@ -335,32 +478,10 @@ def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
     Returns
     -------
     ThermalState
-        Carries the Hamiltonian it was solved from.
     """
-    if not temperature >= 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    h = build_hamiltonian(params)
-    if temperature == 0.0:
-        if params.imbalance == 0.0:
-            e0, e1 = eigenvalues_only(h, n_levels=2)
-            roundoff = np.finfo(float).eps * _gershgorin(h, np.abs(h.diagonal))
-            bound = GAP_ROUNDOFF * roundoff
-            if e1 - e0 < bound:
-                raise ValueError(
-                    f"untilted ground state unresolved at N={params.n_particles}, "
-                    f"lambda={params.lambda_control}: E1 - E0 = {e1 - e0:.3g} is "
-                    f"below the roundoff bound {bound:.3g}; give the junction a "
-                    f"nonzero imbalance"
-                )
-        spectrum = diagonalize(h, n_levels=1)
-    else:
-        e0 = float(eigenvalues_only(h, n_levels=1)[0])
-        top = e0 + temperature * np.log(1.0 / REL_CUTOFF)
-        gershgorin = _gershgorin(h, h.diagonal)
-        window = None if top > gershgorin else (e0 - 1.0, top)
-        vals, vecs = _eigh(h, True, window=window)
-        spectrum = Spectrum(vals, _select_sign(vecs), params)
-    return replace(thermal_state(spectrum, temperature), hamiltonian=h)
+    ((_, s),) = equilibrium_states(params, [params.lambda_control], temperature)
+    spectrum = Spectrum(s.energies[0], s.vectors[0].T, params)
+    return ThermalState(spectrum, s.weights[0], float(temperature))
 
 
 def jz_distribution(state: ThermalState) -> DistributionOverM:

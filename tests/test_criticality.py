@@ -26,7 +26,7 @@ from bjjsense.criticality import (
     scan_lambda,
     temperature_sweep,
 )
-from bjjsense.model import ModelParams
+from bjjsense.model import ModelParams, equilibrium_state
 
 
 def _config(**overrides):
@@ -142,6 +142,34 @@ def test_chi_at_point_matches_scan_fidelity_routes():
     assert_allclose(point["quantum"], curve.chi_q[1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_stacked_scan_matches_pointwise_chi(temperature):
+    # At T = 0.5 the occupied rank falls from 20 to 16 along this window,
+    # so the scan runs as several stacks.
+    params = ModelParams(n_particles=40, imbalance=2e-3)
+    grid = -1.6 + 0.05 * np.arange(25)
+    ranks = {
+        equilibrium_state(
+            dataclasses.replace(params, lambda_control=lam), temperature
+        ).rank
+        for lam in grid
+    }
+    assert len(ranks) == (1 if temperature == 0.0 else 5)
+    curve = scan_lambda(ScanConfig(params, grid, temperature))
+    for i, lam in enumerate(grid):
+        point = chi_at_point(
+            dataclasses.replace(params, lambda_control=lam), temperature
+        )
+        for method in METHODS:
+            assert_allclose(curve.chi(method)[i], point[method], rtol=1e-12)
+
+
+def test_untilted_stack_rejects_unresolved_splitting():
+    config = ScanConfig(ModelParams(n_particles=80), np.array([-2.0, -1.6, -1.2]))
+    with pytest.raises(ValueError, match=r"N=80, lambda=-2.0: E1 - E0 = 0 "):
+        scan_lambda(config)
+
+
 def test_chi_at_point_matches_dense_oracle():
     # the dense oracle differentiates by finite differences, so it is
     # compared with the finite-difference reference at the same displacement
@@ -220,14 +248,15 @@ def test_untilted_ground_state_above_roundoff_keeps_mirror_symmetry():
 def test_splitting_check_costs_tilted_points_no_solve(monkeypatch):
     import bjjsense.model as model
 
-    real = model.eigenvalues_only
+    real = model._eigh
     calls = []
 
-    def counting(hamiltonian, n_levels=None):
-        calls.append(n_levels)
-        return real(hamiltonian, n_levels)
+    def counting(d, e, vectors, n_levels=None, window=None):
+        if not vectors:
+            calls.append(n_levels)
+        return real(d, e, vectors, n_levels, window)
 
-    monkeypatch.setattr(model, "eigenvalues_only", counting)
+    monkeypatch.setattr(model, "_eigh", counting)
     chi_at_point(ModelParams(40, lambda_control=-2.0, imbalance=1e-3))
     assert calls == []
     chi_at_point(ModelParams(40, lambda_control=-2.0))
@@ -235,19 +264,33 @@ def test_splitting_check_costs_tilted_points_no_solve(monkeypatch):
 
 
 def test_scan_solves_one_equilibrium_state_per_point(monkeypatch):
-    real = criticality.equilibrium_state
+    # The stacked scan makes exactly the eigensolver calls of one
+    # equilibrium_state per grid point, in grid order.
+    import bjjsense.model as model
+
+    real = model._eigh
     calls = []
 
-    def counting(params, temperature):
-        calls.append(params.lambda_control)
-        return real(params, temperature)
+    def recording(d, e, vectors, n_levels=None, window=None):
+        calls.append((d.tobytes(), vectors, n_levels, window))
+        return real(d, e, vectors, n_levels, window)
 
-    monkeypatch.setattr(criticality, "equilibrium_state", counting)
+    monkeypatch.setattr(model, "_eigh", recording)
     for temperature in (0.0, 0.5):
-        calls.clear()
         config = _config(temperature=temperature)
+        calls.clear()
         scan_lambda(config)
-        assert calls == list(config.lambda_grid)
+        scanned = list(calls)
+        calls.clear()
+        for lam in config.lambda_grid:
+            model.equilibrium_state(
+                dataclasses.replace(config.params_template, lambda_control=lam),
+                temperature,
+            )
+        assert scanned == calls
+        assert len(scanned) == (1 if temperature == 0.0 else 2) * len(
+            config.lambda_grid
+        )
 
 
 def test_quantum_chi_paramagnetic_formula():
@@ -298,6 +341,12 @@ def test_critical_point_approaches_bulk_monotonically():
 def test_locate_critical_gap_needs_interior_minimum():
     with pytest.raises(ValueError):
         locate_critical_gap(200, lambda_bracket=(-0.7, -0.4))
+
+
+@pytest.mark.parametrize("levels", [(1, 1), (0, 11), (-1, 2)])
+def test_locate_critical_gap_rejects_bad_levels(levels):
+    with pytest.raises(ValueError, match="levels"):
+        locate_critical_gap(10, levels=levels)
 
 
 def test_default_delta_grid_stays_positive():

@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 
 from dense_oracle import dense_hamiltonian, jacobi_eigh
 
+import bjjsense.model as model
 from bjjsense.model import (
     ModelParams,
     Spectrum,
@@ -63,6 +66,61 @@ def test_build_matches_dense_ladder_construction():
         assert_allclose(np.diag(dense, 1), h.offdiagonal, atol=1e-14)
         # nothing beyond the first off-diagonal
         assert np.all(np.triu(dense, 2) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "overflow",
+    [{"lambda_control": 1e308}, {"imbalance": 1e307}, {"tunneling": 1e308}],
+)
+def test_build_rejects_overflowing_entries(overflow):
+    params = ModelParams(n_particles=100, **overflow)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow") as err:
+            build_hamiltonian(params)
+        with pytest.raises(ValueError, match="overflow"):
+            equilibrium_state(params, 0.5)
+    message = str(err.value)
+    for name in ("N=100", f"lambda={params.lambda_control}",
+                 f"delta={params.imbalance}", f"Omega={params.tunneling}"):
+        assert name in message
+
+
+def _solver_cases():
+    rng = np.random.default_rng(41)
+    for n in (2, 100, 301, 1000):
+        params = ModelParams(
+            n_particles=n,
+            lambda_control=float(rng.uniform(-2.0, 0.0)),
+            imbalance=float(rng.uniform(0.0, 1e-2)),
+        )
+        h = build_hamiltonian(params)
+        yield h.diagonal, h.offdiagonal
+
+
+def test_eigh_is_bit_identical_to_scipy_eigh_tridiagonal():
+    # _eigh calls the LAPACK drivers eigh_tridiagonal picks; scipy's
+    # wrapper stays here as the reference, for every select the package
+    # uses, with and without eigenvectors.
+    for d, e in _solver_cases():
+        n_levels = min(3, d.size - 1)
+        vals = eigh_tridiagonal(d, e, eigvals_only=True)
+        window = (vals[0] - 1.0, float(vals[n_levels]))
+        cases = (
+            ({}, {}),
+            ({"n_levels": n_levels},
+             {"select": "i", "select_range": (0, n_levels - 1)}),
+            ({"window": window}, {"select": "v", "select_range": window}),
+        )
+        for ours, theirs in cases:
+            for vectors in (False, True):
+                got = model._eigh(d, e, vectors, **ours)
+                want = eigh_tridiagonal(d, e, eigvals_only=not vectors, **theirs)
+                if not vectors:
+                    got, want = (got,), (want,)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape
+                    assert np.array_equal(a, b)
 
 
 def test_diagonalize_one_by_one():
