@@ -18,11 +18,11 @@ the occupied levels.  A scan's whole window is one stack of points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brentq, minimize_scalar
 
 from .model import (
     EigensolverError,
@@ -401,6 +401,130 @@ def temperature_sweep(
 
 
 # ---------------------------------------------------------------------------
+# scalar searches
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method.
+
+    A line-for-line port of ``scipy.optimize.brentq`` at its default
+    relative tolerance 4 eps and 100 iterations (the C routine
+    ``Zeros/brentq.c`` and its wrapper's NaN check), so it evaluates the
+    same abscissae and returns the same root bit for bit.  A function value
+    that is not a real number raises TypeError, NaN raises ValueError, as
+    do ends of equal sign; no convergence in 100 iterations raises
+    RuntimeError.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return float(fx)
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
+def _golden(f, bracket: tuple[float, float, float], xtol: float):
+    """Minimum of ``f`` by golden-section search from a three-point bracket.
+
+    A line-for-line port of scipy's ``_minimize_scalar_golden`` (the method
+    ``minimize_scalar(method="golden")`` runs), so it evaluates the same
+    abscissae and returns the same (x, f(x)) bit for bit.  The bracket
+    (xa, xb, xc) must have xb strictly between the others and f(xb) below
+    both ends, else ValueError.
+    """
+    xa, xb, xc = bracket
+    if xa > xc:
+        xc, xa = xa, xc
+    if not (xa < xb and xb < xc):
+        raise ValueError(
+            "Bracketing values (xa, xb, xc) do not fulfill this requirement: "
+            "(xa < xb) and (xb < xc)"
+        )
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError(
+            "Bracketing values (xa, xb, xc) do not fulfill this requirement: "
+            "(f(xb) < f(xa)) and (f(xb) < f(xc))"
+        )
+    g_r = 0.61803399  # golden ratio conjugate, as scipy rounds it
+    g_c = 1.0 - g_r
+    x3, x0 = xc, xa
+    if abs(xc - xb) > abs(xb - xa):
+        x1 = xb
+        x2 = xb + g_c * (xc - xb)
+    else:
+        x2 = xb
+        x1 = xb - g_c * (xb - xa)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = g_r * x1 + g_c * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = g_r * x2 + g_c * x0
+            f2, f1 = f1, f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
+# ---------------------------------------------------------------------------
 # critical point
 
 
@@ -452,17 +576,11 @@ def locate_critical_gap(
             f"gap minimum at bracket edge lambda={grid[i]:.6g}; widen "
             f"lambda_bracket={lambda_bracket}"
         )
-    res = minimize_scalar(
-        gap,
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden",
-        options={"xtol": 1e-8},
-    )
-    lam_c = float(res.x)
+    lam_c, gap_c = _golden(gap, (grid[i - 1], grid[i], grid[i + 1]), 1e-8)
     return CriticalPointResult(
         n_particles=n_particles,
-        lambda_c=lam_c,
-        gap=float(res.fun),
+        lambda_c=float(lam_c),
+        gap=float(gap_c),
         levels=(lower, upper),
     )
 
@@ -536,7 +654,7 @@ def _optimize_deltas(
     The window scan at every tilt of the grid computes all ``methods``
     together; the bracket and the root find then run per method.  Peak
     offsets are kept per (delta, method), so no window is scanned twice
-    for one method: ``brentq`` returns a tilt it has already evaluated,
+    for one method: ``_brentq`` returns a tilt it has already evaluated,
     and its bracket ends are often grid tilts.  At T = 0 the ground state
     is real with positive amplitudes, so chi_Q equals chi_cl and the
     quantum tilt is the classical one: when both are asked for, only the
@@ -591,11 +709,11 @@ def _optimize_deltas(
                 bracket = (d1, d2)
                 break
         if bracket is not None:
-            log_star = brentq(
+            log_star = _brentq(
                 lambda u: offsets(float(np.exp(u)), (method,))[method],
                 np.log(bracket[0]),
                 np.log(bracket[1]),
-                xtol=1e-3,
+                1e-3,
             )
             cand = float(np.exp(log_star))
             cand_off = offsets(cand, (method,))[method]

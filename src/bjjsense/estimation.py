@@ -12,7 +12,9 @@ Bohr radius a_0).  The analysis chain is:
    1 - F = (chi/8) eps^2 fitted through both neighbors in closed form,
 4. error bars by parametric bootstrap: redraw every histogram from its
    fitted mixture, rerun the chain, and fit a Gaussian (optionally on an
-   exponential background) to the replica histogram of each estimate.
+   exponential background) to the replica histogram of each estimate,
+   all grid points of a bootstrap in one bounded batch
+   (``_fit_gaussians``).
 
 Steps 2-3 live in one private chain, ``_estimates``, which takes a stack of
 histogram series and computes only the estimates asked for;
@@ -22,19 +24,19 @@ Levenberg-Marquardt fitter, ``_fit_mixtures``: both starts of every
 histogram are lanes of one array, each lane damped, accepted and stopped on
 its own (when its step falls below 1e-14 of its parameters, or after 2,000
 steps), so a fit is the same bit for bit alone or among thousands.  The
+replica-value fits run on the same loop, with per-lane bounds.  The
 bootstrap never draws a sample: a replica of a record is a multinomial
 draw of its bin counts from the exact bin masses of the fitted mixture.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import ndtr
 
 from .fidelity import _overlaps
 
@@ -174,7 +176,7 @@ class GaussianBackgroundFit:
     """Gaussian peak, optionally on an exponential background.
 
     Fitted to a replica histogram in density normalization; the background
-    amplitude is clamped to at most 1.
+    amplitude is bounded to [0, 1].
     """
 
     center: float
@@ -330,8 +332,54 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _levenberg_marquardt(p: np.ndarray, h: np.ndarray, z: np.ndarray, w: float):
+def _solve_fixed(
+    a: np.ndarray, b: np.ndarray, fixed: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``_solve`` with the coordinates ``fixed`` held at ``values``.
+
+    In lanes that fix a coordinate, its row and column of ``a`` become the
+    identity's and the free rows of ``b`` lose its column times its value,
+    so the free coordinates solve the reduced system.  Lanes that fix
+    nothing are solved as they stand.
+    """
+    lanes = np.any(fixed, axis=1)
+    if lanes.any():
+        a, b = a.copy(), b.copy()
+        f, v, a_f = fixed[lanes], values[lanes], a[lanes]
+        b[lanes] = np.where(f, v, b[lanes] - np.sum(a_f * v[:, None, :], axis=2))
+        a[lanes] = np.where(f[:, :, None] | f[:, None, :], np.eye(a.shape[-1]), a_f)
+    return np.where(fixed, values, _solve(a, b))
+
+
+def _box_step(damped, g, p, lower, upper):
+    """The damped step of lanes at ``p`` within [lower, upper].
+
+    Coordinates on a bound whose descent direction -g points out of the box
+    are held (step 0).  Where the step leaves the box, the coordinates it
+    takes out go onto their bounds, the free ones are solved again with
+    them fixed, and the result is projected into the box.  Returns the
+    step, the trial point and the lanes whose step was solved again.
+    """
+    held = ((p <= lower) & (g > 0)) | ((p >= upper) & (g < 0))
+    step = _solve_fixed(damped, -g, held, np.zeros_like(p))
+    trial = p + step
+    out = (trial < lower) | (trial > upper)
+    bent = np.any(out, axis=1)
+    if bent.any():
+        to_bound = np.where(out, np.clip(trial, lower, upper) - p, 0.0)[bent]
+        resolved = _solve_fixed(damped[bent], -g[bent], (held | out)[bent], to_bound)
+        trial[bent] = np.clip(p[bent] + resolved, lower[bent], upper[bent])
+        step[bent] = trial[bent] - p[bent]
+    return step, trial, bent
+
+
+def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower=None, upper=None):
     """Minimize the squared residual of every lane from the start ``p``.
+
+    ``residuals(q, lanes)`` returns the residual rows of the parameter rows
+    ``q`` of the batch lanes ``lanes`` (an index array), and the terms, a
+    list of (lanes, points) arrays, from which ``jacobian(q, terms)`` builds
+    their (lanes, parameters, points) Jacobian.
 
     Marquardt's damped normal equations (J^T J + mu D) step = -J^T r, D the
     running maximum of diag(J^T J), with Nielsen's update of mu.  A step is
@@ -339,43 +387,62 @@ def _levenberg_marquardt(p: np.ndarray, h: np.ndarray, z: np.ndarray, w: float):
     accepted or not, is below _XTOL relative to the parameters (at the
     optimum the Gauss-Newton step shrinks to roundoff), when the step is not
     finite, or after _MAX_ITER steps.  Stopped lanes leave the active set.
-    Returns the parameters and the cost 0.5 |r|^2 of every lane.
+
+    ``lower`` and ``upper`` are per-lane bounds (lanes, parameters), by
+    default none; the start must lie within them.  Bounded steps come from
+    ``_box_step``, and a step it had to solve again is judged against the
+    Gauss-Newton model's predicted decrease.  Lanes whose step stays inside
+    the box are computed as without bounds, bit for bit.
+
+    Returns the parameters, the cost 0.5 |r|^2 and whether the lane stopped
+    on its step size, per lane.
     """
     p = p.copy()
-    r, gauss = _residuals(p, h, z, w)
+    r, terms = residuals(p, np.arange(len(p)))
     cost = 0.5 * np.sum(r * r, axis=1)
-    a, g = _normal_equations(_jacobian(p, w, gauss), r)
+    a, g = _normal_equations(jacobian(p, terms), r)
     scale = np.maximum(np.diagonal(a, axis1=1, axis2=2), _TINY)
     mu = np.full(len(p), _MU0)
     nu = np.full(len(p), 2.0)
+    converged = np.zeros(len(p), dtype=bool)
     active = np.arange(len(p))
-    diag = np.arange(4)
+    diag = np.arange(p.shape[1])
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITER):
             if not active.size:
                 break
+            p_act, g_act = p[active], g[active]
             damped = a[active]
             damped[:, diag, diag] += mu[active, None] * scale[active]
-            g_act = g[active]
-            step = _solve(damped, -g_act)
-            trial = p[active] + step
-            r_t, gauss_t = _residuals(trial, h[active], z, w)
+            if lower is None:
+                step = _solve(damped, -g_act)
+                trial, bent = p_act + step, None
+            else:
+                step, trial, bent = _box_step(
+                    damped, g_act, p_act, lower[active], upper[active]
+                )
+            r_t, terms_t = residuals(trial, active)
             cost_t = 0.5 * np.sum(r_t * r_t, axis=1)
             better = cost_t < cost[active]
             predicted = 0.5 * np.sum(
                 step * (mu[active, None] * scale[active] * step - g_act), axis=1
             )
+            if bent is not None and bent.any():
+                s_b = step[bent]
+                a_s = np.sum(a[active[bent]] * s_b[:, None, :], axis=2)
+                predicted[bent] = -np.sum(s_b * (g_act[bent] + 0.5 * a_s), axis=1)
             rho = (cost[active] - cost_t) / predicted
-            stop = ~np.all(np.isfinite(step), axis=1) | (
+            small = (
                 np.sqrt(np.sum(step * step, axis=1))
-                <= _XTOL * (np.sqrt(np.sum(p[active] ** 2, axis=1)) + _XTOL)
+                <= _XTOL * (np.sqrt(np.sum(p_act ** 2, axis=1)) + _XTOL)
             )
+            stop = ~np.all(np.isfinite(step), axis=1) | small
 
             up = active[better]
             p[up] = trial[better]
             cost[up] = cost_t[better]
             a[up], g[up] = _normal_equations(
-                _jacobian(trial[better], w, [x[better] for x in gauss_t]),
+                jacobian(trial[better], [x[better] for x in terms_t]),
                 r_t[better],
             )
             scale[up] = np.maximum(scale[up], np.diagonal(a[up], axis1=1, axis2=2))
@@ -384,8 +451,9 @@ def _levenberg_marquardt(p: np.ndarray, h: np.ndarray, z: np.ndarray, w: float):
             down = active[~better]
             mu[down] *= nu[down]
             nu[down] *= 2.0
+            converged[active[small]] = True
             active = active[~stop]
-    return p, cost
+    return p, cost, converged
 
 
 def _fit_mixtures(probabilities: np.ndarray, spec: HistogramSpec) -> dict:
@@ -436,9 +504,11 @@ def _fit_mixtures(probabilities: np.ndarray, spec: HistogramSpec) -> dict:
     p = np.empty_like(starts)
     cost = np.empty(len(starts))
     for lo in range(0, len(starts), _BLOCK):
-        hi = lo + _BLOCK
-        p[lo:hi], cost[lo:hi] = _levenberg_marquardt(
-            starts[lo:hi], lanes_h[lo:hi], z, w
+        block = lanes_h[lo : lo + _BLOCK]
+        p[lo : lo + _BLOCK], cost[lo : lo + _BLOCK], _ = _levenberg_marquardt(
+            starts[lo : lo + _BLOCK],
+            lambda q, lanes: _residuals(q, block[lanes], z, w),
+            lambda q, gauss: _jacobian(q, w, gauss),
         )
     cost = np.where(np.isnan(cost), np.inf, cost).reshape(-1, 2)
     second = (cost[:, 1] < cost[:, 0]).astype(int)
@@ -682,6 +752,14 @@ def _valid_series(fits: dict | None, n_series: int) -> np.ndarray:
     return np.all(_valid_fits(fits), axis=1)
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise."""
+    return 0.5 * _ERFC(-x / math.sqrt(2.0)).astype(float)
+
+
 def _bin_masses(fits: dict, spec: HistogramSpec) -> np.ndarray:
     """Exact bin probabilities of each fit's clipped mixture, (fits, bins).
 
@@ -695,8 +773,8 @@ def _bin_masses(fits: dict, spec: HistogramSpec) -> np.ndarray:
     zbar, sigma = fits["separation"][:, None], fits["width"][:, None]
     ap, am = fits["amplitude_plus"][:, None], fits["amplitude_minus"][:, None]
     p_plus = ap / (ap + am)
-    plus = np.diff(ndtr((edges - zbar) / sigma))
-    minus = np.diff(ndtr((edges + zbar) / sigma))
+    plus = np.diff(_normal_cdf((edges - zbar) / sigma))
+    minus = np.diff(_normal_cdf((edges + zbar) / sigma))
     return p_plus * plus + (1.0 - p_plus) * minus
 
 
@@ -730,7 +808,8 @@ def bootstrap(
 
     Per grid point the replica values go into a 100-bin histogram fitted
     with a Gaussian (chi_cl) or a Gaussian on an exponential background
-    anchored at chi = 0 (chi_mom); the fit's center and width are the
+    anchored at chi = 0 (chi_mom), the histograms of all grid points in
+    one batch (``_fit_gaussians``); the fit's center and width are the
     reported value and error bar.
 
     Parameters
@@ -812,24 +891,20 @@ def bootstrap(
             f"{n_failures} of {n_replicas} bootstrap replicas failed "
             f"(> 10%); aborting"
         )
-    centers = np.full(n_points, np.nan)
-    widths = np.full(n_points, np.nan)
-    fits: list[GaussianBackgroundFit | None] = []
-    replica_cols = []
-    for i in range(n_points):
-        col = values[:, i]
-        col = col[np.isfinite(col)]
-        replica_cols.append(col)
-        if col.size < 2:
-            fits.append(None)
-            continue
-        hist_counts, edges = np.histogram(col, bins=_REPLICA_BINS)
-        fit = fit_gaussian_with_background(
-            hist_counts, edges, background_kind
+    replica_cols = [values[np.isfinite(values[:, i]), i] for i in range(n_points)]
+    fitted = [i for i, col in enumerate(replica_cols) if col.size >= 2]
+    fits: list[GaussianBackgroundFit | None] = [None] * n_points
+    if fitted:
+        hists = [np.histogram(replica_cols[i], bins=_REPLICA_BINS) for i in fitted]
+        batch = _fit_gaussians(
+            np.array([h[0] for h in hists], dtype=float),
+            np.array([h[1] for h in hists]),
+            background_kind,
         )
-        fits.append(fit)
-        centers[i] = fit.center
-        widths[i] = fit.width
+        for i, fit in zip(fitted, batch):
+            fits[i] = fit
+    centers = np.array([np.nan if f is None else f.center for f in fits])
+    widths = np.array([np.nan if f is None else f.width for f in fits])
     return BootstrapResult(
         estimator=estimator,
         scattering_lengths=a,
@@ -855,7 +930,8 @@ def fit_gaussian_with_background(
         A exp(-(x - c)^2 / 2 w^2) + B exp(-x / tau)
 
     with the background term present only for ``background_kind =
-    "exponential"``; B is constrained to [0, 1].
+    "exponential"``; B is constrained to [0, 1].  This is the batched
+    fitter ``_fit_gaussians`` on a batch of one.
 
     Parameters
     ----------
@@ -873,67 +949,101 @@ def fit_gaussian_with_background(
     """
     counts = np.asarray(counts, dtype=float)
     edges = np.asarray(edges, dtype=float)
-    if counts.size == 0 or counts.size != edges.size - 1:
+    if counts.size == 0 or counts.ndim != 1 or counts.size != edges.size - 1:
         raise ValueError(
             f"bad histogram: {counts.size} counts, {edges.size} edges"
         )
     if background_kind not in ("none", "exponential"):
         raise ValueError(f"unknown background_kind {background_kind!r}")
-    total = counts.sum()
-    if total <= 0:
+    if counts.sum() <= 0:
         raise ValueError("histogram has no mass")
-    x = 0.5 * (edges[:-1] + edges[1:])
-    bin_w = float(np.mean(np.diff(edges)))
-    y = counts / (total * bin_w)
-    span = float(edges[-1] - edges[0])
-    mean = float(x @ counts / total)
-    var = float(((x - mean) ** 2) @ counts / total)
-    std = max(np.sqrt(var), 0.25 * bin_w)
+    return _fit_gaussians(counts[None], edges[None], background_kind)[0]
 
-    if background_kind == "none":
-        p0 = np.array([mean, std, float(y.max())])
-        lo = [edges[0] - span, 0.1 * bin_w, 0.0]
-        hi = [edges[-1] + span, 10.0 * span, np.inf]
 
-        def model(p):
-            c, w0, amp = p
-            return amp * np.exp(-0.5 * ((x - c) / w0) ** 2)
+def _gaussian_residuals(q: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """A g + B e minus ``y`` per lane, g = exp(-u^2 / 2), u = (x - c) / w,
+    e = exp(-x / tau); the background terms only for 5-parameter lanes."""
+    u = (x - q[:, :1]) / q[:, 1:2]
+    g = np.exp(-0.5 * u * u)
+    model = q[:, 2:3] * g
+    terms = [x, u, g]
+    if q.shape[1] == 5:
+        e = np.exp(-x / q[:, 4:5])
+        model = model + q[:, 3:4] * e
+        terms.append(e)
+    return model - y, terms
 
-    else:
-        tail = max(float(y[int(0.7 * y.size):].mean()), 0.0)
-        p0 = np.array(
-            [mean, std, max(float(y.max()) - tail, 1e-3), min(tail + 1e-3, 1.0),
-             max(span / 3.0, bin_w)]
-        )
-        lo = [edges[0] - span, 0.1 * bin_w, 0.0, 0.0, 0.1 * bin_w]
-        hi = [edges[-1] + span, 10.0 * span, np.inf, 1.0, np.inf]
 
-        def model(p):
-            c, w0, amp, bg, tau = p
-            return amp * np.exp(-0.5 * ((x - c) / w0) ** 2) + bg * np.exp(-x / tau)
+def _gaussian_jacobian(q: np.ndarray, terms) -> np.ndarray:
+    """(lanes, parameters, bins) derivatives in (c, w, A[, B, tau])."""
+    x, u, g, *background = terms
+    d_c = q[:, 2:3] * g * u / q[:, 1:2]
+    columns = [d_c, d_c * u, g]
+    if background:
+        e, tau = background[0], q[:, 4:5]
+        columns += [e, q[:, 3:4] * e * x / (tau * tau)]
+    return np.stack(columns, axis=1)
 
-    try:
-        res = least_squares(
-            lambda p: model(p) - y, p0, bounds=(lo, hi), method="trf",
-            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=5000,
-        )
-        ok = bool(res.success and np.all(np.isfinite(res.x)))
-        p = res.x
-    except Exception:
-        ok = False
-        p = p0
-    width = abs(float(p[1]))
-    degenerate = width <= 0.11 * bin_w or width >= 9.9 * span
-    if background_kind == "none":
-        bg_amp, bg_scale = 0.0, float("inf")
-    else:
-        bg_amp, bg_scale = float(min(p[3], 1.0)), float(p[4])
-    return GaussianBackgroundFit(
-        center=float(p[0]),
-        width=width,
-        amplitude=float(p[2]),
-        background_amplitude=bg_amp,
-        background_scale=bg_scale,
-        background_kind=background_kind,
-        converged=bool(ok and not degenerate),
+
+def _fit_gaussians(
+    counts: np.ndarray, edges: np.ndarray, background_kind: str
+) -> list[GaussianBackgroundFit]:
+    """``fit_gaussian_with_background`` of a stack of histograms, one batch.
+
+    ``counts`` is (histograms, bins), every row with positive mass, and
+    ``edges`` (histograms, bins + 1).  Each histogram is one lane of the
+    bounded ``_levenberg_marquardt`` with the analytic Jacobian, within
+    c in [first edge - range, last edge + range], w in [0.1 bin, 10 ranges],
+    A >= 0 and, with the background, B in [0, 1] and tau >= 0.1 bin.  The
+    start puts c at the mean, w at the standard deviation (at least a
+    quarter bin) and A at the peak density; with the background, A less
+    the mean density t of the top 30% of bins (at least 1e-3), B at
+    t + 1e-3 (at most 1) and tau at a third of the range (at least a bin).
+    A fit is converged when its lane stopped on its step size with finite
+    parameters and a width inside (0.11 bin, 9.9 ranges).  No lane's
+    arithmetic depends on another.
+    """
+    total = counts.sum(axis=1)
+    x = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    bin_w = np.mean(np.diff(edges, axis=1), axis=1)
+    y = counts / (total * bin_w)[:, None]
+    span = edges[:, -1] - edges[:, 0]
+    mean = np.sum(x * counts, axis=1) / total
+    std = np.maximum(
+        np.sqrt(np.sum((x - mean[:, None]) ** 2 * counts, axis=1) / total),
+        0.25 * bin_w,
     )
+    peak = y.max(axis=1)
+    zero, inf = np.zeros_like(span), np.full_like(span, np.inf)
+    lower = [edges[:, 0] - span, 0.1 * bin_w, zero]
+    upper = [edges[:, -1] + span, 10.0 * span, inf]
+    if background_kind == "none":
+        start = [mean, std, peak]
+    else:
+        tail = np.maximum(y[:, int(0.7 * y.shape[1]) :].mean(axis=1), 0.0)
+        start = [mean, std, np.maximum(peak - tail, 1e-3),
+                 np.minimum(tail + 1e-3, 1.0), np.maximum(span / 3.0, bin_w)]
+        lower += [zero, 0.1 * bin_w]
+        upper += [np.ones_like(span), inf]
+    p, _, stopped = _levenberg_marquardt(
+        np.stack(start, axis=1),
+        lambda q, lanes: _gaussian_residuals(q, x[lanes], y[lanes]),
+        _gaussian_jacobian,
+        np.stack(lower, axis=1),
+        np.stack(upper, axis=1),
+    )
+    degenerate = (p[:, 1] <= 0.11 * bin_w) | (p[:, 1] >= 9.9 * span)
+    ok = stopped & np.all(np.isfinite(p), axis=1) & ~degenerate
+    fits = []
+    for k, q in enumerate(p.tolist()):
+        bg_amp, bg_scale = (0.0, float("inf")) if len(q) == 3 else q[3:]
+        fits.append(GaussianBackgroundFit(
+            center=q[0],
+            width=q[1],
+            amplitude=q[2],
+            background_amplitude=bg_amp,
+            background_scale=bg_scale,
+            background_kind=background_kind,
+            converged=bool(ok[k]),
+        ))
+    return fits

@@ -1,11 +1,21 @@
-"""Per-histogram scipy fit: the reference for the batched mixture fitter.
+"""Per-histogram scipy fits: the references for the batched fitters.
 
-``bjjsense.estimation`` fits every double-Gaussian histogram with its own
-vectorized Levenberg-Marquardt loop.  This module keeps the per-histogram
-route it replaced: two starts, each run through MINPACK's
-``least_squares(method="lm")`` with the analytic Jacobian, the lower cost
-winning, then the same canonicalization and stationarity flag.  It shares
-no fitting code with the package, only the result and histogram types.
+``bjjsense.estimation`` fits every histogram with its own vectorized
+Levenberg-Marquardt loop.  This module keeps the per-histogram routes it
+replaced:
+
+* ``fit_double_gaussian``: two starts, each run through MINPACK's
+  ``least_squares(method="lm")`` with the analytic Jacobian, the lower cost
+  winning, then the same canonicalization and stationarity flag;
+* ``fit_gaussian_with_background``: one bounded ``least_squares``
+  trust-region-reflective (TRF) fit of a Gaussian, optionally on an
+  exponential background, with a finite-difference Jacobian.
+
+Both share no fitting code with the package, only the result and histogram
+types.  ``unbounded_levenberg_marquardt`` is different: it is the
+package's Levenberg-Marquardt loop as it was before it took bounds, run
+on the package's own residual, Jacobian and solve helpers, so that any
+arithmetic the bounds add to an unbounded lane shows as a bit difference.
 """
 
 from __future__ import annotations
@@ -13,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import least_squares
 
-from bjjsense.estimation import DoubleGaussianFit, Histogram
+import bjjsense.estimation as est
+from bjjsense.estimation import DoubleGaussianFit, GaussianBackgroundFit, Histogram
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -157,3 +168,128 @@ def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
         residual=rnorm * rnorm,
         converged=bool(ok and tight),
     )
+
+
+def fit_gaussian_with_background(
+    counts: np.ndarray,
+    edges: np.ndarray,
+    background_kind: str = "none",
+) -> GaussianBackgroundFit:
+    """Gaussian (plus optional exponential background) fit to a histogram.
+
+    The histogram is normalized to unit area; the model is
+    A exp(-(x - c)^2 / 2 w^2) [+ B exp(-x / tau)] with B in [0, 1], fitted
+    by TRF at xtol = ftol = gtol = 1e-12 and at most 5,000 evaluations, from
+    the same starts and within the same bounds as the package's fitter.
+    """
+    counts = np.asarray(counts, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    total = counts.sum()
+    x = 0.5 * (edges[:-1] + edges[1:])
+    bin_w = float(np.mean(np.diff(edges)))
+    y = counts / (total * bin_w)
+    span = float(edges[-1] - edges[0])
+    mean = float(x @ counts / total)
+    var = float(((x - mean) ** 2) @ counts / total)
+    std = max(np.sqrt(var), 0.25 * bin_w)
+
+    if background_kind == "none":
+        p0 = np.array([mean, std, float(y.max())])
+        lo = [edges[0] - span, 0.1 * bin_w, 0.0]
+        hi = [edges[-1] + span, 10.0 * span, np.inf]
+
+        def model(p):
+            c, w0, amp = p
+            return amp * np.exp(-0.5 * ((x - c) / w0) ** 2)
+
+    else:
+        tail = max(float(y[int(0.7 * y.size):].mean()), 0.0)
+        p0 = np.array(
+            [mean, std, max(float(y.max()) - tail, 1e-3), min(tail + 1e-3, 1.0),
+             max(span / 3.0, bin_w)]
+        )
+        lo = [edges[0] - span, 0.1 * bin_w, 0.0, 0.0, 0.1 * bin_w]
+        hi = [edges[-1] + span, 10.0 * span, np.inf, 1.0, np.inf]
+
+        def model(p):
+            c, w0, amp, bg, tau = p
+            return amp * np.exp(-0.5 * ((x - c) / w0) ** 2) + bg * np.exp(-x / tau)
+
+    try:
+        res = least_squares(
+            lambda p: model(p) - y, p0, bounds=(lo, hi), method="trf",
+            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=5000,
+        )
+        ok = bool(res.success and np.all(np.isfinite(res.x)))
+        p = res.x
+    except Exception:
+        ok = False
+        p = p0
+    width = abs(float(p[1]))
+    degenerate = width <= 0.11 * bin_w or width >= 9.9 * span
+    if background_kind == "none":
+        bg_amp, bg_scale = 0.0, float("inf")
+    else:
+        bg_amp, bg_scale = float(min(p[3], 1.0)), float(p[4])
+    return GaussianBackgroundFit(
+        center=float(p[0]),
+        width=width,
+        amplitude=float(p[2]),
+        background_amplitude=bg_amp,
+        background_scale=bg_scale,
+        background_kind=background_kind,
+        converged=bool(ok and not degenerate),
+    )
+
+
+def unbounded_levenberg_marquardt(p, residuals, jacobian, lower=None, upper=None):
+    """The mixture fitter's loop without bounds, on the package's helpers.
+
+    Same signature as ``bjjsense.estimation._levenberg_marquardt``; the
+    bounds must be absent and the stop flags are not computed (all False).
+    """
+    assert lower is None and upper is None
+    p = p.copy()
+    r, terms = residuals(p, np.arange(len(p)))
+    cost = 0.5 * np.sum(r * r, axis=1)
+    a, g = est._normal_equations(jacobian(p, terms), r)
+    scale = np.maximum(np.diagonal(a, axis1=1, axis2=2), est._TINY)
+    mu = np.full(len(p), est._MU0)
+    nu = np.full(len(p), 2.0)
+    active = np.arange(len(p))
+    diag = np.arange(p.shape[1])
+    with np.errstate(all="ignore"):
+        for _ in range(est._MAX_ITER):
+            if not active.size:
+                break
+            damped = a[active]
+            damped[:, diag, diag] += mu[active, None] * scale[active]
+            g_act = g[active]
+            step = est._solve(damped, -g_act)
+            trial = p[active] + step
+            r_t, terms_t = residuals(trial, active)
+            cost_t = 0.5 * np.sum(r_t * r_t, axis=1)
+            better = cost_t < cost[active]
+            predicted = 0.5 * np.sum(
+                step * (mu[active, None] * scale[active] * step - g_act), axis=1
+            )
+            rho = (cost[active] - cost_t) / predicted
+            stop = ~np.all(np.isfinite(step), axis=1) | (
+                np.sqrt(np.sum(step * step, axis=1))
+                <= est._XTOL * (np.sqrt(np.sum(p[active] ** 2, axis=1)) + est._XTOL)
+            )
+            up = active[better]
+            p[up] = trial[better]
+            cost[up] = cost_t[better]
+            a[up], g[up] = est._normal_equations(
+                jacobian(trial[better], [x[better] for x in terms_t]),
+                r_t[better],
+            )
+            scale[up] = np.maximum(scale[up], np.diagonal(a[up], axis1=1, axis2=2))
+            mu[up] *= np.fmax(1.0 / 3.0, 1.0 - (2.0 * rho[better] - 1.0) ** 3)
+            nu[up] = 2.0
+            down = active[~better]
+            mu[down] *= nu[down]
+            nu[down] *= 2.0
+            active = active[~stop]
+    return p, cost, np.zeros(len(p), dtype=bool)

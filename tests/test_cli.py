@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -300,3 +302,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("statement", [
+    "import bjjsense.cli",
+    "from bjjsense.cli import main\n"
+    "try:\n    main(['pipeline', '--help'])\nexcept SystemExit:\n    pass",
+])
+def test_cli_does_not_import_scipy_optimize_or_special(statement):
+    # scipy.optimize alone costs about a quarter of a CPU second per process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (statement + "\nimport sys\nprint(sorted(m for m in sys.modules if "
+             "m.startswith(('scipy.optimize', 'scipy.special'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

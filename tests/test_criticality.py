@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq, minimize_scalar
 
 from dense_oracle import dense_chi_point, dense_exact_chi
 from fd_reference import fd_chi_point
@@ -442,3 +445,111 @@ def test_scaling_study_scans_each_tilt_once_per_method(monkeypatch):
 def test_scaling_study_needs_three_sizes():
     with pytest.raises(ValueError):
         scaling_study(n_values=(100, 200))
+
+
+# ---------------------------------------------------------------------------
+# the in-package root and golden searches against scipy's
+
+
+def _recorded(f):
+    """f, and the list of abscissae it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _scipy_brentq(f, xa, xb, xtol):
+    return brentq(f, xa, xb, xtol=xtol)
+
+
+def _scipy_golden(f, bracket, xtol):
+    res = minimize_scalar(f, bracket=bracket, method="golden",
+                          options={"xtol": xtol})
+    return res.x, res.fun
+
+
+smooth = st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 5.0),
+                   st.floats(-3.0, 3.0), st.floats(0.0, 2.0), st.floats(0.5, 8.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coef=smooth, lo=st.floats(-3.0, 0.0), width=st.floats(0.05, 4.0),
+       xtol=st.sampled_from([1e-3, 1e-8, 2e-12]))
+def test_brentq_port_is_bit_identical_to_scipy(coef, lo, width, xtol):
+    c0, c1, c3, b, k = coef
+
+    def f(x):
+        return c0 + c1 * x + c3 * x ** 3 + b * math.sin(k * x)
+
+    hi = lo + width
+    assume(f(lo) * f(hi) < 0)
+    ours, our_calls = _recorded(f)
+    theirs, their_calls = _recorded(f)
+    root = criticality._brentq(ours, lo, hi, xtol)
+    assert root == _scipy_brentq(theirs, lo, hi, xtol)
+    assert our_calls == their_calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coef=smooth, xb=st.floats(-2.0, 2.0), left=st.floats(0.01, 2.0),
+       right=st.floats(0.01, 2.0), xtol=st.sampled_from([1e-8, 1e-4]))
+def test_golden_port_is_bit_identical_to_scipy(coef, xb, left, right, xtol):
+    c0, c1, _, b, k = coef
+
+    def f(x):
+        return c1 * (x - c0) ** 2 + b * math.cos(k * x)
+
+    bracket = (xb - left, xb, xb + right)
+    assume(f(xb) < f(xb - left) and f(xb) < f(xb + right))
+    ours, our_calls = _recorded(f)
+    theirs, their_calls = _recorded(f)
+    x, fx = criticality._golden(ours, bracket, xtol)
+    x_ref, fx_ref = _scipy_golden(theirs, bracket, xtol)
+    assert (x, fx) == (x_ref, fx_ref)
+    assert our_calls == their_calls
+
+
+def test_searches_reject_what_scipy_rejects():
+    with pytest.raises(ValueError, match="different signs"):
+        criticality._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
+    with pytest.raises(ValueError, match="NaN"):
+        criticality._brentq(lambda x: math.nan if x == 0.0 else x, -1.0, 2.0,
+                            1e-8)
+    with pytest.raises(ValueError, match="f\\(xb\\)"):
+        criticality._golden(lambda x: x, (0.0, 1.0, 2.0), 1e-8)
+    with pytest.raises(ValueError, match="xa < xb"):
+        criticality._golden(lambda x: x * x, (0.0, 3.0, 2.0), 1e-8)
+
+
+def test_root_find_raises_on_a_missing_offset():
+    # a tilt inside the bracket without an interior peak has offset None
+    offsets = {-1.0: -1.0, 1.0: 1.0}
+    with pytest.raises(TypeError):
+        criticality._brentq(offsets.get, -1.0, 1.0, 1e-3)
+    with pytest.raises(TypeError):
+        _scipy_brentq(offsets.get, -1.0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("n", [60, 101])
+def test_critical_point_and_tilts_match_scipy_searches(n, monkeypatch):
+    crit = locate_critical_gap(n)
+    deltas = criticality._optimize_deltas(
+        n, METHODS, 0.0, crit.lambda_c, None, 41, 1.0
+    )
+    roots = []
+
+    def scipy_brentq(f, xa, xb, xtol):
+        roots.append(xa)
+        return _scipy_brentq(f, xa, xb, xtol)
+
+    monkeypatch.setattr(criticality, "_brentq", scipy_brentq)
+    monkeypatch.setattr(criticality, "_golden", _scipy_golden)
+    assert locate_critical_gap(n) == crit
+    assert criticality._optimize_deltas(
+        n, METHODS, 0.0, crit.lambda_c, None, 41, 1.0
+    ) == deltas
+    assert roots

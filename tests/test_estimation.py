@@ -737,3 +737,74 @@ def test_solve_isolates_singular_lanes():
         assert np.array_equal(x[i], est._solve(a[i : i + 1], b[i : i + 1])[0])
         assert_allclose(a[i] @ x[i], b[i], rtol=1e-12, atol=1e-12)
 
+
+def test_bounds_leave_unbounded_mixture_lanes_unchanged(monkeypatch):
+    hists = _random_mixture_histograms(0, 200)
+    probabilities = np.array([h.probabilities for h in hists])
+    fits = est._fit_mixtures(probabilities, HistogramSpec())
+    monkeypatch.setattr(est, "_levenberg_marquardt",
+                        lsq_reference.unbounded_levenberg_marquardt)
+    reference = est._fit_mixtures(probabilities, HistogramSpec())
+    for k in fits:
+        assert np.array_equal(fits[k], reference[k]), k
+
+
+def _replica_histograms(seed, count):
+    """100-bin histograms of 100-3,000 normal values, centers in [1, 50],
+    widths in [0.05, 5]: the shape of bootstrap replica histograms."""
+    rng = np.random.default_rng(seed)
+    hists = []
+    for _ in range(count):
+        n = int(10.0 ** rng.uniform(2.0, 3.5))
+        values = rng.normal(rng.uniform(1.0, 50.0), rng.uniform(0.05, 5.0), n)
+        hists.append(np.histogram(values, bins=100))
+    return hists
+
+
+def _gaussian_cost(fit, counts, edges):
+    x = 0.5 * (edges[:-1] + edges[1:])
+    y = counts / (counts.sum() * np.mean(np.diff(edges)))
+    r = fit.amplitude * np.exp(-0.5 * ((x - fit.center) / fit.width) ** 2) - y
+    return 0.5 * float(r @ r)
+
+
+def test_replica_fit_matches_trf_reference():
+    hists = _replica_histograms(0, 40)
+    fits = est._fit_gaussians(np.array([h[0] for h in hists], dtype=float),
+                              np.array([h[1] for h in hists]), "none")
+    for fit, (counts, edges) in zip(fits, hists):
+        ref = lsq_reference.fit_gaussian_with_background(counts, edges, "none")
+        assert fit.converged and ref.converged
+        assert (_gaussian_cost(fit, counts, edges)
+                <= _gaussian_cost(ref, counts, edges) * (1.0 + 1e-12))
+        assert_allclose([fit.center, fit.width], [ref.center, ref.width],
+                        rtol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["none", "exponential"])
+def test_replica_fit_is_independent_of_its_batch(kind):
+    hists = _replica_histograms(1, 12)
+    counts = np.array([h[0] for h in hists], dtype=float)
+    edges = np.array([h[1] for h in hists])
+    batch = est._fit_gaussians(counts, edges, kind)
+    for i in (0, 5, 11):
+        assert batch[i] == fit_gaussian_with_background(counts[i], edges[i], kind)
+        assert batch[i] == est._fit_gaussians(counts[i : i + 1],
+                                              edges[i : i + 1], kind)[0]
+
+
+@pytest.mark.parametrize("center, width", [(1.5, 0.3), (2.0, 1.0), (3.0, 0.7)])
+def test_background_fit_holds_a_pinned_amplitude(center, width):
+    # The exact histogram of a Gaussian: the background amplitude B wants to
+    # go below 0 and sits on its bound, and the fit must then solve for the
+    # other parameters with B held there.  Projecting the free step onto the
+    # bound instead stalls: every step stays in the box, but the lane creeps
+    # on to the step cap and comes back unconverged.
+    edges = np.linspace(0.0, 8.0, 101)
+    counts = 1e5 * np.diff(norm.cdf((edges - center) / width))
+    pinned = fit_gaussian_with_background(counts, edges, "exponential")
+    plain = fit_gaussian_with_background(counts, edges, "none")
+    assert pinned.converged
+    assert pinned.background_amplitude == 0.0
+    assert_allclose([pinned.center, pinned.width], [plain.center, plain.width],
+                    rtol=1e-6)
