@@ -342,12 +342,13 @@ def _solve_fixed(
     so the free coordinates solve the reduced system.  Lanes that fix
     nothing are solved as they stand.
     """
-    lanes = np.any(fixed, axis=1)
-    if lanes.any():
-        a, b = a.copy(), b.copy()
-        f, v, a_f = fixed[lanes], values[lanes], a[lanes]
-        b[lanes] = np.where(f, v, b[lanes] - np.sum(a_f * v[:, None, :], axis=2))
-        a[lanes] = np.where(f[:, :, None] | f[:, None, :], np.eye(a.shape[-1]), a_f)
+    lanes = fixed.any(axis=1)
+    if not lanes.any():
+        return _solve(a, b)
+    a, b = a.copy(), b.copy()
+    f, v, a_f = fixed[lanes], values[lanes], a[lanes]
+    b[lanes] = np.where(f, v, b[lanes] - np.sum(a_f * v[:, None, :], axis=2))
+    a[lanes] = np.where(f[:, :, None] | f[:, None, :], np.eye(a.shape[-1]), a_f)
     return np.where(fixed, values, _solve(a, b))
 
 
@@ -364,7 +365,7 @@ def _box_step(damped, g, p, lower, upper):
     step = _solve_fixed(damped, -g, held, np.zeros_like(p))
     trial = p + step
     out = (trial < lower) | (trial > upper)
-    bent = np.any(out, axis=1)
+    bent = out.any(axis=1)
     if bent.any():
         to_bound = np.where(out, np.clip(trial, lower, upper) - p, 0.0)[bent]
         resolved = _solve_fixed(damped[bent], -g[bent], (held | out)[bent], to_bound)
@@ -373,7 +374,7 @@ def _box_step(damped, g, p, lower, upper):
     return step, trial, bent
 
 
-def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower=None, upper=None):
+def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
     """Minimize the squared residual of every lane from the start ``p``.
 
     ``residuals(q, lanes)`` returns the residual rows of the parameter rows
@@ -388,11 +389,12 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower=None, upper=N
     optimum the Gauss-Newton step shrinks to roundoff), when the step is not
     finite, or after _MAX_ITER steps.  Stopped lanes leave the active set.
 
-    ``lower`` and ``upper`` are per-lane bounds (lanes, parameters), by
-    default none; the start must lie within them.  Bounded steps come from
-    ``_box_step``, and a step it had to solve again is judged against the
-    Gauss-Newton model's predicted decrease.  Lanes whose step stays inside
-    the box are computed as without bounds, bit for bit.
+    ``lower`` and ``upper`` are per-lane bounds (lanes, parameters), +-inf
+    where a parameter is free; the start must lie within them.  Steps come
+    from ``_box_step``, and a step it had to solve again is judged against
+    the Gauss-Newton model's predicted decrease.  Lanes whose step stays
+    inside the box, all lanes when the bounds are infinite, are computed as
+    without bounds, bit for bit.
 
     Returns the parameters, the cost 0.5 |r|^2 and whether the lane stopped
     on its step size, per lane.
@@ -414,20 +416,16 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower=None, upper=N
             p_act, g_act = p[active], g[active]
             damped = a[active]
             damped[:, diag, diag] += mu[active, None] * scale[active]
-            if lower is None:
-                step = _solve(damped, -g_act)
-                trial, bent = p_act + step, None
-            else:
-                step, trial, bent = _box_step(
-                    damped, g_act, p_act, lower[active], upper[active]
-                )
+            step, trial, bent = _box_step(
+                damped, g_act, p_act, lower[active], upper[active]
+            )
             r_t, terms_t = residuals(trial, active)
             cost_t = 0.5 * np.sum(r_t * r_t, axis=1)
             better = cost_t < cost[active]
             predicted = 0.5 * np.sum(
                 step * (mu[active, None] * scale[active] * step - g_act), axis=1
             )
-            if bent is not None and bent.any():
+            if bent.any():
                 s_b = step[bent]
                 a_s = np.sum(a[active[bent]] * s_b[:, None, :], axis=2)
                 predicted[bent] = -np.sum(s_b * (g_act[bent] + 0.5 * a_s), axis=1)
@@ -501,6 +499,7 @@ def _fit_mixtures(probabilities: np.ndarray, spec: HistogramSpec) -> dict:
     # lanes 2k and 2k + 1 are the two starts of histogram k
     starts = np.stack([moment_start, split_start], axis=1).reshape(-1, 4)
     lanes_h = np.repeat(h, 2, axis=0)
+    free = np.full(starts.shape, np.inf)
     p = np.empty_like(starts)
     cost = np.empty(len(starts))
     for lo in range(0, len(starts), _BLOCK):
@@ -509,6 +508,8 @@ def _fit_mixtures(probabilities: np.ndarray, spec: HistogramSpec) -> dict:
             starts[lo : lo + _BLOCK],
             lambda q, lanes: _residuals(q, block[lanes], z, w),
             lambda q, gauss: _jacobian(q, w, gauss),
+            -free[lo : lo + _BLOCK],
+            free[lo : lo + _BLOCK],
         )
     cost = np.where(np.isnan(cost), np.inf, cost).reshape(-1, 2)
     second = (cost[:, 1] < cost[:, 0]).astype(int)

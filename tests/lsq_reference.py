@@ -242,13 +242,14 @@ def fit_gaussian_with_background(
     )
 
 
-def unbounded_levenberg_marquardt(p, residuals, jacobian, lower=None, upper=None):
+def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
     """The mixture fitter's loop without bounds, on the package's helpers.
 
     Same signature as ``bjjsense.estimation._levenberg_marquardt``; the
-    bounds must be absent and the stop flags are not computed (all False).
+    bounds must be infinite, every step is the plain damped solve, and the
+    stop flags are not computed (all False).
     """
-    assert lower is None and upper is None
+    assert np.all(lower == -np.inf) and np.all(upper == np.inf)
     p = p.copy()
     r, terms = residuals(p, np.arange(len(p)))
     cost = 0.5 * np.sum(r * r, axis=1)
