@@ -2,16 +2,13 @@
 import numpy as np
 
 from bjjsense.criticality import locate_critical_gap
-from bjjsense.model import ModelParams, build_hamiltonian, eigenvalues_only
+from bjjsense.model import ModelParams, eigenvalues
 
 # Gap profile for one size: the minimum marks the finite-size critical point.
 n = 200
 grid = np.linspace(-1.4, -0.8, 31)
-gaps = [
-    float(np.subtract(*eigenvalues_only(
-        build_hamiltonian(ModelParams(n, lambda_control=lam)), 3)[[2, 0]]))
-    for lam in grid
-]
+levels = eigenvalues(ModelParams(n), grid, 3)
+gaps = levels[:, 2] - levels[:, 0]
 print(f"N = {n}: gap E2 - E0 along lambda")
 for lam, gap in zip(grid[::5], gaps[::5]):
     print(f"  lambda = {lam:7.3f}   gap = {gap:8.4f}")

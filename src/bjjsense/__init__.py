@@ -1,18 +1,11 @@
 """Fidelity susceptibilities and critical sensing in the two-mode boson model."""
 
 from .model import (
-    DistributionOverM,
     EigensolverError,
     ModelParams,
-    Spectrum,
-    ThermalState,
-    TridiagonalHamiltonian,
-    build_hamiltonian,
-    diagonalize,
-    eigenvalues_only,
-    equilibrium_state,
-    jz_distribution,
-    thermal_state,
+    StateStack,
+    eigenvalues,
+    equilibrium_states,
 )
 from .fidelity import bhattacharyya_fidelity
 from .criticality import (
@@ -37,17 +30,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams",
-    "TridiagonalHamiltonian",
-    "Spectrum",
-    "ThermalState",
-    "DistributionOverM",
     "EigensolverError",
-    "build_hamiltonian",
-    "diagonalize",
-    "eigenvalues_only",
-    "equilibrium_state",
-    "thermal_state",
-    "jz_distribution",
+    "StateStack",
+    "equilibrium_states",
+    "eigenvalues",
     "bhattacharyya_fidelity",
     "ScanConfig",
     "SusceptibilityCurve",

@@ -2,7 +2,8 @@
 
 Subcommands read an optional JSON config, compute, and emit CSV tables into
 ``--out``.  Every output carries ``#`` comment lines with the resolved
-config and seed, so a rerun with the same inputs is byte-identical.
+config, and the seed where a command draws random numbers (``pipeline``,
+``bootstrap``), so a rerun with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ SCAN_KEYS = {
     "delta": (2e-3, "symmetry-breaking tilt delta/Omega"),
     "tunneling": (1.0, "Rabi coupling Omega"),
     "methods": (list(METHODS), "subset of moment/classical/quantum"),
-    "epsilon0": (1e-4, "unused; recorded for provenance"),
-    "seed": (0, "unused by scan; recorded for provenance"),
-    "threads": (None, "unused; recorded for provenance"),
 }
 
 SCALING_KEYS = {
@@ -72,10 +70,7 @@ SCALING_KEYS = {
     "temperature": (0.0, "temperature in units of Omega"),
     "delta_points": (25, "log-spaced tilt grid size over [1e-6, 1e-1]"),
     "window_points": (41, "lambda window points per tilt"),
-    "epsilon0": (1e-4, "unused; recorded for provenance"),
     "tunneling": (1.0, "Rabi coupling Omega"),
-    "seed": (0, "unused by scaling; recorded for provenance"),
-    "threads": (None, "unused; recorded for provenance"),
 }
 
 CRITICAL_KEYS = {
@@ -83,8 +78,6 @@ CRITICAL_KEYS = {
     "bracket": ([-1.5, -0.85], "lambda bracket for the gap minimum"),
     "levels": ([0, 2], "gap levels (lower, upper)"),
     "tunneling": (1.0, "Rabi coupling Omega"),
-    "seed": (0, "unused; recorded for provenance"),
-    "threads": (None, "unused; recorded for provenance"),
 }
 
 SERIES_KEYS = {
@@ -103,7 +96,6 @@ PIPELINE_KEYS = {
     "n_replicas": (3000, "bootstrap replicas (>= 100)"),
     "write_replicas": (False, "emit replica values per estimator"),
     "seed": (0, "master seed for synthesis and bootstrap"),
-    "threads": (None, "unused; recorded for provenance"),
 }
 
 BOOTSTRAP_KEYS = {
@@ -113,7 +105,6 @@ BOOTSTRAP_KEYS = {
     "background": (None, "'none' or 'exponential' (default per estimator)"),
     "write_replicas": (False, "emit replica values"),
     "seed": (0, "master seed"),
-    "threads": (None, "unused; recorded for provenance"),
 }
 
 KEYS_BY_COMMAND = {
@@ -141,11 +132,29 @@ def _load_config(args, keys) -> dict:
         if unknown:
             raise CliError("config", f"unknown keys: {', '.join(unknown)}")
         config.update(user)
-    if args.seed is not None:
+    if "seed" in keys and args.seed is not None:
         config["seed"] = args.seed
-    if args.threads is not None:
-        config["threads"] = args.threads
+    # A key whose default holds integers takes JSON integers, bools not
+    # included; n_samples may also be a list, one count per point.
+    for name, (default, _) in keys.items():
+        value = config[name]
+        if _is_integer(default) and not (
+            _is_integer(value) or name == "n_samples" and _integers(value)
+        ):
+            raise CliError("config", f"{name} must be an integer, got {value!r}")
+        if _integers(default) and not _integers(value):
+            raise CliError(
+                "config", f"{name} must be a list of integers, got {value!r}"
+            )
     return config
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_integer, value))
 
 
 def _check_outdir(path: str) -> None:
@@ -155,11 +164,10 @@ def _check_outdir(path: str) -> None:
 
 def _provenance(command: str, config: dict) -> list[str]:
     resolved = json.dumps(config, sort_keys=True)
-    return [
-        f"bjjsense {__version__} {command}",
-        f"config: {resolved}",
-        f"seed: {config.get('seed', 0)}",
-    ]
+    lines = [f"bjjsense {__version__} {command}", f"config: {resolved}"]
+    if "seed" in config:
+        lines.append(f"seed: {config['seed']}")
+    return lines
 
 
 def _out(args, name: str) -> str:
@@ -181,10 +189,10 @@ def cmd_scan(args) -> int:
         lam = config["lambda_value"]
         if lam == "critical":
             lam = locate_critical_gap(
-                int(config["n_particles"]), tunneling=config["tunneling"]
+                config["n_particles"], tunneling=config["tunneling"]
             ).lambda_c
         table = temperature_sweep(
-            int(config["n_particles"]),
+            config["n_particles"],
             [float(t) for t in temps],
             float(lam),
             imbalance=float(config["delta"]),
@@ -199,6 +207,8 @@ def cmd_scan(args) -> int:
         return 0
     if config["sweep"] != "lambda":
         raise CliError("config", f"unknown sweep {config['sweep']!r}")
+    if config["refine"] and not methods:
+        raise CliError("config", "refine needs at least one of 'methods'")
     if args.quick:
         config["lambda_step"] = max(float(config["lambda_step"]), 1e-2)
     grid = default_lambda_grid(
@@ -207,7 +217,7 @@ def cmd_scan(args) -> int:
     )
     scan_cfg = ScanConfig(
         params_template=ModelParams(
-            n_particles=int(config["n_particles"]),
+            n_particles=config["n_particles"],
             tunneling=float(config["tunneling"]),
             imbalance=float(config["delta"]),
         ),
@@ -249,9 +259,9 @@ def _curve_columns(curve, methods) -> dict[str, np.ndarray]:
 def cmd_scaling(args) -> int:
     config = _load_config(args, SCALING_KEYS)
     _check_outdir(args.out)
-    n_values = [int(n) for n in config["n_values"]]
-    delta_points = int(config["delta_points"])
-    window_points = int(config["window_points"])
+    n_values = config["n_values"]
+    delta_points = config["delta_points"]
+    window_points = config["window_points"]
     if args.quick:
         n_values = [n for n in n_values if n <= 300] or [80, 120, 200]
         if len(n_values) < 3:
@@ -319,11 +329,11 @@ def cmd_critical_point(args) -> int:
     config = _load_config(args, CRITICAL_KEYS)
     _check_outdir(args.out)
     bracket = tuple(float(b) for b in config["bracket"])
-    levels = tuple(int(l) for l in config["levels"])
+    levels = tuple(config["levels"])
     rows = []
     for n in config["n_values"]:
         crit = locate_critical_gap(
-            int(n), bracket, tunneling=float(config["tunneling"]),
+            n, bracket, tunneling=float(config["tunneling"]),
             levels=levels,
         )
         rows.append((crit.n_particles, crit.lambda_c, crit.gap, crit.shift))
@@ -372,7 +382,7 @@ def _resolve_series(config):
     ]
     try:
         return synth_samples(
-            [float(v) for v in a], gens, config["n_samples"], int(config["seed"])
+            [float(v) for v in a], gens, config["n_samples"], config["seed"]
         )
     except ValueError as err:
         raise CliError("series", str(err))
@@ -389,7 +399,7 @@ def _replica_table(result):
 def cmd_pipeline(args) -> int:
     config = _load_config(args, PIPELINE_KEYS)
     _check_outdir(args.out)
-    n_replicas = int(config["n_replicas"])
+    n_replicas = config["n_replicas"]
     if args.quick:
         n_replicas = min(n_replicas, 100)
     series = _resolve_series(config)
@@ -400,7 +410,7 @@ def cmd_pipeline(args) -> int:
     for estimator in ("chi_mom", "chi_cl"):
         boots[estimator] = bootstrap(
             series, estimator, n_replicas=n_replicas,
-            seed=int(config["seed"]), spec=spec, base_fits=fits,
+            seed=config["seed"], spec=spec, base_fits=fits,
         )
     write_columns(
         _out(args, "pipeline_results.csv"),
@@ -434,7 +444,7 @@ def cmd_bootstrap(args) -> int:
         raise CliError(
             "config", f"estimator must be 'chi_mom' or 'chi_cl', got {estimator!r}"
         )
-    n_replicas = int(config["n_replicas"])
+    n_replicas = config["n_replicas"]
     if args.quick:
         n_replicas = min(n_replicas, 100)
     series = _resolve_series(config)
@@ -442,7 +452,7 @@ def cmd_bootstrap(args) -> int:
     try:
         result = bootstrap(
             series, estimator, n_replicas=n_replicas,
-            seed=int(config["seed"]), spec=spec,
+            seed=config["seed"], spec=spec,
             background_kind=config["background"],
         )
     except (ValueError, RuntimeError) as err:
@@ -501,9 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", required=True, help="output directory (must exist)")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--threads", type=int,
-                       help="unused; recorded for provenance")
+        if "seed" in KEYS_BY_COMMAND[name]:
+            p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument(
             "--quick", action="store_true",
             help="reduced grids and replica counts for CI",

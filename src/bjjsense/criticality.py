@@ -28,8 +28,7 @@ from .model import (
     EigensolverError,
     ModelParams,
     StateStack,
-    _diagonals,
-    _eigh,
+    eigenvalues,
     equilibrium_states,
 )
 
@@ -219,7 +218,7 @@ def _points(
         at = slice(start, start + s.size)
         # Eigenvectors are rows: u[b, k] is level k at point b.
         u, p = s.vectors, s.weights
-        prob = (p[:, None, :] @ (u * u))[:, 0]
+        prob = s.probabilities
         mean[at] = prob @ m
         var[at] = np.sum((m - mean[at, None]) ** 2 * prob, axis=1)
         if not which:
@@ -562,8 +561,7 @@ def locate_critical_gap(
     params = ModelParams(n_particles=n_particles, tunneling=tunneling)
 
     def gaps(lams) -> np.ndarray:
-        diag, off = _diagonals(params, np.atleast_1d(np.asarray(lams, float)))
-        ev = np.array([_eigh(d, off, False, n_levels=upper + 1) for d in diag])
+        ev = eigenvalues(params, lams, upper + 1)
         return ev[:, upper] - ev[:, lower]
 
     def gap(lam: float) -> float:

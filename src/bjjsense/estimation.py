@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fidelity import _overlaps
+from .fidelity import bhattacharyya_fidelity
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -662,7 +662,9 @@ def _chi_cl(probabilities: np.ndarray, a: np.ndarray) -> np.ndarray:
     (x- d- + x+ d+) / (x-^2 + x+^2), clamped at 0, and 0 where both
     deficits are below 1e-14.  Every number depends on its own series only.
     """
-    deficits = 1.0 - _overlaps(probabilities[..., :-1, :], probabilities[..., 1:, :])
+    deficits = 1.0 - bhattacharyya_fidelity(
+        probabilities[..., :-1, :], probabilities[..., 1:, :]
+    )
     d_lo, d_hi = deficits[..., :-1], deficits[..., 1:]
     eps_lo, eps_hi = a[:-2] - a[1:-1], a[2:] - a[1:-1]
     x_lo, x_hi = eps_lo * eps_lo / 8.0, eps_hi * eps_hi / 8.0

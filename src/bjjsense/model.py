@@ -1,4 +1,4 @@
-"""Two-mode Bose-Hubbard (Josephson) model: Hamiltonian, spectra, thermal states.
+"""Two-mode Bose-Hubbard (Josephson) model: spectra and Gibbs states.
 
 The model describes N bosons in two modes through collective spin operators
 J_x, J_y, J_z with j = N/2:
@@ -9,6 +9,10 @@ In the J_z eigenbasis {|m>, m = -j..j} the Hamiltonian is a real symmetric
 tridiagonal matrix: J_z**2 and J_z are diagonal, and J_x couples adjacent m.
 The dimensionless control parameter is lambda = N * zeta / Omega, with a
 symmetry-breaking quantum phase transition at lambda = -1 (attractive side).
+
+Every solve takes a whole lambda grid at fixed N, Omega and delta:
+``equilibrium_states`` builds the Gibbs states, with their matrices and
+J_z distributions, and ``eigenvalues`` the lowest levels alone.
 """
 
 from __future__ import annotations
@@ -81,99 +85,6 @@ class ModelParams:
         return self.n_particles + 1
 
 
-@dataclass(frozen=True)
-class TridiagonalHamiltonian:
-    """Symmetric tridiagonal representation of H in the J_z basis.
-
-    Attributes
-    ----------
-    diagonal : ndarray, shape (N+1,)
-        zeta * m**2 + delta * m for m = -j..j in ascending order.
-    offdiagonal : ndarray, shape (N,)
-        -(Omega/2) * sqrt(j(j+1) - m(m+1)) coupling |m> and |m+1>.
-    params : ModelParams
-    """
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-    params: ModelParams
-
-    @property
-    def dimension(self) -> int:
-        return self.diagonal.size
-
-    @property
-    def m_values(self) -> np.ndarray:
-        j = self.params.n_particles / 2.0
-        return np.arange(self.dimension) - j
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues and eigenvectors of a Hamiltonian, ascending order.
-
-    ``eigenvectors[:, k]`` is the k-th eigenstate in the J_z basis.  May hold
-    only the lowest part of the spectrum (``n_levels <= dimension``).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    params: ModelParams
-
-    @property
-    def n_levels(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Gibbs state on a (possibly truncated) eigenbasis.
-
-    ``weights[k]`` is the normalized Boltzmann weight of ``spectrum``'s k-th
-    level.  At temperature zero only the ground state carries weight.
-    """
-
-    spectrum: Spectrum
-    weights: np.ndarray
-    temperature: float
-
-    @property
-    def rank(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
-class DistributionOverM:
-    """Probability distribution of J_z outcomes m = -j..j.
-
-    Normalized to 1 over the full m grid; probabilities are non-negative by
-    construction (Born rule on real amplitudes).
-    """
-
-    m_values: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        if self.m_values.size != self.probabilities.size:
-            raise ValueError(
-                f"m grid ({self.m_values.size}) and probabilities "
-                f"({self.probabilities.size}) differ in length"
-            )
-
-    @property
-    def mean(self) -> float:
-        return float(self.m_values @ self.probabilities)
-
-    @property
-    def variance(self) -> float:
-        mu = self.mean
-        return float(((self.m_values - mu) ** 2) @ self.probabilities)
-
-
 def _diagonals(
     params: ModelParams, lambdas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,27 +114,6 @@ def _diagonals(
     return diag, off
 
 
-def build_hamiltonian(params: ModelParams) -> TridiagonalHamiltonian:
-    """Assemble the tridiagonal matrix for the given parameters.
-
-    Parameters
-    ----------
-    params : ModelParams
-
-    Returns
-    -------
-    TridiagonalHamiltonian
-        Diagonal and first off-diagonal of the real symmetric matrix.
-
-    Raises
-    ------
-    ValueError
-        If an entry overflows to inf (e.g. lambda = 1e308).
-    """
-    diag, off = _diagonals(params, np.array([params.lambda_control], dtype=float))
-    return TridiagonalHamiltonian(diagonal=diag[0], offdiagonal=off, params=params)
-
-
 def _select_sign(rows: np.ndarray) -> np.ndarray:
     """Fix each eigenvector's overall sign: largest-|amplitude| entry > 0.
 
@@ -251,11 +141,8 @@ def _eigh(
     that ``scipy.linalg.eigh_tridiagonal`` picks, with its arguments: the
     full spectrum by divide and conquer (``dstevd``), subsets by bisection
     (``dstebz``) plus inverse iteration (``dstein``).  Returns the
-    eigenvalues, or (eigenvalues, eigenvectors) when ``vectors``.  A 1 x 1
-    matrix is its own eigenpair.
+    eigenvalues, or (eigenvalues, eigenvectors) when ``vectors``.
     """
-    if d.size == 1:
-        return (d.copy(), np.ones((1, 1))) if vectors else d.copy()
     if window is None and n_levels in (None, d.size):
         driver = "dstevd"
         w, v, info = dstevd(d, e, compute_v=vectors)
@@ -281,43 +168,6 @@ def _eigh(
     return (w, v) if vectors else w
 
 
-def diagonalize(
-    hamiltonian: TridiagonalHamiltonian,
-    n_levels: int | None = None,
-) -> Spectrum:
-    """Solve the symmetric tridiagonal eigenproblem.
-
-    Parameters
-    ----------
-    hamiltonian : TridiagonalHamiltonian
-    n_levels : int, optional
-        If given, compute only the lowest ``n_levels`` eigenpairs (bisection
-        plus inverse iteration).  Default: the full spectrum by divide and
-        conquer.
-
-    Returns
-    -------
-    Spectrum
-        Ascending eigenvalues; eigenvector signs fixed so the
-        largest-magnitude component of each vector is positive.
-    """
-    dim = hamiltonian.dimension
-    if n_levels is not None and not 1 <= n_levels <= dim:
-        raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
-    vals, vecs = _eigh(
-        hamiltonian.diagonal, hamiltonian.offdiagonal, True, n_levels
-    )
-    return Spectrum(vals, _select_sign(vecs.T).T, hamiltonian.params)
-
-
-def eigenvalues_only(
-    hamiltonian: TridiagonalHamiltonian,
-    n_levels: int | None = None,
-) -> np.ndarray:
-    """Lowest ``n_levels`` eigenvalues (all if None), no eigenvectors."""
-    return _eigh(hamiltonian.diagonal, hamiltonian.offdiagonal, False, n_levels)
-
-
 def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
     """Normalized Boltzmann weights over the last axis of ``energies``."""
     if temperature == 0.0:
@@ -326,29 +176,6 @@ def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
         return w
     w = np.exp(-(energies - energies[..., :1]) / temperature)
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def thermal_state(spectrum: Spectrum, temperature: float) -> ThermalState:
-    """Boltzmann weights over the levels of ``spectrum``.
-
-    Weights are exp(-(E_k - E_0)/T) normalized over the retained levels; the
-    ground-energy shift keeps the exponentials in range for any spectrum.
-    T = 0 is the pure ground state (k_B = 1 throughout).
-
-    Parameters
-    ----------
-    spectrum : Spectrum
-    temperature : float
-        T >= 0 in the same units as the eigenvalues.
-
-    Returns
-    -------
-    ThermalState
-    """
-    if not temperature >= 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    weights = _boltzmann(spectrum.eigenvalues, temperature)
-    return ThermalState(spectrum, weights, float(temperature))
 
 
 def _gershgorin(diagonal: np.ndarray, offdiagonal: np.ndarray) -> float:
@@ -364,8 +191,9 @@ class StateStack:
     Every point holds the same number k of occupied levels: ``diagonal``
     (B, N+1) and the shared ``offdiagonal`` (N,) are the matrices,
     ``energies`` (B, k) their occupied eigenvalues, ascending, ``vectors``
-    (B, k, N+1) the eigenvectors as rows, signs fixed as in
-    ``diagonalize``, and ``weights`` (B, k) the Boltzmann weights.
+    (B, k, N+1) the eigenvectors as rows, each signed so that its
+    largest-magnitude entry is positive, and ``weights`` (B, k) the
+    Boltzmann weights.
     """
 
     diagonal: np.ndarray
@@ -377,6 +205,12 @@ class StateStack:
     @property
     def size(self) -> int:
         return self.energies.shape[0]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """J_z distribution P(m) = sum_k w_k |<m|k>|^2, (B, N+1), m = -j..j."""
+        u = self.vectors
+        return (self.weights[:, None, :] @ (u * u))[:, 0]
 
 
 def _occupied_levels(
@@ -463,40 +297,21 @@ def equilibrium_states(params: ModelParams, lambdas, temperature: float):
         yield start, stack(lambdas.size)
 
 
-def equilibrium_state(params: ModelParams, temperature: float) -> ThermalState:
-    """Gibbs state on the thermally occupied levels only.
+def eigenvalues(params: ModelParams, lambdas, n_levels: int) -> np.ndarray:
+    """Lowest ``n_levels`` eigenvalues of H at each of ``lambdas``, ascending.
 
-    The one-point case of ``equilibrium_states``, which documents the
-    protocol.
+    N, Omega and delta come from ``params``; its own lambda is not read.
+    Returns a (B, n_levels) array.  All N + 1 levels come from one divide
+    and conquer solve per point, fewer from bisection.
 
-    Parameters
-    ----------
-    params : ModelParams
-    temperature : float
-        T >= 0 in units of the tunneling.
-
-    Returns
-    -------
-    ThermalState
+    Raises
+    ------
+    ValueError
+        Unless 1 <= n_levels <= N + 1, or when an entry of H overflows.
     """
-    ((_, s),) = equilibrium_states(params, [params.lambda_control], temperature)
-    spectrum = Spectrum(s.energies[0], s.vectors[0].T, params)
-    return ThermalState(spectrum, s.weights[0], float(temperature))
-
-
-def jz_distribution(state: ThermalState) -> DistributionOverM:
-    """J_z outcome distribution P(m) = sum_k w_k |<m|psi_k>|^2.
-
-    Parameters
-    ----------
-    state : ThermalState
-
-    Returns
-    -------
-    DistributionOverM
-    """
-    vecs = state.spectrum.eigenvectors
-    probs = (vecs * vecs) @ state.weights
-    j = state.spectrum.params.n_particles / 2.0
-    m = np.arange(probs.size) - j
-    return DistributionOverM(m_values=m, probabilities=probs)
+    dim = params.dimension
+    if not 1 <= n_levels <= dim:
+        raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
+    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    diag, off = _diagonals(params, lambdas)
+    return np.array([_eigh(d, off, False, n_levels) for d in diag])

@@ -6,8 +6,9 @@ three numbers off finite differences instead: the Uhlmann fidelity of the
 low-rank density operators and the Bhattacharyya coefficient of the J_z
 distributions at lambda + {+-eps, +-2eps}, each fitted to
 F = 1 - (chi/8) eps^2, and the least-squares slope of <J_z> through the
-five states.  It shares the package's equilibrium solver, so it checks the
-derivative, not the eigensolve; ``dense_oracle`` checks that.  Its fit,
+five states.  It takes each state from the package's state builder, one
+point at a time (``state_at``), so it checks the derivative, not the
+eigensolve; ``dense_oracle`` checks that.  Its fit,
 ``_fit_chi``, is the pointwise least-squares form of the slope that
 ``estimation._chi_cl`` takes in closed form for whole stacks of shot
 histograms; the tests compare the two.
@@ -21,12 +22,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bjjsense.fidelity import bhattacharyya_fidelity
-from bjjsense.model import (
-    ModelParams,
-    ThermalState,
-    equilibrium_state,
-    jz_distribution,
-)
+from bjjsense.model import ModelParams, StateStack, equilibrium_states
+
+
+def state_at(params: ModelParams, temperature: float) -> StateStack:
+    """The Gibbs state at ``params``, as a stack of one point."""
+    ((_, state),) = equilibrium_states(
+        params, [params.lambda_control], temperature
+    )
+    return state
+
+
+def jz_moments(state: StateStack) -> tuple[np.ndarray, np.ndarray]:
+    """<J_z> and Var(J_z) at each point of ``state``."""
+    prob = state.probabilities
+    m = np.arange(prob.shape[1]) - (prob.shape[1] - 1) / 2.0
+    mean = prob @ m
+    return mean, np.sum((m - mean[:, None]) ** 2 * prob, axis=1)
 
 
 @dataclass(frozen=True)
@@ -86,11 +98,12 @@ class DensityOperator:
         return self.weights.size
 
     @classmethod
-    def from_state(cls, state: ThermalState) -> "DensityOperator":
-        keep = state.weights > 0.0
+    def from_state(cls, state: StateStack) -> "DensityOperator":
+        """The Gibbs state of a one-point stack."""
+        keep = state.weights[0] > 0.0
         return cls(
-            basis=state.spectrum.eigenvectors[:, keep],
-            weights=state.weights[keep],
+            basis=state.vectors[0].T[:, keep],
+            weights=state.weights[0][keep],
         )
 
 
@@ -183,27 +196,26 @@ def fd_chi_point(
     <J_z> through the five states, squared over the centre variance.
     """
     lam = params.lambda_control
-    center = equilibrium_state(params, temperature)
-    dist_c = jz_distribution(center)
+    center = state_at(params, temperature)
     rho_c = DensityOperator.from_state(center)
     eps = default_epsilons(lam, epsilon0)
-    means = {0.0: dist_c.mean}
+    mean_c, var_c = jz_moments(center)
+    means = {0.0: float(mean_c[0])}
     fid_cl: dict[float, float] = {}
     fid_q: dict[float, float] = {}
     for e in eps:
-        shifted = equilibrium_state(
-            replace(params, lambda_control=lam + e), temperature
-        )
-        dist_s = jz_distribution(shifted)
-        means[e] = dist_s.mean
-        fid_cl[e] = bhattacharyya_fidelity(dist_c, dist_s)
+        shifted = state_at(replace(params, lambda_control=lam + e), temperature)
+        means[e] = float(jz_moments(shifted)[0][0])
+        fid_cl[e] = float(bhattacharyya_fidelity(
+            center.probabilities[0], shifted.probabilities[0]
+        ))
         fid_q[e] = uhlmann_fidelity(rho_c, DensityOperator.from_state(shifted))
     chi: dict[str, float] = {}
     if "moment" in which:
         offsets = np.array(sorted(means))
         vals = np.array([means[o] for o in offsets])
         slope = float(offsets @ vals / (offsets @ offsets))
-        var = dist_c.variance
+        var = float(var_c[0])
         if var <= 0:
             raise ValueError(f"non-positive J_z variance {var} at {params}")
         chi["moment"] = slope * slope / var

@@ -36,12 +36,7 @@ from bjjsense.criticality import (
     scan_lambda,
 )
 from bjjsense.fidelity import bhattacharyya_fidelity
-from bjjsense.model import (
-    DistributionOverM,
-    ModelParams,
-    build_hamiltonian,
-    diagonalize,
-)
+from bjjsense.model import ModelParams, eigenvalues
 
 SIZES = (200, 300, 500, 700, 1000)
 TILT = 2e-3
@@ -195,7 +190,7 @@ def test_agrees_with_dense_reference():
             lambda_control=float(rng.uniform(-3.0, 0.5)),
             imbalance=float(rng.uniform(-0.05, 0.05)),
         )
-        vals = diagonalize(build_hamiltonian(params)).eigenvalues
+        vals = eigenvalues(params, [params.lambda_control], n + 1)[0]
         ref, _ = jacobi_eigh(dense_hamiltonian(
             n, params.tunneling, params.lambda_control, params.imbalance
         ))
@@ -218,7 +213,7 @@ def test_fisher_information_analytic_families():
 
     def location_dist(mu):
         p = np.exp(-0.5 * ((z - mu) / sigma) ** 2)
-        return DistributionOverM(z, p / p.sum())
+        return p / p.sum()
 
     chi_cl = susceptibility_from_fidelity(
         lambda eps: bhattacharyya_fidelity(location_dist(0.0),

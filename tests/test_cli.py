@@ -57,14 +57,17 @@ def test_scan_lambda_rerun_byte_identical(tmp_path):
     blobs = []
     for name in ("out1", "out2"):
         out = _outdir(tmp_path, name)
-        assert main(["scan", "--config", config, "--out", out,
-                     "--threads", "2"]) == 0
+        assert main(["scan", "--config", config, "--out", out]) == 0
         with open(os.path.join(out, "scan.csv"), "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
-    columns, _ = read_table(os.path.join(str(tmp_path), "out1", "scan.csv"))
+    columns, comments = read_table(
+        os.path.join(str(tmp_path), "out1", "scan.csv")
+    )
     assert list(columns) == ["lambda", "mean_jz", "var_jz",
                              "chi_mom", "chi_cl", "chi_q"]
+    # a scan draws no random numbers, so it records no seed
+    assert [c.split(" ", 1)[0] for c in comments] == ["bjjsense", "config:"]
 
 
 def test_scan_refine_densifies_peak_region(tmp_path):
@@ -153,6 +156,80 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert main(["scan", "--config", config, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "unknown keys: bogus" in err
+    assert os.listdir(out) == []
+
+
+# The keys that changed no number, and the commands that took them.
+RETIRED_KEYS = [
+    ("scan", "epsilon0"), ("scaling", "epsilon0"),
+    ("scan", "seed"), ("scaling", "seed"), ("critical-point", "seed"),
+    *((command, "threads") for command in KEYS_BY_COMMAND),
+]
+
+
+@pytest.mark.parametrize("command,key", RETIRED_KEYS)
+def test_retired_config_key_exits_2(tmp_path, capsys, command, key):
+    config = _write_config(tmp_path, "cfg.json", {key: 1})
+    out = _outdir(tmp_path, "out")
+    assert main([command, "--config", config, "--out", out]) == 2
+    assert f"unknown keys: {key}" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((command, "--threads") for command in KEYS_BY_COMMAND),
+    ("scan", "--seed"), ("scaling", "--seed"), ("critical-point", "--seed"),
+])
+def test_retired_flag_exits_2(tmp_path, command, flag):
+    out = _outdir(tmp_path, "out")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", out, flag, "2"])
+    assert info.value.code == 2
+    assert os.listdir(out) == []
+
+
+# Every key that takes integers, with one command that takes it.
+INTEGER_KEYS = [
+    ("scan", "n_particles"), ("scaling", "n_values"),
+    ("scaling", "delta_points"), ("scaling", "window_points"),
+    ("critical-point", "levels"), ("pipeline", "n_samples"),
+    ("pipeline", "n_replicas"), ("bootstrap", "seed"),
+]
+
+
+@pytest.mark.parametrize("value", [60.7, True, "60"])
+@pytest.mark.parametrize("command,key", INTEGER_KEYS)
+def test_non_integer_config_value_exits_2(tmp_path, capsys, command, key,
+                                          value):
+    default = KEYS_BY_COMMAND[command][key][0]
+    payload = {key: [value, *default[1:]] if isinstance(default, list)
+               else value}
+    config = _write_config(tmp_path, "cfg.json", payload)
+    out = _outdir(tmp_path, "out")
+    assert main([command, "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {key} must be")
+    assert os.listdir(out) == []
+
+
+def test_sample_counts_per_point_match_one_count(tmp_path):
+    rows = []
+    for name, counts in (("one", 300), ("each", [300] * 8)):
+        config = _pipeline_config(tmp_path, n_samples=counts)
+        out = _outdir(tmp_path, name)
+        assert main(["bootstrap", "--config", config, "--out", out,
+                     "--quick"]) == 0
+        rows.append(_data_rows(os.path.join(out, "bootstrap.csv")))
+    assert rows[0] == rows[1]
+
+
+def test_refine_without_methods_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path, "cfg.json", {
+        "n_particles": 20, "refine": True, "methods": [],
+    })
+    out = _outdir(tmp_path, "out")
+    assert main(["scan", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: config: refine")
     assert os.listdir(out) == []
 
 

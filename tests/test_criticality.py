@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq, minimize_scalar
 
 from dense_oracle import dense_chi_point, dense_exact_chi
-from fd_reference import fd_chi_point
+from fd_reference import fd_chi_point, state_at
 
 import bjjsense.criticality as criticality
 from bjjsense.criticality import (
@@ -29,7 +29,7 @@ from bjjsense.criticality import (
     scan_lambda,
     temperature_sweep,
 )
-from bjjsense.model import ModelParams, equilibrium_state
+from bjjsense.model import ModelParams
 
 
 def _config(**overrides):
@@ -91,7 +91,7 @@ def test_scan_subset_of_methods():
         curve.chi("moment")
 
 
-def test_scan_deterministic_across_threads_and_reruns():
+def test_scan_deterministic_across_reruns():
     base = _config(temperature=0.5)
     c1 = scan_lambda(base)
     c2 = scan_lambda(base)
@@ -152,9 +152,9 @@ def test_stacked_scan_matches_pointwise_chi(temperature):
     params = ModelParams(n_particles=40, imbalance=2e-3)
     grid = -1.6 + 0.05 * np.arange(25)
     ranks = {
-        equilibrium_state(
+        state_at(
             dataclasses.replace(params, lambda_control=lam), temperature
-        ).rank
+        ).energies.shape[1]
         for lam in grid
     }
     assert len(ranks) == (1 if temperature == 0.0 else 5)
@@ -268,7 +268,7 @@ def test_splitting_check_costs_tilted_points_no_solve(monkeypatch):
 
 def test_scan_solves_one_equilibrium_state_per_point(monkeypatch):
     # The stacked scan makes exactly the eigensolver calls of one
-    # equilibrium_state per grid point, in grid order.
+    # single-point state per grid point, in grid order.
     import bjjsense.model as model
 
     real = model._eigh
@@ -286,10 +286,9 @@ def test_scan_solves_one_equilibrium_state_per_point(monkeypatch):
         scanned = list(calls)
         calls.clear()
         for lam in config.lambda_grid:
-            model.equilibrium_state(
-                dataclasses.replace(config.params_template, lambda_control=lam),
-                temperature,
-            )
+            list(model.equilibrium_states(
+                config.params_template, [lam], temperature
+            ))
         assert scanned == calls
         assert len(scanned) == (1 if temperature == 0.0 else 2) * len(
             config.lambda_grid

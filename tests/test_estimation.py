@@ -536,8 +536,10 @@ def test_stacked_chi_cl_matches_pointwise():
         reference = [
             fd_reference._fit_chi(
                 np.array([a[i - 1] - a[i], a[i + 1] - a[i]]),
-                1.0 - np.array([bhattacharyya_fidelity(hists[i - 1], hists[i]),
-                                bhattacharyya_fidelity(hists[i], hists[i + 1])]),
+                1.0 - np.array([
+                    bhattacharyya_fidelity(row[i - 1], row[i]),
+                    bhattacharyya_fidelity(row[i], row[i + 1]),
+                ]),
                 "classical",
             ).value
             for i in range(1, a.size - 1)

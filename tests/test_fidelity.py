@@ -15,53 +15,55 @@ from numpy.testing import assert_allclose
 from fd_reference import (
     DensityOperator,
     default_epsilons,
+    state_at,
     susceptibility_from_fidelity,
     uhlmann_fidelity,
 )
 
 from bjjsense.fidelity import bhattacharyya_fidelity
-from bjjsense.model import (
-    DistributionOverM,
-    ModelParams,
-    equilibrium_state,
-    jz_distribution,
-)
-
-
-def _dist(probs):
-    p = np.asarray(probs, dtype=float)
-    m = np.arange(p.size, dtype=float)
-    return DistributionOverM(m_values=m, probabilities=p)
+from bjjsense.model import ModelParams
 
 
 def _bjj_operator(n, lam, delta, temperature):
     params = ModelParams(n_particles=n, lambda_control=lam, imbalance=delta)
-    return DensityOperator.from_state(equilibrium_state(params, temperature))
+    return DensityOperator.from_state(state_at(params, temperature))
 
 
 def test_bhattacharyya_identical_is_one():
     rng = np.random.default_rng(1)
     p = rng.random(17)
     p /= p.sum()
-    assert_allclose(bhattacharyya_fidelity(_dist(p), _dist(p)), 1.0,
-                    rtol=1e-12)
+    assert_allclose(bhattacharyya_fidelity(p, p), 1.0, rtol=1e-12)
 
 
 def test_bhattacharyya_disjoint_is_zero():
-    p = _dist([0.5, 0.5, 0.0, 0.0])
-    q = _dist([0.0, 0.0, 0.3, 0.7])
+    p = [0.5, 0.5, 0.0, 0.0]
+    q = [0.0, 0.0, 0.3, 0.7]
     assert bhattacharyya_fidelity(p, q) == 0.0
 
 
 def test_bhattacharyya_half_half_vs_point():
-    p = _dist([0.5, 0.5])
-    q = _dist([1.0, 0.0])
-    assert_allclose(bhattacharyya_fidelity(p, q), math.sqrt(0.5), rtol=1e-12)
+    assert_allclose(bhattacharyya_fidelity([0.5, 0.5], [1.0, 0.0]),
+                    math.sqrt(0.5), rtol=1e-12)
+
+
+def test_bhattacharyya_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(4)
+    p = rng.random((3, 2, 9))
+    p /= p.sum(axis=-1, keepdims=True)
+    q = p[0, 0]
+    got = bhattacharyya_fidelity(p, q)
+    assert got.shape == (3, 2)
+    for i, j in np.ndindex(3, 2):
+        assert got[i, j] == bhattacharyya_fidelity(p[i, j], q)
+    assert_allclose(got[0, 0], 1.0, rtol=1e-12)
 
 
 def test_bhattacharyya_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        bhattacharyya_fidelity(_dist([1.0]), _dist([0.5, 0.5]))
+        bhattacharyya_fidelity([1.0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        bhattacharyya_fidelity(np.ones((2, 3)) / 3, np.ones((2, 4)) / 4)
 
 
 def test_uhlmann_self_fidelity():
@@ -134,7 +136,7 @@ def test_uhlmann_rejects_dimension_mismatch():
 
 def test_density_operator_from_state_unit_trace():
     params = ModelParams(n_particles=12, lambda_control=-1.0, imbalance=1e-3)
-    rho = DensityOperator.from_state(equilibrium_state(params, 0.4))
+    rho = DensityOperator.from_state(state_at(params, 0.4))
     assert abs(rho.weights.sum() - 1.0) < 1e-10
     assert np.all(rho.weights > 0)
     assert rho.basis.shape == (13, rho.rank)
@@ -156,9 +158,9 @@ def test_measurement_cannot_increase_distinguishability():
         p2 = dataclasses.replace(
             p1, lambda_control=lam + float(rng.uniform(0.005, 0.05))
         )
-        s1 = equilibrium_state(p1, temperature)
-        s2 = equilibrium_state(p2, temperature)
-        f_cl = bhattacharyya_fidelity(jz_distribution(s1), jz_distribution(s2))
+        s1 = state_at(p1, temperature)
+        s2 = state_at(p2, temperature)
+        f_cl = bhattacharyya_fidelity(s1.probabilities[0], s2.probabilities[0])
         f_q = uhlmann_fidelity(
             DensityOperator.from_state(s1), DensityOperator.from_state(s2)
         )
@@ -206,7 +208,7 @@ def test_chi_gaussian_location_family():
 
     def dist(lam):
         p = np.exp(-((x - lam) ** 2) / (2.0 * sigma * sigma))
-        return DistributionOverM(m_values=x, probabilities=p / p.sum())
+        return p / p.sum()
 
     est = susceptibility_from_fidelity(
         lambda e: bhattacharyya_fidelity(dist(0.0), dist(e)),

@@ -1,4 +1,4 @@
-"""Hamiltonian assembly, diagonalization, thermal states, J_z statistics."""
+"""Hamiltonian assembly, eigensolves, Gibbs states, J_z statistics."""
 
 import dataclasses
 import math
@@ -9,43 +9,42 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
-from dense_oracle import dense_hamiltonian, jacobi_eigh
+from dense_oracle import dense_hamiltonian, dense_thermal_rho, jacobi_eigh
+from fd_reference import jz_moments, state_at
 
 import bjjsense.model as model
-from bjjsense.model import (
-    ModelParams,
-    Spectrum,
-    TridiagonalHamiltonian,
-    build_hamiltonian,
-    diagonalize,
-    eigenvalues_only,
-    equilibrium_state,
-    jz_distribution,
-    thermal_state,
-)
+from bjjsense.model import ModelParams, eigenvalues, equilibrium_states
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
 
+def _full(params):
+    """The Gibbs state at a temperature that occupies every level."""
+    energies = eigenvalues(params, [params.lambda_control], params.dimension)
+    state = state_at(params, 1.0 + float(np.ptp(energies)))
+    assert state.energies.shape == (1, params.dimension)
+    return state
+
+
 def test_build_n2_noninteracting():
-    h = build_hamiltonian(ModelParams(n_particles=2))
-    assert_allclose(h.diagonal, [0.0, 0.0, 0.0], atol=0.0)
+    h = state_at(ModelParams(n_particles=2), 0.0)
+    assert_allclose(h.diagonal, [[0.0, 0.0, 0.0]], atol=0.0)
     assert_allclose(h.offdiagonal, [-SQRT2_HALF, -SQRT2_HALF], rtol=1e-15)
-    assert_allclose(h.m_values, [-1.0, 0.0, 1.0], atol=0.0)
 
 
 def test_build_n2_attractive():
     # lambda = -2 at N = 2, Omega = 1 means zeta = -1
     params = ModelParams(n_particles=2, lambda_control=-2.0)
     assert_allclose(params.interaction, -1.0, rtol=1e-15)
-    h = build_hamiltonian(params)
-    assert_allclose(h.diagonal, [-1.0, 0.0, -1.0], rtol=1e-15)
+    h = state_at(params, 0.0)
+    assert_allclose(h.diagonal, [[-1.0, 0.0, -1.0]], rtol=1e-15)
     assert_allclose(h.offdiagonal, [-SQRT2_HALF, -SQRT2_HALF], rtol=1e-15)
 
 
 def test_build_n2_tilt():
-    h = build_hamiltonian(ModelParams(n_particles=2, imbalance=0.1))
-    assert_allclose(h.diagonal, [-0.1, 0.0, 0.1], rtol=1e-15)
+    # the diagonal's delta * m runs over m = -j..j in ascending order
+    h = state_at(ModelParams(n_particles=2, imbalance=0.1), 0.0)
+    assert_allclose(h.diagonal, [[-0.1, 0.0, 0.1]], rtol=1e-15)
 
 
 def test_build_matches_dense_ladder_construction():
@@ -58,11 +57,11 @@ def test_build_matches_dense_ladder_construction():
             lambda_control=float(rng.uniform(-3.0, 1.0)),
             imbalance=float(rng.uniform(-0.1, 0.1)),
         )
-        h = build_hamiltonian(params)
+        h = state_at(params, 0.0)
         dense = dense_hamiltonian(
             n, params.tunneling, params.lambda_control, params.imbalance
         )
-        assert_allclose(np.diag(dense), h.diagonal, atol=1e-14)
+        assert_allclose(np.diag(dense), h.diagonal[0], atol=1e-14)
         assert_allclose(np.diag(dense, 1), h.offdiagonal, atol=1e-14)
         # nothing beyond the first off-diagonal
         assert np.all(np.triu(dense, 2) == 0.0)
@@ -77,9 +76,9 @@ def test_build_rejects_overflowing_entries(overflow):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow") as err:
-            build_hamiltonian(params)
+            eigenvalues(params, [params.lambda_control], 1)
         with pytest.raises(ValueError, match="overflow"):
-            equilibrium_state(params, 0.5)
+            state_at(params, 0.5)
     message = str(err.value)
     for name in ("N=100", f"lambda={params.lambda_control}",
                  f"delta={params.imbalance}", f"Omega={params.tunneling}"):
@@ -94,8 +93,8 @@ def _solver_cases():
             lambda_control=float(rng.uniform(-2.0, 0.0)),
             imbalance=float(rng.uniform(0.0, 1e-2)),
         )
-        h = build_hamiltonian(params)
-        yield h.diagonal, h.offdiagonal
+        diag, off = model._diagonals(params, np.array([params.lambda_control]))
+        yield diag[0], off
 
 
 def test_eigh_is_bit_identical_to_scipy_eigh_tridiagonal():
@@ -123,89 +122,111 @@ def test_eigh_is_bit_identical_to_scipy_eigh_tridiagonal():
                     assert np.array_equal(a, b)
 
 
-def test_diagonalize_one_by_one():
-    h = TridiagonalHamiltonian(
-        diagonal=np.array([3.5]),
-        offdiagonal=np.zeros(0),
-        params=ModelParams(n_particles=1),
-    )
-    spect = diagonalize(h)
-    assert_allclose(spect.eigenvalues, [3.5], atol=0.0)
-    assert_allclose(spect.eigenvectors, [[1.0]], atol=0.0)
-
-
 def test_diagonalize_two_by_two():
-    h = TridiagonalHamiltonian(
-        diagonal=np.array([0.0, 0.0]),
-        offdiagonal=np.array([-1.0]),
-        params=ModelParams(n_particles=1),
-    )
-    spect = diagonalize(h)
-    assert_allclose(spect.eigenvalues, [-1.0, 1.0], atol=1e-15)
+    # N = 1 at lambda = 0, Omega = 2: diagonal 0, off-diagonal -1
+    state = _full(ModelParams(n_particles=1, tunneling=2.0))
+    assert_allclose(state.diagonal, [[0.0, 0.0]], atol=0.0)
+    assert_allclose(state.offdiagonal, [-1.0], rtol=1e-15)
+    assert_allclose(state.energies, [[-1.0, 1.0]], atol=1e-15)
     s = SQRT2_HALF
-    assert_allclose(np.abs(spect.eigenvectors), [[s, s], [s, s]], rtol=1e-14)
-    # sign convention: largest-magnitude entry of each column positive
-    for k in range(2):
-        col = spect.eigenvectors[:, k]
-        assert col[np.argmax(np.abs(col))] > 0
+    assert_allclose(np.abs(state.vectors[0]), [[s, s], [s, s]], rtol=1e-14)
+    # sign convention: largest-magnitude entry of each eigenvector positive
+    for vec in state.vectors[0]:
+        assert vec[np.argmax(np.abs(vec))] > 0
 
 
 def test_ground_energy_n2_attractive():
     params = ModelParams(n_particles=2, lambda_control=-2.0)
-    spect = diagonalize(build_hamiltonian(params))
-    assert_allclose(spect.ground_energy, (-1.0 - math.sqrt(5.0)) / 2.0,
-                    rtol=1e-14)
+    expected = (-1.0 - math.sqrt(5.0)) / 2.0
+    assert_allclose(eigenvalues(params, [-2.0], 1), [[expected]], rtol=1e-14)
+    assert_allclose(state_at(params, 0.0).energies, [[expected]], rtol=1e-14)
 
 
 def test_sign_convention_is_deterministic():
     params = ModelParams(n_particles=30, lambda_control=-0.8, imbalance=1e-3)
-    h = build_hamiltonian(params)
-    first = diagonalize(h)
+    first = _full(params)
     for _ in range(3):
-        again = diagonalize(h)
-        assert np.array_equal(first.eigenvectors, again.eigenvectors)
-    for k in range(first.n_levels):
-        col = first.eigenvectors[:, k]
-        assert col[np.argmax(np.abs(col))] > 0
+        again = _full(params)
+        assert np.array_equal(first.vectors, again.vectors)
+    for vec in first.vectors[0]:
+        assert vec[np.argmax(np.abs(vec))] > 0
 
 
 def test_partial_levels_prefix_full_spectrum():
     params = ModelParams(n_particles=40, lambda_control=-1.2, imbalance=1e-3)
-    h = build_hamiltonian(params)
-    full = diagonalize(h)
-    part = diagonalize(h, n_levels=5)
-    assert part.n_levels == 5
-    assert_allclose(part.eigenvalues, full.eigenvalues[:5], rtol=1e-12)
-    overlaps = np.abs(np.einsum(
-        "ik,ik->k", part.eigenvectors, full.eigenvectors[:, :5]
-    ))
-    assert_allclose(overlaps, np.ones(5), atol=1e-10)
+    full = _full(params)
+    vals = eigenvalues(params, [params.lambda_control], 5)
+    assert vals.shape == (1, 5)
+    assert_allclose(vals[0], full.energies[0, :5], rtol=1e-12)
+    # the thermal window and the ground state: bisection, inverse iteration
+    for temperature in (0.0, 0.05):
+        part = state_at(params, temperature)
+        k = part.energies.shape[1]
+        assert k == 1 if temperature == 0.0 else 1 < k < params.dimension
+        assert_allclose(part.energies[0], full.energies[0, :k], rtol=1e-12)
+        overlaps = np.abs(
+            np.sum(part.vectors[0] * full.vectors[0, :k], axis=1)
+        )
+        assert_allclose(overlaps, np.ones(k), atol=1e-10)
 
 
 def test_eigenvalues_only_agrees_with_full_solve():
     params = ModelParams(n_particles=25, lambda_control=-1.5, imbalance=2e-3)
-    h = build_hamiltonian(params)
-    vals = eigenvalues_only(h)
-    assert_allclose(vals, diagonalize(h).eigenvalues, rtol=1e-13)
-    assert_allclose(eigenvalues_only(h, n_levels=3), vals[:3], rtol=1e-13)
+    vals = eigenvalues(params, [params.lambda_control], params.dimension)[0]
+    assert_allclose(vals, _full(params).energies[0], rtol=1e-13)
+    assert_allclose(eigenvalues(params, [params.lambda_control], 3)[0],
+                    vals[:3], rtol=1e-13)
+
+
+def _oracle_cases(seed, count, min_tilt=0.0):
+    """Random parameters, |delta| >= min_tilt, and their Jacobi eigenpairs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 21))
+        tunneling = float(rng.uniform(0.5, 2.0))
+        lam = float(rng.uniform(-3.0, 1.0))
+        delta = float(rng.uniform(-0.05, 0.05))
+        params = ModelParams(
+            n_particles=n,
+            tunneling=tunneling,
+            lambda_control=lam,
+            imbalance=delta + math.copysign(min_tilt, delta),
+        )
+        ref = jacobi_eigh(dense_hamiltonian(
+            n, params.tunneling, params.lambda_control, params.imbalance
+        ))
+        yield params, ref
 
 
 def test_eigenvalues_match_jacobi_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        n = int(rng.integers(2, 21))
-        params = ModelParams(
-            n_particles=n,
-            tunneling=float(rng.uniform(0.5, 2.0)),
-            lambda_control=float(rng.uniform(-3.0, 1.0)),
-            imbalance=float(rng.uniform(-0.05, 0.05)),
-        )
-        vals = diagonalize(build_hamiltonian(params)).eigenvalues
-        ref, _ = jacobi_eigh(dense_hamiltonian(
-            n, params.tunneling, params.lambda_control, params.imbalance
-        ))
+    for params, (ref, _) in _oracle_cases(23, 10):
+        lam = [params.lambda_control]
         scale = max(1.0, float(np.max(np.abs(ref))))
+        vals = eigenvalues(params, lam, params.dimension)[0]
         assert np.max(np.abs(vals - ref)) < 1e-10 * scale
+        # the lowest levels alone come from bisection
+        low = eigenvalues(params, lam, 3)[0]
+        assert np.max(np.abs(low - ref[:3])) < 1e-10 * scale
+
+
+def test_eigenpairs_of_cli_routes_match_jacobi_oracle():
+    # The ground state (bisection plus inverse iteration) and a thermal
+    # window (bisection over an energy range) against the Jacobi oracle.
+    # Tilts of at least 0.01 keep every level apart, so that each
+    # eigenvector is defined up to its sign.
+    windows = 0
+    for params, (ref, ref_vecs) in _oracle_cases(37, 10, min_tilt=0.01):
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        for temperature in (0.0, 0.1 * params.tunneling):
+            state = state_at(params, temperature)
+            k = state.energies.shape[1]
+            windows += 1 < k < params.dimension
+            assert np.max(np.abs(state.energies[0] - ref[:k])) < 1e-10 * scale
+            overlaps = np.abs(
+                np.sum(state.vectors[0] * ref_vecs[:, :k].T, axis=1)
+            )
+            assert_allclose(overlaps, np.ones(k), atol=1e-10)
+    assert windows >= 5
 
 
 def test_eigenvectors_solve_the_eigenproblem():
@@ -217,15 +238,15 @@ def test_eigenvectors_solve_the_eigenproblem():
             lambda_control=float(rng.uniform(-2.0, 0.5)),
             imbalance=float(rng.uniform(-0.01, 0.01)),
         )
-        h = build_hamiltonian(params)
-        spect = diagonalize(h)
+        state = _full(params)
+        vecs, vals = state.vectors[0].T, state.energies[0]
         dense = dense_hamiltonian(
             n, params.tunneling, params.lambda_control, params.imbalance
         )
-        resid = dense @ spect.eigenvectors - spect.eigenvectors * spect.eigenvalues
-        scale = max(1.0, float(np.max(np.abs(spect.eigenvalues))))
+        resid = dense @ vecs - vecs * vals
+        scale = max(1.0, float(np.max(np.abs(vals))))
         assert np.max(np.abs(resid)) < 1e-12 * scale
-        gram = spect.eigenvectors.T @ spect.eigenvectors
+        gram = vecs.T @ vecs
         assert_allclose(gram, np.eye(n + 1), atol=1e-12)
 
 
@@ -238,50 +259,48 @@ def test_trace_identity():
             lambda_control=float(rng.uniform(-3.0, 1.0)),
             imbalance=float(rng.uniform(-0.1, 0.1)),
         )
-        h = build_hamiltonian(params)
-        trace = float(np.sum(h.diagonal))
-        total = float(np.sum(diagonalize(h).eigenvalues))
+        trace = float(np.sum(state_at(params, 0.0).diagonal))
+        total = float(np.sum(
+            eigenvalues(params, [params.lambda_control], params.dimension)
+        ))
         assert abs(total - trace) <= 1e-8 * max(1.0, abs(trace))
 
 
 def test_thermal_zero_temperature_is_pure():
     params = ModelParams(n_particles=12, lambda_control=-0.5)
-    spect = diagonalize(build_hamiltonian(params))
-    state = thermal_state(spect, 0.0)
-    expected = np.zeros(spect.n_levels)
-    expected[0] = 1.0
-    assert np.array_equal(state.weights, expected)
+    state = state_at(params, 0.0)
+    assert np.array_equal(state.weights, [[1.0]])
 
 
 def test_thermal_high_temperature_is_uniform():
     params = ModelParams(n_particles=10, lambda_control=-1.0, imbalance=1e-3)
-    spect = diagonalize(build_hamiltonian(params))
-    width = float(spect.eigenvalues[-1] - spect.eigenvalues[0])
-    state = thermal_state(spect, 1e6 * width)
-    assert_allclose(state.weights, np.full(spect.n_levels, 1.0 / spect.n_levels),
+    width = float(np.ptp(eigenvalues(params, [-1.0], params.dimension)))
+    state = state_at(params, 1e6 * width)
+    assert_allclose(state.weights,
+                    np.full((1, params.dimension), 1.0 / params.dimension),
                     rtol=1e-6)
 
 
 def test_thermal_two_level_ratio():
     rng = np.random.default_rng(5)
     for _ in range(5):
-        gap = float(rng.uniform(0.1, 4.0))
-        spect = Spectrum(
-            eigenvalues=np.array([0.0, gap]),
-            eigenvectors=np.eye(2),
-            params=ModelParams(n_particles=1),
+        params = ModelParams(
+            n_particles=1,
+            tunneling=float(rng.uniform(0.1, 4.0)),
+            lambda_control=float(rng.uniform(-2.0, 2.0)),
+            imbalance=float(rng.uniform(-1.0, 1.0)),
         )
-        state = thermal_state(spect, gap)
-        assert_allclose(state.weights[1] / state.weights[0], math.exp(-1.0),
-                        rtol=1e-12)
+        e0, e1 = eigenvalues(params, [params.lambda_control], 2)[0]
+        state = state_at(params, e1 - e0)
+        weights = state.weights[0]
+        assert_allclose(weights[1] / weights[0], math.exp(-1.0), rtol=1e-12)
 
 
 def test_thermal_rejects_negative_temperature():
-    spect = diagonalize(build_hamiltonian(ModelParams(n_particles=4)))
-    with pytest.raises(ValueError):
-        thermal_state(spect, -0.1)
-    with pytest.raises(ValueError):
-        equilibrium_state(ModelParams(n_particles=4), -1.0)
+    for temperature in (-0.1, -1.0):
+        with pytest.raises(ValueError):
+            list(equilibrium_states(ModelParams(n_particles=4), [0.0],
+                                    temperature))
 
 
 def test_equilibrium_matches_direct_gibbs():
@@ -293,24 +312,23 @@ def test_equilibrium_matches_direct_gibbs():
                 lambda_control=float(rng.uniform(-1.5, 0.0)),
                 imbalance=2e-3,
             )
-            state = equilibrium_state(params, temperature)
-            full = thermal_state(
-                diagonalize(build_hamiltonian(params)), temperature
-            )
-            p = jz_distribution(state).probabilities
-            q = jz_distribution(full).probabilities
+            p = state_at(params, temperature).probabilities[0]
+            # every level of the Jacobi oracle, none truncated
+            q = np.diag(dense_thermal_rho(
+                dense_hamiltonian(n, 1.0, params.lambda_control, 2e-3),
+                temperature,
+            ))
             # truncated tail carries at most dimension * rel_cutoff weight
             assert np.max(np.abs(p - q)) < 1e-9
 
 
 def test_jz_distribution_noninteracting_is_binomial():
     for n in (6, 13):
-        state = equilibrium_state(ModelParams(n_particles=n), 0.0)
-        dist = jz_distribution(state)
+        state = state_at(ModelParams(n_particles=n), 0.0)
         expected = np.array(
             [math.comb(n, k) / 2.0 ** n for k in range(n + 1)]
         )
-        assert_allclose(dist.probabilities, expected, atol=1e-10)
+        assert_allclose(state.probabilities[0], expected, atol=1e-10)
 
 
 def test_jz_distribution_normalized_and_symmetric():
@@ -320,8 +338,7 @@ def test_jz_distribution_normalized_and_symmetric():
             n_particles=int(rng.integers(4, 60)),
             lambda_control=float(rng.uniform(-2.0, 1.0)),
         )
-        state = equilibrium_state(params, float(rng.uniform(0.0, 2.0)))
-        probs = jz_distribution(state).probabilities
+        probs = state_at(params, float(rng.uniform(0.0, 2.0))).probabilities[0]
         assert abs(probs.sum() - 1.0) < 1e-10
         # delta = 0 leaves the m -> -m symmetry intact
         assert np.max(np.abs(probs - probs[::-1])) < 1e-10
@@ -329,21 +346,19 @@ def test_jz_distribution_normalized_and_symmetric():
 
 def test_jz_variance_noninteracting():
     for n in (8, 31):
-        state = equilibrium_state(ModelParams(n_particles=n), 0.0)
-        dist = jz_distribution(state)
-        assert abs(dist.mean) < 1e-10
-        assert_allclose(dist.variance, n / 4.0, rtol=1e-10)
+        mean, variance = jz_moments(state_at(ModelParams(n_particles=n), 0.0))
+        assert abs(mean[0]) < 1e-10
+        assert_allclose(variance[0], n / 4.0, rtol=1e-10)
 
 
 def test_jz_variance_infinite_temperature_limit():
     n = 10
     j = n / 2.0
     params = ModelParams(n_particles=n, lambda_control=-1.0)
-    spect = diagonalize(build_hamiltonian(params))
-    width = float(spect.eigenvalues[-1] - spect.eigenvalues[0])
-    state = thermal_state(spect, 1e9 * width)
-    variance = jz_distribution(state).variance
-    assert_allclose(variance, j * (j + 1.0) / 3.0, rtol=1e-6)
+    ref, _ = jacobi_eigh(dense_hamiltonian(n, 1.0, -1.0))
+    state = state_at(params, 1e9 * float(ref[-1] - ref[0]))
+    assert state.energies.shape == (1, n + 1)
+    assert_allclose(jz_moments(state)[1], [j * (j + 1.0) / 3.0], rtol=1e-6)
 
 
 def test_mean_tilts_against_imbalance():
@@ -353,7 +368,7 @@ def test_mean_tilts_against_imbalance():
         params = ModelParams(
             n_particles=60, lambda_control=-1.5, imbalance=delta
         )
-        mean = jz_distribution(equilibrium_state(params, 0.0)).mean
+        mean = jz_moments(state_at(params, 0.0))[0][0]
         assert mean * delta < 0
 
 
@@ -388,7 +403,7 @@ def test_params_accept_numpy_scalars():
 
 def test_equilibrium_rejects_nan_temperature():
     with pytest.raises(ValueError, match="temperature"):
-        equilibrium_state(ModelParams(n_particles=10), math.nan)
+        list(equilibrium_states(ModelParams(n_particles=10), [0.0], math.nan))
 
 
 def test_params_replace_and_dimension():
@@ -401,17 +416,16 @@ def test_params_replace_and_dimension():
 
 
 def test_gap_requires_available_levels():
-    spect = diagonalize(build_hamiltonian(ModelParams(n_particles=6)),
-                        n_levels=2)
-    assert spect.n_levels == 2
-    assert spect.eigenvalues[1] - spect.eigenvalues[0] > 0
+    vals = eigenvalues(ModelParams(n_particles=6), [0.0, -1.0], 2)
+    assert vals.shape == (2, 2)
+    assert np.all(vals[:, 1] - vals[:, 0] > 0)
     with pytest.raises(IndexError):
-        spect.eigenvalues[2]
+        vals[0, 2]
 
 
 def test_diagonalize_rejects_bad_level_count():
-    h = build_hamiltonian(ModelParams(n_particles=6))
+    params = ModelParams(n_particles=6)
     with pytest.raises(ValueError):
-        diagonalize(h, n_levels=0)
+        eigenvalues(params, [0.0], 0)
     with pytest.raises(ValueError):
-        diagonalize(h, n_levels=8)
+        eigenvalues(params, [0.0], 8)

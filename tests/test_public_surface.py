@@ -1,6 +1,35 @@
-"""The package's advertised names exist."""
+"""The package's advertised names exist, and no others are advertised."""
 
 import bjjsense
+
+PUBLIC = [
+    "ModelParams",
+    "EigensolverError",
+    "StateStack",
+    "equilibrium_states",
+    "eigenvalues",
+    "bhattacharyya_fidelity",
+    "ScanConfig",
+    "SusceptibilityCurve",
+    "PeakEstimate",
+    "CriticalPointResult",
+    "DeltaOptimization",
+    "PowerLawFit",
+    "ScalingStudyResult",
+    "scan_lambda",
+    "chi_at_point",
+    "default_lambda_grid",
+    "default_delta_grid",
+    "locate_critical_gap",
+    "optimize_delta",
+    "fit_power_law",
+    "scaling_study",
+    "__version__",
+]
+
+
+def test_public_names_are_pinned():
+    assert bjjsense.__all__ == PUBLIC
 
 
 def test_every_exported_name_resolves():
