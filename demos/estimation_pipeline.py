@@ -1,5 +1,7 @@
 # Synthetic shot records -> double-Gaussian fits -> chi estimates with
-# bootstrap error bars, the same chain the `bjjsense pipeline` command runs.
+# bootstrap error bars, the same chain the `bjjsense pipeline` command runs:
+# `series_estimates` returns the fits with the estimates, and the bootstrap
+# redraws every record from those fits.
 import numpy as np
 
 import bjjsense.estimation as est
@@ -10,10 +12,10 @@ zbar = 0.2 + 0.22 * (a + 2.4) + 0.12 * (1.0 + np.tanh((a + 1.75) / 0.2))
 truth = [est.DoubleGaussianFit(z, 0.1, 0.5, 0.5) for z in zbar]
 
 series = est.synth_samples(a, truth, n_samples=4000, seed=11)
-points = est.series_estimates(series)
+points, fits = est.series_estimates(series)
 
 boots = {
-    name: est.bootstrap(series, name, n_replicas=300, seed=11)
+    name: est.bootstrap(series, name, n_replicas=300, seed=11, base_fits=fits)
     for name in ("chi_mom", "chi_cl")
 }
 

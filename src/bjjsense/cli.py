@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -30,8 +31,8 @@ from .criticality import (
 from .estimation import (
     DoubleGaussianFit,
     HistogramSpec,
-    _series_estimates,
     bootstrap,
+    series_estimates,
     synth_samples,
 )
 from .io import read_series_csv, write_columns, write_table
@@ -157,6 +158,16 @@ def _integers(value) -> bool:
     return isinstance(value, list) and all(map(_is_integer, value))
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a finite float, or a config error naming ``name``."""
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise CliError("config", f"{name} must be a finite number, got {value!r}")
+
+
 def _check_outdir(path: str) -> None:
     if not os.path.isdir(path):
         raise CliError("output", f"output directory does not exist: {path}")
@@ -209,12 +220,15 @@ def cmd_scan(args) -> int:
         raise CliError("config", f"unknown sweep {config['sweep']!r}")
     if config["refine"] and not methods:
         raise CliError("config", "refine needs at least one of 'methods'")
+    keys = ("lambda_min", "lambda_max", "lambda_step")
+    lo, hi, step = (_finite(k, config[k]) for k in keys)
+    if not step > 0:
+        raise CliError("config", f"lambda_step must be > 0, got {step!r}")
+    if not lo < hi:
+        raise CliError("config", f"lambda_min must be < lambda_max: {lo!r}, {hi!r}")
     if args.quick:
-        config["lambda_step"] = max(float(config["lambda_step"]), 1e-2)
-    grid = default_lambda_grid(
-        float(config["lambda_min"]), float(config["lambda_max"]),
-        float(config["lambda_step"]),
-    )
+        config["lambda_step"] = step = max(step, 1e-2)
+    grid = default_lambda_grid(lo, hi, step)
     scan_cfg = ScanConfig(
         params_template=ModelParams(
             n_particles=config["n_particles"],
@@ -230,10 +244,10 @@ def cmd_scan(args) -> int:
     if config["refine"]:
         ref = "quantum" if "quantum" in methods else methods[0]
         peak = curve.peak(ref)
-        step = float(config["lambda_step"]) / 10.0
-        half = 25 * step
+        fine_step = step / 10.0
+        half = 25 * fine_step
         fine = default_lambda_grid(
-            peak.lambda_peak - half, peak.lambda_peak + half, step
+            peak.lambda_peak - half, peak.lambda_peak + half, fine_step
         )
         # Every chi is pointwise: scan only the fine points that are new.
         new = dataclasses.replace(scan_cfg, lambda_grid=np.setdiff1d(fine, grid))
@@ -328,8 +342,14 @@ def cmd_scaling(args) -> int:
 def cmd_critical_point(args) -> int:
     config = _load_config(args, CRITICAL_KEYS)
     _check_outdir(args.out)
-    bracket = tuple(float(b) for b in config["bracket"])
-    levels = tuple(config["levels"])
+    bracket, levels = config["bracket"], config["levels"]
+    if not isinstance(bracket, list) or len(bracket) != 2:
+        raise CliError("config", f"bracket must be [lo, hi], got {bracket!r}")
+    bracket = tuple(_finite("bracket", b) for b in bracket)
+    if not bracket[0] < bracket[1]:
+        raise CliError("config", f"bracket must have lo < hi, got {list(bracket)}")
+    if len(levels) != 2 or not 0 <= min(levels) < max(levels):
+        raise CliError("config", f"levels must be two distinct integers >= 0: {levels}")
     rows = []
     for n in config["n_values"]:
         crit = locate_critical_gap(
@@ -389,11 +409,8 @@ def _resolve_series(config):
 
 
 def _replica_table(result):
-    rows = []
-    for a, col in zip(result.scattering_lengths, result.replica_values):
-        for v in col:
-            rows.append((a, v))
-    return rows
+    pairs = zip(result.scattering_lengths, result.replica_values)
+    return [(a, v) for a, col in pairs for v in col]
 
 
 def cmd_pipeline(args) -> int:
@@ -404,7 +421,7 @@ def cmd_pipeline(args) -> int:
         n_replicas = min(n_replicas, 100)
     series = _resolve_series(config)
     spec = HistogramSpec(bin_width=float(config["bin_width"]))
-    estimates, fits = _series_estimates(series, spec)
+    estimates, fits = series_estimates(series, spec)
     comments = _provenance("pipeline", config)
     boots = {}
     for estimator in ("chi_mom", "chi_cl"):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -340,6 +341,8 @@ def default_lambda_grid(
     lo: float = -1.6, hi: float = -0.4, step: float = 2e-3
 ) -> np.ndarray:
     """Uniform scan grid; endpoints included when step divides the span."""
+    if not (-math.inf < lo < hi < math.inf and 0 < step < math.inf):
+        raise ValueError(f"lambda grid needs finite lo < hi, step > 0: {lo, hi, step}")
     n = int(round((hi - lo) / step))
     return lo + step * np.arange(n + 1)
 
@@ -545,19 +548,21 @@ def locate_critical_gap(
     Raises
     ------
     ValueError
-        If ``levels`` are not two different levels of the spectrum, or the
-        coarse minimum lands on the bracket edge, i.e. the bracket does not
-        enclose an interior minimum.
+        If ``lambda_bracket`` is not finite lo < hi, ``levels`` are not two
+        different levels of the spectrum, or the coarse minimum lands on the
+        bracket edge, i.e. the bracket does not enclose an interior minimum.
     """
+    if not (len(lambda_bracket) == 2
+            and -math.inf < lambda_bracket[0] < lambda_bracket[1] < math.inf):
+        raise ValueError(f"lambda_bracket must be finite lo < hi, got {lambda_bracket}")
     lo, hi = lambda_bracket
-    if not lo < hi:
-        raise ValueError(f"invalid bracket {lambda_bracket}")
-    lower, upper = sorted(levels)
-    if not 0 <= lower < upper <= n_particles:
+    if not (len(levels) == 2 and all(isinstance(v, Integral) for v in levels)
+            and 0 <= min(levels) < max(levels) <= n_particles):
         raise ValueError(
-            f"levels must be two different levels in [0, {n_particles}], "
+            f"levels must be two different integer levels in [0, {n_particles}], "
             f"got {levels}"
         )
+    lower, upper = sorted(levels)
     params = ModelParams(n_particles=n_particles, tunneling=tunneling)
 
     def gaps(lams) -> np.ndarray:

@@ -16,9 +16,11 @@ Bohr radius a_0).  The analysis chain is:
    all grid points of a bootstrap in one bounded batch
    (``_fit_gaussians``).
 
-Steps 2-3 live in one private chain, ``_estimates``, which takes a stack of
-histogram series and computes only the estimates asked for;
-``series_estimates`` runs it on a stack of one, ``bootstrap`` on all its
+Every step runs on stacks: ``_histograms`` bins all records of a series at
+once, and steps 2-3 live in one private chain, ``_estimates``, which takes
+a stack of histogram series and computes only the estimates asked for.
+``series_estimates`` runs it on the histograms of a series and returns the
+double-Gaussian fits with the estimates; ``bootstrap`` runs it on all its
 replicas at once.  Every double-Gaussian fit goes through one batched
 Levenberg-Marquardt fitter, ``_fit_mixtures``: both starts of every
 histogram are lanes of one array, each lane damped, accepted and stopped on
@@ -160,18 +162,6 @@ class HistogramSpec:
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Normalized histogram: probabilities per bin summing to 1."""
-
-    spec: HistogramSpec
-    probabilities: np.ndarray
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.spec.centers
-
-
-@dataclass(frozen=True)
 class GaussianBackgroundFit:
     """Gaussian peak, optionally on an exponential background.
 
@@ -264,13 +254,11 @@ def _draw_mixture(rng, fit: DoubleGaussianFit, n: int) -> np.ndarray:
     return np.clip(z, -1.0, 1.0)
 
 
-def build_histogram(samples: np.ndarray, spec: HistogramSpec) -> Histogram:
-    """Bin samples per ``spec`` and normalize to unit total probability."""
-    z = np.asarray(samples, dtype=float)
-    if z.size == 0:
-        raise ValueError("cannot histogram an empty sample set")
-    counts, _ = np.histogram(z, bins=spec.edges)
-    return Histogram(spec=spec, probabilities=counts / z.size)
+def _histograms(records: Sequence[np.ndarray], spec: HistogramSpec) -> np.ndarray:
+    """(records, bins) bin probabilities on ``spec``, one row per record;
+    ``MeasurementSeries`` holds no empty record, so every row sums to 1."""
+    edges = spec.edges
+    return np.array([np.histogram(r, bins=edges)[0] / r.size for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -548,107 +536,21 @@ def _fit_at(fits: dict, index) -> DoubleGaussianFit:
     return DoubleGaussianFit(**{k: v[index].item() for k, v in fits.items()})
 
 
-def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
-    """Least-squares double-Gaussian fit to a normalized histogram.
-
-    The model gives the bin centered at z the probability
-    w (A+ G(z - zbar; sigma) + A- G(z + zbar; sigma)), w the bin width.
-    This is the batched fitter ``_fit_mixtures`` on a batch of one:
-    Levenberg-Marquardt with the analytic Jacobian from (a) the moment
-    initialization zbar0 = <|z|>, sigma0 = std(|z|) and (b) an even split of
-    the total variance between separation and width, each iterated until
-    its step falls below 1e-14 of its parameter norm (at most 2,000 steps);
-    the lower residual wins.  ``converged`` reflects the gradient norm at
-    the solution; a failed fit is returned flagged rather than raised.
-
-    Parameters
-    ----------
-    hist : Histogram
-
-    Returns
-    -------
-    DoubleGaussianFit
-    """
-    return _fit_at(_fit_mixtures(hist.probabilities[None, :], hist.spec), 0)
-
-
-def fit_series(
-    series: MeasurementSeries, spec: HistogramSpec | None = None
-) -> tuple[DoubleGaussianFit, ...]:
-    """Double-Gaussian fit at every scattering length of a series."""
-    spec = spec or HistogramSpec()
-    fits = _fit_mixtures(_histograms(series.records, spec), spec)
-    return tuple(_fit_at(fits, i) for i in range(series.n_points))
-
-
-def _histograms(records: Sequence[np.ndarray], spec: HistogramSpec) -> np.ndarray:
-    """(records, bins) bin probabilities, one row per record."""
-    return np.array([build_histogram(r, spec).probabilities for r in records])
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
 
-def chi_mom_experimental(
-    fits: Sequence[DoubleGaussianFit],
-    scattering_lengths: Sequence[float],
-    index: int,
-) -> float:
-    """Moment susceptibility (d zbar / d a_s)^2 / sigma^2 at one grid point.
-
-    The derivative is ``np.gradient`` over the (possibly non-uniform) a_s
-    grid: the three-point central difference inside, the one-sided
-    two-point formula at the endpoints, which carry lower confidence.  With
-    a_s in units of a_0 the result is dimensionless.
-    """
-    a = np.asarray(scattering_lengths, dtype=float)
-    if len(fits) != a.size:
-        raise ValueError(f"{len(fits)} fits for {a.size} scattering lengths")
-    if not 0 <= index < a.size:
-        raise ValueError(f"index {index} outside grid of size {a.size}")
-    zbar = np.array([f.separation for f in fits])
-    sigma = np.array([f.width for f in fits])
-    return float(_chi_mom(zbar, sigma, a)[index])
-
-
 def _chi_mom(zbar: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(d zbar / d a_s)^2 / sigma^2 over the grid ``a``, (..., points).
+
+    ``np.gradient`` differentiates: central inside, one-sided (less
+    reliable) at the endpoints.  Dimensionless with a_s in units of a_0.
+    """
     # float_power squares with libm pow, as Python's scalar float ** does,
     # so every chi_mom equals the pointwise (d / sigma) ** 2 bit for bit;
     # array ** 2 multiplies x * x, which differs in the last bit for about
     # one value in 1,000.
     return np.float_power(np.gradient(zbar, a, axis=-1) / sigma, 2)
-
-
-def chi_cl_experimental(
-    histograms: Sequence[Histogram],
-    scattering_lengths: Sequence[float],
-    index: int,
-) -> float:
-    """Classical susceptibility from overlaps with the two neighbor points.
-
-    Takes the Bhattacharyya coefficients F of the histogram at ``index``
-    with those at index +- 1 and fits 1 - F = (chi/8) eps^2 through both
-    by one-parameter least squares (``_chi_cl``), eps being the a_s offset
-    in units of a_0.
-
-    Raises
-    ------
-    ValueError
-        At endpoints (both neighbors are required).
-    """
-    a = np.asarray(scattering_lengths, dtype=float)
-    if len(histograms) != a.size:
-        raise ValueError(
-            f"{len(histograms)} histograms for {a.size} scattering lengths"
-        )
-    if not 0 < index < a.size - 1:
-        raise ValueError(
-            f"chi_cl needs both neighbors; index {index} of {a.size} points"
-        )
-    window = slice(index - 1, index + 2)
-    probabilities = np.array([h.probabilities for h in histograms[window]])
-    return float(_chi_cl(probabilities, a[window])[1])
 
 
 def _chi_cl(probabilities: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -706,10 +608,13 @@ def _estimates(
     return {k: out[k] for k in names}, fits
 
 
-def _series_estimates(
-    series: MeasurementSeries, spec: HistogramSpec
+def series_estimates(
+    series: MeasurementSeries, spec: HistogramSpec | None = None
 ) -> tuple[dict[str, np.ndarray], tuple[DoubleGaussianFit, ...]]:
-    """``series_estimates`` and the double-Gaussian fits it rests on."""
+    """Estimates zbar, sigma, chi_mom and chi_cl of a series, per grid point
+    (chi_cl NaN at the endpoints), and the double-Gaussian fit of every
+    record, which ``bootstrap`` takes as ``base_fits``."""
+    spec = spec or HistogramSpec()
     estimates, fits = _estimates(
         _histograms(series.records, spec)[None], series.scattering_lengths, spec
     )
@@ -717,16 +622,6 @@ def _series_estimates(
         {k: v[0] for k, v in estimates.items()},
         tuple(_fit_at(fits, (0, i)) for i in range(series.n_points)),
     )
-
-
-def series_estimates(
-    series: MeasurementSeries, spec: HistogramSpec | None = None
-) -> dict[str, np.ndarray]:
-    """Full estimator chain on a series: zbar, sigma, chi_mom, chi_cl.
-
-    chi_cl is NaN at the endpoints where a neighbor is missing.
-    """
-    return _series_estimates(series, spec or HistogramSpec())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -854,15 +749,14 @@ def bootstrap(
     if background_kind not in ("none", "exponential"):
         raise ValueError(f"unknown background_kind {background_kind!r}")
     if base_fits is None:
-        base_fits = fit_series(series, spec)
-    if len(base_fits) != series.n_points:
-        raise ValueError(
-            f"{len(base_fits)} base fits for {series.n_points} grid points"
-        )
-    base = {
-        field.name: np.array([getattr(f, field.name) for f in base_fits])
-        for field in fields(DoubleGaussianFit)
-    }
+        base = _fit_mixtures(_histograms(series.records, spec), spec)
+    elif len(base_fits) != series.n_points:
+        raise ValueError(f"{len(base_fits)} base fits for {series.n_points} points")
+    else:
+        base = {
+            field.name: np.array([getattr(f, field.name) for f in base_fits])
+            for field in fields(DoubleGaussianFit)
+        }
     invalid = np.flatnonzero(~_valid_fits(base))
     if invalid.size:
         raise ValueError(
@@ -921,48 +815,6 @@ def bootstrap(
     )
 
 
-def fit_gaussian_with_background(
-    counts: np.ndarray,
-    edges: np.ndarray,
-    background_kind: str = "none",
-) -> GaussianBackgroundFit:
-    """Gaussian (plus optional exponential background) fit to a histogram.
-
-    The histogram is normalized to unit area before fitting.  The model is
-
-        A exp(-(x - c)^2 / 2 w^2) + B exp(-x / tau)
-
-    with the background term present only for ``background_kind =
-    "exponential"``; B is constrained to [0, 1].  This is the batched
-    fitter ``_fit_gaussians`` on a batch of one.
-
-    Parameters
-    ----------
-    counts : ndarray
-        Bin counts (or weights), length len(edges) - 1.
-    edges : ndarray
-        Bin edges.
-    background_kind : str
-        "none" or "exponential".
-
-    Returns
-    -------
-    GaussianBackgroundFit
-        ``converged`` False flags a degenerate width or failed solve.
-    """
-    counts = np.asarray(counts, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    if counts.size == 0 or counts.ndim != 1 or counts.size != edges.size - 1:
-        raise ValueError(
-            f"bad histogram: {counts.size} counts, {edges.size} edges"
-        )
-    if background_kind not in ("none", "exponential"):
-        raise ValueError(f"unknown background_kind {background_kind!r}")
-    if counts.sum() <= 0:
-        raise ValueError("histogram has no mass")
-    return _fit_gaussians(counts[None], edges[None], background_kind)[0]
-
-
 def _gaussian_residuals(q: np.ndarray, x: np.ndarray, y: np.ndarray):
     """A g + B e minus ``y`` per lane, g = exp(-u^2 / 2), u = (x - c) / w,
     e = exp(-x / tau); the background terms only for 5-parameter lanes."""
@@ -991,20 +843,22 @@ def _gaussian_jacobian(q: np.ndarray, terms) -> np.ndarray:
 def _fit_gaussians(
     counts: np.ndarray, edges: np.ndarray, background_kind: str
 ) -> list[GaussianBackgroundFit]:
-    """``fit_gaussian_with_background`` of a stack of histograms, one batch.
+    """Gaussian fits, on an optional background, of a stack of histograms.
 
     ``counts`` is (histograms, bins), every row with positive mass, and
-    ``edges`` (histograms, bins + 1).  Each histogram is one lane of the
-    bounded ``_levenberg_marquardt`` with the analytic Jacobian, within
-    c in [first edge - range, last edge + range], w in [0.1 bin, 10 ranges],
-    A >= 0 and, with the background, B in [0, 1] and tau >= 0.1 bin.  The
-    start puts c at the mean, w at the standard deviation (at least a
-    quarter bin) and A at the peak density; with the background, A less
-    the mean density t of the top 30% of bins (at least 1e-3), B at
-    t + 1e-3 (at most 1) and tau at a third of the range (at least a bin).
-    A fit is converged when its lane stopped on its step size with finite
-    parameters and a width inside (0.11 bin, 9.9 ranges).  No lane's
-    arithmetic depends on another.
+    ``edges`` (histograms, bins + 1).  Each histogram is normalized to unit
+    area and fitted with A exp(-(x - c)^2 / 2 w^2), plus B exp(-x / tau)
+    for ``background_kind`` "exponential", all in one batch: each histogram
+    is one lane of the bounded ``_levenberg_marquardt`` with the analytic
+    Jacobian, within c in [first edge - range, last edge + range], w in
+    [0.1 bin, 10 ranges], A >= 0 and, with the background, B in [0, 1]
+    and tau >= 0.1 bin.  The start puts c at the mean, w at the standard
+    deviation (at least a quarter bin) and A at the peak density; with the
+    background, A less the mean density t of the top 30% of bins (at least
+    1e-3), B at t + 1e-3 (at most 1) and tau at a third of the range (at
+    least a bin).  A fit is converged when its lane stopped on its step
+    size with finite parameters and a width inside (0.11 bin, 9.9 ranges).
+    No lane's arithmetic depends on another.
     """
     total = counts.sum(axis=1)
     x = 0.5 * (edges[:, :-1] + edges[:, 1:])

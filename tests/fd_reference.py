@@ -62,8 +62,8 @@ def _fit_chi(
 ) -> SusceptibilityEstimate:
     """Least-squares fit of 1 - F = (chi/8) eps^2 through the origin.
 
-    Applied to the shot-histogram overlaps of
-    ``estimation.chi_cl_experimental``; the caller checks the displacements.
+    The reference for the closed form of ``estimation._chi_cl`` on
+    shot-histogram overlaps; the caller checks the displacements.
     """
     x = eps * eps / 8.0
     grid = tuple(float(e) for e in eps)

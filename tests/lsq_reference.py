@@ -11,8 +11,8 @@ replaced:
   trust-region-reflective (TRF) fit of a Gaussian, optionally on an
   exponential background, with a finite-difference Jacobian.
 
-Both share no fitting code with the package, only the result and histogram
-types.  ``unbounded_levenberg_marquardt`` is different: it is the
+Both share no fitting code with the package, only its result types and
+``HistogramSpec``.  ``unbounded_levenberg_marquardt`` is different: it is the
 package's Levenberg-Marquardt loop as it was before it took bounds, run
 on the package's own residual, Jacobian and solve helpers, so that any
 arithmetic the bounds add to an unbounded lane shows as a bit difference.
@@ -24,7 +24,11 @@ import numpy as np
 from scipy.optimize import least_squares
 
 import bjjsense.estimation as est
-from bjjsense.estimation import DoubleGaussianFit, GaussianBackgroundFit, Histogram
+from bjjsense.estimation import (
+    DoubleGaussianFit,
+    GaussianBackgroundFit,
+    HistogramSpec,
+)
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -57,16 +61,16 @@ def _mixture_jacobian(p: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
     return jac
 
 
-def _histogram_moments(hist: Histogram) -> tuple[float, float]:
+def _histogram_moments(h: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     """Mean of |z| and std of |z| about that mean, from bin probabilities."""
-    z = hist.centers
-    h = hist.probabilities
     mean_abs = float(np.abs(z) @ h)
     var_abs = float(((np.abs(z) - mean_abs) ** 2) @ h)
     return mean_abs, float(np.sqrt(max(var_abs, 0.0)))
 
 
-def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
+def fit_double_gaussian(
+    probabilities: np.ndarray, spec: HistogramSpec
+) -> DoubleGaussianFit:
     """Least-squares double-Gaussian fit to a normalized histogram.
 
     Levenberg-Marquardt with the analytic Jacobian, started from (a) the
@@ -77,16 +81,18 @@ def fit_double_gaussian(hist: Histogram) -> DoubleGaussianFit:
 
     Parameters
     ----------
-    hist : Histogram
+    probabilities : ndarray
+        Bin probabilities on ``spec``'s bins, summing to 1.
+    spec : HistogramSpec
 
     Returns
     -------
     DoubleGaussianFit
     """
-    z = hist.centers
-    h = hist.probabilities
-    w = hist.spec.bin_width
-    mean_abs, std_abs = _histogram_moments(hist)
+    z = spec.centers
+    h = probabilities
+    w = spec.bin_width
+    mean_abs, std_abs = _histogram_moments(h, z)
     mean_z = float(z @ h)
     var_z = float(((z - mean_z) ** 2) @ h)
     mass_plus = float(h[z > 0].sum())

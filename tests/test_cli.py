@@ -233,6 +233,48 @@ def test_refine_without_methods_exits_2(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("payload,key", [
+    ({"lambda_step": 0}, "lambda_step"),
+    ({"lambda_step": -0.01}, "lambda_step"),
+    ({"lambda_step": float("nan")}, "lambda_step"),
+    ({"lambda_step": "x"}, "lambda_step"),
+    ({"lambda_min": -0.3}, "lambda_min"),
+    ({"lambda_min": -0.4}, "lambda_min"),
+    ({"lambda_max": float("inf")}, "lambda_max"),
+    ({"lambda_min": float("nan")}, "lambda_min"),
+])
+@pytest.mark.parametrize("quick", [False, True])
+def test_scan_bad_lambda_grid_exits_2(tmp_path, capsys, payload, key, quick):
+    config = _write_config(tmp_path, "cfg.json", {"n_particles": 20, **payload})
+    out = _outdir(tmp_path, "out")
+    argv = ["scan", "--config", config, "--out", out] + ["--quick"] * quick
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {key} must")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"levels": [0, 2, 5]}, "levels"),
+    ({"levels": [2]}, "levels"),
+    ({"levels": []}, "levels"),
+    ({"levels": [2, 2]}, "levels"),
+    ({"levels": [-1, 2]}, "levels"),
+    ({"bracket": [-0.85, -1.5]}, "bracket"),
+    ({"bracket": [-1.5]}, "bracket"),
+    ({"bracket": [-1.5, -0.85, 0.0]}, "bracket"),
+    ({"bracket": [-1.5, float("nan")]}, "bracket"),
+    ({"bracket": [-1.5, "x"]}, "bracket"),
+    ({"bracket": -1.5}, "bracket"),
+])
+def test_critical_point_bad_levels_or_bracket_exits_2(tmp_path, capsys,
+                                                      payload, key):
+    config = _write_config(tmp_path, "cfg.json", {"n_values": [20], **payload})
+    out = _outdir(tmp_path, "out")
+    assert main(["critical-point", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {key} must")
+    assert os.listdir(out) == []
+
+
 def test_scan_temperature_sweep_needs_temperatures(tmp_path, capsys):
     config = _write_config(tmp_path, "cfg.json", {"sweep": "temperature"})
     out = _outdir(tmp_path, "out")

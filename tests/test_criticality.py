@@ -67,6 +67,16 @@ def test_default_lambda_grid_shape():
     assert_allclose(np.diff(grid), 2e-3, rtol=1e-10)
 
 
+@pytest.mark.parametrize("lo,hi,step", [
+    (-1.6, -0.4, 0.0), (-1.6, -0.4, -0.01), (-1.6, -0.4, math.nan),
+    (-0.4, -1.6, 2e-3), (-0.4, -0.4, 2e-3), (-math.inf, -0.4, 2e-3),
+    (-1.6, math.nan, 2e-3), (-1.6, -0.4, math.inf),
+])
+def test_default_lambda_grid_rejects_bad_arguments(lo, hi, step):
+    with pytest.raises(ValueError, match="lambda grid"):
+        default_lambda_grid(lo, hi, step)
+
+
 def test_scan_dominance_and_peak_coincidence():
     config = ScanConfig(
         params_template=ModelParams(n_particles=100, imbalance=1e-3),
@@ -345,10 +355,19 @@ def test_locate_critical_gap_needs_interior_minimum():
         locate_critical_gap(200, lambda_bracket=(-0.7, -0.4))
 
 
-@pytest.mark.parametrize("levels", [(1, 1), (0, 11), (-1, 2)])
+@pytest.mark.parametrize("levels", [(1, 1), (0, 11), (-1, 2), (0, 2, 5), (2,),
+                                    (), (0, 2.0)])
 def test_locate_critical_gap_rejects_bad_levels(levels):
     with pytest.raises(ValueError, match="levels"):
         locate_critical_gap(10, levels=levels)
+
+
+@pytest.mark.parametrize("bracket", [(-0.85, -1.5), (-1.5, -1.5), (-1.5,),
+                                     (-1.5, -0.85, 0.0), (-math.inf, -0.85),
+                                     (-1.5, math.nan)])
+def test_locate_critical_gap_rejects_bad_bracket(bracket):
+    with pytest.raises(ValueError, match="lambda_bracket"):
+        locate_critical_gap(10, lambda_bracket=bracket)
 
 
 def test_default_delta_grid_stays_positive():

@@ -1,4 +1,4 @@
-"""Synthetic imbalance records: histograms, mixture fits, estimators, bootstrap."""
+"""Imbalance records: histograms, mixture fits, estimators, bootstrap."""
 
 import numpy as np
 import pytest
@@ -8,22 +8,17 @@ from scipy.stats import norm
 import fd_reference
 import lsq_reference
 import bjjsense.estimation as est
+from bjjsense.criticality import chi_at_point
 from bjjsense.fidelity import bhattacharyya_fidelity
 from bjjsense.estimation import (
     DoubleGaussianFit,
-    Histogram,
     HistogramSpec,
     MeasurementSeries,
     bootstrap,
-    build_histogram,
-    chi_cl_experimental,
-    chi_mom_experimental,
-    fit_double_gaussian,
-    fit_gaussian_with_background,
-    fit_series,
     series_estimates,
     synth_samples,
 )
+from bjjsense.model import ModelParams, equilibrium_states
 
 
 def _mixture(zbar, sigma, ap=0.5, am=0.5):
@@ -110,21 +105,21 @@ def test_synth_rejects_non_integer_sample_count():
 
 
 def test_histogram_single_bin():
-    h = build_histogram(np.full(50, 0.12), HistogramSpec())
-    assert_allclose(h.probabilities.sum(), 1.0, rtol=1e-15)
-    idx = int(np.argmax(h.probabilities))
-    assert h.probabilities[idx] == 1.0
-    assert h.spec.edges[idx] <= 0.12 < h.spec.edges[idx + 1]
+    h = est._histograms([np.full(50, 0.12)], HistogramSpec())[0]
+    assert_allclose(h.sum(), 1.0, rtol=1e-15)
+    idx = int(np.argmax(h))
+    assert h[idx] == 1.0
+    assert HistogramSpec().edges[idx] <= 0.12 < HistogramSpec().edges[idx + 1]
 
 
 def test_histogram_uniform_samples():
     rng = np.random.default_rng(13)
     u = rng.uniform(-1.0, 1.0, 100_000)
-    h = build_histogram(u, HistogramSpec(bin_width=0.05))
-    assert h.probabilities.size == 40
+    h = est._histograms([u], HistogramSpec(bin_width=0.05))[0]
+    assert h.size == 40
     p = 0.025
     sigma = np.sqrt(p * (1.0 - p) / 100_000)
-    assert np.max(np.abs(h.probabilities - p)) < 5.0 * sigma
+    assert np.max(np.abs(h - p)) < 5.0 * sigma
 
 
 def test_histogram_edges_anchored_at_zero():
@@ -139,14 +134,15 @@ def test_histogram_keeps_clipped_samples():
     # k * bin_width rounds to 1 - 1.1e-16 for bin_width = 1/49
     for width in (1 / 49, 1 / 98, 0.05, 0.07, 0.3):
         spec = HistogramSpec(bin_width=width)
-        h = build_histogram(np.array([-1.0, 0.0, 1.0]), spec)
-        assert h.probabilities.sum() == 1.0
-        assert h.probabilities[0] == h.probabilities[-1] == 1 / 3
+        h = est._histograms([np.array([-1.0, 0.0, 1.0])], spec)[0]
+        assert h.sum() == 1.0
+        assert h[0] == h[-1] == 1 / 3
 
 
 def test_histogram_rejects_empty():
-    with pytest.raises(ValueError):
-        build_histogram(np.array([]), HistogramSpec())
+    # the histogrammer bins the records of a series, which holds none empty
+    with pytest.raises(ValueError, match="non-empty"):
+        MeasurementSeries(np.array([1.0, 2.0]), ([0.1], np.array([])))
     with pytest.raises(ValueError):
         HistogramSpec(bin_width=0.0)
 
@@ -155,8 +151,9 @@ def test_fit_recovers_separated_mixture():
     gen = _mixture(0.5, 0.05)
     for seed in (42, 7):
         series = synth_samples([0.0, 1.0], [gen, gen], 100_000, seed=seed)
-        fit = fit_double_gaussian(
-            build_histogram(series.records[0], HistogramSpec())
+        spec = HistogramSpec()
+        fit = est._fit_at(
+            est._fit_mixtures(est._histograms(series.records[:1], spec), spec), 0
         )
         assert fit.converged
         assert abs(fit.separation - 0.5) < 0.01
@@ -167,8 +164,9 @@ def test_fit_recovers_separated_mixture():
 def test_fit_single_gaussian_degenerate_but_stable():
     gen = _mixture(0.0, 0.1)
     series = synth_samples([0.0, 1.0], [gen, gen], 100_000, seed=7)
-    fit = fit_double_gaussian(
-        build_histogram(series.records[0], HistogramSpec())
+    spec = HistogramSpec()
+    fit = est._fit_at(
+        est._fit_mixtures(est._histograms(series.records[:1], spec), spec), 0
     )
     assert fit.separation < 2.0 * fit.width
     assert 0.05 < fit.width < 0.15
@@ -177,11 +175,10 @@ def test_fit_single_gaussian_degenerate_but_stable():
 def test_fit_mirror_swaps_amplitudes():
     gen = _mixture(0.4, 0.08, ap=0.7, am=0.3)
     series = synth_samples([0.0, 1.0], [gen, gen], 50_000, seed=3)
-    h = build_histogram(series.records[0], HistogramSpec())
-    mirrored = Histogram(spec=h.spec,
-                         probabilities=h.probabilities[::-1].copy())
-    fit = fit_double_gaussian(h)
-    swap = fit_double_gaussian(mirrored)
+    spec = HistogramSpec()
+    h = est._histograms(series.records[:1], spec)[0]
+    fits = est._fit_mixtures(np.array([h, h[::-1]]), spec)
+    fit, swap = est._fit_at(fits, 0), est._fit_at(fits, 1)
     assert_allclose(swap.separation, fit.separation, rtol=1e-9)
     assert_allclose(swap.width, fit.width, rtol=1e-9)
     assert_allclose(swap.amplitude_plus, fit.amplitude_minus, rtol=1e-9)
@@ -219,16 +216,13 @@ def test_fit_params_validation():
 def test_chi_mom_linear_zbar():
     a = np.array([0.0, 0.5, 1.2, 2.0])
     slope, sigma = 0.3, 0.1
-    fits = [_mixture(float(slope * x), sigma) for x in a]
-    for i in range(a.size):
-        assert_allclose(chi_mom_experimental(fits, a, i),
-                        (slope / sigma) ** 2, rtol=1e-12)
+    chi = est._chi_mom(slope * a, np.full(a.size, sigma), a)
+    assert_allclose(chi, (slope / sigma) ** 2, rtol=1e-12)
 
 
 def test_chi_mom_constant_zbar():
     a = np.linspace(0.0, 1.0, 5)
-    fits = [_mixture(0.4, 0.1) for _ in a]
-    assert chi_mom_experimental(fits, a, 2) == 0.0
+    assert est._chi_mom(np.full(a.size, 0.4), np.full(a.size, 0.1), a)[2] == 0.0
 
 
 def test_chi_mom_peaks_at_transition_point():
@@ -238,26 +232,16 @@ def test_chi_mom_peaks_at_transition_point():
     a = np.arange(-3.0, -0.99, 0.15)
     zbar = np.where(a < a_c,
                     np.sqrt(np.clip(1.0 - (a_c / a) ** 2, 0.0, None)), 0.0)
-    fits = [_mixture(float(z), 0.1) for z in zbar]
-    chi = np.array([chi_mom_experimental(fits, a, i) for i in range(a.size)])
+    chi = est._chi_mom(zbar, np.full(a.size, 0.1), a)
     interior_argmax = int(np.argmax(chi[1:-1])) + 1
     nearest = int(np.argmin(np.abs(a - a_c)))
     assert interior_argmax == nearest
 
 
-def test_chi_mom_validation():
-    a = np.linspace(0.0, 1.0, 4)
-    fits = [_mixture(0.1, 0.1) for _ in a]
-    with pytest.raises(ValueError):
-        chi_mom_experimental(fits[:3], a, 1)
-    with pytest.raises(ValueError):
-        chi_mom_experimental(fits, a, 4)
-
-
 def test_chi_cl_identical_histograms():
-    h = build_histogram(np.array([0.1, -0.3, 0.5]), HistogramSpec())
+    h = est._histograms([np.array([0.1, -0.3, 0.5])], HistogramSpec())[0]
     a = np.array([0.0, 1.0, 2.0])
-    assert chi_cl_experimental([h, h, h], a, 1) == 0.0
+    assert est._chi_cl(np.array([h, h, h]), a)[1] == 0.0
 
 
 def test_chi_cl_gaussian_location_family():
@@ -269,32 +253,20 @@ def test_chi_cl_gaussian_location_family():
 
     def hist(mu):
         p = np.exp(-((x - mu) ** 2) / (2.0 * sigma * sigma))
-        return Histogram(spec=spec, probabilities=p / p.sum())
+        return p / p.sum()
 
-    chi = chi_cl_experimental([hist(c * v) for v in a], a, 1)
+    chi = est._chi_cl(np.array([hist(c * v) for v in a]), a)[1]
     assert_allclose(chi, (c / sigma) ** 2, rtol=5e-3)
 
 
 def test_chi_cl_symmetric_deficits_closed_form():
-    spec = HistogramSpec(bin_width=0.5)
-    center = Histogram(spec=spec,
-                       probabilities=np.array([0.0, 0.5, 0.5, 0.0]))
-    side = Histogram(spec=spec,
-                     probabilities=np.array([0.0, 0.25, 0.75, 0.0]))
+    center = np.array([0.0, 0.5, 0.5, 0.0])
+    side = np.array([0.0, 0.25, 0.75, 0.0])
     a = np.array([0.0, 0.2, 0.4])
-    f = float(np.sqrt(center.probabilities * side.probabilities).sum())
+    f = float(np.sqrt(center * side).sum())
     expected = 8.0 * (1.0 - f) / 0.2**2
-    assert_allclose(chi_cl_experimental([side, center, side], a, 1),
+    assert_allclose(est._chi_cl(np.array([side, center, side]), a)[1],
                     expected, rtol=1e-12)
-
-
-def test_chi_cl_requires_interior_index():
-    h = build_histogram(np.array([0.1, 0.2]), HistogramSpec())
-    a = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        chi_cl_experimental([h, h, h], a, 0)
-    with pytest.raises(ValueError):
-        chi_cl_experimental([h, h, h], a, 2)
 
 
 def test_chi_cl_fidelities_bounded():
@@ -302,27 +274,56 @@ def test_chi_cl_fidelities_bounded():
     spec = HistogramSpec()
     a = np.array([0.0, 1.0, 2.0])
     for _ in range(5):
-        hists = [
-            build_histogram(np.clip(rng.normal(m, 0.2, 800), -1, 1), spec)
-            for m in rng.uniform(-0.5, 0.5, 3)
-        ]
+        hists = est._histograms(
+            [np.clip(rng.normal(m, 0.2, 800), -1, 1)
+             for m in rng.uniform(-0.5, 0.5, 3)],
+            spec,
+        )
         for i, j in ((1, 0), (1, 2)):
-            f = float(np.sqrt(hists[i].probabilities
-                              * hists[j].probabilities).sum())
+            f = float(np.sqrt(hists[i] * hists[j]).sum())
             assert 0.0 <= f <= 1.0
-        assert chi_cl_experimental(hists, a, 1) >= 0.0
+        assert est._chi_cl(hists, a)[1] >= 0.0
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3, 1.0])
+def test_chi_cl_chain_matches_model_on_exact_histograms(temperature):
+    # For odd N a bin width of 2/N puts every m = -j..j in its own bin, at
+    # z = 2m/N, so the model's P(m) is an exact shot histogram.  The
+    # three-point chi_cl of the shot chain then approaches the model's
+    # exact chi_cl as O(eps^2).
+    n, delta = 41, 2e-3
+    spec = HistogramSpec(bin_width=2.0 / n)
+    m = np.arange(n + 1) - n / 2.0
+    assert_allclose(spec.centers, 2.0 * m / n, rtol=0, atol=1e-15)
+    for lam in (-1.3, -1.08, -0.9):
+        params = ModelParams(n, lambda_control=lam, imbalance=delta)
+        exact = chi_at_point(params, temperature, ("classical",))["classical"]
+        errors = []
+        for eps in (1e-2, 1e-3):
+            grid = np.array([lam - eps, lam, lam + eps])
+            probabilities = np.concatenate([
+                state.probabilities
+                for _, state in equilibrium_states(params, grid, temperature)
+            ])
+            errors.append(abs(est._chi_cl(probabilities, grid)[1] / exact - 1.0))
+        assert errors[1] < 1e-4
+        assert 50.0 <= errors[0] / errors[1] <= 200.0
 
 
 def test_series_estimates_layout():
     a = np.arange(-2.4, -1.0, 0.2)
     gens = [_mixture(0.3 + 0.05 * i, 0.1) for i in range(a.size)]
     series = synth_samples(a, gens, 2000, seed=21)
-    out = series_estimates(series)
+    out, fits = series_estimates(series)
     assert set(out) == {"zbar", "sigma", "chi_mom", "chi_cl"}
     assert np.isnan(out["chi_cl"][0]) and np.isnan(out["chi_cl"][-1])
     assert np.all(np.isfinite(out["chi_cl"][1:-1]))
     assert np.all(np.isfinite(out["chi_mom"]))
     assert np.all(out["sigma"] > 0)
+    assert len(fits) == a.size
+    assert all(isinstance(f, DoubleGaussianFit) for f in fits)
+    assert np.array_equal(out["zbar"], [f.separation for f in fits])
+    assert np.array_equal(out["sigma"], [f.width for f in fits])
 
 
 def test_estimator_peaks_coincide():
@@ -331,7 +332,7 @@ def test_estimator_peaks_coincide():
     gens = [_mixture(float(z), 0.1) for z in zbars]
     for seed in (1, 2, 3):
         series = synth_samples(a, gens, 3000, seed=seed)
-        out = series_estimates(series)
+        out, _ = series_estimates(series)
         mom_argmax = int(np.argmax(out["chi_mom"][1:-1])) + 1
         cl_argmax = int(np.nanargmax(out["chi_cl"]))
         assert abs(mom_argmax - cl_argmax) <= 1
@@ -449,15 +450,15 @@ def test_bootstrap_replica_runs_the_series_chain():
                            seed=5)
     spec = HistogramSpec()
     counts = np.array([rec.size for rec in series.records])
-    masses = est._bin_masses(_fit_arrays(fit_series(series)), spec)
+    _, base = series_estimates(series, spec)
+    masses = est._bin_masses(_fit_arrays(base), spec)
     seed, r = 9, 37
     draw = np.random.default_rng([seed, r, 0]).multinomial(counts, masses)
-    hists = [Histogram(spec, c / n) for c, n in zip(draw, counts)]
-    fits = [fit_double_gaussian(h) for h in hists]
+    hists = draw / counts[:, None]
+    fits = est._fit_mixtures(hists, spec)
     expected = {
-        "chi_mom": [chi_mom_experimental(fits, a, i) for i in range(a.size)],
-        "chi_cl": [np.nan] + [chi_cl_experimental(hists, a, i)
-                              for i in range(1, a.size - 1)] + [np.nan],
+        "chi_mom": est._chi_mom(fits["separation"], fits["width"], a),
+        "chi_cl": est._chi_cl(hists, a),
     }
     for estimator in ("chi_mom", "chi_cl"):
         result = bootstrap(series, estimator, n_replicas=100, seed=seed)
@@ -508,9 +509,9 @@ def test_bin_masses_match_clipped_mixture():
             assert np.all(np.abs(mean - m) <= 5.0 * sd + 5.0 / draws)
             # the masses are the law of binned samples of the mixture
             draws = 200_000
-            h = build_histogram(est._draw_mixture(rng, fit, draws), spec)
+            h = est._histograms([est._draw_mixture(rng, fit, draws)], spec)[0]
             sd = np.sqrt(m * (1.0 - m) / draws)
-            assert np.all(np.abs(h.probabilities - m) <= 5.0 * sd + 5.0 / draws)
+            assert np.all(np.abs(h - m) <= 5.0 * sd + 5.0 / draws)
 
 
 def test_stacked_chi_cl_matches_pointwise():
@@ -518,17 +519,16 @@ def test_stacked_chi_cl_matches_pointwise():
     spec = HistogramSpec()
     a = np.cumsum(rng.uniform(0.05, 0.3, 6))
     stack = np.array([
-        [build_histogram(np.clip(rng.normal(m, 0.15, 500), -1, 1),
-                         spec).probabilities
-         for m in rng.uniform(-0.4, 0.4, a.size)]
+        est._histograms([np.clip(rng.normal(m, 0.15, 500), -1, 1)
+                         for m in rng.uniform(-0.4, 0.4, a.size)], spec)
         for _ in range(20)
     ])
     stack[3] = stack[3, 0]
     chi = est._chi_cl(stack, a)
     assert chi.shape == (20, a.size)
     for row, values in zip(stack, chi):
-        hists = [Histogram(spec, p) for p in row]
-        pointwise = [chi_cl_experimental(hists, a, i)
+        # each interior point alone, from its three-point window
+        pointwise = [est._chi_cl(row[i - 1 : i + 2], a[i - 1 : i + 2])[1]
                      for i in range(1, a.size - 1)]
         assert np.array_equal(values[1:-1], pointwise)
         assert np.isnan(values[0]) and np.isnan(values[-1])
@@ -590,7 +590,8 @@ def test_background_fit_pure_gaussian():
     x = 0.5 * (edges[:-1] + edges[1:])
     bin_w = edges[1] - edges[0]
     density = 0.9 * np.exp(-0.5 * ((x - 4.0) / 0.7) ** 2)
-    fit = fit_gaussian_with_background(5e4 * density * bin_w, edges, "none")
+    fit = est._fit_gaussians(5e4 * density[None] * bin_w, edges[None],
+                             "none")[0]
     assert fit.converged
     assert_allclose(fit.center, 4.0, rtol=1e-6)
     assert_allclose(fit.width, 0.7, rtol=1e-6)
@@ -603,8 +604,8 @@ def test_background_fit_recovers_both_components():
     bin_w = edges[1] - edges[0]
     density = (0.8 * np.exp(-0.5 * ((x - 3.0) / 0.5) ** 2)
                + 0.4 * np.exp(-x / 2.0))
-    fit = fit_gaussian_with_background(1e5 * density * bin_w, edges,
-                                       "exponential")
+    fit = est._fit_gaussians(1e5 * density[None] * bin_w, edges[None],
+                             "exponential")[0]
     assert fit.converged
     assert_allclose(fit.center, 3.0, rtol=0.1)
     assert_allclose(fit.width, 0.5, rtol=0.1)
@@ -618,30 +619,18 @@ def test_background_amplitude_clamped():
     x = 0.5 * (edges[:-1] + edges[1:])
     bin_w = edges[1] - edges[0]
     counts = 1e5 * np.exp(-x / 0.3) * bin_w
-    fit = fit_gaussian_with_background(counts, edges, "exponential")
+    fit = est._fit_gaussians(counts[None], edges[None], "exponential")[0]
     assert fit.background_amplitude <= 1.0 + 1e-12
-
-
-def test_background_fit_validation():
-    edges = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        fit_gaussian_with_background(np.ones(9), edges, "none")
-    with pytest.raises(ValueError):
-        fit_gaussian_with_background(np.zeros(10), edges, "none")
-    with pytest.raises(ValueError):
-        fit_gaussian_with_background(np.ones(10), edges, "quadratic")
 
 
 def test_fit_series_matches_pointwise_fit():
     a = np.array([-2.0, -1.8])
     gens = [_mixture(0.5, 0.08), _mixture(0.3, 0.08)]
     series = synth_samples(a, gens, 5000, seed=6)
-    fits = fit_series(series)
-    direct = fit_double_gaussian(
-        build_histogram(series.records[1], HistogramSpec())
-    )
-    assert fits[1].separation == direct.separation
-    assert fits[1].width == direct.width
+    spec = HistogramSpec()
+    _, fits = series_estimates(series, spec)
+    direct = est._fit_mixtures(est._histograms(series.records[1:], spec), spec)
+    assert fits[1] == est._fit_at(direct, 0)
 
 
 def _random_mixture_histograms(seed, count):
@@ -649,24 +638,23 @@ def _random_mixture_histograms(seed, count):
     unequal amplitudes and 200-100,000 samples; wide or far peaks pile
     clipped mass into the edge bins at +-1."""
     rng = np.random.default_rng(seed)
-    hists = []
+    records = []
     for _ in range(count):
         share = rng.uniform(0.1, 0.9)
         gen = _mixture(rng.uniform(0.0, 0.8), rng.uniform(0.03, 0.3),
                        share, 1.0 - share)
         n = int(10.0 ** rng.uniform(np.log10(200), 5.0))
-        hists.append(build_histogram(est._draw_mixture(rng, gen, n),
-                                     HistogramSpec()))
-    return hists
+        records.append(est._draw_mixture(rng, gen, n))
+    return est._histograms(records, HistogramSpec())
 
 
 def test_batched_fit_matches_scipy_reference():
     hists = _random_mixture_histograms(0, 200)
-    assert sum(h.probabilities[[0, -1]].max() > 0.01 for h in hists) >= 10
+    assert np.sum(hists[:, [0, -1]].max(axis=1) > 0.01) >= 10
     spec = HistogramSpec()
-    fits = est._fit_mixtures(np.array([h.probabilities for h in hists]), spec)
+    fits = est._fit_mixtures(hists, spec)
     batched = [est._fit_at(fits, i) for i in range(len(hists))]
-    reference = [lsq_reference.fit_double_gaussian(h) for h in hists]
+    reference = [lsq_reference.fit_double_gaussian(h, spec) for h in hists]
     for fit, ref in zip(batched, reference):
         # Where the reference clamped a negative amplitude to 0 its residual
         # is not the cost it minimized: both fits then run down the
@@ -697,10 +685,11 @@ def test_fit_lane_is_independent_of_its_batch(monkeypatch):
     rows = []
     for r in range(200):
         rng = np.random.default_rng([7, r])
-        rows += [build_histogram(est._draw_mixture(rng, g, 4000), spec)
-                 .probabilities for g in gens]
+        rows += list(est._histograms(
+            [est._draw_mixture(rng, g, 4000) for g in gens], spec
+        ))
     degenerate = {
-        3: build_histogram(np.full(50, 0.12), spec).probabilities,  # one bin
+        3: est._histograms([np.full(50, 0.12)], spec)[0],  # one bin
         500: np.full(spec.centers.size, 1.0 / spec.centers.size),  # flat
         777: np.zeros(spec.centers.size),  # no mass
     }
@@ -723,8 +712,8 @@ def test_fit_lane_is_independent_of_its_batch(monkeypatch):
     # then raises for the whole batch
     assert any(n > 1 for n in singular)
     for i in [0, 1, 2, 3, 4, 250, 499, 500, 501, 776, 777, 778, 999]:
-        alone = fit_double_gaussian(Histogram(spec, probabilities[i]))
-        assert alone == est._fit_at(batch, i)
+        alone = est._fit_mixtures(probabilities[i : i + 1], spec)
+        assert est._fit_at(alone, 0) == est._fit_at(batch, i)
 
 
 def test_solve_isolates_singular_lanes():
@@ -741,8 +730,7 @@ def test_solve_isolates_singular_lanes():
 
 
 def test_bounds_leave_unbounded_mixture_lanes_unchanged(monkeypatch):
-    hists = _random_mixture_histograms(0, 200)
-    probabilities = np.array([h.probabilities for h in hists])
+    probabilities = _random_mixture_histograms(0, 200)
     fits = est._fit_mixtures(probabilities, HistogramSpec())
     monkeypatch.setattr(est, "_levenberg_marquardt",
                         lsq_reference.unbounded_levenberg_marquardt)
@@ -790,7 +778,6 @@ def test_replica_fit_is_independent_of_its_batch(kind):
     edges = np.array([h[1] for h in hists])
     batch = est._fit_gaussians(counts, edges, kind)
     for i in (0, 5, 11):
-        assert batch[i] == fit_gaussian_with_background(counts[i], edges[i], kind)
         assert batch[i] == est._fit_gaussians(counts[i : i + 1],
                                               edges[i : i + 1], kind)[0]
 
@@ -804,8 +791,8 @@ def test_background_fit_holds_a_pinned_amplitude(center, width):
     # on to the step cap and comes back unconverged.
     edges = np.linspace(0.0, 8.0, 101)
     counts = 1e5 * np.diff(norm.cdf((edges - center) / width))
-    pinned = fit_gaussian_with_background(counts, edges, "exponential")
-    plain = fit_gaussian_with_background(counts, edges, "none")
+    pinned = est._fit_gaussians(counts[None], edges[None], "exponential")[0]
+    plain = est._fit_gaussians(counts[None], edges[None], "none")[0]
     assert pinned.converged
     assert pinned.background_amplitude == 0.0
     assert_allclose([pinned.center, pinned.width], [plain.center, plain.width],

@@ -43,3 +43,34 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from bjjsense import *", namespace)
     assert set(bjjsense.__all__) <= set(namespace)
+
+
+ESTIMATION = [
+    "MeasurementSeries",
+    "HistogramSpec",
+    "DoubleGaussianFit",
+    "GaussianBackgroundFit",
+    "BootstrapResult",
+    "synth_samples",
+    "series_estimates",
+    "bootstrap",
+]
+
+# The one-histogram layer beside the stacked estimator chain.
+RETIRED_ESTIMATION = [
+    "Histogram",
+    "build_histogram",
+    "fit_double_gaussian",
+    "fit_series",
+    "chi_mom_experimental",
+    "chi_cl_experimental",
+    "fit_gaussian_with_background",
+    "_series_estimates",
+]
+
+
+def test_estimation_surface_is_pinned():
+    import bjjsense.estimation as est
+
+    assert [name for name in ESTIMATION if not hasattr(est, name)] == []
+    assert [name for name in RETIRED_ESTIMATION if hasattr(est, name)] == []
