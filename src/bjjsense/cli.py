@@ -62,7 +62,6 @@ SCAN_KEYS = {
     "temperatures": (None, "temperature list (temperature sweep)"),
     "lambda_value": ("critical", "'critical' or a number (temperature sweep)"),
     "delta": (2e-3, "symmetry-breaking tilt delta/Omega"),
-    "tunneling": (1.0, "Rabi coupling Omega"),
     "methods": (list(METHODS), "subset of moment/classical/quantum"),
 }
 
@@ -71,14 +70,12 @@ SCALING_KEYS = {
     "temperature": (0.0, "temperature in units of Omega"),
     "delta_points": (25, "log-spaced tilt grid size over [1e-6, 1e-1]"),
     "window_points": (41, "lambda window points per tilt"),
-    "tunneling": (1.0, "Rabi coupling Omega"),
 }
 
 CRITICAL_KEYS = {
     "n_values": ([200, 300, 500, 700, 1000], "system sizes"),
     "bracket": ([-1.5, -0.85], "lambda bracket for the gap minimum"),
     "levels": ([0, 2], "gap levels (lower, upper)"),
-    "tunneling": (1.0, "Rabi coupling Omega"),
 }
 
 SERIES_KEYS = {
@@ -103,7 +100,6 @@ BOOTSTRAP_KEYS = {
     **SERIES_KEYS,
     "estimator": ("chi_cl", "'chi_mom' or 'chi_cl'"),
     "n_replicas": (3000, "bootstrap replicas (>= 100)"),
-    "background": (None, "'none' or 'exponential' (default per estimator)"),
     "write_replicas": (False, "emit replica values"),
     "seed": (0, "master seed"),
 }
@@ -193,22 +189,25 @@ def cmd_scan(args) -> int:
     config = _load_config(args, SCAN_KEYS)
     _check_outdir(args.out)
     methods = tuple(config["methods"])
+    delta = _finite("delta", config["delta"])
     if config["sweep"] == "temperature":
         temps = config["temperatures"]
         if temps is None:
             raise CliError("config", "temperature sweep needs 'temperatures'")
+        if not isinstance(temps, list) or not temps:
+            raise CliError(
+                "config", f"temperatures must be a non-empty list, got {temps!r}"
+            )
+        temps = [_finite("temperatures", t) for t in temps]
+        if min(temps) < 0:
+            raise CliError("config", f"temperatures must be >= 0, got {temps}")
         lam = config["lambda_value"]
-        if lam == "critical":
-            lam = locate_critical_gap(
-                config["n_particles"], tunneling=config["tunneling"]
-            ).lambda_c
+        lam = (
+            locate_critical_gap(config["n_particles"]).lambda_c
+            if lam == "critical" else _finite("lambda_value", lam)
+        )
         table = temperature_sweep(
-            config["n_particles"],
-            [float(t) for t in temps],
-            float(lam),
-            imbalance=float(config["delta"]),
-            tunneling=float(config["tunneling"]),
-            which=methods,
+            config["n_particles"], temps, lam, imbalance=delta, which=methods
         )
         columns = {"T": table["temperature"]}
         columns.update({CHI_COLUMN[m]: table[m] for m in METHODS if m in methods})
@@ -226,17 +225,22 @@ def cmd_scan(args) -> int:
         raise CliError("config", f"lambda_step must be > 0, got {step!r}")
     if not lo < hi:
         raise CliError("config", f"lambda_min must be < lambda_max: {lo!r}, {hi!r}")
+    temperature = _finite("temperature", config["temperature"])
+    if temperature < 0:
+        raise CliError("config", f"temperature must be >= 0, got {temperature!r}")
     if args.quick:
         config["lambda_step"] = step = max(step, 1e-2)
     grid = default_lambda_grid(lo, hi, step)
+    if grid.size < 2:
+        raise CliError(
+            "config",
+            f"lambda_step must leave >= 2 grid points in [{lo!r}, {hi!r}], "
+            f"got {grid.size} at step {step!r}",
+        )
     scan_cfg = ScanConfig(
-        params_template=ModelParams(
-            n_particles=config["n_particles"],
-            tunneling=float(config["tunneling"]),
-            imbalance=float(config["delta"]),
-        ),
+        params_template=ModelParams(n_particles=config["n_particles"], imbalance=delta),
         lambda_grid=grid,
-        temperature=float(config["temperature"]),
+        temperature=temperature,
         which=methods,
     )
     curve = scan_lambda(scan_cfg)
@@ -288,7 +292,7 @@ def cmd_scaling(args) -> int:
         # Emit the per-N table anyway; the power-law fits need >= 3 sizes.
         rows = []
         for n in n_values:
-            crit = locate_critical_gap(n, tunneling=float(config["tunneling"]))
+            crit = locate_critical_gap(n)
             rows.append((n, crit.lambda_c, crit.shift))
         write_table(
             _out(args, "scaling.csv"),
@@ -305,7 +309,6 @@ def cmd_scaling(args) -> int:
         float(config["temperature"]),
         delta_grid=delta_grid,
         window_points=window_points,
-        tunneling=float(config["tunneling"]),
     )
     write_columns(
         _out(args, "scaling.csv"),
@@ -350,12 +353,15 @@ def cmd_critical_point(args) -> int:
         raise CliError("config", f"bracket must have lo < hi, got {list(bracket)}")
     if len(levels) != 2 or not 0 <= min(levels) < max(levels):
         raise CliError("config", f"levels must be two distinct integers >= 0: {levels}")
+    if any(max(levels) > n for n in config["n_values"]):
+        raise CliError(
+            "config",
+            f"levels must not exceed the smallest N = {min(config['n_values'])}: "
+            f"{levels}",
+        )
     rows = []
     for n in config["n_values"]:
-        crit = locate_critical_gap(
-            n, bracket, tunneling=float(config["tunneling"]),
-            levels=levels,
-        )
+        crit = locate_critical_gap(n, bracket, levels=levels)
         rows.append((crit.n_particles, crit.lambda_c, crit.gap, crit.shift))
     write_table(
         _out(args, "critical_point.csv"),
@@ -468,9 +474,7 @@ def cmd_bootstrap(args) -> int:
     spec = HistogramSpec(bin_width=float(config["bin_width"]))
     try:
         result = bootstrap(
-            series, estimator, n_replicas=n_replicas,
-            seed=config["seed"], spec=spec,
-            background_kind=config["background"],
+            series, estimator, n_replicas=n_replicas, seed=config["seed"], spec=spec
         )
     except (ValueError, RuntimeError) as err:
         raise CliError("bootstrap", str(err), exit_code=1)

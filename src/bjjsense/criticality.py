@@ -40,9 +40,9 @@ METHODS = ("moment", "classical", "quantum")
 class ScanConfig:
     """Parameters of a susceptibility scan over lambda.
 
-    ``params_template`` supplies N, Omega and delta; its lambda is replaced
-    by each grid value in turn.  ``which`` selects the susceptibilities to
-    compute.
+    ``params_template`` supplies N and delta; its lambda is replaced by
+    each grid value in turn.  The temperature is in units of Omega.
+    ``which`` selects the susceptibilities to compute.
     """
 
     params_template: ModelParams
@@ -186,11 +186,11 @@ def _points(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """<J_z>, Var(J_z) and the requested chi at each of ``lambdas``.
 
-    The one code path for every susceptibility: N, Omega and delta come
-    from ``params``, the states from ``equilibrium_states``, and each stack
+    The one code path for every susceptibility: N and delta come from
+    ``params``, the states from ``equilibrium_states``, and each stack
     of points it yields goes through array expressions at once.  Each chi
     is the exact derivative of the Gibbs state rho = sum_n p_n |n><n| at
-    its point.  With V = dH/dlambda = (Omega/N) J_z^2, shifted to zero mean
+    its point.  With V = dH/dlambda = J_z^2 / N, shifted to zero mean
     (a constant changes no chi):
 
     * inside the occupied window, <n|drho|k> = G_nk = V_nk (p_n - p_k) /
@@ -211,7 +211,7 @@ def _points(
     """
     n = params.n_particles
     m = np.arange(n + 1) - n / 2.0
-    v = (params.tunneling / n) * m * m
+    v = (1.0 / n) * m * m
     v = v - v.mean()
     mean, var = np.empty(lambdas.size), np.empty(lambdas.size)
     chi = {w: np.empty(lambdas.size) for w in which}
@@ -376,10 +376,11 @@ def temperature_sweep(
     lambda_value: float,
     imbalance: float = 2e-3,
     *,
-    tunneling: float = 1.0,
     which: tuple[str, ...] = METHODS,
 ) -> dict[str, np.ndarray]:
     """Susceptibilities against temperature at a fixed working point.
+
+    Temperatures and the tilt ``imbalance`` are in units of Omega.
 
     Returns
     -------
@@ -391,10 +392,7 @@ def temperature_sweep(
     if not np.all(temps >= 0):
         raise ValueError(f"temperatures must be >= 0, got {temps}")
     params = ModelParams(
-        n_particles=n_particles,
-        tunneling=tunneling,
-        lambda_control=lambda_value,
-        imbalance=imbalance,
+        n_particles=n_particles, lambda_control=lambda_value, imbalance=imbalance
     )
     points = [chi_at_point(params, float(t), which) for t in temps]
     out = {"temperature": temps}
@@ -534,7 +532,6 @@ def locate_critical_gap(
     n_particles: int,
     lambda_bracket: tuple[float, float] = (-1.5, -0.85),
     *,
-    tunneling: float = 1.0,
     levels: tuple[int, int] = (0, 2),
 ) -> CriticalPointResult:
     """Finite-size critical point lambda_c^(N): minimum of the level gap.
@@ -563,7 +560,7 @@ def locate_critical_gap(
             f"got {levels}"
         )
     lower, upper = sorted(levels)
-    params = ModelParams(n_particles=n_particles, tunneling=tunneling)
+    params = ModelParams(n_particles=n_particles)
 
     def gaps(lams) -> np.ndarray:
         ev = eigenvalues(params, lams, upper + 1)
@@ -610,7 +607,6 @@ def optimize_delta(
     lambda_c: float | None = None,
     delta_grid: np.ndarray | None = None,
     window_points: int = 41,
-    tunneling: float = 1.0,
 ) -> DeltaOptimization:
     """Tilt delta* whose chi(lambda) peak is closest to lambda_c^(N).
 
@@ -636,10 +632,9 @@ def optimize_delta(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
     if lambda_c is None:
-        lambda_c = locate_critical_gap(n_particles, tunneling=tunneling).lambda_c
+        lambda_c = locate_critical_gap(n_particles).lambda_c
     return _optimize_deltas(
-        n_particles, (method,), temperature, lambda_c, delta_grid,
-        window_points, tunneling,
+        n_particles, (method,), temperature, lambda_c, delta_grid, window_points
     )[method]
 
 
@@ -650,7 +645,6 @@ def _optimize_deltas(
     lambda_c: float,
     delta_grid: np.ndarray | None,
     window_points: int,
-    tunneling: float,
 ) -> dict[str, DeltaOptimization]:
     """``optimize_delta`` for several methods, scanning each grid tilt once.
 
@@ -678,9 +672,7 @@ def _optimize_deltas(
         todo = tuple(m for m in which if (delta, m) not in known)
         if todo:
             curve = scan_lambda(ScanConfig(
-                params_template=ModelParams(
-                    n_particles=n_particles, tunneling=tunneling, imbalance=delta
-                ),
+                params_template=ModelParams(n_particles=n_particles, imbalance=delta),
                 lambda_grid=window,
                 temperature=temperature,
                 which=todo,
@@ -775,7 +767,6 @@ def scaling_study(
     *,
     delta_grid: np.ndarray | None = None,
     window_points: int = 41,
-    tunneling: float = 1.0,
 ) -> ScalingStudyResult:
     """Optimized susceptibilities against N with power-law fits.
 
@@ -797,11 +788,10 @@ def scaling_study(
     delta_star = {m: np.empty(n_values.size) for m in METHODS}
     chi = {m: np.empty(n_values.size) for m in METHODS}
     for i, n in enumerate(n_values):
-        crit = locate_critical_gap(int(n), tunneling=tunneling)
+        crit = locate_critical_gap(int(n))
         lambda_c[i] = crit.lambda_c
         opts = _optimize_deltas(
-            int(n), METHODS, temperature, crit.lambda_c, delta_grid,
-            window_points, tunneling,
+            int(n), METHODS, temperature, crit.lambda_c, delta_grid, window_points
         )
         for m, opt in opts.items():
             delta_star[m][i] = opt.delta
@@ -809,9 +799,7 @@ def scaling_study(
             which = tuple(m for m, opt in opts.items() if opt.delta == delta)
             point = chi_at_point(
                 ModelParams(
-                    n_particles=int(n),
-                    tunneling=tunneling,
-                    lambda_control=crit.lambda_c,
+                    n_particles=int(n), lambda_control=crit.lambda_c,
                     imbalance=delta,
                 ),
                 temperature=temperature,

@@ -184,7 +184,8 @@ class BootstrapResult:
 
     ``centers[i] +- widths[i]`` is the Gaussian summary of the replica
     histogram at ``scattering_lengths[i]``; entries are NaN where the
-    estimator is undefined (chi_cl endpoints).
+    estimator is undefined (chi_cl endpoints).  ``background_kind`` is the
+    histogram model that ran: "exponential" for chi_mom, "none" for chi_cl.
     """
 
     estimator: str
@@ -682,7 +683,6 @@ def bootstrap(
     n_replicas: int = 3000,
     seed: int = 0,
     spec: HistogramSpec | None = None,
-    background_kind: str | None = None,
     base_fits: Sequence[DoubleGaussianFit] | None = None,
 ) -> BootstrapResult:
     """Parametric bootstrap error bars for chi_mom or chi_cl.
@@ -720,8 +720,6 @@ def bootstrap(
     seed : int
         Non-negative.
     spec : HistogramSpec, optional
-    background_kind : str, optional
-        "none" or "exponential"; default follows the estimator.
     base_fits : sequence of DoubleGaussianFit, optional
         The fits of ``series`` on ``spec``, when the caller has them;
         by default the series is fitted here.
@@ -744,10 +742,7 @@ def bootstrap(
     _check_integer("n_replicas", n_replicas, 100)
     _check_integer("seed", seed, 0)
     spec = spec or HistogramSpec()
-    if background_kind is None:
-        background_kind = "exponential" if estimator == "chi_mom" else "none"
-    if background_kind not in ("none", "exponential"):
-        raise ValueError(f"unknown background_kind {background_kind!r}")
+    background_kind = "exponential" if estimator == "chi_mom" else "none"
     if base_fits is None:
         base = _fit_mixtures(_histograms(series.records, spec), spec)
     elif len(base_fits) != series.n_points:

@@ -3,14 +3,20 @@
 The model describes N bosons in two modes through collective spin operators
 J_x, J_y, J_z with j = N/2:
 
-    H = -Omega * J_x + zeta * J_z**2 + delta * J_z
+    H = -Omega * J_x + zeta * J_z**2 + delta * J_z,  lambda = N * zeta / Omega.
 
-In the J_z eigenbasis {|m>, m = -j..j} the Hamiltonian is a real symmetric
-tridiagonal matrix: J_z**2 and J_z are diagonal, and J_x couples adjacent m.
-The dimensionless control parameter is lambda = N * zeta / Omega, with a
-symmetry-breaking quantum phase transition at lambda = -1 (attractive side).
+The Rabi coupling Omega only sets the energy unit: H / Omega is
 
-Every solve takes a whole lambda grid at fixed N, Omega and delta:
+    H(lambda; delta) = -J_x + (lambda / N) * J_z**2 + delta * J_z
+
+so the package works in units of Omega: energies, the tilt delta and the
+temperature T are all in units of Omega.  In the J_z eigenbasis
+{|m>, m = -j..j} H is a real symmetric tridiagonal matrix: J_z**2 and J_z
+are diagonal, and J_x couples adjacent m.  The control parameter lambda
+has a symmetry-breaking quantum phase transition at lambda = -1
+(attractive side).
+
+Every solve takes a whole lambda grid at fixed N and delta:
 ``equilibrium_states`` builds the Gibbs states, with their matrices and
 J_z distributions, and ``eigenvalues`` the lowest levels alone.
 """
@@ -50,17 +56,14 @@ class ModelParams:
     ----------
     n_particles : int
         Total boson number N >= 1.  Matrix dimension is N + 1.
-    tunneling : float
-        Rabi coupling Omega > 0.  Sets the energy unit.
     lambda_control : float
         Dimensionless interaction lambda = N * zeta / Omega.  Negative
         (attractive) values probe the symmetry-breaking transition.
     imbalance : float
-        Symmetry-breaking tilt delta, in units of Omega when tunneling is 1.
+        Symmetry-breaking tilt delta, in units of Omega.
     """
 
     n_particles: int
-    tunneling: float = 1.0
     lambda_control: float = 0.0
     imbalance: float = 0.0
 
@@ -68,17 +71,15 @@ class ModelParams:
         n = self.n_particles
         if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
             raise ValueError(f"n_particles must be an integer >= 1, got {n!r}")
-        for name in ("tunneling", "lambda_control", "imbalance"):
+        for name in ("lambda_control", "imbalance"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.tunneling <= 0:
-            raise ValueError(f"tunneling must be > 0, got {self.tunneling}")
 
     @property
     def interaction(self) -> float:
-        """Bare interaction zeta = lambda * Omega / N."""
-        return self.lambda_control * self.tunneling / self.n_particles
+        """Interaction zeta = lambda / N, in units of Omega."""
+        return self.lambda_control / self.n_particles
 
     @property
     def dimension(self) -> int:
@@ -90,7 +91,7 @@ def _diagonals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of H at each of ``lambdas`` and their shared off-diagonal.
 
-    N, Omega and delta come from ``params``; its own lambda is not read.
+    N and delta come from ``params``; its own lambda is not read.
     Returns the (B, N+1) diagonals zeta * m**2 + delta * m and the (N,)
     off-diagonal, which lambda does not change.  Raises ValueError when an
     entry overflows.
@@ -100,16 +101,16 @@ def _diagonals(
     m = np.arange(n + 1, dtype=float) - j
     mm = m[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        zeta = lambdas * params.tunneling / n
+        zeta = lambdas / n
         diag = zeta[:, None] * m * m + params.imbalance * m
         # J_x matrix element between m and m+1: sqrt(j(j+1) - m(m+1)) / 2
-        off = -0.5 * params.tunneling * np.sqrt(j * (j + 1.0) - mm * (mm + 1.0))
+        off = -0.5 * np.sqrt(j * (j + 1.0) - mm * (mm + 1.0))
     finite = np.isfinite(diag).all(axis=1) & np.isfinite(off).all()
     if not finite.all():
         lam = float(lambdas[np.argmin(finite)])
         raise ValueError(
             f"Hamiltonian entries overflow at N={n}, lambda={lam}, "
-            f"delta={params.imbalance}, Omega={params.tunneling}"
+            f"delta={params.imbalance} (in units of Omega)"
         )
     return diag, off
 
@@ -186,7 +187,7 @@ def _gershgorin(diagonal: np.ndarray, offdiagonal: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StateStack:
-    """Gibbs states of H(lambda) at B points sharing N, Omega and delta.
+    """Gibbs states of H(lambda) at B points sharing N and delta.
 
     Every point holds the same number k of occupied levels: ``diagonal``
     (B, N+1) and the shared ``offdiagonal`` (N,) are the matrices,
@@ -240,7 +241,7 @@ def _occupied_levels(
 def equilibrium_states(params: ModelParams, lambdas, temperature: float):
     """Gibbs states on the thermally occupied levels, at each of ``lambdas``.
 
-    The one state builder.  N, Omega and delta come from ``params``; one
+    The one state builder.  N and delta come from ``params``; one
     array expression builds the diagonals of every point.  Yields
     (start, StateStack) for runs of consecutive points that hold the same
     number of occupied levels, so a run at T = 0 is the whole grid; a run
@@ -300,9 +301,9 @@ def equilibrium_states(params: ModelParams, lambdas, temperature: float):
 def eigenvalues(params: ModelParams, lambdas, n_levels: int) -> np.ndarray:
     """Lowest ``n_levels`` eigenvalues of H at each of ``lambdas``, ascending.
 
-    N, Omega and delta come from ``params``; its own lambda is not read.
-    Returns a (B, n_levels) array.  All N + 1 levels come from one divide
-    and conquer solve per point, fewer from bisection.
+    N and delta come from ``params``; its own lambda is not read.
+    Returns a (B, n_levels) array, in units of Omega.  All N + 1 levels
+    come from one divide and conquer solve per point, fewer from bisection.
 
     Raises
     ------

@@ -43,9 +43,11 @@ def jacobi_eigh(matrix, tol: float = 1e-14, max_sweeps: int = 100):
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
                 rot = np.array([[c, -s], [s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
+                # rows and columns p and q as strided views, not copies
+                pair = slice(p, q + 1, q - p)
+                a[pair] = rot.T @ a[pair]
+                a[:, pair] = a[:, pair] @ rot
+                v[:, pair] = v[:, pair] @ rot
     else:
         raise RuntimeError("Jacobi sweep did not converge")
     vals = np.diag(a).copy()

@@ -184,15 +184,16 @@ def test_agrees_with_dense_reference():
     rng = np.random.default_rng(61)
     for _ in range(50):
         n = int(rng.integers(2, 21))
+        # tilts delta / Omega of couplings Omega in [0.5, 2]
+        omega = float(rng.uniform(0.5, 2.0))
         params = ModelParams(
             n_particles=n,
-            tunneling=float(rng.uniform(0.5, 2.0)),
             lambda_control=float(rng.uniform(-3.0, 0.5)),
-            imbalance=float(rng.uniform(-0.05, 0.05)),
+            imbalance=float(rng.uniform(-0.05, 0.05)) / omega,
         )
         vals = eigenvalues(params, [params.lambda_control], n + 1)[0]
         ref, _ = jacobi_eigh(dense_hamiltonian(
-            n, params.tunneling, params.lambda_control, params.imbalance
+            n, 1.0, params.lambda_control, params.imbalance
         ))
         assert np.max(np.abs(vals - ref)) <= 1e-10
 

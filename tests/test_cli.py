@@ -159,11 +159,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-# The keys that changed no number, and the commands that took them.
+# Retired keys, and the commands that took them: those that changed no
+# number, the energy unit Omega (``tunneling``), and the bootstrap's
+# background model, which follows the estimator.
 RETIRED_KEYS = [
     ("scan", "epsilon0"), ("scaling", "epsilon0"),
     ("scan", "seed"), ("scaling", "seed"), ("critical-point", "seed"),
     *((command, "threads") for command in KEYS_BY_COMMAND),
+    ("scan", "tunneling"), ("scaling", "tunneling"),
+    ("critical-point", "tunneling"), ("bootstrap", "background"),
 ]
 
 
@@ -242,6 +246,12 @@ def test_refine_without_methods_exits_2(tmp_path, capsys):
     ({"lambda_min": -0.4}, "lambda_min"),
     ({"lambda_max": float("inf")}, "lambda_max"),
     ({"lambda_min": float("nan")}, "lambda_min"),
+    ({"lambda_step": 5}, "lambda_step"),
+    ({"temperature": -0.1}, "temperature"),
+    ({"temperature": float("inf")}, "temperature"),
+    ({"temperature": float("nan")}, "temperature"),
+    ({"temperature": "x"}, "temperature"),
+    ({"delta": float("nan")}, "delta"),
 ])
 @pytest.mark.parametrize("quick", [False, True])
 def test_scan_bad_lambda_grid_exits_2(tmp_path, capsys, payload, key, quick):
@@ -251,6 +261,21 @@ def test_scan_bad_lambda_grid_exits_2(tmp_path, capsys, payload, key, quick):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: config: {key} must")
     assert os.listdir(out) == []
+
+
+def test_scan_quick_step_leaving_one_point_exits_2(tmp_path, capsys):
+    # 3 points at the configured step, 1 once --quick coarsens it to 1e-2
+    config = _write_config(tmp_path, "cfg.json", {
+        "n_particles": 20, "lambda_min": -1.0, "lambda_max": -0.996,
+    })
+    out = _outdir(tmp_path, "out")
+    assert main(["scan", "--config", config, "--out", out]) == 0
+    quick_out = _outdir(tmp_path, "quick")
+    argv = ["scan", "--config", config, "--out", quick_out, "--quick"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: lambda_step must leave >= 2")
+    assert os.listdir(quick_out) == []
 
 
 @pytest.mark.parametrize("payload,key", [
@@ -265,6 +290,7 @@ def test_scan_bad_lambda_grid_exits_2(tmp_path, capsys, payload, key, quick):
     ({"bracket": [-1.5, float("nan")]}, "bracket"),
     ({"bracket": [-1.5, "x"]}, "bracket"),
     ({"bracket": -1.5}, "bracket"),
+    ({"levels": [0, 30]}, "levels"),
 ])
 def test_critical_point_bad_levels_or_bracket_exits_2(tmp_path, capsys,
                                                       payload, key):
@@ -280,6 +306,21 @@ def test_scan_temperature_sweep_needs_temperatures(tmp_path, capsys):
     out = _outdir(tmp_path, "out")
     assert main(["scan", "--config", config, "--out", out]) == 2
     assert "temperatures" in capsys.readouterr().err
+    for payload, key in (
+        ({"temperatures": []}, "temperatures"),
+        ({"temperatures": 0.5}, "temperatures"),
+        ({"temperatures": [-0.1]}, "temperatures"),
+        ({"temperatures": [0.1, float("nan")]}, "temperatures"),
+        ({"temperatures": [0.1, "x"]}, "temperatures"),
+        ({"temperatures": [0.1], "lambda_value": "x"}, "lambda_value"),
+    ):
+        config = _write_config(tmp_path, "cfg.json", {
+            "n_particles": 20, "sweep": "temperature", **payload,
+        })
+        assert main(["scan", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key} must"), payload
+        assert os.listdir(out) == []
 
 
 def test_scaling_quick_emits_table_and_fits(tmp_path):

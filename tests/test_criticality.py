@@ -556,7 +556,7 @@ def test_root_find_raises_on_a_missing_offset():
 def test_critical_point_and_tilts_match_scipy_searches(n, monkeypatch):
     crit = locate_critical_gap(n)
     deltas = criticality._optimize_deltas(
-        n, METHODS, 0.0, crit.lambda_c, None, 41, 1.0
+        n, METHODS, 0.0, crit.lambda_c, None, 41
     )
     roots = []
 
@@ -568,6 +568,6 @@ def test_critical_point_and_tilts_match_scipy_searches(n, monkeypatch):
     monkeypatch.setattr(criticality, "_golden", _scipy_golden)
     assert locate_critical_gap(n) == crit
     assert criticality._optimize_deltas(
-        n, METHODS, 0.0, crit.lambda_c, None, 41, 1.0
+        n, METHODS, 0.0, crit.lambda_c, None, 41
     ) == deltas
     assert roots

@@ -385,8 +385,6 @@ def test_bootstrap_validation():
         bootstrap(series, "chi_other", n_replicas=120)
     with pytest.raises(ValueError):
         bootstrap(series, "chi_cl", n_replicas=99)
-    with pytest.raises(ValueError):
-        bootstrap(series, "chi_cl", n_replicas=120, background_kind="linear")
 
 
 def test_bootstrap_rejects_non_integer_replica_count():

@@ -33,7 +33,7 @@ def test_build_n2_noninteracting():
 
 
 def test_build_n2_attractive():
-    # lambda = -2 at N = 2, Omega = 1 means zeta = -1
+    # lambda = -2 at N = 2 means zeta = -1
     params = ModelParams(n_particles=2, lambda_control=-2.0)
     assert_allclose(params.interaction, -1.0, rtol=1e-15)
     h = state_at(params, 0.0)
@@ -51,15 +51,16 @@ def test_build_matches_dense_ladder_construction():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 25))
+        # tilts delta / Omega of couplings Omega in [0.2, 3]
+        omega = float(rng.uniform(0.2, 3.0))
         params = ModelParams(
             n_particles=n,
-            tunneling=float(rng.uniform(0.2, 3.0)),
             lambda_control=float(rng.uniform(-3.0, 1.0)),
-            imbalance=float(rng.uniform(-0.1, 0.1)),
+            imbalance=float(rng.uniform(-0.1, 0.1)) / omega,
         )
         h = state_at(params, 0.0)
         dense = dense_hamiltonian(
-            n, params.tunneling, params.lambda_control, params.imbalance
+            n, 1.0, params.lambda_control, params.imbalance
         )
         assert_allclose(np.diag(dense), h.diagonal[0], atol=1e-14)
         assert_allclose(np.diag(dense, 1), h.offdiagonal, atol=1e-14)
@@ -67,9 +68,24 @@ def test_build_matches_dense_ladder_construction():
         assert np.all(np.triu(dense, 2) == 0.0)
 
 
+def test_energy_unit_is_omega():
+    # H(Omega, lambda, delta) = Omega * H(lambda; delta / Omega): a physical
+    # Omega enters as delta / Omega, and every energy scales by Omega.
+    rng = np.random.default_rng(47)
+    for omega in (0.3, 2.5):
+        n = int(rng.integers(2, 21))
+        lam = float(rng.uniform(-3.0, 1.0))
+        delta = float(rng.uniform(-0.1, 0.1))
+        ref, _ = jacobi_eigh(dense_hamiltonian(n, omega, lam, delta))
+        params = ModelParams(n, lambda_control=lam, imbalance=delta / omega)
+        vals = eigenvalues(params, [lam], n + 1)[0]
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(omega * vals - ref)) < 1e-10 * scale
+
+
 @pytest.mark.parametrize(
     "overflow",
-    [{"lambda_control": 1e308}, {"imbalance": 1e307}, {"tunneling": 1e308}],
+    [{"lambda_control": 1e308}, {"imbalance": 1e307}],
 )
 def test_build_rejects_overflowing_entries(overflow):
     params = ModelParams(n_particles=100, **overflow)
@@ -81,7 +97,7 @@ def test_build_rejects_overflowing_entries(overflow):
             state_at(params, 0.5)
     message = str(err.value)
     for name in ("N=100", f"lambda={params.lambda_control}",
-                 f"delta={params.imbalance}", f"Omega={params.tunneling}"):
+                 f"delta={params.imbalance}", "units of Omega"):
         assert name in message
 
 
@@ -123,11 +139,11 @@ def test_eigh_is_bit_identical_to_scipy_eigh_tridiagonal():
 
 
 def test_diagonalize_two_by_two():
-    # N = 1 at lambda = 0, Omega = 2: diagonal 0, off-diagonal -1
-    state = _full(ModelParams(n_particles=1, tunneling=2.0))
+    # N = 1 at lambda = 0: diagonal 0, off-diagonal -1/2
+    state = _full(ModelParams(n_particles=1))
     assert_allclose(state.diagonal, [[0.0, 0.0]], atol=0.0)
-    assert_allclose(state.offdiagonal, [-1.0], rtol=1e-15)
-    assert_allclose(state.energies, [[-1.0, 1.0]], atol=1e-15)
+    assert_allclose(state.offdiagonal, [-0.5], rtol=1e-15)
+    assert_allclose(state.energies, [[-0.5, 0.5]], atol=1e-15)
     s = SQRT2_HALF
     assert_allclose(np.abs(state.vectors[0]), [[s, s], [s, s]], rtol=1e-14)
     # sign convention: largest-magnitude entry of each eigenvector positive
@@ -179,21 +195,24 @@ def test_eigenvalues_only_agrees_with_full_solve():
 
 
 def _oracle_cases(seed, count, min_tilt=0.0):
-    """Random parameters, |delta| >= min_tilt, and their Jacobi eigenpairs."""
+    """Random parameters, |delta| >= min_tilt, and their Jacobi eigenpairs.
+
+    The tilts are delta / Omega for |delta| <= 0.05 and couplings Omega in
+    [0.5, 2], shifted away from zero by ``min_tilt``.
+    """
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(2, 21))
-        tunneling = float(rng.uniform(0.5, 2.0))
+        omega = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(-3.0, 1.0))
         delta = float(rng.uniform(-0.05, 0.05))
         params = ModelParams(
             n_particles=n,
-            tunneling=tunneling,
             lambda_control=lam,
-            imbalance=delta + math.copysign(min_tilt, delta),
+            imbalance=delta / omega + math.copysign(min_tilt, delta),
         )
         ref = jacobi_eigh(dense_hamiltonian(
-            n, params.tunneling, params.lambda_control, params.imbalance
+            n, 1.0, params.lambda_control, params.imbalance
         ))
         yield params, ref
 
@@ -217,7 +236,7 @@ def test_eigenpairs_of_cli_routes_match_jacobi_oracle():
     windows = 0
     for params, (ref, ref_vecs) in _oracle_cases(37, 10, min_tilt=0.01):
         scale = max(1.0, float(np.max(np.abs(ref))))
-        for temperature in (0.0, 0.1 * params.tunneling):
+        for temperature in (0.0, 0.1):
             state = state_at(params, temperature)
             k = state.energies.shape[1]
             windows += 1 < k < params.dimension
@@ -241,7 +260,7 @@ def test_eigenvectors_solve_the_eigenproblem():
         state = _full(params)
         vecs, vals = state.vectors[0].T, state.energies[0]
         dense = dense_hamiltonian(
-            n, params.tunneling, params.lambda_control, params.imbalance
+            n, 1.0, params.lambda_control, params.imbalance
         )
         resid = dense @ vecs - vecs * vals
         scale = max(1.0, float(np.max(np.abs(vals))))
@@ -284,11 +303,12 @@ def test_thermal_high_temperature_is_uniform():
 def test_thermal_two_level_ratio():
     rng = np.random.default_rng(5)
     for _ in range(5):
+        # tilts delta / Omega of couplings Omega in [0.1, 4]
+        omega = float(rng.uniform(0.1, 4.0))
         params = ModelParams(
             n_particles=1,
-            tunneling=float(rng.uniform(0.1, 4.0)),
             lambda_control=float(rng.uniform(-2.0, 2.0)),
-            imbalance=float(rng.uniform(-1.0, 1.0)),
+            imbalance=float(rng.uniform(-1.0, 1.0)) / omega,
         )
         e0, e1 = eigenvalues(params, [params.lambda_control], 2)[0]
         state = state_at(params, e1 - e0)
@@ -375,10 +395,6 @@ def test_mean_tilts_against_imbalance():
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(n_particles=0)
-    with pytest.raises(ValueError):
-        ModelParams(n_particles=10, tunneling=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(n_particles=10, tunneling=-1.0)
 
 
 @pytest.mark.parametrize("n", [10.5, 10.0, True, "10"])
@@ -387,7 +403,7 @@ def test_params_reject_non_integer_particle_number(n):
         ModelParams(n_particles=n)
 
 
-@pytest.mark.parametrize("field", ["tunneling", "lambda_control", "imbalance"])
+@pytest.mark.parametrize("field", ["lambda_control", "imbalance"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_params_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):

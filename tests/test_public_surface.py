@@ -74,3 +74,20 @@ def test_estimation_surface_is_pinned():
 
     assert [name for name in ESTIMATION if not hasattr(est, name)] == []
     assert [name for name in RETIRED_ESTIMATION if hasattr(est, name)] == []
+
+
+def test_no_energy_unit_or_background_knob():
+    # Omega is the energy unit, and the bootstrap's background model follows
+    # its estimator: neither is a parameter.
+    import dataclasses
+    import inspect
+
+    import bjjsense.criticality as crit
+    import bjjsense.estimation as est
+
+    fields = [f.name for f in dataclasses.fields(bjjsense.ModelParams)]
+    assert fields == ["n_particles", "lambda_control", "imbalance"]
+    for func in (crit.temperature_sweep, crit.locate_critical_gap,
+                 crit.optimize_delta, crit._optimize_deltas, crit.scaling_study):
+        assert "tunneling" not in inspect.signature(func).parameters
+    assert "background_kind" not in inspect.signature(est.bootstrap).parameters
