@@ -188,6 +188,10 @@ def _out(args, name: str) -> str:
 def cmd_scan(args) -> int:
     config = _load_config(args, SCAN_KEYS)
     _check_outdir(args.out)
+    if config["n_particles"] < 1:
+        raise CliError(
+            "config", f"n_particles must be >= 1, got {config['n_particles']!r}"
+        )
     methods = tuple(config["methods"])
     delta = _finite("delta", config["delta"])
     if config["sweep"] == "temperature":
@@ -286,6 +290,9 @@ def cmd_scaling(args) -> int:
             n_values = [80, 120, 200]
         delta_points = min(delta_points, 13)
         window_points = min(window_points, 21)
+    temperature = _finite("temperature", config["temperature"])
+    if temperature < 0:
+        raise CliError("config", f"temperature must be >= 0, got {temperature!r}")
     delta_grid = np.logspace(-6.0, -1.0, delta_points)
     comments = _provenance("scaling", config)
     if len(n_values) < 3:
@@ -306,7 +313,7 @@ def cmd_scaling(args) -> int:
         )
     result = scaling_study(
         n_values,
-        float(config["temperature"]),
+        temperature,
         delta_grid=delta_grid,
         window_points=window_points,
     )
@@ -414,6 +421,20 @@ def _resolve_series(config):
         raise CliError("series", str(err))
 
 
+def _bootstrap_settings(args, config) -> tuple[int, HistogramSpec]:
+    """Replica count (capped at 100 under --quick) and histogram spec of
+    ``pipeline`` and ``bootstrap``, checked before any work."""
+    n_replicas = config["n_replicas"]
+    if n_replicas < 100:
+        raise CliError("config", f"n_replicas must be >= 100, got {n_replicas!r}")
+    bin_width = _finite("bin_width", config["bin_width"])
+    if not 0 < bin_width <= 2:
+        raise CliError("config", f"bin_width must be in (0, 2], got {bin_width!r}")
+    if args.quick:
+        n_replicas = min(n_replicas, 100)
+    return n_replicas, HistogramSpec(bin_width=bin_width)
+
+
 def _replica_table(result):
     pairs = zip(result.scattering_lengths, result.replica_values)
     return [(a, v) for a, col in pairs for v in col]
@@ -422,11 +443,8 @@ def _replica_table(result):
 def cmd_pipeline(args) -> int:
     config = _load_config(args, PIPELINE_KEYS)
     _check_outdir(args.out)
-    n_replicas = config["n_replicas"]
-    if args.quick:
-        n_replicas = min(n_replicas, 100)
+    n_replicas, spec = _bootstrap_settings(args, config)
     series = _resolve_series(config)
-    spec = HistogramSpec(bin_width=float(config["bin_width"]))
     estimates, fits = series_estimates(series, spec)
     comments = _provenance("pipeline", config)
     boots = {}
@@ -467,11 +485,8 @@ def cmd_bootstrap(args) -> int:
         raise CliError(
             "config", f"estimator must be 'chi_mom' or 'chi_cl', got {estimator!r}"
         )
-    n_replicas = config["n_replicas"]
-    if args.quick:
-        n_replicas = min(n_replicas, 100)
+    n_replicas, spec = _bootstrap_settings(args, config)
     series = _resolve_series(config)
-    spec = HistogramSpec(bin_width=float(config["bin_width"]))
     try:
         result = bootstrap(
             series, estimator, n_replicas=n_replicas, seed=config["seed"], spec=spec

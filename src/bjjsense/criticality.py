@@ -104,20 +104,26 @@ class SusceptibilityCurve:
         return arr
 
     def peak(self, method: str) -> PeakEstimate:
-        """Maximum of chi(lambda), refined by a local quadratic fit."""
+        """Maximum of chi(lambda), refined by the parabola through the grid
+        maximum and its two neighbors (the grid point itself where that
+        parabola is not concave or its vertex leaves the three points)."""
         y = self.chi(method)
         x = self.lambda_grid
         i = int(np.argmax(y))
         if i == 0 or i == x.size - 1:
             return PeakEstimate(float(x[i]), float(y[i]), i, interior=False)
-        coeff = np.polyfit(x[i - 1 : i + 2], y[i - 1 : i + 2], 2)
-        if coeff[0] >= 0:
-            return PeakEstimate(float(x[i]), float(y[i]), i, interior=True)
-        vertex = -coeff[1] / (2.0 * coeff[0])
-        if not x[i - 1] <= vertex <= x[i + 1]:
-            return PeakEstimate(float(x[i]), float(y[i]), i, interior=True)
-        value = float(np.polyval(coeff, vertex))
-        return PeakEstimate(float(vertex), value, i, interior=True)
+        x0, x1, x2 = (float(v) for v in x[i - 1 : i + 2])
+        y0, y1, y2 = (float(v) for v in y[i - 1 : i + 2])
+        # y = y1 + b (x - x1) + c (x - x1)^2 from the divided differences
+        left, right = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+        c = (right - left) / (x2 - x0)
+        if not c < 0:
+            return PeakEstimate(x1, y1, i, interior=True)
+        b = left + c * (x1 - x0)
+        vertex = x1 - b / (2.0 * c)
+        if not x0 <= vertex <= x2:
+            return PeakEstimate(x1, y1, i, interior=True)
+        return PeakEstimate(vertex, y1 - b * b / (4.0 * c), i, interior=True)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,15 @@ a stack of histogram series and computes only the estimates asked for.
 ``series_estimates`` runs it on the histograms of a series and returns the
 double-Gaussian fits with the estimates; ``bootstrap`` runs it on all its
 replicas at once.  Every double-Gaussian fit goes through one batched
-Levenberg-Marquardt fitter, ``_fit_mixtures``: both starts of every
-histogram are lanes of one array, each lane damped, accepted and stopped on
+Levenberg-Marquardt fitter, ``_fit_mixtures``: every start of every
+histogram is a lane of one array, each lane damped, accepted and stopped on
 its own (when its step falls below 1e-14 of its parameters, or after 2,000
-steps), so a fit is the same bit for bit alone or among thousands.  The
-replica-value fits run on the same loop, with per-lane bounds.  The
-bootstrap never draws a sample: a replica of a record is a multinomial
-draw of its bin counts from the exact bin masses of the fitted mixture.
+steps), so a fit is the same bit for bit alone or among thousands.  A
+recorded histogram gets two starts from its data; a bootstrap replica gets
+one, the fit of its record.  The replica-value fits run on the same loop,
+with per-lane bounds.  The bootstrap never draws a sample: a replica of a
+record is a multinomial draw of its bin counts from the exact bin masses of
+the fitted mixture.
 """
 
 from __future__ import annotations
@@ -443,32 +445,17 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
     return p, cost, converged
 
 
-def _fit_mixtures(probabilities: np.ndarray, spec: HistogramSpec) -> dict:
-    """Double-Gaussian fits of a stack of histograms, in one batch.
+def _data_starts(probabilities: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """The two data starts of each histogram, (histograms, 2, 4).
 
-    ``probabilities`` is (histograms, bins) on ``spec``'s bins.  Each
-    histogram is fitted from two starts, (a) the moment initialization
-    zbar0 = <|z|>, sigma0 = std(|z|) and (b) an even split of the total
-    variance between separation and width; both run as lanes of one
-    Levenberg-Marquardt batch (``_levenberg_marquardt``) and the lower cost
-    wins, the first start on a tie.  The winner is canonicalized to
-    zbar >= 0, sigma > 0 (the model is even in sigma and even in zbar up to
-    an amplitude swap) and flagged converged when its amplitudes are
-    non-negative within 1e-6 and its gradient J^T r is below 1e-10 of the
-    largest Jacobian entry (at least 1).  A histogram whose winner is not
-    finite gets the moment start with equal amplitudes, residual inf and
-    ``converged`` False.
-
-    Lanes are fitted in blocks of _BLOCK to bound memory; no lane's
-    arithmetic depends on another, so a histogram's fit is the same bit for
-    bit alone or in any batch.
-
-    Returns a dict of per-histogram arrays keyed by the fields of
-    ``DoubleGaussianFit``.
+    Start 0 is the moment initialization zbar0 = <|z|>, sigma0 = std(|z|),
+    with A+ and A- the masses on either side of z = 0 (half the mass at
+    z = 0 to each); start 1 splits the total variance evenly between
+    separation and width, with equal amplitudes.  zbar0 and sigma0 are at
+    least half a bin.  Every row depends on its own histogram only.
     """
     h = np.asarray(probabilities, dtype=float)
     z = spec.centers
-    w = spec.bin_width
     absz = np.abs(z)
     mean_abs = np.sum(h * absz, axis=1)
     std_abs = np.sqrt(
@@ -479,34 +466,70 @@ def _fit_mixtures(probabilities: np.ndarray, spec: HistogramSpec) -> dict:
     mass_plus = np.sum(np.where(z > 0, h, 0.0), axis=1)
     mass_minus = np.sum(np.where(z < 0, h, 0.0), axis=1)
     half_zero = 0.5 * (1.0 - mass_plus - mass_minus)
-    floor = 0.5 * w
+    floor = 0.5 * spec.bin_width
     moment_start = np.stack([np.maximum(mean_abs, floor), np.maximum(std_abs, floor),
                              mass_plus + half_zero, mass_minus + half_zero], axis=1)
     split = np.maximum(half_var, floor)
     half = np.full_like(split, 0.5)
     split_start = np.stack([split, split, half, half], axis=1)
-    # lanes 2k and 2k + 1 are the two starts of histogram k
-    starts = np.stack([moment_start, split_start], axis=1).reshape(-1, 4)
-    lanes_h = np.repeat(h, 2, axis=0)
-    free = np.full(starts.shape, np.inf)
-    p = np.empty_like(starts)
-    cost = np.empty(len(starts))
-    for lo in range(0, len(starts), _BLOCK):
+    return np.stack([moment_start, split_start], axis=1)
+
+
+def _fit_mixtures(
+    probabilities: np.ndarray, spec: HistogramSpec, starts: np.ndarray | None = None
+) -> dict:
+    """Double-Gaussian fits of a stack of histograms, in one batch.
+
+    ``probabilities`` is (histograms, bins) on ``spec``'s bins and
+    ``starts`` (histograms, k, 4) holds k starts (zbar, sigma, A+, A-) per
+    histogram: by default the two data starts of ``_data_starts``, which a
+    recorded histogram gets; a bootstrap replica starts from its record's
+    base fit alone (``bootstrap``).  Every start is a lane of one
+    Levenberg-Marquardt batch (``_levenberg_marquardt``) and the lowest
+    cost wins, the first start on a tie.  The winner is
+    canonicalized to zbar >= 0, sigma > 0 (the model is even in sigma and
+    even in zbar up to an amplitude swap) and flagged converged when its
+    amplitudes are non-negative within 1e-6 and its gradient J^T r is below
+    1e-10 of the largest Jacobian entry (at least 1).  A histogram whose
+    winner is not finite gets the moment start of ``_data_starts`` with
+    equal amplitudes, residual inf and ``converged`` False.
+
+    Lanes are fitted in blocks of _BLOCK to bound memory; no lane's
+    arithmetic depends on another, so a histogram's fit from given starts
+    is the same bit for bit alone or in any batch.
+
+    Returns a dict of per-histogram arrays keyed by the fields of
+    ``DoubleGaussianFit``.
+    """
+    h = np.asarray(probabilities, dtype=float)
+    z = spec.centers
+    w = spec.bin_width
+    if starts is None:
+        starts = _data_starts(h, spec)
+    n_starts = starts.shape[1]
+    # lanes k * i .. k * i + k - 1 are the starts of histogram i
+    lanes_p = starts.reshape(-1, 4)
+    lanes_h = np.repeat(h, n_starts, axis=0)
+    free = np.full(lanes_p.shape, np.inf)
+    p = np.empty_like(lanes_p)
+    cost = np.empty(len(lanes_p))
+    for lo in range(0, len(lanes_p), _BLOCK):
         block = lanes_h[lo : lo + _BLOCK]
         p[lo : lo + _BLOCK], cost[lo : lo + _BLOCK], _ = _levenberg_marquardt(
-            starts[lo : lo + _BLOCK],
+            lanes_p[lo : lo + _BLOCK],
             lambda q, lanes: _residuals(q, block[lanes], z, w),
             lambda q, gauss: _jacobian(q, w, gauss),
             -free[lo : lo + _BLOCK],
             free[lo : lo + _BLOCK],
         )
-    cost = np.where(np.isnan(cost), np.inf, cost).reshape(-1, 2)
-    second = (cost[:, 1] < cost[:, 0]).astype(int)
-    p = p.reshape(-1, 2, 4)[np.arange(len(h)), second]
+    cost = np.where(np.isnan(cost), np.inf, cost).reshape(-1, n_starts)
+    best = np.argmin(cost, axis=1)
+    p = p.reshape(-1, n_starts, 4)[np.arange(len(h)), best]
     failed = ~np.all(np.isfinite(p), axis=1)
-    fallback = moment_start.copy()
-    fallback[:, 2:] = 0.5
-    p[failed] = fallback[failed]
+    if failed.any():
+        fallback = _data_starts(h[failed], spec)[:, 0]
+        fallback[:, 2:] = 0.5
+        p[failed] = fallback
 
     zbar, sigma, ap, am = p.T
     sigma = np.abs(sigma)
@@ -583,23 +606,28 @@ def _estimates(
     a: np.ndarray,
     spec: HistogramSpec,
     names: Sequence[str] = ("zbar", "sigma", "chi_mom", "chi_cl"),
+    starts: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], dict | None]:
     """The estimator chain on a stack of series, for the estimates ``names``.
 
     ``probabilities[s, i]`` is the histogram of series s at grid point i.
     zbar, sigma and chi_mom rest on the double-Gaussian fits of all series,
-    one ``_fit_mixtures`` batch, made only when one of them is asked for;
-    chi_cl needs the histograms only (``_chi_cl``).  Returns the estimates
-    asked for, each (series, points), and the fits, each field
-    (series, points), or None when no fit was made.
+    one ``_fit_mixtures`` batch, made only when one of them is asked for,
+    from ``starts`` (series, points, k, 4), by default the data starts of
+    every histogram (``_data_starts``); chi_cl needs the histograms only
+    (``_chi_cl``).  Returns the estimates asked for, each (series, points),
+    and the fits, each field (series, points), or None when no fit was
+    made.
     """
     out, fits = {}, None
     if set(names) - {"chi_cl"}:
         n_series, n_points, n_bins = probabilities.shape
+        if starts is not None:
+            starts = starts.reshape(n_series * n_points, -1, 4)
         fits = {
             k: v.reshape(n_series, n_points)
             for k, v in _fit_mixtures(
-                probabilities.reshape(-1, n_bins), spec
+                probabilities.reshape(-1, n_bins), spec, starts
             ).items()
         }
         zbar, sigma = fits["separation"], fits["width"]
@@ -698,7 +726,10 @@ def bootstrap(
 
     All replicas are drawn, then run through the chain together for the
     requested estimator only: for chi_mom one batched fit
-    (``_fit_mixtures``), for chi_cl one array of overlaps (``_chi_cl``).  A
+    (``_fit_mixtures``), for chi_cl one array of overlaps (``_chi_cl``).
+    The base fit is the law a replica histogram is drawn from, so each
+    replica histogram is fitted from its record's base fit as its only
+    start, where the original records were fitted from two data starts.  A
     chi_mom replica with an invalid double-Gaussian fit is redrawn from
     the stream (seed, r, 1); the redrawn replicas run as one more batch.
     Replicas still invalid after that count as failures, and more than 10%
@@ -762,6 +793,8 @@ def bootstrap(
     n_points = a.size
     counts = np.array([r.size for r in series.records])
     masses = _bin_masses(base, spec)
+    params = ("separation", "width", "amplitude_plus", "amplitude_minus")
+    base_start = np.stack([base[k] for k in params], axis=1)[:, None, :]
     values = np.full((n_replicas, n_points), np.nan)
     pending = np.arange(n_replicas)
     for attempt in (0, 1):
@@ -770,7 +803,8 @@ def bootstrap(
             for r in pending
         ])
         estimates, mixtures = _estimates(
-            draws / counts[:, None], a, spec, (estimator,)
+            draws / counts[:, None], a, spec, (estimator,),
+            np.broadcast_to(base_start, (pending.size, *base_start.shape)),
         )
         valid = _valid_series(mixtures, pending.size)
         values[pending[valid]] = estimates[estimator][valid]

@@ -116,18 +116,34 @@ def read_table(path: str) -> tuple[dict[str, np.ndarray], list[str]]:
 def read_series_csv(path: str) -> MeasurementSeries:
     """Read a measurement series CSV (columns scattering_length_a0, z).
 
-    Rows are grouped by scattering length; the grid is sorted ascending.
+    As in :func:`read_table`, a line starting with ``#`` is a comment, blank
+    lines are skipped and the first other line is the header; the two
+    columns are parsed in one ``np.loadtxt`` call.  Rows are grouped by
+    scattering length; the grid is sorted ascending.
     """
-    columns, _ = read_table(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = [
+            line for line in fh.read().split("\n")
+            if line and not line.startswith("#")
+        ]
+    if not lines:
+        raise ValueError(f"{path}: no header row")
+    index = {name: j for j, name in enumerate(lines[0].split(","))}
     for required in ("scattering_length_a0", "z"):
-        if required not in columns:
+        if required not in index:
             raise ValueError(f"{path}: missing column {required!r}")
-    a = columns["scattering_length_a0"]
-    z = columns["z"]
-    if a.dtype.kind not in "fi" or z.dtype.kind not in "fi":
-        raise ValueError(f"{path}: non-numeric data")
+    rows = lines[1:]
+    try:
+        # comments=None: a "#" inside a row is data, so "0.2#x" is rejected
+        table = np.loadtxt(
+            rows, delimiter=",", comments=None, ndmin=2,
+            usecols=(index["scattering_length_a0"], index["z"]),
+        ) if rows else np.empty((0, 2))
+    except ValueError:
+        raise ValueError(f"{path}: non-numeric data") from None
+    a, z = table.T
     uniq = np.unique(a)
-    records = tuple(np.asarray(z[a == value], dtype=float) for value in uniq)
+    records = tuple(z[a == value] for value in uniq)
     return MeasurementSeries(
         scattering_lengths=uniq, records=records, rng_seed=-1
     )

@@ -252,6 +252,7 @@ def test_refine_without_methods_exits_2(tmp_path, capsys):
     ({"temperature": float("nan")}, "temperature"),
     ({"temperature": "x"}, "temperature"),
     ({"delta": float("nan")}, "delta"),
+    ({"n_particles": 0}, "n_particles"),
 ])
 @pytest.mark.parametrize("quick", [False, True])
 def test_scan_bad_lambda_grid_exits_2(tmp_path, capsys, payload, key, quick):
@@ -437,6 +438,36 @@ def test_bootstrap_rejects_bad_estimator(tmp_path, capsys):
     out = _outdir(tmp_path, "out")
     assert main(["bootstrap", "--config", config, "--out", out]) == 2
     assert "estimator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("pipeline", {"n_replicas": 99}, "n_replicas"),
+    ("bootstrap", {"n_replicas": 50}, "n_replicas"),
+    ("pipeline", {"bin_width": -0.05}, "bin_width"),
+    ("pipeline", {"bin_width": 0}, "bin_width"),
+    ("bootstrap", {"bin_width": 2.5}, "bin_width"),
+    ("bootstrap", {"bin_width": "x"}, "bin_width"),
+])
+@pytest.mark.parametrize("quick", [False, True])
+def test_bootstrap_config_out_of_range_exits_2(tmp_path, capsys, command,
+                                               payload, key, quick):
+    config = _pipeline_config(tmp_path, **payload)
+    out = _outdir(tmp_path, "out")
+    argv = [command, "--config", config, "--out", out] + ["--quick"] * quick
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {key} must")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("temperature", [-1, float("nan"), "x"])
+def test_scaling_bad_temperature_exits_2(tmp_path, capsys, temperature):
+    config = _write_config(tmp_path, "cfg.json", {
+        "n_values": [40, 60, 80], "temperature": temperature,
+    })
+    out = _outdir(tmp_path, "out")
+    assert main(["scaling", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: config: temperature must")
+    assert os.listdir(out) == []
 
 
 def test_series_requires_input_or_parameters(tmp_path, capsys):

@@ -126,6 +126,21 @@ def test_peak_parabolic_refinement():
     assert_allclose(peak.value, 1.0, atol=1e-12)
 
 
+def test_peak_vertex_on_uneven_grid():
+    # the parabola through three unevenly spaced points has its exact vertex
+    grid = np.cumsum(np.random.default_rng(4).uniform(0.02, 0.2, 20)) - 1.0
+    apex = float(grid[9] + 0.3 * (grid[10] - grid[9]))
+    curve = SusceptibilityCurve(
+        lambda_grid=grid, mean_jz=np.zeros_like(grid),
+        var_jz=np.ones_like(grid), chi_mom=None, chi_cl=None,
+        chi_q=3.0 - 2.0 * (grid - apex) ** 2, config=_config(),
+    )
+    peak = curve.peak("quantum")
+    assert peak.interior and peak.index == 9
+    assert_allclose([peak.lambda_peak, peak.value], [apex, 3.0],
+                    rtol=0.0, atol=1e-12)
+
+
 def test_peak_at_boundary_not_interior():
     grid = np.linspace(0.0, 1.0, 11)
     curve = SusceptibilityCurve(

@@ -453,7 +453,10 @@ def test_bootstrap_replica_runs_the_series_chain():
     seed, r = 9, 37
     draw = np.random.default_rng([seed, r, 0]).multinomial(counts, masses)
     hists = draw / counts[:, None]
-    fits = est._fit_mixtures(hists, spec)
+    # each replica histogram is fitted from its record's base fit alone
+    starts = np.array([[[f.separation, f.width, f.amplitude_plus,
+                         f.amplitude_minus]] for f in base])
+    fits = est._fit_mixtures(hists, spec, starts)
     expected = {
         "chi_mom": est._chi_mom(fits["separation"], fits["width"], a),
         "chi_cl": est._chi_cl(hists, a),
@@ -463,6 +466,53 @@ def test_bootstrap_replica_runs_the_series_chain():
         assert result.n_failures == 0
         row = [col[r] if col.size else np.nan for col in result.replica_values]
         assert np.array_equal(row, expected[estimator], equal_nan=True)
+
+
+def _replica_stack(seed, n_samples, n_replicas):
+    """Replica histograms of the README series as ``bootstrap`` draws them,
+    (replicas * points, bins), and each one's start: its record's base fit,
+    (replicas * points, 1, 4)."""
+    a = [-2.4, -2.2, -2.0, -1.8, -1.6, -1.4, -1.2]
+    zbars = [0.20, 0.25, 0.31, 0.42, 0.57, 0.65, 0.70]
+    series = synth_samples(a, [_mixture(z, 0.1) for z in zbars], n_samples,
+                           seed=seed)
+    spec = HistogramSpec()
+    _, base = series_estimates(series, spec)
+    masses = est._bin_masses(_fit_arrays(base), spec)
+    draws = np.array([
+        np.random.default_rng([seed, r, 0]).multinomial(n_samples, masses)
+        for r in range(n_replicas)
+    ])
+    starts = [[f.separation, f.width, f.amplitude_plus, f.amplitude_minus]
+              for f in base]
+    return (draws.reshape(-1, masses.shape[1]) / n_samples,
+            np.tile(starts, (n_replicas, 1))[:, None, :])
+
+
+@pytest.mark.parametrize("seed, n_samples", [(1, 4000), (2, 500), (3, 300)])
+def test_replica_fit_from_base_fit_matches_two_start_fit(seed, n_samples):
+    # A replica histogram is drawn from its base fit, so one start there
+    # reaches the optimum that the better of the two data starts reaches.
+    # The converged flag is not compared: its stationarity threshold sits
+    # within the roundoff spread of J^T r at these optima, so it flips on
+    # about a tenth of them between any two starts.
+    hists, starts = _replica_stack(seed, n_samples, 50)
+    spec = HistogramSpec()
+    warm = est._fit_mixtures(hists, spec, starts)
+    cold = est._fit_mixtures(hists, spec)
+    for k in ("separation", "width"):
+        assert_allclose(warm[k], cold[k], rtol=1e-6, atol=0.0)
+    assert np.all(warm["residual"] <= cold["residual"] * (1.0 + 1e-12))
+    assert np.array_equal(est._valid_fits(warm), est._valid_fits(cold))
+
+
+def test_replica_fit_from_base_fit_is_independent_of_its_batch():
+    hists, starts = _replica_stack(4, 500, 100)
+    spec = HistogramSpec()
+    batch = est._fit_mixtures(hists, spec, starts)
+    for i in (0, 1, 6, 350, 511, 512, 513, 699):
+        alone = est._fit_mixtures(hists[i : i + 1], spec, starts[i : i + 1])
+        assert est._fit_at(alone, 0) == est._fit_at(batch, i)
 
 
 def _clipped_mixture_masses(fit, spec):

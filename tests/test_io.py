@@ -1,6 +1,7 @@
 """CSV round trips, value formatting, and atomic table writes."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -98,3 +99,30 @@ def test_read_series_requires_columns(tmp_path):
     write_table(path, ["a", "z"], [(1.0, 0.1)])
     with pytest.raises(ValueError):
         read_series_csv(path)
+
+
+def test_read_series_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text(
+        "# provenance\n\nz,extra,scattering_length_a0\n0.25,x,-1.5\n"
+        "# a comment between rows\n-0.5,y,-2\n\n0.75,z,-1.5\n",
+        encoding="utf-8",
+    )
+    series = read_series_csv(str(path))
+    assert list(series.scattering_lengths) == [-2.0, -1.5]
+    assert [list(r) for r in series.records] == [[-0.5], [0.25, 0.75]]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "no header row"),
+    ("a,z\n1,0.1\n", "missing column 'scattering_length_a0'"),
+    ("scattering_length_a0\n1\n", "missing column 'z'"),
+    ("scattering_length_a0,z\n1,0.2#x\n", "non-numeric data"),
+    ("scattering_length_a0,z\n1,abc\n", "non-numeric data"),
+    ("scattering_length_a0,z\n1\n", "non-numeric data"),
+])
+def test_read_series_rejects_bad_tables(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("# header comment\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        read_series_csv(str(path))
