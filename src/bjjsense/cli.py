@@ -132,7 +132,7 @@ def _load_config(args, keys) -> dict:
     if "seed" in keys and args.seed is not None:
         config["seed"] = args.seed
     # A key whose default holds integers takes JSON integers, bools not
-    # included; n_samples may also be a list, one count per point.
+    # included; n_samples may also be a list, and sizes N in n_values are >= 1.
     for name, (default, _) in keys.items():
         value = config[name]
         if _is_integer(default) and not (
@@ -143,6 +143,8 @@ def _load_config(args, keys) -> dict:
             raise CliError(
                 "config", f"{name} must be a list of integers, got {value!r}"
             )
+        if name == "n_values" and min(value, default=1) < 1:
+            raise CliError("config", f"n_values must be integers >= 1, got {value!r}")
     return config
 
 

@@ -3,8 +3,8 @@
 The workflow mirrors a finite-size scaling analysis of the lambda = -1
 transition:
 
-1. ``locate_critical_gap``: pseudo-critical lambda_c^(N) from the minimum of
-   the E_2 - E_0 gap at zero tilt.
+1. ``locate_critical_gap``: pseudo-critical lambda_c^(N), the root of the
+   lambda-slope of the E_2 - E_0 gap at zero tilt.
 2. ``optimize_delta``: tilt delta* for which the susceptibility peak sits at
    lambda_c^(N).
 3. ``scaling_study``: susceptibilities at (lambda_c^(N), delta*) across N,
@@ -26,10 +26,11 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .model import (
+    GAP_ROUNDOFF,
     EigensolverError,
     ModelParams,
     StateStack,
-    eigenvalues,
+    _parity_levels,
     equilibrium_states,
 )
 
@@ -407,7 +408,7 @@ def temperature_sweep(
 
 
 # ---------------------------------------------------------------------------
-# scalar searches
+# root search
 
 
 def _signbit(x: float) -> bool:
@@ -483,53 +484,6 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
-def _golden(f, bracket: tuple[float, float, float], xtol: float):
-    """Minimum of ``f`` by golden-section search from a three-point bracket.
-
-    A line-for-line port of scipy's ``_minimize_scalar_golden`` (the method
-    ``minimize_scalar(method="golden")`` runs), so it evaluates the same
-    abscissae and returns the same (x, f(x)) bit for bit.  The bracket
-    (xa, xb, xc) must have xb strictly between the others and f(xb) below
-    both ends, else ValueError.
-    """
-    xa, xb, xc = bracket
-    if xa > xc:
-        xc, xa = xa, xc
-    if not (xa < xb and xb < xc):
-        raise ValueError(
-            "Bracketing values (xa, xb, xc) do not fulfill this requirement: "
-            "(xa < xb) and (xb < xc)"
-        )
-    fa, fb, fc = f(xa), f(xb), f(xc)
-    if not (fb < fa and fb < fc):
-        raise ValueError(
-            "Bracketing values (xa, xb, xc) do not fulfill this requirement: "
-            "(f(xb) < f(xa)) and (f(xb) < f(xc))"
-        )
-    g_r = 0.61803399  # golden ratio conjugate, as scipy rounds it
-    g_c = 1.0 - g_r
-    x3, x0 = xc, xa
-    if abs(xc - xb) > abs(xb - xa):
-        x1 = xb
-        x2 = xb + g_c * (xc - xb)
-    else:
-        x2 = xb
-        x1 = xb - g_c * (xb - xa)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(5000):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
-            break
-        if f2 < f1:
-            x0, x1 = x1, x2
-            x2 = g_r * x1 + g_c * x3
-            f1, f2 = f2, f(x2)
-        else:
-            x3, x2 = x2, x1
-            x1 = g_r * x2 + g_c * x0
-            f2, f1 = f1, f(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
-
-
 # ---------------------------------------------------------------------------
 # critical point
 
@@ -544,16 +498,18 @@ def locate_critical_gap(
 
     The default gap E_2 - E_0 pairs the ground state with its second
     excited partner; at zero tilt E_1 merges with E_0 in the broken phase
-    and carries no interior minimum.  A coarse 61-point grid over
-    ``lambda_bracket`` brackets the minimum (its matrices built as one
-    stack), then golden-section search refines it to xtol 1e-8.
+    and carries no interior minimum.  The gap's slope is <upper|V|upper> -
+    <lower|V|lower> (Hellmann-Feynman, V = J_z**2 / N), both levels from the
+    parity blocks of the untilted H.  A 14-point grid over ``lambda_bracket``
+    brackets its - to + sign change next to the smallest gap, and
+    ``_brentq`` refines that root to xtol 1e-12.
 
     Raises
     ------
     ValueError
         If ``lambda_bracket`` is not finite lo < hi, ``levels`` are not two
-        different levels of the spectrum, or the coarse minimum lands on the
-        bracket edge, i.e. the bracket does not enclose an interior minimum.
+        different levels of the spectrum, or no resolved - to + sign change
+        of the slope lies next to the grid's smallest gap.
     """
     if not (len(lambda_bracket) == 2
             and -math.inf < lambda_bracket[0] < lambda_bracket[1] < math.inf):
@@ -565,29 +521,31 @@ def locate_critical_gap(
             f"levels must be two different integer levels in [0, {n_particles}], "
             f"got {levels}"
         )
-    lower, upper = sorted(levels)
-    params = ModelParams(n_particles=n_particles)
+    levels = tuple(sorted(levels))
 
-    def gaps(lams) -> np.ndarray:
-        ev = eigenvalues(params, lams, upper + 1)
-        return ev[:, upper] - ev[:, lower]
+    def gaps(lams) -> tuple[np.ndarray, np.ndarray]:
+        energies, slopes = _parity_levels(n_particles, lams, levels)
+        return energies[:, 1] - energies[:, 0], slopes[:, 1] - slopes[:, 0]
 
-    def gap(lam: float) -> float:
-        return float(gaps(lam)[0])
-
-    grid = np.linspace(lo, hi, 61)
-    i = int(np.argmin(gaps(grid)))
-    if i == 0 or i == grid.size - 1:
+    grid = np.linspace(lo, hi, 14)
+    gap, slope = gaps(grid)
+    i = int(np.argmin(gap))
+    k = i if slope[i] < 0 else i - 1
+    # A gap below GAP_ROUNDOFF eps ||H|| (N (1 + |lambda|) bounds ||H||) is
+    # roundoff: the levels have merged, and the slope's sign is noise.
+    eps_h = np.finfo(float).eps * n_particles * (1.0 + max(abs(lo), abs(hi)))
+    bracketed = 0 <= k < grid.size - 1 and slope[k] < 0 <= slope[k + 1]
+    if gap[i] < GAP_ROUNDOFF * eps_h or not bracketed:
         raise ValueError(
-            f"gap minimum at bracket edge lambda={grid[i]:.6g}; widen "
-            f"lambda_bracket={lambda_bracket}"
+            f"no interior gap minimum in lambda_bracket={lambda_bracket}: the "
+            f"smallest grid gap is {gap[i]:.3g}, at lambda={grid[i]:.6g}"
         )
-    lam_c, gap_c = _golden(gap, (grid[i - 1], grid[i], grid[i + 1]), 1e-8)
+    lam_c = _brentq(lambda lam: gaps(lam)[1][0], grid[k], grid[k + 1], 1e-12)
     return CriticalPointResult(
         n_particles=n_particles,
         lambda_c=float(lam_c),
-        gap=float(gap_c),
-        levels=(lower, upper),
+        gap=float(gaps(lam_c)[0][0]),
+        levels=levels,
     )
 
 

@@ -18,7 +18,8 @@ has a symmetry-breaking quantum phase transition at lambda = -1
 
 Every solve takes a whole lambda grid at fixed N and delta:
 ``equilibrium_states`` builds the Gibbs states, with their matrices and
-J_z distributions, and ``eigenvalues`` the lowest levels alone.
+J_z distributions, ``eigenvalues`` the lowest levels alone, and
+``_parity_levels`` the untilted levels and their slopes from parity blocks.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from scipy.linalg.lapack import dstebz, dstein, dstevd
 # dimension * REL_CUTOFF.
 REL_CUTOFF = 1e-12
 
-# An untilted ground state is rejected when E_1 - E_0 falls below this many
-# units of roundoff, eps * ||H|| (Gershgorin bound).
+# An untilted gap below this many units of roundoff, eps * ||H||, is taken
+# as closed: untilted ground states and gap-minimum brackets are rejected.
 GAP_ROUNDOFF = 1e3
 
 # A stack of states from ``equilibrium_states`` holds at most this many
@@ -144,6 +145,8 @@ def _eigh(
     (``dstebz``) plus inverse iteration (``dstein``).  Returns the
     eigenvalues, or (eigenvalues, eigenvectors) when ``vectors``.
     """
+    if not e.size:  # a 1 x 1 matrix; the wrappers want e to hold one entry
+        e = np.zeros(1)
     if window is None and n_levels in (None, d.size):
         driver = "dstevd"
         w, v, info = dstevd(d, e, compute_v=vectors)
@@ -316,3 +319,39 @@ def eigenvalues(params: ModelParams, lambdas, n_levels: int) -> np.ndarray:
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     diag, off = _diagonals(params, lambdas)
     return np.array([_eigh(d, off, False, n_levels) for d in diag])
+
+
+def _parity_levels(
+    n_particles: int, lambdas, levels: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Untilted levels E_k and slopes dE_k/dlambda = <k|V|k> from parity blocks.
+
+    At delta = 0, H commutes with the mirror m -> -m and splits into blocks
+    on (|m> +- |-m>) / sqrt(2), m > 0.  Even N: |0> joins the even block
+    through sqrt(2) t_0.  Odd N: +-t_(-1/2) goes on the first diagonal
+    entry, + for the even block (t_m the J_x element between m and m + 1).
+    H is an irreducible persymmetric Jacobi matrix, so level k is level
+    k // 2 of the block of parity (-1)**k.  V = J_z**2 / N (Hellmann-Feynman).
+    Returns (B, len(levels)) arrays of E_k and dE_k/dlambda at ``lambdas``.
+    """
+    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    diag, off = _diagonals(ModelParams(n_particles), lambdas)
+    c = (n_particles + 1) // 2  # index of m = 0 (even N) or m = 1/2 (odd N)
+    m = np.arange(c, n_particles + 1) - n_particles / 2.0
+    energies = np.empty((lambdas.size, len(levels)))
+    slopes = np.empty_like(energies)
+    for parity in {k % 2 for k in levels}:
+        cols = [i for i, k in enumerate(levels) if k % 2 == parity]
+        d, e, v = diag[:, c:].copy(), off[c:].copy(), m * m / n_particles
+        if n_particles % 2:
+            d[:, 0] += (-1) ** parity * off[c - 1]
+        elif parity == 0:
+            e[0] *= math.sqrt(2.0)
+        else:
+            d, e, v = d[:, 1:], e[1:], v[1:]
+        index = [levels[i] // 2 for i in cols]
+        for b in range(lambdas.size):
+            w, vecs = _eigh(d[b], e, True, n_levels=max(index) + 1)
+            energies[b, cols] = w[index]
+            slopes[b, cols] = v @ vecs[:, index] ** 2
+    return energies, slopes

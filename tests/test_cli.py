@@ -292,6 +292,8 @@ def test_scan_quick_step_leaving_one_point_exits_2(tmp_path, capsys):
     ({"bracket": [-1.5, "x"]}, "bracket"),
     ({"bracket": -1.5}, "bracket"),
     ({"levels": [0, 30]}, "levels"),
+    ({"n_values": [0, 20]}, "n_values"),
+    ({"n_values": [20, -3]}, "n_values"),
 ])
 def test_critical_point_bad_levels_or_bracket_exits_2(tmp_path, capsys,
                                                       payload, key):
@@ -467,6 +469,17 @@ def test_scaling_bad_temperature_exits_2(tmp_path, capsys, temperature):
     out = _outdir(tmp_path, "out")
     assert main(["scaling", "--config", config, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: config: temperature must")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("n_values", [[0, 100, 200], [100, -1, 200]])
+@pytest.mark.parametrize("quick", [False, True])
+def test_scaling_sizes_below_one_exit_2(tmp_path, capsys, n_values, quick):
+    config = _write_config(tmp_path, "cfg.json", {"n_values": n_values})
+    out = _outdir(tmp_path, "out")
+    argv = ["scaling", "--config", config, "--out", out] + ["--quick"] * quick
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: config: n_values must")
     assert os.listdir(out) == []
 
 

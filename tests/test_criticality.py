@@ -8,9 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from dense_oracle import dense_chi_point, dense_exact_chi
+from dense_oracle import (
+    dense_chi_point,
+    dense_exact_chi,
+    dense_hamiltonian,
+    jacobi_eigh,
+)
 from fd_reference import fd_chi_point, state_at
 
 import bjjsense.criticality as criticality
@@ -365,9 +370,33 @@ def test_critical_point_approaches_bulk_monotonically():
     assert shifts[0] > shifts[1] > shifts[2]
 
 
+@pytest.mark.parametrize("n", [60, 101])
+def test_critical_point_is_stationary_on_the_oracle_gap(n):
+    # lambda_c is the root of d(E_2 - E_0)/dlambda: a central difference of
+    # the dense Jacobi oracle's gap vanishes there, and the gap agrees.
+    crit = locate_critical_gap(n)
+
+    def gap(lam):
+        vals, _ = jacobi_eigh(dense_hamiltonian(n, 1.0, lam))
+        return vals[2] - vals[0]
+
+    h = 1e-5
+    slope = (gap(crit.lambda_c + h) - gap(crit.lambda_c - h)) / (2.0 * h)
+    assert abs(slope) < 1e-7
+    assert_allclose(crit.gap, gap(crit.lambda_c), rtol=1e-12)
+
+
 def test_locate_critical_gap_needs_interior_minimum():
     with pytest.raises(ValueError):
         locate_critical_gap(200, lambda_bracket=(-0.7, -0.4))
+
+
+@pytest.mark.parametrize("n", [101, 200])
+def test_locate_critical_gap_rejects_a_gap_closing_to_roundoff(n):
+    # Deep in the broken phase E_1 - E_0 falls below roundoff; its computed
+    # slope then changes sign at random, which is no minimum.
+    with pytest.raises(ValueError, match="lambda_bracket"):
+        locate_critical_gap(n, lambda_bracket=(-3.0, 0.5), levels=(0, 1))
 
 
 @pytest.mark.parametrize("levels", [(1, 1), (0, 11), (-1, 2), (0, 2, 5), (2,),
@@ -481,7 +510,7 @@ def test_scaling_study_needs_three_sizes():
 
 
 # ---------------------------------------------------------------------------
-# the in-package root and golden searches against scipy's
+# the in-package root search against scipy's
 
 
 def _recorded(f):
@@ -497,12 +526,6 @@ def _recorded(f):
 
 def _scipy_brentq(f, xa, xb, xtol):
     return brentq(f, xa, xb, xtol=xtol)
-
-
-def _scipy_golden(f, bracket, xtol):
-    res = minimize_scalar(f, bracket=bracket, method="golden",
-                          options={"xtol": xtol})
-    return res.x, res.fun
 
 
 smooth = st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 5.0),
@@ -527,35 +550,12 @@ def test_brentq_port_is_bit_identical_to_scipy(coef, lo, width, xtol):
     assert our_calls == their_calls
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(coef=smooth, xb=st.floats(-2.0, 2.0), left=st.floats(0.01, 2.0),
-       right=st.floats(0.01, 2.0), xtol=st.sampled_from([1e-8, 1e-4]))
-def test_golden_port_is_bit_identical_to_scipy(coef, xb, left, right, xtol):
-    c0, c1, _, b, k = coef
-
-    def f(x):
-        return c1 * (x - c0) ** 2 + b * math.cos(k * x)
-
-    bracket = (xb - left, xb, xb + right)
-    assume(f(xb) < f(xb - left) and f(xb) < f(xb + right))
-    ours, our_calls = _recorded(f)
-    theirs, their_calls = _recorded(f)
-    x, fx = criticality._golden(ours, bracket, xtol)
-    x_ref, fx_ref = _scipy_golden(theirs, bracket, xtol)
-    assert (x, fx) == (x_ref, fx_ref)
-    assert our_calls == their_calls
-
-
 def test_searches_reject_what_scipy_rejects():
     with pytest.raises(ValueError, match="different signs"):
         criticality._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
     with pytest.raises(ValueError, match="NaN"):
         criticality._brentq(lambda x: math.nan if x == 0.0 else x, -1.0, 2.0,
                             1e-8)
-    with pytest.raises(ValueError, match="f\\(xb\\)"):
-        criticality._golden(lambda x: x, (0.0, 1.0, 2.0), 1e-8)
-    with pytest.raises(ValueError, match="xa < xb"):
-        criticality._golden(lambda x: x * x, (0.0, 3.0, 2.0), 1e-8)
 
 
 def test_root_find_raises_on_a_missing_offset():
@@ -580,7 +580,6 @@ def test_critical_point_and_tilts_match_scipy_searches(n, monkeypatch):
         return _scipy_brentq(f, xa, xb, xtol)
 
     monkeypatch.setattr(criticality, "_brentq", scipy_brentq)
-    monkeypatch.setattr(criticality, "_golden", _scipy_golden)
     assert locate_critical_gap(n) == crit
     assert criticality._optimize_deltas(
         n, METHODS, 0.0, crit.lambda_c, None, 41

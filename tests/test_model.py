@@ -248,6 +248,32 @@ def test_eigenpairs_of_cli_routes_match_jacobi_oracle():
     assert windows >= 5
 
 
+PARITY_LAMBDAS = np.linspace(-3.0, 0.5, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 41])
+def test_parity_blocks_interleave_to_the_oracle_spectrum(n):
+    # Level k of the untilted H is level k // 2 of the block of parity
+    # (-1)**k; its slope is <k|J_z**2 / N|k>.  Odd N puts +-t_(-1/2) on the
+    # blocks' first diagonal entry, so a wrong sign there swaps the blocks.
+    energies, slopes = model._parity_levels(n, PARITY_LAMBDAS, tuple(range(n + 1)))
+    v = (np.arange(n + 1) - n / 2.0) ** 2 / n
+    for lam, e, s in zip(PARITY_LAMBDAS, energies, slopes):
+        ref, vecs = jacobi_eigh(dense_hamiltonian(n, 1.0, lam))
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(e - ref)) < 1e-12 * scale
+        assert np.max(np.abs(s - v @ vecs**2)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [200, 201])
+def test_parity_blocks_interleave_to_the_full_spectrum(n):
+    energies, _ = model._parity_levels(n, PARITY_LAMBDAS, tuple(range(n + 1)))
+    for lam, e in zip(PARITY_LAMBDAS, energies):
+        h = dense_hamiltonian(n, 1.0, lam)
+        ref = eigh_tridiagonal(np.diag(h), np.diag(h, 1), eigvals_only=True)
+        assert np.max(np.abs(e - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_eigenvectors_solve_the_eigenproblem():
     rng = np.random.default_rng(7)
     for _ in range(5):
