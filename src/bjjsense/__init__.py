@@ -7,7 +7,7 @@ from .model import (
     eigenvalues,
     equilibrium_states,
 )
-from .fidelity import bhattacharyya_fidelity
+from .estimation import bhattacharyya_fidelity
 from .criticality import (
     CriticalPointResult,
     DeltaOptimization,

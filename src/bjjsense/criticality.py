@@ -31,7 +31,7 @@ from .model import (
     ModelParams,
     StateStack,
     _parity_levels,
-    equilibrium_states,
+    _states,
 )
 
 METHODS = ("moment", "classical", "quantum")
@@ -108,23 +108,26 @@ class SusceptibilityCurve:
         """Maximum of chi(lambda), refined by the parabola through the grid
         maximum and its two neighbors (the grid point itself where that
         parabola is not concave or its vertex leaves the three points)."""
-        y = self.chi(method)
-        x = self.lambda_grid
-        i = int(np.argmax(y))
-        if i == 0 or i == x.size - 1:
-            return PeakEstimate(float(x[i]), float(y[i]), i, interior=False)
-        x0, x1, x2 = (float(v) for v in x[i - 1 : i + 2])
-        y0, y1, y2 = (float(v) for v in y[i - 1 : i + 2])
-        # y = y1 + b (x - x1) + c (x - x1)^2 from the divided differences
-        left, right = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
-        c = (right - left) / (x2 - x0)
-        if not c < 0:
-            return PeakEstimate(x1, y1, i, interior=True)
-        b = left + c * (x1 - x0)
-        vertex = x1 - b / (2.0 * c)
-        if not x0 <= vertex <= x2:
-            return PeakEstimate(x1, y1, i, interior=True)
-        return PeakEstimate(vertex, y1 - b * b / (4.0 * c), i, interior=True)
+        return _peak(self.lambda_grid, self.chi(method))
+
+
+def _peak(x: np.ndarray, y: np.ndarray) -> PeakEstimate:
+    """``SusceptibilityCurve.peak`` of the curve y(x)."""
+    i = int(np.argmax(y))
+    if i == 0 or i == x.size - 1:
+        return PeakEstimate(float(x[i]), float(y[i]), i, interior=False)
+    x0, x1, x2 = (float(v) for v in x[i - 1 : i + 2])
+    y0, y1, y2 = (float(v) for v in y[i - 1 : i + 2])
+    # y = y1 + b (x - x1) + c (x - x1)^2 from the divided differences
+    left, right = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    c = (right - left) / (x2 - x0)
+    if not c < 0:
+        return PeakEstimate(x1, y1, i, interior=True)
+    b = left + c * (x1 - x0)
+    vertex = x1 - b / (2.0 * c)
+    if not x0 <= vertex <= x2:
+        return PeakEstimate(x1, y1, i, interior=True)
+    return PeakEstimate(vertex, y1 - b * b / (4.0 * c), i, interior=True)
 
 
 @dataclass(frozen=True)
@@ -190,11 +193,14 @@ def _points(
     lambdas: np.ndarray,
     temperature: float,
     which: tuple[str, ...],
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """<J_z>, Var(J_z) and the requested chi at each of ``lambdas``.
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray | None]:
+    """<J_z>, Var(J_z), the requested chi and, at T = 0, the ground states
+    (B, N+1) at each of ``lambdas``.
 
     The one code path for every susceptibility: N and delta come from
-    ``params``, the states from ``equilibrium_states``, and each stack
+    ``params``, the states from ``equilibrium_states`` (warm-started from
+    the ground states ``start`` of a nearby tilt, if given), and each stack
     of points it yields goes through array expressions at once.  Each chi
     is the exact derivative of the Gibbs state rho = sum_n p_n |n><n| at
     its point.  With V = dH/dlambda = J_z^2 / N, shifted to zero mean
@@ -222,12 +228,17 @@ def _points(
     v = v - v.mean()
     mean, var = np.empty(lambdas.size), np.empty(lambdas.size)
     chi = {w: np.empty(lambdas.size) for w in which}
-    for start, s in equilibrium_states(params, lambdas, temperature):
-        at = slice(start, start + s.size)
+    ground = np.empty((lambdas.size, n + 1)) if temperature == 0.0 else None
+    for first, s in _states(params, lambdas, temperature, start):
+        at = slice(first, first + s.size)
         # Eigenvectors are rows: u[b, k] is level k at point b.
         u, p = s.vectors, s.weights
+        if ground is not None:
+            ground[at] = u[:, 0]
         prob = s.probabilities
-        mean[at] = prob @ m
+        # Row sums, not matrix-vector products, whose rounding depends on the
+        # stack's size: a point's numbers do not depend on its stack.
+        mean[at] = np.sum(prob * m, axis=1)
         var[at] = np.sum((m - mean[at, None]) ** 2 * prob, axis=1)
         if not which:
             continue
@@ -270,10 +281,10 @@ def _points(
                 i = int(np.argmax(bad))
                 raise ValueError(
                     f"non-positive J_z variance {var[at][i]} at "
-                    f"{replace(params, lambda_control=float(lambdas[start + i]))}"
+                    f"{replace(params, lambda_control=float(lambdas[first + i]))}"
                 )
-            chi["moment"][at] = (dp @ m) ** 2 / var[at]
-    return mean, var, chi
+            chi["moment"][at] = np.sum(dp * m, axis=1) ** 2 / var[at]
+    return mean, var, chi, ground
 
 
 def _outside(
@@ -329,7 +340,7 @@ def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
     -------
     SusceptibilityCurve
     """
-    mean, var, chi = _points(
+    mean, var, chi, _ = _points(
         config.params_template, config.lambda_grid, config.temperature,
         config.which,
     )
@@ -613,7 +624,9 @@ def _optimize_deltas(
     """``optimize_delta`` for several methods, scanning each grid tilt once.
 
     The window scan at every tilt of the grid computes all ``methods``
-    together; the bracket and the root find then run per method.  Peak
+    together; the bracket and the root find then run per method.  At T = 0
+    each window's ground states start from those of the window solved
+    before it, so most of them need no bisection.  Peak
     offsets are kept per (delta, method), so no window is scanned twice
     for one method: ``_brentq`` returns a tilt it has already evaluated,
     and its bracket ends are often grid tilts.  At T = 0 the ground state
@@ -631,18 +644,18 @@ def _optimize_deltas(
     tol = 0.5 * (window[1] - window[0])
 
     known: dict[tuple[float, str], float | None] = {}
+    last = None  # the ground states of the window solved last, at T = 0
 
     def offsets(delta: float, which: tuple[str, ...]) -> dict[str, float | None]:
+        nonlocal last
         todo = tuple(m for m in which if (delta, m) not in known)
         if todo:
-            curve = scan_lambda(ScanConfig(
-                params_template=ModelParams(n_particles=n_particles, imbalance=delta),
-                lambda_grid=window,
-                temperature=temperature,
-                which=todo,
-            ))
+            _, _, chi, last = _points(
+                ModelParams(n_particles=n_particles, imbalance=delta), window,
+                temperature, todo, last,
+            )
             for m in todo:
-                peak = curve.peak(m)
+                peak = _peak(window, chi[m])
                 known[delta, m] = (
                     peak.lambda_peak - lambda_c if peak.interior else None
                 )

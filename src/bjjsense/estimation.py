@@ -8,8 +8,9 @@ Bohr radius a_0).  The analysis chain is:
 2. fit each histogram with a double Gaussian
    A+ G(z - zbar; sigma) + A- G(z + zbar; sigma),
 3. chi_mom from ``np.gradient`` of zbar over a_s, chi_cl from the
-   Bhattacharyya overlaps of neighboring histograms (``fidelity``), with
-   1 - F = (chi/8) eps^2 fitted through both neighbors in closed form,
+   Bhattacharyya overlaps of neighboring histograms
+   (``bhattacharyya_fidelity``), with 1 - F = (chi/8) eps^2 fitted through
+   both neighbors in closed form,
 4. error bars by parametric bootstrap: redraw every histogram from its
    fitted mixture, rerun the chain, and fit a Gaussian (optionally on an
    exponential background) to the replica histogram of each estimate,
@@ -41,8 +42,6 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-
-from .fidelity import bhattacharyya_fidelity
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -575,6 +574,25 @@ def _chi_mom(zbar: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
     # array ** 2 multiplies x * x, which differs in the last bit for about
     # one value in 1,000.
     return np.float_power(np.gradient(zbar, a, axis=-1) / sigma, 2)
+
+
+def bhattacharyya_fidelity(p, q) -> np.ndarray | float:
+    """Bhattacharyya coefficients sum_m sqrt(P(m) Q(m)) along the last axis.
+
+    ``p`` and ``q`` are probability arrays over one support (the last
+    axis), broadcast over their leading axes; two 1-D arrays give a scalar.
+    Equals 1 iff the distributions coincide; this is the classical fidelity
+    attainable from J_z measurement statistics alone.  chi_cl is the Fisher
+    information of the outcome distribution, and a coefficient of two
+    distributions eps apart behaves as F = 1 - (chi/8) eps^2 for small eps,
+    which ``_chi_cl`` fits.
+    """
+    p, q = np.asarray(p), np.asarray(q)
+    if p.shape[-1] != q.shape[-1]:
+        raise ValueError(
+            f"distribution lengths differ: {p.shape[-1]} vs {q.shape[-1]}"
+        )
+    return np.sqrt(p * q).sum(axis=-1)
 
 
 def _chi_cl(probabilities: np.ndarray, a: np.ndarray) -> np.ndarray:

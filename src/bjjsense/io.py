@@ -77,48 +77,13 @@ def write_columns(
     write_table(path, names, rows, comments)
 
 
-def read_table(path: str) -> tuple[dict[str, np.ndarray], list[str]]:
-    """Read a CSV table written by :func:`write_table`.
-
-    Returns
-    -------
-    (columns, comments)
-        Columns parsed as float arrays where possible, else kept as strings.
-    """
-    comments: list[str] = []
-    header: list[str] | None = None
-    raw: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-            else:
-                raw.append(cells)
-    if header is None:
-        raise ValueError(f"{path}: no header row")
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        cells = [r[j] for r in raw]
-        try:
-            columns[name] = np.array([float(c) for c in cells])
-        except ValueError:
-            columns[name] = np.array(cells)
-    return columns, comments
-
-
 def read_series_csv(path: str) -> MeasurementSeries:
     """Read a measurement series CSV (columns scattering_length_a0, z).
 
-    As in :func:`read_table`, a line starting with ``#`` is a comment, blank
-    lines are skipped and the first other line is the header; the two
-    columns are parsed in one ``np.loadtxt`` call.  Rows are grouped by
+    A line starting with ``#`` is a comment (as in the tables that
+    :func:`write_table` writes), blank lines are skipped and the first other
+    line is the header; the two columns are parsed in one ``np.loadtxt``
+    call.  Rows are grouped by
     scattering length; the grid is sorted ascending.
     """
     with open(path, encoding="utf-8") as fh:

@@ -20,6 +20,11 @@ Every solve takes a whole lambda grid at fixed N and delta:
 ``equilibrium_states`` builds the Gibbs states, with their matrices and
 J_z distributions, ``eigenvalues`` the lowest levels alone, and
 ``_parity_levels`` the untilted levels and their slopes from parity blocks.
+Thermal and untilted states come from LAPACK bisection plus inverse
+iteration (``_eigh``); tilted ground states at T = 0 are solved together,
+by Rayleigh-quotient iteration on the block-diagonal stack of a grid's
+matrices, and each is certified by an LDL^T inertia count
+(``_ground_states``).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein, dstevd
+from scipy.linalg.lapack import dgtsv, dpttrf, dstebz, dstein, dstevd
 
 # Levels whose Boltzmann weight relative to the ground state falls below
 # this are left out of thermal states; the neglected weight is at most
@@ -43,6 +48,19 @@ GAP_ROUNDOFF = 1e3
 # A stack of states from ``equilibrium_states`` holds at most this many
 # eigenvector entries.
 STACK_ENTRIES = 2**17
+
+# Tilted ground states (``_ground_states``).  A cold start bisects the lowest
+# eigenvalue only to this absolute tolerance, in units of Omega; it is well
+# below the smallest gaps of the tilt search (6.5e-5 at N = 101, delta = 1e-6).
+COARSE_ABSTOL = 1e-6
+# Rayleigh-quotient steps a point may take before it counts as failed.
+RQI_STEPS = 8
+# Certificate, in units of roundoff eps * ||H||: a converged point's residual
+# ||H x - E x|| is at most RESIDUAL_ROUNDOFF units, and H - (E - tau) I with
+# tau = INERTIA_MARGIN units must factor as L D L^T with D > 0, so that no
+# eigenvalue lies below E - tau.
+RESIDUAL_ROUNDOFF = 64.0
+INERTIA_MARGIN = 64.0
 
 
 class EigensolverError(RuntimeError):
@@ -182,10 +200,173 @@ def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _gershgorin(diagonal: np.ndarray, offdiagonal: np.ndarray) -> float:
-    """max_i (diagonal_i + |e_(i-1)| + |e_i|) over the rows of H."""
+def _gershgorin(diagonal: np.ndarray, offdiagonal: np.ndarray):
+    """max_i (diagonal_i + |e_(i-1)| + |e_i|) over the rows of H, for each
+    diagonal along the last axis of ``diagonal``."""
     off = np.abs(offdiagonal)
-    return float(np.max(diagonal + np.append(off, 0.0) + np.append(0.0, off)))
+    return np.max(diagonal + np.append(off, 0.0) + np.append(0.0, off), axis=-1)
+
+
+def _blocks(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n) stack of matrices with shared off-diagonal ``off`` as one
+    block-diagonal tridiagonal: its diagonal and its coupling, which is zero
+    between blocks, so that an elimination runs through each block as it
+    would through that block alone."""
+    band = np.zeros_like(diag)
+    band[:, :-1] = off
+    return diag.reshape(-1), band.reshape(-1)[:-1]
+
+
+def _matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x for each row of the stacks ``diag`` and ``x``."""
+    hx = diag * x
+    hx[:, :-1] += off * x[:, 1:]
+    hx[:, 1:] += off * x[:, :-1]
+    return hx
+
+
+def _solve_shifted(
+    diag: np.ndarray, off: np.ndarray, shift: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (H_b - shift_b) y_b = rhs_b for every row b by one ``dgtsv`` call.
+
+    Returns y and a mask of the rows whose elimination met an exactly zero
+    pivot; those are left out of the solve, and their y is 0.
+    """
+    points, size = diag.shape
+    y = np.zeros_like(rhs)
+    singular = np.zeros(points, dtype=bool)
+    rows = np.arange(points)
+    while rows.size:
+        d, coupling = _blocks(diag[rows] - shift[rows, None], off)
+        *_, sol, info = dgtsv(
+            coupling, d, coupling, rhs[rows].reshape(-1, 1),
+            overwrite_d=True, overwrite_b=True,
+        )
+        if info == 0:
+            y[rows] = sol.reshape(rows.size, size)
+            break
+        bad = (info - 1) // size
+        singular[rows[bad]] = True
+        rows = np.delete(rows, bad)
+    return y, singular
+
+
+def _rayleigh(
+    diag: np.ndarray, off: np.ndarray, x: np.ndarray, shift: np.ndarray,
+    eps_h: np.ndarray, coarse: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rayleigh-quotient iteration from the unit rows ``x`` and ``shift``.
+
+    Each row b steps y = (H_b - shift_b)^-1 x_b, then shift_b + x_b . y /
+    |y|^2 is the Rayleigh quotient of y and the next shift, and y / |y| the
+    next x_b.  That vector has residual |(H_b - shift_b) y / |y|| = 1 / |y|
+    against the old shift, and the row stops once that is at most
+    RESIDUAL_ROUNDOFF eps ||H_b||.  Rows stop on their own test, so a row's
+    numbers do not depend on the other rows.  When ``coarse``, the first
+    shifts are bisection estimates rather than Rayleigh quotients, and the
+    first step is not tested.  Returns (energies, vectors, converged); a row
+    that meets a zero pivot or runs out of RQI_STEPS steps has not
+    converged.
+    """
+    energies, vectors = np.empty(x.shape[0]), np.empty_like(x)
+    converged = np.zeros(x.shape[0], dtype=bool)
+    rows = np.arange(x.shape[0])
+    for step in range(RQI_STEPS):
+        y, singular = _solve_shifted(diag[rows], off, shift, x)
+        keep = ~singular
+        rows, x, y, shift = rows[keep], x[keep], y[keep], shift[keep]
+        norm = np.sqrt(np.sum(y * y, axis=1))
+        shift = shift + np.sum(x * y, axis=1) / (norm * norm)
+        x = y / norm[:, None]
+        done = (1.0 / norm <= RESIDUAL_ROUNDOFF * eps_h[rows]) & (
+            step > 0 or not coarse
+        )
+        energies[rows[done]], vectors[rows[done]] = shift[done], x[done]
+        converged[rows[done]] = True
+        rows, x, shift = rows[~done], x[~done], shift[~done]
+        if not rows.size:
+            break
+    return energies, vectors, converged
+
+
+def _certified(
+    diag: np.ndarray, off: np.ndarray, energies: np.ndarray,
+    vectors: np.ndarray, eps_h: np.ndarray,
+) -> np.ndarray:
+    """Mask of the rows whose (energy, vector) is certified as the ground
+    state.
+
+    A row passes when its residual |H x - E x| is at most RESIDUAL_ROUNDOFF
+    eps ||H|| and ``dpttrf`` factors H - (E - tau) I, tau = INERTIA_MARGIN
+    eps ||H||, as L D L^T with D > 0.  That inertia count is backward stable
+    (Kahan), so no eigenvalue lies below E - tau, while the residual puts
+    one within the residual of E: for a gap above tau plus the residual,
+    that eigenvalue is the lowest, and x its eigenvector.  All rows share
+    one factorization of the block-diagonal stack, restarted after the
+    first block that fails.
+    """
+    points, size = diag.shape
+    r = _matvec(diag, off, vectors) - energies[:, None] * vectors
+    ok = np.sqrt(np.sum(r * r, axis=1)) <= RESIDUAL_ROUNDOFF * eps_h
+    shifted = diag - (energies - INERTIA_MARGIN * eps_h)[:, None]
+    first = 0
+    while first < points:
+        info = dpttrf(
+            *_blocks(shifted[first:], off), overwrite_d=True, overwrite_e=True
+        )[2]
+        if info == 0:
+            break
+        bad = first + (info - 1) // size
+        ok[bad] = False
+        first = bad + 1
+    return ok
+
+
+def _ground_states(
+    diag: np.ndarray, off: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ground states of the (B, n) stack ``diag`` with shared off-diagonal
+    ``off``, solved together.
+
+    Warm start, when ``start`` (B, n) holds approximate ground states (the
+    states of a nearby tilt): Rayleigh-quotient iteration from them, with
+    no bisection.  Cold start, for every row the warm start did not
+    certify: one ``dstebz`` bisection per row to COARSE_ABSTOL gives the
+    first shift of the iteration, which starts from the uniform vector
+    (the ground state of a Jacobi matrix with negative couplings has
+    positive entries, so it is never orthogonal to it).  Each row is kept
+    only if ``_certified``.  Returns (energies (B,), vectors (B, n),
+    solved (B,)); the rows not solved are left to ``_eigh``.
+    """
+    points, size = diag.shape
+    eps_h = np.finfo(float).eps * _gershgorin(np.abs(diag), off)
+    energies, vectors = np.empty(points), np.empty_like(diag)
+    solved = np.zeros(points, dtype=bool)
+
+    def run(rows: np.ndarray, x: np.ndarray, shift: np.ndarray, coarse: bool):
+        e, v, converged = _rayleigh(diag[rows], off, x, shift, eps_h[rows], coarse)
+        rows, e, v = rows[converged], e[converged], v[converged]
+        ok = _certified(diag[rows], off, e, v, eps_h[rows])
+        energies[rows[ok]], vectors[rows[ok]] = e[ok], v[ok]
+        solved[rows[ok]] = True
+
+    if start is not None:
+        x = start / np.sqrt(np.sum(start * start, axis=1))[:, None]
+        run(np.arange(points), x,
+            np.sum(x * _matvec(diag, off, x), axis=1), False)
+    cold, shift = [], []
+    for b in np.flatnonzero(~solved):
+        count, w, _, _, info = dstebz(
+            diag[b], off, 2, 0.0, 1.0, 1, 1, COARSE_ABSTOL, "E"
+        )
+        if info == 0 and count == 1:
+            cold.append(b)
+            shift.append(w[0])
+    if cold:
+        run(np.array(cold), np.full((len(cold), size), size ** -0.5),
+            np.array(shift), True)
+    return energies, vectors, solved
 
 
 @dataclass(frozen=True)
@@ -251,54 +432,93 @@ def equilibrium_states(params: ModelParams, lambdas, temperature: float):
     holds at most STACK_ENTRIES eigenvector entries (1 MB), which bounds
     the memory of a thermal scan at large N.
 
-    Per point: T = 0 is the ground state alone.  Without a tilt
-    (imbalance 0) the ground state has a mirror partner, and deep in the
-    broken phase their splitting E_1 - E_0 falls below roundoff: the
+    Per point: T = 0 is the ground state alone.  With a tilt, the ground
+    states of a run are solved together (``_ground_states``): one coarse
+    bisection per point, then Rayleigh-quotient iteration on the
+    block-diagonal stack of the run's matrices, one ``dgtsv`` call per
+    step.  A point stops on its own residual test, so its state does not
+    depend on the other points of the run, and it is kept only if an
+    L D L^T inertia count certifies it as the ground state; a point that
+    fails is solved alone by bisection plus inverse iteration.  Without a
+    tilt (imbalance 0) the ground state has a mirror partner, and deep in
+    the broken phase their splitting E_1 - E_0 falls below roundoff: the
     computed ground state is then an arbitrary mix of the two wells and
     every chi is noise.  So at T = 0 and imbalance 0 the two lowest
     eigenvalues are computed first, and a splitting below
     GAP_ROUNDOFF * eps * ||H|| = 1e3 eps ||H|| (eps the double-precision
     machine epsilon, ||H|| the Gershgorin bound on |E|) raises ValueError:
     below it the eigenvector error, about eps ||H|| / (E_1 - E_0), exceeds
-    1e-3.  A tilted point takes no extra solve.  At T > 0 the ground
-    energy E_0 comes first, then one bisection call returns the eigenpairs
-    with E - E_0 <= T ln(1 / REL_CUTOFF), i.e. every level whose relative
-    Boltzmann weight is at least REL_CUTOFF.  When that bound lies above
-    the Gershgorin upper bound of H, every level is occupied and one full
-    solve replaces the bisection.  The weight left out is at most
+    1e-3; the ground state then comes from bisection plus inverse
+    iteration.  At T > 0 the ground energy E_0 comes first, then one
+    bisection call returns the eigenpairs with E - E_0 <= T ln(1 /
+    REL_CUTOFF), i.e. every level whose relative Boltzmann weight is at
+    least REL_CUTOFF, and inverse iteration their vectors.  When that bound
+    lies above the Gershgorin upper bound of H, every level is occupied and
+    one full solve replaces the bisection.  The weight left out is at most
     dimension * REL_CUTOFF.
+    """
+    return _states(params, lambdas, temperature)
+
+
+def _states(
+    params: ModelParams, lambdas, temperature: float,
+    start: np.ndarray | None = None,
+):
+    """``equilibrium_states``, with approximate ground states ``start``
+    (B, N+1) to warm-start the tilted T = 0 route (see ``_ground_states``).
     """
     if not temperature >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     lambdas = np.asarray(lambdas, dtype=float)
     diag, off = _diagonals(params, lambdas)
-    start, levels = 0, []
+
+    def solve(b: int) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            return _occupied_levels(
+                diag[b], off, params, lambdas[b], temperature
+            )
+        except EigensolverError as err:
+            raise EigensolverError(
+                f"{err} at N={params.n_particles}, lambda={lambdas[b]}, "
+                f"delta={params.imbalance}"
+            ) from err
+
+    if temperature == 0.0 and params.imbalance != 0.0:
+        rows = max(1, STACK_ENTRIES // diag.shape[1])
+        for first in range(0, lambdas.size, rows):
+            at = slice(first, first + rows)
+            energies, vectors, solved = _ground_states(
+                diag[at], off, None if start is None else start[at]
+            )
+            for b in np.flatnonzero(~solved):
+                vals, vecs = solve(first + b)
+                energies[b], vectors[b] = vals[0], vecs[:, 0]
+            yield first, StateStack(
+                diag[at], off, energies[:, None],
+                _select_sign(vectors[:, None, :]), np.ones((energies.size, 1)),
+            )
+        return
+    first, levels = 0, []
 
     def stack(stop: int) -> StateStack:
         energies = np.array([vals for vals, _ in levels])
         vectors = _select_sign(np.array([vecs.T for _, vecs in levels]))
         return StateStack(
-            diag[start:stop], off, energies, vectors,
+            diag[first:stop], off, energies, vectors,
             _boltzmann(energies, temperature),
         )
 
-    for b, lam in enumerate(lambdas):
-        try:
-            vals, vecs = _occupied_levels(diag[b], off, params, lam, temperature)
-        except EigensolverError as err:
-            raise EigensolverError(
-                f"{err} at N={params.n_particles}, lambda={lam}, "
-                f"delta={params.imbalance}"
-            ) from err
+    for b in range(lambdas.size):
+        vals, vecs = solve(b)
         if levels and (
             vals.size != levels[0][0].size
             or (len(levels) + 1) * vecs.size > STACK_ENTRIES
         ):
-            yield start, stack(b)
-            start, levels = b, []
+            yield first, stack(b)
+            first, levels = b, []
         levels.append((vals, vecs))
     if levels:
-        yield start, stack(lambdas.size)
+        yield first, stack(lambdas.size)
 
 
 def eigenvalues(params: ModelParams, lambdas, n_levels: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bjjsense.fidelity import bhattacharyya_fidelity
+from bjjsense import bhattacharyya_fidelity
 from bjjsense.model import ModelParams, StateStack, equilibrium_states
 
 

@@ -35,7 +35,7 @@ from bjjsense.criticality import (
     scaling_study,
     scan_lambda,
 )
-from bjjsense.fidelity import bhattacharyya_fidelity
+from bjjsense import bhattacharyya_fidelity
 from bjjsense.model import ModelParams, eigenvalues
 
 SIZES = (200, 300, 500, 700, 1000)

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from csv_table import read_table
+
 import bjjsense.cli as cli
 from bjjsense.cli import KEYS_BY_COMMAND, build_parser, main
-from bjjsense.io import read_table
 
 
 def _write_config(tmp_path, name, payload):

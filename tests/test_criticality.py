@@ -197,6 +197,75 @@ def test_stacked_scan_matches_pointwise_chi(temperature):
             assert_allclose(curve.chi(method)[i], point[method], rtol=1e-12)
 
 
+def test_cold_tilted_scan_equals_pointwise_chi_bit_for_bit(monkeypatch):
+    # Every point of a T = 0 tilted stack stops on its own test, so a scan
+    # returns chi_at_point's numbers exactly, also when one point's coarse
+    # bisection is forced to the top of the spectrum: Rayleigh-quotient
+    # iteration then leaves the ground state, the inertia count rejects the
+    # point, and it alone is solved by _eigh, in the scan as on its own.
+    import bjjsense.model as model
+
+    config = _config()
+    params = config.params_template
+    diag, off = model._diagonals(params, config.lambda_grid)
+    forced = diag[17].tobytes()
+    real_dstebz, real_eigh = model.dstebz, model._eigh
+    fallbacks = []
+
+    def misplaced(d, e, *args):
+        count, w, *rest = real_dstebz(d, e, *args)
+        if d.tobytes() == forced and args[-2] == model.COARSE_ABSTOL:
+            w = w.copy()
+            w[0] = model._gershgorin(d, e)
+        return (count, w, *rest)
+
+    def recording(d, e, vectors, n_levels=None, window=None):
+        fallbacks.append(d.tobytes())
+        return real_eigh(d, e, vectors, n_levels, window)
+
+    monkeypatch.setattr(model, "dstebz", misplaced)
+    monkeypatch.setattr(model, "_eigh", recording)
+    curve = scan_lambda(config)
+    assert fallbacks == [forced]
+    for i, lam in enumerate(config.lambda_grid):
+        point = chi_at_point(
+            dataclasses.replace(params, lambda_control=lam), 0.0
+        )
+        for method in METHODS:
+            assert curve.chi(method)[i] == point[method]
+    assert fallbacks == [forced, forced]
+
+
+def test_warm_tilt_ladder_matches_dense_oracle(monkeypatch):
+    # The tilt search's route: each window starts from the ground states of
+    # the window before it, over tilts from 1e-6 up to 1e-1 and back down.
+    import bjjsense.model as model
+
+    n = 24
+    window = criticality._peak_window(n, locate_critical_gap(n).lambda_c, 5)
+    real = model.dstebz
+    coarse = []
+
+    def bisecting(d, e, *args):
+        coarse.append(args[-2])
+        return real(d, e, *args)
+
+    monkeypatch.setattr(model, "dstebz", bisecting)
+    ladder = (1e-6, 1e-3, 1e-1, 1e-4, 1e-6)
+    last = None
+    for delta in ladder:
+        _, _, chi, last = criticality._points(
+            ModelParams(n, imbalance=delta), window, 0.0, METHODS, last
+        )
+        for i, lam in enumerate(window):
+            ref = dense_exact_chi(n, lam, delta, 0.0)
+            for method in METHODS:
+                assert_allclose(chi[method][i], ref[method], rtol=1e-8,
+                                err_msg=f"{method} at {(lam, delta)}")
+    # the first window is cold; later ones are mostly warm
+    assert window.size <= len(coarse) < len(ladder) * window.size
+
+
 def test_untilted_stack_rejects_unresolved_splitting():
     config = ScanConfig(ModelParams(n_particles=80), np.array([-2.0, -1.6, -1.2]))
     with pytest.raises(ValueError, match=r"N=80, lambda=-2.0: E1 - E0 = 0 "):
@@ -298,7 +367,8 @@ def test_splitting_check_costs_tilted_points_no_solve(monkeypatch):
 
 def test_scan_solves_one_equilibrium_state_per_point(monkeypatch):
     # The stacked scan makes exactly the eigensolver calls of one
-    # single-point state per grid point, in grid order.
+    # single-point state per grid point, in grid order: at T = 0.5 two
+    # _eigh calls, at T = 0 (tilted) one coarse bisection and no _eigh call.
     import bjjsense.model as model
 
     real = model._eigh
@@ -309,20 +379,32 @@ def test_scan_solves_one_equilibrium_state_per_point(monkeypatch):
         return real(d, e, vectors, n_levels, window)
 
     monkeypatch.setattr(model, "_eigh", recording)
-    for temperature in (0.0, 0.5):
-        config = _config(temperature=temperature)
-        calls.clear()
-        scan_lambda(config)
-        scanned = list(calls)
-        calls.clear()
-        for lam in config.lambda_grid:
-            list(model.equilibrium_states(
-                config.params_template, [lam], temperature
-            ))
-        assert scanned == calls
-        assert len(scanned) == (1 if temperature == 0.0 else 2) * len(
-            config.lambda_grid
-        )
+    config = _config(temperature=0.5)
+    scan_lambda(config)
+    scanned = list(calls)
+    calls.clear()
+    for lam in config.lambda_grid:
+        list(model.equilibrium_states(config.params_template, [lam], 0.5))
+    assert scanned == calls
+    assert len(scanned) == 2 * len(config.lambda_grid)
+
+    real_dstebz = model.dstebz
+
+    def bisecting(d, e, *args):
+        calls.append((d.tobytes(), args[-2]))
+        return real_dstebz(d, e, *args)
+
+    monkeypatch.setattr(model, "dstebz", bisecting)
+    config = _config()
+    calls.clear()
+    scan_lambda(config)
+    scanned = list(calls)
+    calls.clear()
+    for lam in config.lambda_grid:
+        list(model.equilibrium_states(config.params_template, [lam], 0.0))
+    assert scanned == calls
+    diag, _ = model._diagonals(config.params_template, config.lambda_grid)
+    assert scanned == [(d.tobytes(), model.COARSE_ABSTOL) for d in diag]
 
 
 def test_quantum_chi_paramagnetic_formula():
@@ -485,22 +567,21 @@ def test_scaling_study_small_systems():
 
 
 def test_scaling_study_scans_each_tilt_once_per_method(monkeypatch):
-    real_scan = criticality.scan_lambda
+    real_points = criticality._points
     seen = []
 
-    def recording_scan(config):
-        params = config.params_template
-        seen.extend(
-            (params.n_particles, params.imbalance, m) for m in config.which
-        )
-        return real_scan(config)
+    def recording_points(params, lambdas, temperature, which, start=None):
+        if lambdas.size == 15:  # a window scan, not chi at delta*
+            seen.extend((params.n_particles, params.imbalance, m) for m in which)
+        return real_points(params, lambdas, temperature, which, start)
 
-    monkeypatch.setattr(criticality, "scan_lambda", recording_scan)
+    monkeypatch.setattr(criticality, "_points", recording_points)
     scaling_study(
         n_values=(40, 60, 80),
         delta_grid=np.logspace(-4, -2, 6),
         window_points=15,
     )
+    assert seen
     assert len(seen) == len(set(seen))
 
 

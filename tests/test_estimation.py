@@ -9,7 +9,7 @@ import fd_reference
 import lsq_reference
 import bjjsense.estimation as est
 from bjjsense.criticality import chi_at_point
-from bjjsense.fidelity import bhattacharyya_fidelity
+from bjjsense import bhattacharyya_fidelity
 from bjjsense.estimation import (
     DoubleGaussianFit,
     HistogramSpec,

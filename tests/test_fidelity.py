@@ -20,7 +20,7 @@ from fd_reference import (
     uhlmann_fidelity,
 )
 
-from bjjsense.fidelity import bhattacharyya_fidelity
+from bjjsense import bhattacharyya_fidelity
 from bjjsense.model import ModelParams
 
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from csv_table import read_table
+
 from bjjsense.estimation import DoubleGaussianFit, synth_samples
 from bjjsense.io import (
     format_value,
     read_series_csv,
-    read_table,
     write_columns,
     write_table,
 )

@@ -274,6 +274,30 @@ def test_parity_blocks_interleave_to_the_full_spectrum(n):
         assert np.max(np.abs(e - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def test_warm_start_from_excited_states_returns_the_ground_state(monkeypatch):
+    # Started from the first excited states, Rayleigh-quotient iteration
+    # converges to them; the inertia count rejects every one, and the cold
+    # start, one coarse bisection per point, finds the ground state.
+    params = ModelParams(n_particles=60, imbalance=1e-3)
+    diag, off = model._diagonals(params, np.linspace(-1.3, -0.9, 9))
+    pairs = [model._eigh(d, off, True, n_levels=2) for d in diag]
+    excited = np.array([vecs[:, 1] for _, vecs in pairs])
+    real = model.dstebz
+    coarse = []
+
+    def bisecting(d, e, *args):
+        coarse.append(args[-2])
+        return real(d, e, *args)
+
+    monkeypatch.setattr(model, "dstebz", bisecting)
+    energies, vectors, solved = model._ground_states(diag, off, excited)
+    assert coarse == [model.COARSE_ABSTOL] * len(diag)
+    assert solved.all()
+    assert_allclose(energies, [vals[0] for vals, _ in pairs], rtol=1e-12)
+    want = model._select_sign(np.array([vecs[:, 0] for _, vecs in pairs]))
+    assert_allclose(model._select_sign(vectors), want, rtol=1e-12, atol=1e-12)
+
+
 def test_eigenvectors_solve_the_eigenproblem():
     rng = np.random.default_rng(7)
     for _ in range(5):
