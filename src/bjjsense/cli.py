@@ -286,6 +286,11 @@ def cmd_scaling(args) -> int:
     n_values = config["n_values"]
     delta_points = config["delta_points"]
     window_points = config["window_points"]
+    # A peak is interior only with a point on each side; a bracket needs two tilts.
+    if window_points < 3:
+        raise CliError("config", f"window_points must be >= 3, got {window_points!r}")
+    if delta_points < 2:
+        raise CliError("config", f"delta_points must be >= 2, got {delta_points!r}")
     if args.quick:
         n_values = [n for n in n_values if n <= 300] or [80, 120, 200]
         if len(n_values) < 3:

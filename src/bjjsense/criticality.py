@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .model import (
     GAP_ROUNDOFF,
@@ -32,6 +31,7 @@ from .model import (
     StateStack,
     _parity_levels,
     _states,
+    dgtsv,
 )
 
 METHODS = ("moment", "classical", "quantum")
@@ -606,11 +606,24 @@ def optimize_delta(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
+    deltas = _tilt_grid(delta_grid, window_points)
     if lambda_c is None:
         lambda_c = locate_critical_gap(n_particles).lambda_c
     return _optimize_deltas(
-        n_particles, (method,), temperature, lambda_c, delta_grid, window_points
+        n_particles, (method,), temperature, lambda_c, deltas, window_points
     )[method]
+
+
+def _tilt_grid(delta_grid: np.ndarray | None, window_points: int) -> np.ndarray:
+    """The sorted tilt grid of a tilt search, checked with its window size."""
+    if window_points < 3:
+        raise ValueError(
+            f"window_points < 3 leaves no interior peak, got {window_points}"
+        )
+    deltas = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
+    if deltas.size < 2 or np.any(deltas <= 0):
+        raise ValueError("delta_grid must hold >= 2 positive values")
+    return np.sort(deltas)
 
 
 def _optimize_deltas(
@@ -634,10 +647,7 @@ def _optimize_deltas(
     quantum tilt is the classical one: when both are asked for, only the
     classical one is searched.
     """
-    deltas = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
-    if deltas.size < 2 or np.any(deltas <= 0):
-        raise ValueError("delta_grid must hold >= 2 positive values")
-    deltas = np.sort(deltas)
+    deltas = _tilt_grid(delta_grid, window_points)
     shared = temperature == 0.0 and {"classical", "quantum"} <= set(methods)
     searched = tuple(m for m in methods if not (shared and m == "quantum"))
     window = _peak_window(n_particles, lambda_c, window_points)
@@ -715,7 +725,7 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
     Raises
     ------
     ValueError
-        For fewer than 3 points or non-positive data.
+        For fewer than 3 points or non-finite or non-positive data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -723,6 +733,8 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
         raise ValueError(f"length mismatch: x {x.size}, y {y.size}")
     if x.size < 3:
         raise ValueError(f"need >= 3 points for a power-law fit, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("power-law fit requires finite x and y")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit requires positive x and y")
     lx, ly = np.log(x), np.log(y)
@@ -761,6 +773,7 @@ def scaling_study(
     n_values = np.asarray(list(n_values), dtype=int)
     if n_values.size < 3:
         raise ValueError(f"need >= 3 system sizes, got {n_values.size}")
+    deltas = _tilt_grid(delta_grid, window_points)
     lambda_c = np.empty(n_values.size)
     delta_star = {m: np.empty(n_values.size) for m in METHODS}
     chi = {m: np.empty(n_values.size) for m in METHODS}
@@ -768,7 +781,7 @@ def scaling_study(
         crit = locate_critical_gap(int(n))
         lambda_c[i] = crit.lambda_c
         opts = _optimize_deltas(
-            int(n), METHODS, temperature, crit.lambda_c, delta_grid, window_points
+            int(n), METHODS, temperature, crit.lambda_c, deltas, window_points
         )
         for m, opt in opts.items():
             delta_star[m][i] = opt.delta

@@ -30,11 +30,40 @@ matrices, and each is certified by an LDL^T inertia count
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dstebz, dstein, dstevd
+import scipy
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded without ``scipy.linalg``'s package init.
+
+    That init costs about 0.2 s per process, mostly scipy's array API layer
+    importing ``numpy.f2py`` and ``numpy.testing``.  The module is registered
+    under its own name, so a later ``import scipy.linalg`` reuses it, and an
+    earlier one is reused here: ``scipy.linalg.lapack`` re-exports the very
+    same routines.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        module = module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
+dgtsv, dpttrf, dstebz, dstein, dstevd = (
+    _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz, _flapack.dstein,
+    _flapack.dstevd,
+)
 
 # Levels whose Boltzmann weight relative to the ground state falls below
 # this are left out of thermal states; the neglected weight is at most

@@ -484,6 +484,27 @@ def test_scaling_sizes_below_one_exit_2(tmp_path, capsys, n_values, quick):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("key, value, least", [
+    ("window_points", 1, 3), ("window_points", 2, 3), ("delta_points", 1, 2),
+])
+def test_scaling_grid_sizes_too_small_exit_2(tmp_path, capsys, monkeypatch, key,
+                                             value, least):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config check")
+
+    monkeypatch.setattr(cli, "locate_critical_gap", no_solve)
+    monkeypatch.setattr(cli, "scaling_study", no_solve)
+    config = _write_config(tmp_path, "cfg.json", {
+        "n_values": [20, 30, 40], "window_points": 5, "delta_points": 3, key: value,
+    })
+    out = _outdir(tmp_path, "out")
+    assert main(["scaling", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config: {key} must be >= {least}"
+    )
+    assert os.listdir(out) == []
+
+
 def test_series_requires_input_or_parameters(tmp_path, capsys):
     config = _write_config(tmp_path, "cfg.json", {"n_replicas": 120})
     out = _outdir(tmp_path, "out")
@@ -509,19 +530,26 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def _help(command):
+    return ("from bjjsense.cli import main\n"
+            f"try:\n    main(['{command}', '--help'])\nexcept SystemExit:\n    pass")
+
+
 @pytest.mark.parametrize("statement", [
-    "import bjjsense.cli",
-    "from bjjsense.cli import main\n"
-    "try:\n    main(['pipeline', '--help'])\nexcept SystemExit:\n    pass",
-])
-def test_cli_does_not_import_scipy_optimize_or_special(statement):
-    # scipy.optimize alone costs about a quarter of a CPU second per process
+    "import bjjsense.cli", _help("pipeline"), _help("scaling"),
+], ids=["import", "pipeline-help", "scaling-help"])
+def test_cli_does_not_import_scipy_optimize_special_or_linalg(statement):
+    # scipy.optimize alone costs about a quarter of a CPU second per process,
+    # and scipy.linalg's package init about 0.2 s more, mostly its array API
+    # layer importing numpy.f2py and numpy.testing; LAPACK is loaded without it.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (statement + "\nimport sys\nprint(sorted(m for m in sys.modules if "
-             "m.startswith(('scipy.optimize', 'scipy.special'))))")
+             "m.startswith(('scipy.optimize', 'scipy.special')) or m in "
+             "('scipy.linalg', 'scipy._lib._array_api', 'numpy.f2py', "
+             "'numpy.testing')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"

@@ -546,6 +546,29 @@ def test_fit_power_law_validation():
         fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+    ([1.0, np.inf, 3.0], [1.0, 2.0, 3.0]),
+    ([np.nan, 2.0, 3.0], [1.0, 2.0, 3.0]),
+])
+def test_fit_power_law_rejects_non_finite_data(x, y):
+    with pytest.raises(ValueError, match="finite"):
+        fit_power_law(x, y)
+
+
+@pytest.mark.parametrize("window_points", [0, 1, 2])
+def test_tilt_search_rejects_windows_without_interior_points(window_points,
+                                                            monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the window check")
+
+    monkeypatch.setattr(criticality, "locate_critical_gap", no_solve)
+    with pytest.raises(ValueError, match="window_points < 3"):
+        optimize_delta(60, "classical", window_points=window_points)
+    with pytest.raises(ValueError, match="window_points < 3"):
+        scaling_study((20, 30, 40), window_points=window_points)
+
+
 def test_scaling_study_small_systems():
     res = scaling_study(
         n_values=(40, 60, 80),

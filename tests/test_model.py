@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -495,3 +498,25 @@ def test_diagonalize_rejects_bad_level_count():
         eigenvalues(params, [0.0], 0)
     with pytest.raises(ValueError):
         eigenvalues(params, [0.0], 8)
+
+
+def test_lapack_loaded_without_scipy_linalg_is_scipys_own():
+    # model loads scipy.linalg._flapack without scipy.linalg's package init;
+    # a later import of scipy.linalg must reuse that module and its routines.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = """
+import sys
+import bjjsense
+import bjjsense.model as model
+print("scipy.linalg" in sys.modules)
+import scipy.linalg.lapack as lapack
+print(lapack._flapack is sys.modules["scipy.linalg._flapack"] is model._flapack)
+print(all(getattr(model, name) is getattr(lapack, name)
+          for name in ("dgtsv", "dpttrf", "dstebz", "dstein", "dstevd")))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True", "True"]
