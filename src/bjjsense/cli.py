@@ -31,6 +31,7 @@ from .criticality import (
 from .estimation import (
     DoubleGaussianFit,
     HistogramSpec,
+    _bootstraps,
     bootstrap,
     series_estimates,
     synth_samples,
@@ -454,12 +455,9 @@ def cmd_pipeline(args) -> int:
     series = _resolve_series(config)
     estimates, fits = series_estimates(series, spec)
     comments = _provenance("pipeline", config)
-    boots = {}
-    for estimator in ("chi_mom", "chi_cl"):
-        boots[estimator] = bootstrap(
-            series, estimator, n_replicas=n_replicas,
-            seed=config["seed"], spec=spec, base_fits=fits,
-        )
+    boots = _bootstraps(
+        series, ("chi_mom", "chi_cl"), n_replicas, config["seed"], spec, fits
+    )
     write_columns(
         _out(args, "pipeline_results.csv"),
         {

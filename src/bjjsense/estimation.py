@@ -25,7 +25,8 @@ double-Gaussian fits with the estimates; ``bootstrap`` runs it on all its
 replicas at once.  Every double-Gaussian fit goes through one batched
 Levenberg-Marquardt fitter, ``_fit_mixtures``: every start of every
 histogram is a lane of one array, each lane damped, accepted and stopped on
-its own (when its step falls below 1e-14 of its parameters, or after 2,000
+its own (when its step falls below 1e-14 of its parameters, when a rejected
+step predicts a decrease within machine epsilon of its cost, or after 2,000
 steps), so a fit is the same bit for bit alone or among thousands.  A
 recorded histogram gets two starts from its data; a bootstrap replica gets
 one, the fit of its record.  The replica-value fits run on the same loop,
@@ -46,10 +47,13 @@ import numpy as np
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
 # Levenberg-Marquardt: initial damping relative to diag(J^T J), relative
-# step size at which a lane stops, step cap per lane, floor of the damping
-# scale (keeps every damped matrix non-singular), lanes per block.
+# step size at which a lane stops, predicted decrease relative to the cost
+# below which a rejected lane stops (machine epsilon), step cap per lane,
+# floor of the damping scale (keeps every damped matrix non-singular),
+# lanes per block.
 _MU0 = 1e-3
 _XTOL = 1e-14
+_FTOL = float(np.finfo(float).eps)
 _MAX_ITER = 2000
 _TINY = 1e-300
 _BLOCK = 512
@@ -376,8 +380,12 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
     running maximum of diag(J^T J), with Nielsen's update of mu.  A step is
     accepted where it lowers the lane's cost.  A lane stops when its step,
     accepted or not, is below _XTOL relative to the parameters (at the
-    optimum the Gauss-Newton step shrinks to roundoff), when the step is not
-    finite, or after _MAX_ITER steps.  Stopped lanes leave the active set.
+    optimum the Gauss-Newton step shrinks to roundoff), when a step is
+    rejected although the model predicts a decrease of at most _FTOL (machine
+    epsilon) times the cost (the lane sits at its optimum to working
+    precision, and more damping would only shrink the same step), when the
+    step is not finite, or after _MAX_ITER steps.  Stopped lanes leave the
+    active set.
 
     ``lower`` and ``upper`` are per-lane bounds (lanes, parameters), +-inf
     where a parameter is free; the start must lie within them.  Steps come
@@ -387,7 +395,7 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
     without bounds, bit for bit.
 
     Returns the parameters, the cost 0.5 |r|^2 and whether the lane stopped
-    on its step size, per lane.
+    on its step size or on its predicted decrease, per lane.
     """
     p = p.copy()
     r, terms = residuals(p, np.arange(len(p)))
@@ -424,7 +432,8 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
                 np.sqrt(np.sum(step * step, axis=1))
                 <= _XTOL * (np.sqrt(np.sum(p_act ** 2, axis=1)) + _XTOL)
             )
-            stop = ~np.all(np.isfinite(step), axis=1) | small
+            flat = ~better & (0.0 <= predicted) & (predicted <= _FTOL * cost[active])
+            stop = ~np.all(np.isfinite(step), axis=1) | small | flat
 
             up = active[better]
             p[up] = trial[better]
@@ -439,7 +448,7 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
             down = active[~better]
             mu[down] *= nu[down]
             nu[down] *= 2.0
-            converged[active[small]] = True
+            converged[active[small | flat]] = True
             active = active[~stop]
     return p, cost, converged
 
@@ -723,6 +732,18 @@ def _bin_masses(fits: dict, spec: HistogramSpec) -> np.ndarray:
     return p_plus * plus + (1.0 - p_plus) * minus
 
 
+def _replica_histograms(seed, replicas, attempt, counts, masses) -> np.ndarray:
+    """Histograms of the bootstrap replicas ``replicas``, (replicas, points,
+    bins): replica r is one multinomial draw of the record lengths
+    ``counts`` over the bin masses ``masses`` on the stream
+    (seed, r, attempt)."""
+    draws = np.array([
+        np.random.default_rng([seed, r, attempt]).multinomial(counts, masses)
+        for r in replicas
+    ])
+    return draws / counts[:, None]
+
+
 def bootstrap(
     series: MeasurementSeries,
     estimator: str,
@@ -784,14 +805,33 @@ def bootstrap(
     RuntimeError
         When more than 10% of the replicas fail.
     """
-    if estimator not in ("chi_mom", "chi_cl"):
-        raise ValueError(
-            f"estimator must be 'chi_mom' or 'chi_cl', got {estimator!r}"
-        )
+    results = _bootstraps(series, (estimator,), n_replicas, seed, spec, base_fits)
+    return results[estimator]
+
+
+def _bootstraps(
+    series: MeasurementSeries,
+    estimators: Sequence[str],
+    n_replicas: int,
+    seed: int,
+    spec: HistogramSpec | None,
+    base_fits: Sequence[DoubleGaussianFit] | None,
+) -> dict[str, BootstrapResult]:
+    """``bootstrap`` of each of ``estimators``, in that order, from one draw.
+
+    Every estimator's replica r is first drawn on the stream (seed, r, 0)
+    from the same bin masses, so those histograms are drawn once and
+    shared; each result is bit for bit what ``bootstrap`` returns for its
+    estimator alone.
+    """
+    for estimator in estimators:
+        if estimator not in ("chi_mom", "chi_cl"):
+            raise ValueError(
+                f"estimator must be 'chi_mom' or 'chi_cl', got {estimator!r}"
+            )
     _check_integer("n_replicas", n_replicas, 100)
     _check_integer("seed", seed, 0)
     spec = spec or HistogramSpec()
-    background_kind = "exponential" if estimator == "chi_mom" else "none"
     if base_fits is None:
         base = _fit_mixtures(_histograms(series.records, spec), spec)
     elif len(base_fits) != series.n_points:
@@ -807,59 +847,63 @@ def bootstrap(
             f"double-Gaussian fit invalid at grid index {invalid[0]}; cannot "
             f"bootstrap from it"
         )
-    a = series.scattering_lengths
-    n_points = a.size
     counts = np.array([r.size for r in series.records])
     masses = _bin_masses(base, spec)
     params = ("separation", "width", "amplitude_plus", "amplitude_minus")
     base_start = np.stack([base[k] for k in params], axis=1)[:, None, :]
-    values = np.full((n_replicas, n_points), np.nan)
-    pending = np.arange(n_replicas)
-    for attempt in (0, 1):
-        draws = np.array([
-            np.random.default_rng([seed, r, attempt]).multinomial(counts, masses)
-            for r in pending
-        ])
-        estimates, mixtures = _estimates(
-            draws / counts[:, None], a, spec, (estimator,),
-            np.broadcast_to(base_start, (pending.size, *base_start.shape)),
+    a = series.scattering_lengths
+    n_points = a.size
+    first = _replica_histograms(seed, range(n_replicas), 0, counts, masses)
+    results = {}
+    for estimator in estimators:
+        hists = first
+        values = np.full((n_replicas, n_points), np.nan)
+        pending = np.arange(n_replicas)
+        for attempt in (0, 1):
+            if attempt:
+                hists = _replica_histograms(seed, pending, attempt, counts, masses)
+            estimates, mixtures = _estimates(
+                hists, a, spec, (estimator,),
+                np.broadcast_to(base_start, (pending.size, *base_start.shape)),
+            )
+            valid = _valid_series(mixtures, pending.size)
+            values[pending[valid]] = estimates[estimator][valid]
+            pending = pending[~valid]
+            if not pending.size:
+                break
+        n_failures = int(pending.size)
+        if n_failures > int(0.1 * n_replicas):
+            raise RuntimeError(
+                f"{n_failures} of {n_replicas} bootstrap replicas failed "
+                f"(> 10%); aborting"
+            )
+        background_kind = "exponential" if estimator == "chi_mom" else "none"
+        replica_cols = [values[np.isfinite(values[:, i]), i] for i in range(n_points)]
+        fitted = [i for i, col in enumerate(replica_cols) if col.size >= 2]
+        fits: list[GaussianBackgroundFit | None] = [None] * n_points
+        if fitted:
+            value_hists = [
+                np.histogram(replica_cols[i], bins=_REPLICA_BINS) for i in fitted
+            ]
+            batch = _fit_gaussians(
+                np.array([h[0] for h in value_hists], dtype=float),
+                np.array([h[1] for h in value_hists]),
+                background_kind,
+            )
+            for i, fit in zip(fitted, batch):
+                fits[i] = fit
+        results[estimator] = BootstrapResult(
+            estimator=estimator,
+            scattering_lengths=a,
+            centers=np.array([np.nan if f is None else f.center for f in fits]),
+            widths=np.array([np.nan if f is None else f.width for f in fits]),
+            background_kind=background_kind,
+            n_replicas=n_replicas,
+            n_failures=n_failures,
+            replica_values=tuple(replica_cols),
+            fits=tuple(fits),
         )
-        valid = _valid_series(mixtures, pending.size)
-        values[pending[valid]] = estimates[estimator][valid]
-        pending = pending[~valid]
-        if not pending.size:
-            break
-    n_failures = int(pending.size)
-    if n_failures > int(0.1 * n_replicas):
-        raise RuntimeError(
-            f"{n_failures} of {n_replicas} bootstrap replicas failed "
-            f"(> 10%); aborting"
-        )
-    replica_cols = [values[np.isfinite(values[:, i]), i] for i in range(n_points)]
-    fitted = [i for i, col in enumerate(replica_cols) if col.size >= 2]
-    fits: list[GaussianBackgroundFit | None] = [None] * n_points
-    if fitted:
-        hists = [np.histogram(replica_cols[i], bins=_REPLICA_BINS) for i in fitted]
-        batch = _fit_gaussians(
-            np.array([h[0] for h in hists], dtype=float),
-            np.array([h[1] for h in hists]),
-            background_kind,
-        )
-        for i, fit in zip(fitted, batch):
-            fits[i] = fit
-    centers = np.array([np.nan if f is None else f.center for f in fits])
-    widths = np.array([np.nan if f is None else f.width for f in fits])
-    return BootstrapResult(
-        estimator=estimator,
-        scattering_lengths=a,
-        centers=centers,
-        widths=widths,
-        background_kind=background_kind,
-        n_replicas=n_replicas,
-        n_failures=n_failures,
-        replica_values=tuple(replica_cols),
-        fits=tuple(fits),
-    )
+    return results
 
 
 def _gaussian_residuals(q: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -904,7 +948,8 @@ def _fit_gaussians(
     background, A less the mean density t of the top 30% of bins (at least
     1e-3), B at t + 1e-3 (at most 1) and tau at a third of the range (at
     least a bin).  A fit is converged when its lane stopped on its step
-    size with finite parameters and a width inside (0.11 bin, 9.9 ranges).
+    size or on its predicted decrease (not on the step cap), with finite
+    parameters and a width inside (0.11 bin, 9.9 ranges).
     No lane's arithmetic depends on another.
     """
     total = counts.sum(axis=1)

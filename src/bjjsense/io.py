@@ -83,8 +83,8 @@ def read_series_csv(path: str) -> MeasurementSeries:
     A line starting with ``#`` is a comment (as in the tables that
     :func:`write_table` writes), blank lines are skipped and the first other
     line is the header; the two columns are parsed in one ``np.loadtxt``
-    call.  Rows are grouped by
-    scattering length; the grid is sorted ascending.
+    call.  Rows are grouped by scattering length, in file order within a
+    group; the grid is sorted ascending.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [
@@ -106,9 +106,14 @@ def read_series_csv(path: str) -> MeasurementSeries:
         ) if rows else np.empty((0, 2))
     except ValueError:
         raise ValueError(f"{path}: non-numeric data") from None
-    a, z = table.T
-    uniq = np.unique(a)
-    records = tuple(z[a == value] for value in uniq)
+    # A stable sort keeps each group's rows in file order; np.unique would
+    # do the grouping too, but it imports numpy.ma (about 9 ms) on first use.
+    order = np.argsort(table[:, 0], kind="stable")
+    a, z = table[order].T
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
     return MeasurementSeries(
-        scattering_lengths=uniq, records=records, rng_seed=-1
+        scattering_lengths=a[first],
+        records=tuple(np.split(z, np.flatnonzero(first)[1:])),
+        rng_seed=-1,
     )

@@ -253,7 +253,9 @@ def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
 
     Same signature as ``bjjsense.estimation._levenberg_marquardt``; the
     bounds must be infinite, every step is the plain damped solve, and the
-    stop flags are not computed (all False).
+    stop flags are not computed (all False).  A lane stops on the same
+    rules: a small step, a rejected step whose predicted decrease is at
+    most machine epsilon times the cost, or a step that is not finite.
     """
     assert np.all(lower == -np.inf) and np.all(upper == np.inf)
     p = p.copy()
@@ -281,7 +283,10 @@ def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
                 step * (mu[active, None] * scale[active] * step - g_act), axis=1
             )
             rho = (cost[active] - cost_t) / predicted
-            stop = ~np.all(np.isfinite(step), axis=1) | (
+            flat = ~better & (0.0 <= predicted) & (
+                predicted <= est._FTOL * cost[active]
+            )
+            stop = ~np.all(np.isfinite(step), axis=1) | flat | (
                 np.sqrt(np.sum(step * step, axis=1))
                 <= est._XTOL * (np.sqrt(np.sum(p[active] ** 2, axis=1)) + est._XTOL)
             )

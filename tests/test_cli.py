@@ -535,13 +535,25 @@ def _help(command):
             f"try:\n    main(['{command}', '--help'])\nexcept SystemExit:\n    pass")
 
 
+# Reads a two-point series CSV, as the pipeline's first step does.
+_READ_SERIES = (
+    "import os, tempfile\nfrom bjjsense.io import read_series_csv\n"
+    "with tempfile.TemporaryDirectory() as d:\n"
+    "    path = os.path.join(d, 'series.csv')\n"
+    "    with open(path, 'w') as fh:\n"
+    "        fh.write('scattering_length_a0,z\\n-1,0.2\\n-2,0.1\\n-1,-0.3\\n')\n"
+    "    assert read_series_csv(path).n_points == 2"
+)
+
+
 @pytest.mark.parametrize("statement", [
-    "import bjjsense.cli", _help("pipeline"), _help("scaling"),
-], ids=["import", "pipeline-help", "scaling-help"])
+    "import bjjsense.cli", _help("pipeline"), _help("scaling"), _READ_SERIES,
+], ids=["import", "pipeline-help", "scaling-help", "read-series"])
 def test_cli_does_not_import_scipy_optimize_special_or_linalg(statement):
     # scipy.optimize alone costs about a quarter of a CPU second per process,
     # and scipy.linalg's package init about 0.2 s more, mostly its array API
     # layer importing numpy.f2py and numpy.testing; LAPACK is loaded without it.
+    # numpy.ma, which np.unique imports on first use, costs about 9 ms.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ)
@@ -549,7 +561,7 @@ def test_cli_does_not_import_scipy_optimize_special_or_linalg(statement):
     probe = (statement + "\nimport sys\nprint(sorted(m for m in sys.modules if "
              "m.startswith(('scipy.optimize', 'scipy.special')) or m in "
              "('scipy.linalg', 'scipy._lib._array_api', 'numpy.f2py', "
-             "'numpy.testing')))")
+             "'numpy.testing', 'numpy.ma')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"

@@ -468,6 +468,34 @@ def test_bootstrap_replica_runs_the_series_chain():
         assert np.array_equal(row, expected[estimator], equal_nan=True)
 
 
+def test_bootstraps_share_one_draw_of_the_replicas(monkeypatch):
+    # pipeline bootstraps both estimators from the same replicas: drawn
+    # once, each result is bit for bit its estimator's bootstrap alone
+    a = np.arange(-2.7, -1.7, 0.18)
+    zbars = 0.25 + 0.40 / (1.0 + np.exp((a + 1.746) / 0.15))
+    series = synth_samples(a, [_mixture(float(z), 0.1) for z in zbars], 400,
+                           seed=5)
+    alone = {name: bootstrap(series, name, n_replicas=100, seed=9)
+             for name in ("chi_mom", "chi_cl")}
+    real_draw = est._replica_histograms
+    draws = []
+
+    def counted(seed, replicas, attempt, counts, masses):
+        draws.append(attempt)
+        return real_draw(seed, replicas, attempt, counts, masses)
+
+    monkeypatch.setattr(est, "_replica_histograms", counted)
+    both = est._bootstraps(series, ("chi_mom", "chi_cl"), 100, 9, None, None)
+    assert draws == [0]
+    for name, result in alone.items():
+        shared = both[name]
+        assert np.array_equal(shared.widths, result.widths, equal_nan=True)
+        assert np.array_equal(shared.centers, result.centers, equal_nan=True)
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(shared.replica_values, result.replica_values))
+        assert shared.fits == result.fits
+
+
 def _replica_stack(seed, n_samples, n_replicas):
     """Replica histograms of the README series as ``bootstrap`` draws them,
     (replicas * points, bins), and each one's start: its record's base fit,
@@ -513,6 +541,52 @@ def test_replica_fit_from_base_fit_is_independent_of_its_batch():
     for i in (0, 1, 6, 350, 511, 512, 513, 699):
         alone = est._fit_mixtures(hists[i : i + 1], spec, starts[i : i + 1])
         assert est._fit_at(alone, 0) == est._fit_at(batch, i)
+
+
+def _counted_fit(starts, hists, spec):
+    """``_levenberg_marquardt`` on the double-Gaussian model of ``hists``
+    from ``starts`` (lanes, 4), and the trial steps each lane took."""
+    z, w = spec.centers, spec.bin_width
+    evaluations = np.zeros(len(starts), dtype=int)
+
+    def residuals(q, lanes):
+        evaluations[lanes] += 1
+        return est._residuals(q, hists[lanes], z, w)
+
+    free = np.full(starts.shape, np.inf)
+    fit = est._levenberg_marquardt(
+        starts, residuals, lambda q, gauss: est._jacobian(q, w, gauss), -free, free
+    )
+    return fit, evaluations - 1
+
+
+def test_warm_replica_lanes_stop_at_their_optimum():
+    # A replica lane started from its record's fit is near its optimum and
+    # reaches it in a few steps.  Judged on its step size alone, it went on
+    # to double its damping through about 16 trial steps; stopped once a
+    # rejected step predicts a decrease within roundoff of the cost, it
+    # takes about 7.
+    hists, starts = _replica_stack(1, 4000, 150)
+    (_, _, stopped), steps = _counted_fit(starts[:, 0], hists, HistogramSpec())
+    assert stopped.all()
+    assert steps.mean() <= 8.0
+
+
+def test_restarted_lane_stops_where_it_stood():
+    # Restarted from its own optimum, a lane's first steps are rejected or
+    # move it by roundoff; it must stop within a few steps and stay put.
+    # Before the predicted-decrease stop it took 6-8 steps (up to 16), each
+    # a doubling of the damping.  The move is the roundoff spread of the
+    # optimum, about 1e-9 with or without that stop.
+    spec = HistogramSpec()
+    hists, starts = _replica_stack(1, 4000, 150)
+    (p, _, _), _ = _counted_fit(starts[:, 0], hists, spec)
+    (again, _, stopped), steps = _counted_fit(p, hists, spec)
+    assert stopped.all()
+    assert np.median(steps) <= 1 and np.mean(steps <= 3) >= 0.95
+    assert steps.max() <= 8
+    move = np.linalg.norm(again - p, axis=1) / np.linalg.norm(p, axis=1)
+    assert move.max() <= 1e-8
 
 
 def _clipped_mixture_masses(fit, spec):
