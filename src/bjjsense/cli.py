@@ -50,59 +50,133 @@ class CliError(Exception):
 # Output column of each susceptibility method.
 CHI_COLUMN = {"moment": "chi_mom", "classical": "chi_cl", "quantum": "chi_q"}
 
-# Config keys per subcommand: name -> (default, description).  Defaults of
-# None mark required or conditionally required keys.
+
+@dataclasses.dataclass(frozen=True)
+class _Rule:
+    """What the value of a config key must be: one of ``choices``, or of
+    ``kind`` (int; float, any finite number; bool; str, a path) and, if a
+    number, >= ``least`` (> with ``strict``) and <= ``most``.  ``count`` is
+    None for one value, "list" for a non-empty list of values, "any list"
+    for one that may be empty, "one or list" for either, or a list length."""
+
+    kind: type | None = None
+    least: float = -math.inf
+    strict: bool = False
+    most: float = math.inf
+    count: int | str | None = None
+    choices: tuple[str, ...] = ()
+
+    def items(self, value) -> list | None:
+        """The values that ``value`` holds, or None if its shape is wrong."""
+        if not isinstance(value, list):
+            return [value] if self.count in (None, "one or list") else None
+        sized = {"list": bool(value), "any list": True, "one or list": bool(value)}
+        return value if sized.get(self.count, len(value) == self.count) else None
+
+    def admits(self, x) -> bool:
+        if x in self.choices:
+            return True
+        if self.kind is float:  # abs(x) <= max rejects nan, inf and huge integers
+            return type(x) in (int, float) and abs(x) <= sys.float_info.max
+        return type(x) is self.kind  # JSON values have exact types; bools aren't ints
+
+    def bounds(self, x) -> bool:
+        if isinstance(x, str):
+            return True
+        return (x > self.least if self.strict else x >= self.least) and x <= self.most
+
+    def noun(self) -> str:
+        kind = [_NOUN[self.kind]] if self.kind else []
+        one = " or ".join([repr(c) for c in self.choices] + kind)
+        return {
+            None: one,
+            "list": f"a non-empty list, each {one}",
+            "any list": f"a list, each {one}",
+            "one or list": f"{one}, or a non-empty list of them",
+        }.get(self.count, f"a list of {self.count}, each {one}")
+
+
+_NOUN = {int: "an integer", float: "a finite number", bool: "true or false",
+         str: "a path"}
+
+
+def _check(name: str, value, rule: _Rule) -> None:
+    """Raise a config error naming ``name`` unless ``value`` obeys ``rule``."""
+    items = rule.items(value)
+    if items is None or not all(map(rule.admits, items)):
+        raise CliError("config", f"{name} must be {rule.noun()}, got {value!r}")
+    if not all(map(rule.bounds, items)):
+        least = f"{'>' if rule.strict else '>='} {rule.least}"
+        most = f" and <= {rule.most}" if rule.most < math.inf else ""
+        raise CliError("config", f"{name} must be {least}{most}, got {value!r}")
+
+
+_WEIGHTS = _Rule(float, 0, count="one or list")
+
+# Config keys per subcommand: name -> (default, description, rule).  A default
+# of None marks a required or conditionally required key, which may be null.
 SCAN_KEYS = {
-    "n_particles": (1000, "boson number N"),
-    "sweep": ("lambda", "'lambda' or 'temperature'"),
-    "lambda_min": (-1.6, "scan start (lambda sweep)"),
-    "lambda_max": (-0.4, "scan end (lambda sweep)"),
-    "lambda_step": (2e-3, "scan step (lambda sweep)"),
-    "refine": (False, "add a fine pass (step/10) around the peak"),
-    "temperature": (0.0, "temperature in units of Omega (lambda sweep)"),
-    "temperatures": (None, "temperature list (temperature sweep)"),
-    "lambda_value": ("critical", "'critical' or a number (temperature sweep)"),
-    "delta": (2e-3, "symmetry-breaking tilt delta/Omega"),
-    "methods": (list(METHODS), "subset of moment/classical/quantum"),
+    "n_particles": (1000, "boson number N", _Rule(int, 1)),
+    "sweep": ("lambda", "'lambda' or 'temperature'",
+              _Rule(choices=("lambda", "temperature"))),
+    "lambda_min": (-1.6, "scan start (lambda sweep)", _Rule(float)),
+    "lambda_max": (-0.4, "scan end (lambda sweep)", _Rule(float)),
+    "lambda_step": (2e-3, "scan step (lambda sweep)", _Rule(float, 0, strict=True)),
+    "refine": (False, "add a fine pass (step/10) around the peak", _Rule(bool)),
+    "temperature": (0.0, "temperature in units of Omega (lambda sweep)",
+                    _Rule(float, 0)),
+    "temperatures": (None, "temperature list (temperature sweep)",
+                     _Rule(float, 0, count="list")),
+    "lambda_value": ("critical", "'critical' or a number (temperature sweep)",
+                     _Rule(float, choices=("critical",))),
+    "delta": (2e-3, "symmetry-breaking tilt delta/Omega", _Rule(float)),
+    "methods": (list(METHODS), "subset of moment/classical/quantum",
+                _Rule(count="any list", choices=METHODS)),
 }
 
 SCALING_KEYS = {
-    "n_values": ([200, 300, 500, 700, 1000], "system sizes"),
-    "temperature": (0.0, "temperature in units of Omega"),
-    "delta_points": (25, "log-spaced tilt grid size over [1e-6, 1e-1]"),
-    "window_points": (41, "lambda window points per tilt"),
+    "n_values": ([200, 300, 500, 700, 1000], "system sizes",
+                 _Rule(int, 1, count="list")),
+    "temperature": (0.0, "temperature in units of Omega", _Rule(float, 0)),
+    "delta_points": (25, "log-spaced tilt grid size over [1e-6, 1e-1]", _Rule(int, 2)),
+    "window_points": (41, "lambda window points per tilt", _Rule(int, 3)),
 }
 
 CRITICAL_KEYS = {
-    "n_values": ([200, 300, 500, 700, 1000], "system sizes"),
-    "bracket": ([-1.5, -0.85], "lambda bracket for the gap minimum"),
-    "levels": ([0, 2], "gap levels (lower, upper)"),
+    "n_values": SCALING_KEYS["n_values"],
+    "bracket": ([-1.5, -0.85], "lambda bracket for the gap minimum",
+                _Rule(float, count=2)),
+    "levels": ([0, 2], "gap levels (lower, upper)", _Rule(int, 0, count=2)),
 }
 
 SERIES_KEYS = {
-    "input_csv": (None, "measurement CSV (scattering_length_a0, z)"),
-    "scattering_lengths": (None, "synthetic grid (units a0)"),
-    "zbar": (None, "synthetic separations per point"),
-    "sigma": (None, "synthetic width(s), scalar or list"),
-    "amplitude_plus": (1.0, "synthetic +zbar weight(s)"),
-    "amplitude_minus": (1.0, "synthetic -zbar weight(s)"),
-    "n_samples": (500, "samples per point, scalar or list"),
-    "bin_width": (0.05, "histogram bin width"),
+    "input_csv": (None, "measurement CSV (scattering_length_a0, z)", _Rule(str)),
+    "scattering_lengths": (None, "synthetic grid (units a0)",
+                           _Rule(float, count="list")),
+    "zbar": (None, "synthetic separations per point", _Rule(float, 0, count="list")),
+    "sigma": (None, "synthetic width(s), scalar or list",
+              _Rule(float, 0, strict=True, count="one or list")),
+    "amplitude_plus": (1.0, "synthetic +zbar weight(s)", _WEIGHTS),
+    "amplitude_minus": (1.0, "synthetic -zbar weight(s)", _WEIGHTS),
+    "n_samples": (500, "samples per point, scalar or list",
+                  _Rule(int, 1, count="one or list")),
+    "bin_width": (0.05, "histogram bin width", _Rule(float, 0, strict=True, most=2)),
 }
 
 PIPELINE_KEYS = {
     **SERIES_KEYS,
-    "n_replicas": (3000, "bootstrap replicas (>= 100)"),
-    "write_replicas": (False, "emit replica values per estimator"),
-    "seed": (0, "master seed for synthesis and bootstrap"),
+    "n_replicas": (3000, "bootstrap replicas (>= 100)", _Rule(int, 100)),
+    "write_replicas": (False, "emit replica values per estimator", _Rule(bool)),
+    "seed": (0, "master seed for synthesis and bootstrap", _Rule(int, 0)),
 }
 
 BOOTSTRAP_KEYS = {
     **SERIES_KEYS,
-    "estimator": ("chi_cl", "'chi_mom' or 'chi_cl'"),
-    "n_replicas": (3000, "bootstrap replicas (>= 100)"),
-    "write_replicas": (False, "emit replica values"),
-    "seed": (0, "master seed"),
+    "estimator": ("chi_cl", "'chi_mom' or 'chi_cl'",
+                  _Rule(choices=("chi_mom", "chi_cl"))),
+    "n_replicas": (3000, "bootstrap replicas (>= 100)", _Rule(int, 100)),
+    "write_replicas": (False, "emit replica values", _Rule(bool)),
+    "seed": (0, "master seed", _Rule(int, 0)),
 }
 
 KEYS_BY_COMMAND = {
@@ -115,7 +189,8 @@ KEYS_BY_COMMAND = {
 
 
 def _load_config(args, keys) -> dict:
-    config = {name: default for name, (default, _) in keys.items()}
+    """The defaults of ``keys`` under --config and --seed, each value checked."""
+    config = {name: default for name, (default, _, _) in keys.items()}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -132,39 +207,10 @@ def _load_config(args, keys) -> dict:
         config.update(user)
     if "seed" in keys and args.seed is not None:
         config["seed"] = args.seed
-    # A key whose default holds integers takes JSON integers, bools not
-    # included; n_samples may also be a list, and sizes N in n_values are >= 1.
-    for name, (default, _) in keys.items():
-        value = config[name]
-        if _is_integer(default) and not (
-            _is_integer(value) or name == "n_samples" and _integers(value)
-        ):
-            raise CliError("config", f"{name} must be an integer, got {value!r}")
-        if _integers(default) and not _integers(value):
-            raise CliError(
-                "config", f"{name} must be a list of integers, got {value!r}"
-            )
-        if name == "n_values" and min(value, default=1) < 1:
-            raise CliError("config", f"n_values must be integers >= 1, got {value!r}")
+    for name, (default, _, rule) in keys.items():
+        if not (default is None and config[name] is None):
+            _check(name, config[name], rule)
     return config
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integers(value) -> bool:
-    return isinstance(value, list) and all(map(_is_integer, value))
-
-
-def _finite(name: str, value) -> float:
-    """``value`` as a finite float, or a config error naming ``name``."""
-    try:
-        if math.isfinite(number := float(value)):
-            return number
-    except (TypeError, ValueError):
-        pass
-    raise CliError("config", f"{name} must be a finite number, got {value!r}")
 
 
 def _check_outdir(path: str) -> None:
@@ -191,30 +237,19 @@ def _out(args, name: str) -> str:
 def cmd_scan(args) -> int:
     config = _load_config(args, SCAN_KEYS)
     _check_outdir(args.out)
-    if config["n_particles"] < 1:
-        raise CliError(
-            "config", f"n_particles must be >= 1, got {config['n_particles']!r}"
-        )
     methods = tuple(config["methods"])
-    delta = _finite("delta", config["delta"])
+    delta = float(config["delta"])
     if config["sweep"] == "temperature":
-        temps = config["temperatures"]
-        if temps is None:
+        if config["temperatures"] is None:
             raise CliError("config", "temperature sweep needs 'temperatures'")
-        if not isinstance(temps, list) or not temps:
-            raise CliError(
-                "config", f"temperatures must be a non-empty list, got {temps!r}"
-            )
-        temps = [_finite("temperatures", t) for t in temps]
-        if min(temps) < 0:
-            raise CliError("config", f"temperatures must be >= 0, got {temps}")
         lam = config["lambda_value"]
         lam = (
             locate_critical_gap(config["n_particles"]).lambda_c
-            if lam == "critical" else _finite("lambda_value", lam)
+            if lam == "critical" else float(lam)
         )
         table = temperature_sweep(
-            config["n_particles"], temps, lam, imbalance=delta, which=methods
+            config["n_particles"], config["temperatures"], lam, imbalance=delta,
+            which=methods,
         )
         columns = {"T": table["temperature"]}
         columns.update({CHI_COLUMN[m]: table[m] for m in METHODS if m in methods})
@@ -222,19 +257,12 @@ def cmd_scan(args) -> int:
             _out(args, "scan.csv"), columns, _provenance("scan", config)
         )
         return 0
-    if config["sweep"] != "lambda":
-        raise CliError("config", f"unknown sweep {config['sweep']!r}")
     if config["refine"] and not methods:
         raise CliError("config", "refine needs at least one of 'methods'")
     keys = ("lambda_min", "lambda_max", "lambda_step")
-    lo, hi, step = (_finite(k, config[k]) for k in keys)
-    if not step > 0:
-        raise CliError("config", f"lambda_step must be > 0, got {step!r}")
+    lo, hi, step = (float(config[k]) for k in keys)
     if not lo < hi:
         raise CliError("config", f"lambda_min must be < lambda_max: {lo!r}, {hi!r}")
-    temperature = _finite("temperature", config["temperature"])
-    if temperature < 0:
-        raise CliError("config", f"temperature must be >= 0, got {temperature!r}")
     if args.quick:
         config["lambda_step"] = step = max(step, 1e-2)
     grid = default_lambda_grid(lo, hi, step)
@@ -247,7 +275,7 @@ def cmd_scan(args) -> int:
     scan_cfg = ScanConfig(
         params_template=ModelParams(n_particles=config["n_particles"], imbalance=delta),
         lambda_grid=grid,
-        temperature=temperature,
+        temperature=float(config["temperature"]),
         which=methods,
     )
     curve = scan_lambda(scan_cfg)
@@ -287,42 +315,20 @@ def cmd_scaling(args) -> int:
     n_values = config["n_values"]
     delta_points = config["delta_points"]
     window_points = config["window_points"]
-    # A peak is interior only with a point on each side; a bracket needs two tilts.
-    if window_points < 3:
-        raise CliError("config", f"window_points must be >= 3, got {window_points!r}")
-    if delta_points < 2:
-        raise CliError("config", f"delta_points must be >= 2, got {delta_points!r}")
     if args.quick:
-        n_values = [n for n in n_values if n <= 300] or [80, 120, 200]
+        n_values = [n for n in n_values if n <= 300]
         if len(n_values) < 3:
             n_values = [80, 120, 200]
         delta_points = min(delta_points, 13)
         window_points = min(window_points, 21)
-    temperature = _finite("temperature", config["temperature"])
-    if temperature < 0:
-        raise CliError("config", f"temperature must be >= 0, got {temperature!r}")
-    delta_grid = np.logspace(-6.0, -1.0, delta_points)
-    comments = _provenance("scaling", config)
     if len(n_values) < 3:
-        # Emit the per-N table anyway; the power-law fits need >= 3 sizes.
-        rows = []
-        for n in n_values:
-            crit = locate_critical_gap(n)
-            rows.append((n, crit.lambda_c, crit.shift))
-        write_table(
-            _out(args, "scaling.csv"),
-            ["N", "lambda_c_n", "shift"],
-            rows,
-            comments,
-        )
-        raise CliError(
-            "scaling", f"power-law fits need >= 3 sizes, got {len(n_values)}",
-            exit_code=1,
-        )
+        raise CliError("config", f"n_values must hold >= 3 sizes for the power-law "
+                       f"fits, got {n_values!r}; use critical-point for lambda_c alone")
+    comments = _provenance("scaling", config)
     result = scaling_study(
         n_values,
-        temperature,
-        delta_grid=delta_grid,
+        float(config["temperature"]),
+        delta_grid=np.logspace(-6.0, -1.0, delta_points),
         window_points=window_points,
     )
     write_columns(
@@ -360,14 +366,12 @@ def cmd_scaling(args) -> int:
 def cmd_critical_point(args) -> int:
     config = _load_config(args, CRITICAL_KEYS)
     _check_outdir(args.out)
-    bracket, levels = config["bracket"], config["levels"]
-    if not isinstance(bracket, list) or len(bracket) != 2:
-        raise CliError("config", f"bracket must be [lo, hi], got {bracket!r}")
-    bracket = tuple(_finite("bracket", b) for b in bracket)
+    bracket = tuple(float(b) for b in config["bracket"])
+    levels = config["levels"]
     if not bracket[0] < bracket[1]:
         raise CliError("config", f"bracket must have lo < hi, got {list(bracket)}")
-    if len(levels) != 2 or not 0 <= min(levels) < max(levels):
-        raise CliError("config", f"levels must be two distinct integers >= 0: {levels}")
+    if levels[0] == levels[1]:
+        raise CliError("config", f"levels must be distinct, got {levels}")
     if any(max(levels) > n for n in config["n_values"]):
         raise CliError(
             "config",
@@ -430,17 +434,11 @@ def _resolve_series(config):
 
 
 def _bootstrap_settings(args, config) -> tuple[int, HistogramSpec]:
-    """Replica count (capped at 100 under --quick) and histogram spec of
-    ``pipeline`` and ``bootstrap``, checked before any work."""
+    """Replica count (at most 100 under --quick) and histogram spec."""
     n_replicas = config["n_replicas"]
-    if n_replicas < 100:
-        raise CliError("config", f"n_replicas must be >= 100, got {n_replicas!r}")
-    bin_width = _finite("bin_width", config["bin_width"])
-    if not 0 < bin_width <= 2:
-        raise CliError("config", f"bin_width must be in (0, 2], got {bin_width!r}")
     if args.quick:
         n_replicas = min(n_replicas, 100)
-    return n_replicas, HistogramSpec(bin_width=bin_width)
+    return n_replicas, HistogramSpec(bin_width=float(config["bin_width"]))
 
 
 def _replica_table(result):
@@ -486,10 +484,6 @@ def cmd_bootstrap(args) -> int:
     config = _load_config(args, BOOTSTRAP_KEYS)
     _check_outdir(args.out)
     estimator = config["estimator"]
-    if estimator not in ("chi_mom", "chi_cl"):
-        raise CliError(
-            "config", f"estimator must be 'chi_mom' or 'chi_cl', got {estimator!r}"
-        )
     n_replicas, spec = _bootstrap_settings(args, config)
     series = _resolve_series(config)
     try:
@@ -524,7 +518,7 @@ def cmd_bootstrap(args) -> int:
 
 def _key_help(keys) -> str:
     lines = ["config keys:"]
-    for name, (default, description) in keys.items():
+    for name, (default, description, _) in keys.items():
         lines.append(f"  {name:<20} {description} (default: {default!r})")
     return "\n".join(lines)
 

@@ -631,15 +631,16 @@ def _optimize_deltas(
     methods: tuple[str, ...],
     temperature: float,
     lambda_c: float,
-    delta_grid: np.ndarray | None,
+    deltas: np.ndarray,
     window_points: int,
 ) -> dict[str, DeltaOptimization]:
     """``optimize_delta`` for several methods, scanning each grid tilt once.
 
-    The window scan at every tilt of the grid computes all ``methods``
-    together; the bracket and the root find then run per method.  At T = 0
-    each window's ground states start from those of the window solved
-    before it, so most of them need no bisection.  Peak
+    ``deltas`` comes sorted from ``_tilt_grid``, which has checked it with
+    ``window_points``.  The window scan at every tilt of the grid computes
+    all ``methods`` together; the bracket and the root find then run per
+    method.  At T = 0 each window's ground states start from those of the
+    window solved before it, so most of them need no bisection.  Peak
     offsets are kept per (delta, method), so no window is scanned twice
     for one method: ``_brentq`` returns a tilt it has already evaluated,
     and its bracket ends are often grid tilts.  At T = 0 the ground state
@@ -647,7 +648,6 @@ def _optimize_deltas(
     quantum tilt is the classical one: when both are asked for, only the
     classical one is searched.
     """
-    deltas = _tilt_grid(delta_grid, window_points)
     shared = temperature == 0.0 and {"classical", "quantum"} <= set(methods)
     searched = tuple(m for m in methods if not (shared and m == "quantum"))
     window = _peak_window(n_particles, lambda_c, window_points)

@@ -252,10 +252,10 @@ def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
     """The mixture fitter's loop without bounds, on the package's helpers.
 
     Same signature as ``bjjsense.estimation._levenberg_marquardt``; the
-    bounds must be infinite, every step is the plain damped solve, and the
-    stop flags are not computed (all False).  A lane stops on the same
-    rules: a small step, a rejected step whose predicted decrease is at
-    most machine epsilon times the cost, or a step that is not finite.
+    bounds must be infinite and every step is the plain damped solve.  A
+    lane stops on the same rules: a small step, a rejected step whose
+    predicted decrease is at most machine epsilon times the cost, or a step
+    that is not finite; it is flagged on the first two.
     """
     assert np.all(lower == -np.inf) and np.all(upper == np.inf)
     p = p.copy()
@@ -265,6 +265,7 @@ def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
     scale = np.maximum(np.diagonal(a, axis1=1, axis2=2), est._TINY)
     mu = np.full(len(p), est._MU0)
     nu = np.full(len(p), 2.0)
+    converged = np.zeros(len(p), dtype=bool)
     active = np.arange(len(p))
     diag = np.arange(p.shape[1])
     with np.errstate(all="ignore"):
@@ -286,10 +287,11 @@ def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
             flat = ~better & (0.0 <= predicted) & (
                 predicted <= est._FTOL * cost[active]
             )
-            stop = ~np.all(np.isfinite(step), axis=1) | flat | (
+            small = (
                 np.sqrt(np.sum(step * step, axis=1))
                 <= est._XTOL * (np.sqrt(np.sum(p[active] ** 2, axis=1)) + est._XTOL)
             )
+            stop = ~np.all(np.isfinite(step), axis=1) | small | flat
             up = active[better]
             p[up] = trial[better]
             cost[up] = cost_t[better]
@@ -303,5 +305,6 @@ def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
             down = active[~better]
             mu[down] *= nu[down]
             nu[down] *= 2.0
+            converged[active[small | flat]] = True
             active = active[~stop]
-    return p, cost, np.zeros(len(p), dtype=bool)
+    return p, cost, converged

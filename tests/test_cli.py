@@ -14,6 +14,18 @@ import bjjsense.cli as cli
 from bjjsense.cli import KEYS_BY_COMMAND, build_parser, main
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every solver, fitter and series reader that the CLI calls raise."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the config check")
+
+    for name in ("locate_critical_gap", "scaling_study", "scan_lambda",
+                 "temperature_sweep", "series_estimates", "bootstrap",
+                 "_bootstraps", "read_series_csv", "synth_samples"):
+        monkeypatch.setattr(cli, name, fail)
+
+
 def _write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -346,13 +358,15 @@ def test_scaling_quick_emits_table_and_fits(tmp_path):
     assert np.all(fits["r_squared"] >= 0.0)
 
 
-def test_scaling_single_size_emits_table_then_fails(tmp_path, capsys):
+def test_scaling_fewer_than_three_sizes_exits_2(tmp_path, capsys, no_work):
+    # the power-law fits need three sizes; critical-point locates fewer
     config = _write_config(tmp_path, "cfg.json", {"n_values": [100]})
     out = _outdir(tmp_path, "out")
-    assert main(["scaling", "--config", config, "--out", out]) == 1
-    assert ">= 3 sizes" in capsys.readouterr().err
-    table, _ = read_table(os.path.join(out, "scaling.csv"))
-    assert list(table["N"].astype(int)) == [100]
+    assert main(["scaling", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: n_values must hold >= 3 sizes")
+    assert "critical-point" in err
+    assert os.listdir(out) == []
 
 
 def test_critical_point_command(tmp_path):
@@ -502,6 +516,50 @@ def test_scaling_grid_sizes_too_small_exit_2(tmp_path, capsys, monkeypatch, key,
     assert capsys.readouterr().err.startswith(
         f"error: config: {key} must be >= {least}"
     )
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("value", [{"not": "a value"}, [{}]])
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in KEYS_BY_COMMAND.items() for key in keys
+])
+def test_every_config_key_is_checked_before_any_work(tmp_path, capsys, no_work,
+                                                      command, key, value):
+    config = _write_config(tmp_path, "cfg.json", {key: value})
+    out = _outdir(tmp_path, "out")
+    assert main([command, "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {key} must")
+    assert os.listdir(out) == []
+
+
+def _series_csv(tmp_path):
+    path = tmp_path / "series.csv"
+    rows = [f"{a},{z}" for a in (-2.0, -1.5, -1.0) for z in (0.3, -0.3, 0.2, -0.25)]
+    path.write_text("scattering_length_a0,z\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command,payload,key,extra", [
+    ("pipeline", {"input_csv": "fileno"}, "input_csv", []),
+    ("pipeline", {"input_csv": "csv", "write_replicas": "no"}, "write_replicas", []),
+    ("scan", {"n_particles": 20, "refine": "no"}, "refine", []),
+    ("scan", {"n_particles": 20, "methods": "quantum"}, "methods", []),
+    ("pipeline", {"scattering_lengths": [-2.0, -1.0], "zbar": [0.3, 0.5],
+                  "sigma": "x"}, "sigma", []),
+    ("bootstrap", {"input_csv": "csv", "seed": -1}, "seed", []),
+    ("pipeline", {"input_csv": "csv"}, "seed", ["--seed", "-1"]),
+])
+def test_bad_input_exits_2_before_any_work(tmp_path, capsys, no_work, command,
+                                           payload, key, extra):
+    series = _series_csv(tmp_path)
+    with open(series, encoding="utf-8") as fh:
+        sources = {"csv": series, "fileno": fh.fileno()}
+        if "input_csv" in payload:
+            payload = {**payload, "input_csv": sources[payload["input_csv"]]}
+        config = _write_config(tmp_path, "cfg.json", payload)
+        out = _outdir(tmp_path, "out")
+        assert main([command, "--config", config, "--out", out, *extra]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {key} must")
     assert os.listdir(out) == []
 
 

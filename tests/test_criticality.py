@@ -675,7 +675,7 @@ def test_root_find_raises_on_a_missing_offset():
 def test_critical_point_and_tilts_match_scipy_searches(n, monkeypatch):
     crit = locate_critical_gap(n)
     deltas = criticality._optimize_deltas(
-        n, METHODS, 0.0, crit.lambda_c, None, 41
+        n, METHODS, 0.0, crit.lambda_c, criticality.default_delta_grid(), 41
     )
     roots = []
 
@@ -686,6 +686,6 @@ def test_critical_point_and_tilts_match_scipy_searches(n, monkeypatch):
     monkeypatch.setattr(criticality, "_brentq", scipy_brentq)
     assert locate_critical_gap(n) == crit
     assert criticality._optimize_deltas(
-        n, METHODS, 0.0, crit.lambda_c, None, 41
+        n, METHODS, 0.0, crit.lambda_c, criticality.default_delta_grid(), 41
     ) == deltas
     assert roots
