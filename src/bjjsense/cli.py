@@ -324,6 +324,12 @@ def cmd_scaling(args) -> int:
     if len(n_values) < 3:
         raise CliError("config", f"n_values must hold >= 3 sizes for the power-law "
                        f"fits, got {n_values!r}; use critical-point for lambda_c alone")
+    if len(set(n_values)) < len(n_values):
+        raise CliError("config", f"n_values must hold distinct sizes, got {n_values!r}")
+    levels = CRITICAL_KEYS["levels"][0]  # the gap of scaling_study's lambda_c
+    if min(n_values) < max(levels):
+        raise CliError("config", f"n_values must be >= {max(levels)} for the gap "
+                       f"levels {levels}, got {n_values!r}")
     comments = _provenance("scaling", config)
     result = scaling_study(
         n_values,

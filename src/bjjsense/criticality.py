@@ -11,9 +11,10 @@ transition:
    fitted to power laws chi/N ~ a N^b.
 
 Every susceptibility is the exact lambda-derivative of the Gibbs state at
-its working point (``_points``): one equilibrium solve per point, plus a
-tridiagonal solve per occupied level for the part of the derivative outside
-the occupied levels.  A scan's whole window is one stack of points.
+its working point (``_points``): one equilibrium solve per point, plus one
+block tridiagonal solve (``model._outside``) for the part of the derivative
+outside the occupied levels.  A scan's whole window is one stack of points,
+and one derivative gives all three chi.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .model import (
-    GAP_ROUNDOFF,
-    EigensolverError,
-    ModelParams,
-    StateStack,
-    _parity_levels,
-    _states,
-    dgtsv,
-)
+from .model import GAP_ROUNDOFF, ModelParams, _outside, _parity_levels, _states
 
 METHODS = ("moment", "classical", "quantum")
 
@@ -43,7 +36,8 @@ class ScanConfig:
 
     ``params_template`` supplies N and delta; its lambda is replaced by
     each grid value in turn.  The temperature is in units of Omega.
-    ``which`` selects the susceptibilities to compute.
+    ``which`` selects the susceptibilities returned; one derivative gives
+    all three, and an empty ``which`` skips it.
     """
 
     params_template: ModelParams
@@ -195,16 +189,18 @@ def _points(
     which: tuple[str, ...],
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray | None]:
-    """<J_z>, Var(J_z), the requested chi and, at T = 0, the ground states
-    (B, N+1) at each of ``lambdas``.
+    """<J_z>, Var(J_z), the chi of the methods in ``which`` and, at T = 0,
+    the ground states (B, N+1) at each of ``lambdas``.
 
     The one code path for every susceptibility: N and delta come from
     ``params``, the states from ``equilibrium_states`` (warm-started from
     the ground states ``start`` of a nearby tilt, if given), and each stack
-    of points it yields goes through array expressions at once.  Each chi
-    is the exact derivative of the Gibbs state rho = sum_n p_n |n><n| at
-    its point.  With V = dH/dlambda = J_z^2 / N, shifted to zero mean
-    (a constant changes no chi):
+    of points it yields goes through array expressions at once.  One
+    derivative serves all three chi: unless ``which`` is empty, which skips
+    it, all three are computed at every point and those in ``which``
+    returned.  Each chi is the exact derivative of the Gibbs state rho =
+    sum_n p_n |n><n| at its point.  With V = dH/dlambda = J_z^2 / N,
+    shifted to zero mean (a constant changes no chi):
 
     * inside the occupied window, <n|drho|k> = G_nk = V_nk (p_n - p_k) /
       (E_n - E_k), written through expm1 so that equal energies give the
@@ -212,22 +208,23 @@ def _points(
     * outside it, level n contributes y_n = Q d|n>, the solution of
       (H - E_n) y = -Q V |n> with Q the projector off the window; the
       singular system is consistent, so y is pinned to 0 at the largest
-      entry of |n>.  Per occupied level, the systems of all points of a
-      stack are the blocks of one block-diagonal tridiagonal system, and
-      one ``dgtsv`` call solves them; the zero couplings between blocks
-      leave each block's elimination as it would be alone.
+      entry of |n>.  The systems of every level of every point of a stack
+      are the blocks of one block-diagonal system, solved by one ``dgtsv``
+      call (``model._outside``).
 
     Then chi_Q = 2 sum G^2 / (p_n + p_k) + 4 sum p_n |y_n|^2 (the Bures
     metric), chi_cl = sum (dP)^2 / P over the J_z distribution P(m) and
     chi_mom = (m . dP)^2 / Var(J_z), with dP the diagonal of drho.  At T = 0
-    all reduce to the ground state: chi_cl = chi_Q = 4 |y_0|^2.
+    all reduce to the ground state: chi_cl = chi_Q = 4 |y_0|^2.  A
+    non-positive Var(J_z) raises ValueError when ``"moment"`` is in
+    ``which``.
     """
     n = params.n_particles
     m = np.arange(n + 1) - n / 2.0
     v = (1.0 / n) * m * m
     v = v - v.mean()
     mean, var = np.empty(lambdas.size), np.empty(lambdas.size)
-    chi = {w: np.empty(lambdas.size) for w in which}
+    chi = {w: np.empty(lambdas.size) for w in METHODS}
     ground = np.empty((lambdas.size, n + 1)) if temperature == 0.0 else None
     for first, s in _states(params, lambdas, temperature, start):
         at = slice(first, first + s.size)
@@ -242,6 +239,13 @@ def _points(
         var[at] = np.sum((m - mean[at, None]) ** 2 * prob, axis=1)
         if not which:
             continue
+        bad = var[at] <= 0
+        if "moment" in which and bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"non-positive J_z variance {var[at][i]} at "
+                f"{replace(params, lambda_control=float(lambdas[first + i]))}"
+            )
         vu = u * v
         vw = u @ np.swapaxes(vu, 1, 2)
         if p.shape[1] <= n:
@@ -266,66 +270,17 @@ def _points(
             )
             dp += np.sum(u * (np.swapaxes(g, 1, 2) @ u), axis=1)
             bures = np.sum(g * g / (p[:, :, None] + p[:, None, :]), axis=(1, 2))
-        if "quantum" in which:
-            chi["quantum"][at] = 2.0 * bures + 4.0 * np.sum(
-                p * np.sum(y * y, axis=2), axis=1
-            )
-        if "classical" in which:
-            occupied = prob > 0.0
-            fisher = np.zeros_like(dp)
-            fisher[occupied] = dp[occupied] ** 2 / prob[occupied]
-            chi["classical"][at] = np.sum(fisher, axis=1)
-        if "moment" in which:
-            bad = var[at] <= 0
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(
-                    f"non-positive J_z variance {var[at][i]} at "
-                    f"{replace(params, lambda_control=float(lambdas[first + i]))}"
-                )
-            chi["moment"][at] = np.sum(dp * m, axis=1) ** 2 / var[at]
-    return mean, var, chi, ground
-
-
-def _outside(
-    s: StateStack, rhs: np.ndarray, params: ModelParams, lambdas: np.ndarray
-) -> np.ndarray:
-    """y_n = Q d|n> for every occupied level n of every point of ``s``.
-
-    Solves (H - E_n) y = rhs_n, pinned to 0 at the largest entry of |n>;
-    ``rhs`` (B, k, N+1) is overwritten.  Per level, the systems of all
-    points are the blocks of one block-diagonal system, solved by one
-    ``dgtsv`` call.
-    """
-    points, levels, size = rhs.shape
-    # Level-major (k, B, N+1), so that the blocks of one level are adjacent.
-    rhs = np.swapaxes(rhs, 0, 1)
-    diag = s.diagonal - s.energies.T[:, :, None]
-    pin = np.argmax(np.abs(s.vectors), axis=2).T
-    level, point = np.indices(pin.shape)
-    # Row r of a block couples to row r + 1 through band[r]; the last entry
-    # of each block is the zero coupling to the next block.
-    band = np.zeros_like(diag)
-    band[:, :, :-1] = s.offdiagonal
-    band[level, point, np.maximum(pin - 1, 0)] = 0.0
-    band[level, point, pin] = 0.0
-    diag[level, point, pin] = 1.0
-    rhs[level, point, pin] = 0.0
-    y = np.empty_like(diag)
-    for n in range(levels):
-        coupling = band[n].reshape(-1)[:-1]
-        _, _, _, sol, info = dgtsv(
-            coupling, diag[n].reshape(-1), coupling, rhs[n].reshape(-1, 1),
-            overwrite_d=True, overwrite_b=True,
+        chi["quantum"][at] = 2.0 * bures + 4.0 * np.sum(
+            p * np.sum(y * y, axis=2), axis=1
         )
-        if info != 0:
-            lam = float(lambdas[(info - 1) // size])
-            raise EigensolverError(
-                f"tridiagonal solve failed (info={info}) at "
-                f"{replace(params, lambda_control=lam)}"
-            )
-        y[n] = sol.reshape(points, size)
-    return np.swapaxes(y, 0, 1)
+        occupied = prob > 0.0
+        fisher = np.zeros_like(dp)
+        fisher[occupied] = dp[occupied] ** 2 / prob[occupied]
+        chi["classical"][at] = np.sum(fisher, axis=1)
+        # A zero Var(J_z) has raised above, unless chi_mom is dropped.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chi["moment"][at] = np.sum(dp * m, axis=1) ** 2 / var[at]
+    return mean, var, {w: chi[w] for w in which}, ground
 
 
 def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
@@ -634,50 +589,47 @@ def _optimize_deltas(
     deltas: np.ndarray,
     window_points: int,
 ) -> dict[str, DeltaOptimization]:
-    """``optimize_delta`` for several methods, scanning each grid tilt once.
+    """``optimize_delta`` for several methods, scanning each tilt once.
 
     ``deltas`` comes sorted from ``_tilt_grid``, which has checked it with
-    ``window_points``.  The window scan at every tilt of the grid computes
-    all ``methods`` together; the bracket and the root find then run per
-    method.  At T = 0 each window's ground states start from those of the
-    window solved before it, so most of them need no bisection.  Peak
-    offsets are kept per (delta, method), so no window is scanned twice
-    for one method: ``_brentq`` returns a tilt it has already evaluated,
-    and its bracket ends are often grid tilts.  At T = 0 the ground state
-    is real with positive amplitudes, so chi_Q equals chi_cl and the
-    quantum tilt is the classical one: when both are asked for, only the
-    classical one is searched.
+    ``window_points``.  One window scan per tilt gives the peak offsets of
+    every searched method, kept as one row per tilt; the bracket and the
+    root find then run per method, and a tilt that any search has scanned,
+    on the grid or in a root find, is never scanned again (``_brentq``
+    returns a tilt it has already evaluated, and the searches often share
+    bracket ends).  At T = 0 each window's ground states start from those
+    of the window solved before it, so most of them need no bisection, and
+    since the ground state is real with positive amplitudes, chi_Q equals
+    chi_cl and the quantum tilt is the classical one: when both are asked
+    for, only the classical one is searched.
     """
     shared = temperature == 0.0 and {"classical", "quantum"} <= set(methods)
     searched = tuple(m for m in methods if not (shared and m == "quantum"))
     window = _peak_window(n_particles, lambda_c, window_points)
     tol = 0.5 * (window[1] - window[0])
 
-    known: dict[tuple[float, str], float | None] = {}
+    known: dict[float, dict[str, float | None]] = {}
     last = None  # the ground states of the window solved last, at T = 0
 
-    def offsets(delta: float, which: tuple[str, ...]) -> dict[str, float | None]:
+    def offsets(delta: float) -> dict[str, float | None]:
         nonlocal last
-        todo = tuple(m for m in which if (delta, m) not in known)
-        if todo:
+        if delta not in known:
             _, _, chi, last = _points(
                 ModelParams(n_particles=n_particles, imbalance=delta), window,
-                temperature, todo, last,
+                temperature, METHODS, last,
             )
-            for m in todo:
-                peak = _peak(window, chi[m])
-                known[delta, m] = (
-                    peak.lambda_peak - lambda_c if peak.interior else None
-                )
-        return {m: known[delta, m] for m in which}
+            peaks = {m: _peak(window, chi[m]) for m in searched}
+            known[delta] = {
+                m: peak.lambda_peak - lambda_c if peak.interior else None
+                for m, peak in peaks.items()
+            }
+        return known[delta]
 
-    grid_offsets = [offsets(d, searched) for d in deltas]
+    rows = [offsets(d) for d in deltas]
     result = {}
     for method in searched:
-        valid = [
-            (d, o[method]) for d, o in zip(deltas, grid_offsets)
-            if o[method] is not None
-        ]
+        valid = [(d, row[method]) for d, row in zip(deltas, rows)
+                 if row[method] is not None]
         if not valid:
             raise ValueError(
                 f"no delta in [{deltas[0]:.3g}, {deltas[-1]:.3g}] produced an "
@@ -692,13 +644,13 @@ def _optimize_deltas(
                 break
         if bracket is not None:
             log_star = _brentq(
-                lambda u: offsets(float(np.exp(u)), (method,))[method],
+                lambda u: offsets(float(np.exp(u)))[method],
                 np.log(bracket[0]),
                 np.log(bracket[1]),
                 1e-3,
             )
             cand = float(np.exp(log_star))
-            cand_off = offsets(cand, (method,))[method]
+            cand_off = offsets(cand)[method]
             if cand_off is not None and abs(cand_off) < abs(best_off):
                 best_delta, best_off = cand, cand_off
         result[method] = DeltaOptimization(
@@ -760,11 +712,16 @@ def scaling_study(
     """Optimized susceptibilities against N with power-law fits.
 
     Per N: locate lambda_c^(N), optimize delta separately for each method
-    (their peaks sit at slightly different tilts; one window scan per grid
-    tilt serves all three, and at T = 0 the quantum tilt is the classical
-    one), then evaluate chi at (lambda_c^(N), delta*), once per distinct
-    tilt.  Fits are chi/N against N for each method, plus the
-    critical-point shift -1 - lambda_c^(N) against N.
+    (their peaks sit at slightly different tilts; one window scan per tilt
+    serves all three, and at T = 0 the quantum tilt is the classical one),
+    then evaluate all three chi at (lambda_c^(N), delta*) once per distinct
+    delta* and keep each method's own.  Fits are chi/N against N for each
+    method, plus the critical-point shift -1 - lambda_c^(N) against N.
+
+    Raises
+    ------
+    ValueError
+        For fewer than 3 sizes or a repeated size, and as the searches do.
 
     Returns
     -------
@@ -773,6 +730,8 @@ def scaling_study(
     n_values = np.asarray(list(n_values), dtype=int)
     if n_values.size < 3:
         raise ValueError(f"need >= 3 system sizes, got {n_values.size}")
+    if len(set(n_values.tolist())) < n_values.size:
+        raise ValueError(f"system sizes must be distinct, got {n_values.tolist()}")
     deltas = _tilt_grid(delta_grid, window_points)
     lambda_c = np.empty(n_values.size)
     delta_star = {m: np.empty(n_values.size) for m in METHODS}
@@ -783,20 +742,15 @@ def scaling_study(
         opts = _optimize_deltas(
             int(n), METHODS, temperature, crit.lambda_c, deltas, window_points
         )
+        points = {
+            delta: chi_at_point(
+                ModelParams(int(n), crit.lambda_c, delta), temperature
+            )
+            for delta in dict.fromkeys(opt.delta for opt in opts.values())
+        }
         for m, opt in opts.items():
             delta_star[m][i] = opt.delta
-        for delta in dict.fromkeys(opt.delta for opt in opts.values()):
-            which = tuple(m for m, opt in opts.items() if opt.delta == delta)
-            point = chi_at_point(
-                ModelParams(
-                    n_particles=int(n), lambda_control=crit.lambda_c,
-                    imbalance=delta,
-                ),
-                temperature=temperature,
-                which=which,
-            )
-            for m in which:
-                chi[m][i] = point[m]
+            chi[m][i] = points[opt.delta][m]
     fits = {
         m: fit_power_law(n_values, chi[m] / n_values) for m in METHODS
     }

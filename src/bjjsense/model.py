@@ -24,7 +24,9 @@ Thermal and untilted states come from LAPACK bisection plus inverse
 iteration (``_eigh``); tilted ground states at T = 0 are solved together,
 by Rayleigh-quotient iteration on the block-diagonal stack of a grid's
 matrices, and each is certified by an LDL^T inertia count
-(``_ground_states``).
+(``_ground_states``).  Every linear solve, that iteration's and the pinned
+systems of a susceptibility's outside part (``_outside``), is one ``dgtsv``
+call on a block-diagonal stack (``_solve_shifted``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from numbers import Integral
@@ -237,10 +239,11 @@ def _gershgorin(diagonal: np.ndarray, offdiagonal: np.ndarray):
 
 
 def _blocks(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, n) stack of matrices with shared off-diagonal ``off`` as one
-    block-diagonal tridiagonal: its diagonal and its coupling, which is zero
-    between blocks, so that an elimination runs through each block as it
-    would through that block alone."""
+    """The (B, n) stack of matrices with off-diagonal ``off``, shared (n-1,)
+    or one row each (B, n-1), as one block-diagonal tridiagonal: its
+    diagonal and its coupling, which is zero between blocks, so that an
+    elimination runs through each block as it would through that block
+    alone."""
     band = np.zeros_like(diag)
     band[:, :-1] = off
     return diag.reshape(-1), band.reshape(-1)[:-1]
@@ -255,19 +258,21 @@ def _matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _solve_shifted(
-    diag: np.ndarray, off: np.ndarray, shift: np.ndarray, rhs: np.ndarray
+    shifted: np.ndarray, off: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (H_b - shift_b) y_b = rhs_b for every row b by one ``dgtsv`` call.
 
+    ``shifted`` (B, n) holds the diagonals of H_b - shift_b, ``off`` their
+    couplings: one (n-1,) row that all share, or one row each (B, n-1).
     Returns y and a mask of the rows whose elimination met an exactly zero
     pivot; those are left out of the solve, and their y is 0.
     """
-    points, size = diag.shape
+    points, size = shifted.shape
     y = np.zeros_like(rhs)
     singular = np.zeros(points, dtype=bool)
     rows = np.arange(points)
     while rows.size:
-        d, coupling = _blocks(diag[rows] - shift[rows, None], off)
+        d, coupling = _blocks(shifted[rows], off if off.ndim == 1 else off[rows])
         *_, sol, info = dgtsv(
             coupling, d, coupling, rhs[rows].reshape(-1, 1),
             overwrite_d=True, overwrite_b=True,
@@ -279,6 +284,40 @@ def _solve_shifted(
         singular[rows[bad]] = True
         rows = np.delete(rows, bad)
     return y, singular
+
+
+def _outside(
+    s: StateStack, rhs: np.ndarray, params: ModelParams, lambdas: np.ndarray
+) -> np.ndarray:
+    """y_n = Q d|n> for every occupied level n of every point of ``s``.
+
+    Solves (H - E_n) y = rhs_n, pinned to 0 at the largest entry of |n>;
+    ``rhs`` (B, k, N+1) is overwritten.  The B k pinned systems are the
+    blocks of one ``_solve_shifted`` call.  Raises EigensolverError, naming
+    the point's lambda (N and delta from ``params``), when a system meets an
+    exactly zero pivot.
+    """
+    points, levels, size = rhs.shape
+    shifted = s.diagonal[:, None, :] - s.energies[:, :, None]
+    pin = np.argmax(np.abs(s.vectors), axis=2)
+    point, level = np.indices(pin.shape)
+    off = np.empty((points, levels, size - 1))
+    off[...] = s.offdiagonal
+    # Cut both couplings of the pinned row (one only, at either end).
+    off[point, level, np.maximum(pin - 1, 0)] = 0.0
+    off[point, level, np.minimum(pin, size - 2)] = 0.0
+    shifted[point, level, pin] = 1.0
+    rhs[point, level, pin] = 0.0
+    y, singular = _solve_shifted(
+        shifted.reshape(-1, size), off.reshape(-1, size - 1), rhs.reshape(-1, size)
+    )
+    if singular.any():
+        lam = float(lambdas[np.argmax(singular) // levels])
+        raise EigensolverError(
+            f"tridiagonal solve met a zero pivot at "
+            f"{replace(params, lambda_control=lam)}"
+        )
+    return y.reshape(points, levels, size)
 
 
 def _rayleigh(
@@ -302,7 +341,7 @@ def _rayleigh(
     converged = np.zeros(x.shape[0], dtype=bool)
     rows = np.arange(x.shape[0])
     for step in range(RQI_STEPS):
-        y, singular = _solve_shifted(diag[rows], off, shift, x)
+        y, singular = _solve_shifted(diag[rows] - shift[:, None], off, x)
         keep = ~singular
         rows, x, y, shift = rows[keep], x[keep], y[keep], shift[keep]
         norm = np.sqrt(np.sum(y * y, axis=1))

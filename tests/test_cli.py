@@ -163,6 +163,25 @@ def test_scan_missing_outdir_exits_2(tmp_path, capsys):
     assert not os.path.exists(missing)
 
 
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read"),
+    ("{\"n_particles\": 20", "is not valid JSON"),
+    ("[{\"n_particles\": 20}]", "must hold a JSON object"),
+])
+def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, no_work, text,
+                                                message):
+    path = tmp_path / "cfg.json"
+    if text is None:
+        path.mkdir()  # a directory: open() raises
+    else:
+        path.write_text(text, encoding="utf-8")
+    out = _outdir(tmp_path, "out")
+    assert main(["scan", "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and message in err
+    assert os.listdir(out) == []
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = _write_config(tmp_path, "cfg.json", {"bogus": 1})
     out = _outdir(tmp_path, "out")
@@ -238,6 +257,25 @@ def test_sample_counts_per_point_match_one_count(tmp_path):
                      "--quick"]) == 0
         rows.append(_data_rows(os.path.join(out, "bootstrap.csv")))
     assert rows[0] == rows[1]
+
+
+def test_scan_without_methods_writes_moments_only(tmp_path, monkeypatch):
+    import bjjsense.criticality as criticality
+
+    def no_derivative(*args):
+        raise AssertionError("derivative taken with no method asked for")
+
+    monkeypatch.setattr(criticality, "_outside", no_derivative)
+    config = _write_config(tmp_path, "cfg.json", {
+        "n_particles": 20, "lambda_min": -1.2, "lambda_max": -1.0,
+        "lambda_step": 0.05, "methods": [],
+    })
+    out = _outdir(tmp_path, "out")
+    assert main(["scan", "--config", config, "--out", out]) == 0
+    columns, _ = read_table(os.path.join(out, "scan.csv"))
+    assert list(columns) == ["lambda", "mean_jz", "var_jz"]
+    assert columns["lambda"].size == 5
+    assert np.all(columns["var_jz"] > 0)
 
 
 def test_refine_without_methods_exits_2(tmp_path, capsys):
@@ -440,7 +478,7 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_bootstrap_command(tmp_path):
-    config = _pipeline_config(tmp_path, estimator="chi_cl")
+    config = _pipeline_config(tmp_path, estimator="chi_cl", write_replicas=True)
     out = _outdir(tmp_path, "out")
     assert main(["bootstrap", "--config", config, "--out", out,
                  "--quick"]) == 0
@@ -448,6 +486,9 @@ def test_bootstrap_command(tmp_path):
     assert list(table) == ["a_s", "center", "width"]
     interior = slice(1, -1)
     assert np.all(table["width"][interior] > 0)
+    replicas, _ = read_table(os.path.join(out, "replicas_chi_cl.csv"))
+    assert list(replicas) == ["a_s", "chi"]
+    assert set(replicas["a_s"]) <= set(table["a_s"])
 
 
 def test_bootstrap_rejects_bad_estimator(tmp_path, capsys):
@@ -548,6 +589,9 @@ def _series_csv(tmp_path):
                   "sigma": "x"}, "sigma", []),
     ("bootstrap", {"input_csv": "csv", "seed": -1}, "seed", []),
     ("pipeline", {"input_csv": "csv"}, "seed", ["--seed", "-1"]),
+    ("scaling", {"n_values": [40, 40, 40]}, "n_values", []),
+    ("scaling", {"n_values": [1, 2, 3]}, "n_values", []),
+    ("scaling", {"n_values": [1, 2, 3]}, "n_values", ["--quick"]),
 ])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, no_work, command,
                                            payload, key, extra):
@@ -561,6 +605,15 @@ def test_bad_input_exits_2_before_any_work(tmp_path, capsys, no_work, command,
         assert main([command, "--config", config, "--out", out, *extra]) == 2
     assert capsys.readouterr().err.startswith(f"error: config: {key} must")
     assert os.listdir(out) == []
+
+
+def test_scaling_size_floor_is_the_gap_of_scaling_study():
+    # cmd_scaling checks n_values against critical-point's default levels,
+    # which must be the levels that scaling_study's lambda_c uses
+    from bjjsense.criticality import locate_critical_gap
+
+    levels = locate_critical_gap.__kwdefaults__["levels"]
+    assert tuple(cli.CRITICAL_KEYS["levels"][0]) == levels
 
 
 def test_series_requires_input_or_parameters(tmp_path, capsys):

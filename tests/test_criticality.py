@@ -34,7 +34,7 @@ from bjjsense.criticality import (
     scan_lambda,
     temperature_sweep,
 )
-from bjjsense.model import ModelParams
+from bjjsense.model import EigensolverError, ModelParams
 
 
 def _config(**overrides):
@@ -158,6 +158,17 @@ def test_peak_at_boundary_not_interior():
     assert peak.index == grid.size - 1
 
 
+@pytest.mark.parametrize("x, y", [
+    # divided differences that underflow: c = -0, which is not < 0
+    ([0.0, 1e300, 2e300, 3e300], [0.0, 5e-324, 0.0, 0.0]),
+    # an infinite maximum: the vertex is NaN, not between the neighbours
+    ([0.0, 1.0, 2.0, 3.0], [0.0, np.inf, 1.0, 0.0]),
+], ids=["not-concave", "vertex-outside"])
+def test_peak_keeps_the_grid_maximum_where_the_parabola_fails(x, y):
+    peak = criticality._peak(np.array(x), np.array(y))
+    assert peak == PeakEstimate(x[1], y[1], 1, interior=True)
+
+
 def test_chi_at_point_matches_scan_fidelity_routes():
     lam = -1.1
     params = ModelParams(n_particles=30, imbalance=2e-3)
@@ -270,6 +281,29 @@ def test_untilted_stack_rejects_unresolved_splitting():
     config = ScanConfig(ModelParams(n_particles=80), np.array([-2.0, -1.6, -1.2]))
     with pytest.raises(ValueError, match=r"N=80, lambda=-2.0: E1 - E0 = 0 "):
         scan_lambda(config)
+
+
+def test_outside_solve_failure_names_its_point(monkeypatch):
+    # At T > 0 the states come from bisection, so dgtsv solves only the
+    # outside systems: one per occupied level of each point, point-major.
+    import bjjsense.model as model
+
+    n, lambdas = 20, np.array([-1.3, -1.1, -0.9])
+    real, calls = model.dgtsv, []
+
+    def zero_pivot(dl, d, du, b, **kwargs):
+        if not calls:  # level 4 of point 1 becomes a zero matrix
+            first = d.size // lambdas.size + 4 * (n + 1)
+            d[first:first + n + 1] = 0.0
+            dl[first:first + n] = 0.0  # dl is du
+        calls.append(d.size)
+        return real(dl, d, du, b, **kwargs)
+
+    monkeypatch.setattr(model, "dgtsv", zero_pivot)
+    config = ScanConfig(ModelParams(n, imbalance=2e-3), lambdas, temperature=0.3)
+    with pytest.raises(EigensolverError, match=r"lambda_control=-1\.1,"):
+        scan_lambda(config)
+    assert calls[0] > 4 * lambdas.size * (n + 1)  # several levels per point
 
 
 def test_chi_at_point_matches_dense_oracle():
@@ -589,13 +623,16 @@ def test_scaling_study_small_systems():
     assert_allclose(res.chi["classical"], res.chi["quantum"], rtol=1e-6)
 
 
-def test_scaling_study_scans_each_tilt_once_per_method(monkeypatch):
+def test_scaling_study_scans_each_tilt_once(monkeypatch):
+    # one window per (N, delta), for all methods at once: the moment and
+    # classical root finds often share a bracket end
     real_points = criticality._points
-    seen = []
+    windows, asked = [], set()
 
     def recording_points(params, lambdas, temperature, which, start=None):
+        asked.add(which)
         if lambdas.size == 15:  # a window scan, not chi at delta*
-            seen.extend((params.n_particles, params.imbalance, m) for m in which)
+            windows.append((params.n_particles, params.imbalance))
         return real_points(params, lambdas, temperature, which, start)
 
     monkeypatch.setattr(criticality, "_points", recording_points)
@@ -604,13 +641,20 @@ def test_scaling_study_scans_each_tilt_once_per_method(monkeypatch):
         delta_grid=np.logspace(-4, -2, 6),
         window_points=15,
     )
-    assert seen
-    assert len(seen) == len(set(seen))
+    assert windows
+    assert len(windows) == len(set(windows))
+    assert asked == {METHODS}
 
 
-def test_scaling_study_needs_three_sizes():
-    with pytest.raises(ValueError):
+def test_scaling_study_needs_three_sizes(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr(criticality, "locate_critical_gap", no_solve)
+    with pytest.raises(ValueError, match=">= 3 system sizes"):
         scaling_study(n_values=(100, 200))
+    with pytest.raises(ValueError, match="distinct"):
+        scaling_study(n_values=(40, 60, 40))
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,29 @@ def test_fit_mirror_swaps_amplitudes():
     assert_allclose(swap.amplitude_minus, fit.amplitude_plus, rtol=1e-9)
 
 
+def test_fit_with_a_non_finite_winner_falls_back_to_its_moment_start(monkeypatch):
+    gen = _mixture(0.4, 0.08)
+    series = synth_samples([0.0, 1.0], [gen, gen], 50_000, seed=3)
+    spec = HistogramSpec()
+    h = est._histograms(series.records, spec)
+    alone = est._fit_at(est._fit_mixtures(h[1:], spec), 0)
+    real = est._levenberg_marquardt
+
+    def first_histogram_diverges(p, *args):
+        q, cost, stopped = real(p, *args)
+        q[:2] = np.nan  # both starts of histogram 0
+        return q, cost, stopped
+
+    monkeypatch.setattr(est, "_levenberg_marquardt", first_histogram_diverges)
+    fits = est._fit_mixtures(h, spec)
+    zbar, sigma = est._data_starts(h[:1], spec)[0, 0, :2]
+    assert est._fit_at(fits, 0) == DoubleGaussianFit(
+        separation=zbar, width=sigma, amplitude_plus=0.5, amplitude_minus=0.5,
+        residual=np.inf, converged=False,
+    )
+    assert est._fit_at(fits, 1) == alone
+
+
 def test_fit_params_validation():
     with pytest.raises(ValueError):
         DoubleGaussianFit(separation=0.1, width=0.0,

@@ -520,3 +520,25 @@ print(all(getattr(model, name) is getattr(lapack, name)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "True", "True"]
+
+
+def test_lapack_is_bound_in_model_only():
+    # The linear algebra lives in one module, and every tridiagonal linear
+    # solve goes through its one dgtsv call site.
+    import importlib
+    import pkgutil
+
+    import bjjsense
+
+    routines = {id(v) for v in vars(model._flapack).values() if callable(v)}
+    routines.add(id(model._flapack))
+    modules = [bjjsense] + [importlib.import_module(f"bjjsense.{info.name}")
+                            for info in pkgutil.iter_modules(bjjsense.__path__)]
+    calls = {}
+    for module in modules:
+        if module is not model:
+            bound = [k for k, v in vars(module).items() if id(v) in routines]
+            assert bound == [], module.__name__
+        with open(module.__file__, encoding="utf-8") as fh:
+            calls[module.__name__] = fh.read().count("dgtsv(")
+    assert {name: n for name, n in calls.items() if n} == {"bjjsense.model": 1}
