@@ -179,6 +179,10 @@ BOOTSTRAP_KEYS = {
     "seed": (0, "master seed", _Rule(int, 0)),
 }
 
+# The gap levels of locate_critical_gap's default, which locate lambda_c for
+# scaling and for a scan at lambda_value 'critical'.
+_GAP_LEVELS = CRITICAL_KEYS["levels"][0]
+
 KEYS_BY_COMMAND = {
     "scan": SCAN_KEYS,
     "scaling": SCALING_KEYS,
@@ -242,14 +246,14 @@ def cmd_scan(args) -> int:
     if config["sweep"] == "temperature":
         if config["temperatures"] is None:
             raise CliError("config", "temperature sweep needs 'temperatures'")
-        lam = config["lambda_value"]
-        lam = (
-            locate_critical_gap(config["n_particles"]).lambda_c
-            if lam == "critical" else float(lam)
-        )
+        lam, n = config["lambda_value"], config["n_particles"]
+        if lam == "critical" and n < max(_GAP_LEVELS):
+            raise CliError("config", f"n_particles must be >= {max(_GAP_LEVELS)} "
+                           f"for the gap levels {_GAP_LEVELS} of lambda_value "
+                           f"'critical', got {n!r}")
+        lam = locate_critical_gap(n).lambda_c if lam == "critical" else float(lam)
         table = temperature_sweep(
-            config["n_particles"], config["temperatures"], lam, imbalance=delta,
-            which=methods,
+            n, config["temperatures"], lam, imbalance=delta, which=methods
         )
         columns = {"T": table["temperature"]}
         columns.update({CHI_COLUMN[m]: table[m] for m in METHODS if m in methods})
@@ -326,10 +330,9 @@ def cmd_scaling(args) -> int:
                        f"fits, got {n_values!r}; use critical-point for lambda_c alone")
     if len(set(n_values)) < len(n_values):
         raise CliError("config", f"n_values must hold distinct sizes, got {n_values!r}")
-    levels = CRITICAL_KEYS["levels"][0]  # the gap of scaling_study's lambda_c
-    if min(n_values) < max(levels):
-        raise CliError("config", f"n_values must be >= {max(levels)} for the gap "
-                       f"levels {levels}, got {n_values!r}")
+    if min(n_values) < max(_GAP_LEVELS):
+        raise CliError("config", f"n_values must be >= {max(_GAP_LEVELS)} for the "
+                       f"gap levels {_GAP_LEVELS}, got {n_values!r}")
     comments = _provenance("scaling", config)
     result = scaling_study(
         n_values,

@@ -625,6 +625,14 @@ def _optimize_deltas(
             }
         return known[delta]
 
+    # exp(log d) is often d one ulp off: a log-tilt of the grid maps back to
+    # its grid tilt, so that a bracket end or a root on one is not scanned
+    # again
+    on_grid = {float(np.log(d)): float(d) for d in deltas}
+
+    def tilt(u: float) -> float:
+        return on_grid.get(float(u), float(np.exp(u)))
+
     rows = [offsets(d) for d in deltas]
     result = {}
     for method in searched:
@@ -644,12 +652,12 @@ def _optimize_deltas(
                 break
         if bracket is not None:
             log_star = _brentq(
-                lambda u: offsets(float(np.exp(u)))[method],
+                lambda u: offsets(tilt(u))[method],
                 np.log(bracket[0]),
                 np.log(bracket[1]),
                 1e-3,
             )
-            cand = float(np.exp(log_star))
+            cand = tilt(log_star)
             cand_off = offsets(cand)[method]
             if cand_off is not None and abs(cand_off) < abs(best_off):
                 best_delta, best_off = cand, cand_off

@@ -18,21 +18,21 @@ Bohr radius a_0).  The analysis chain is:
    (``_fit_gaussians``).
 
 Every step runs on stacks: ``_histograms`` bins all records of a series at
-once, and steps 2-3 live in one private chain, ``_estimates``, which takes
-a stack of histogram series and computes only the estimates asked for.
-``series_estimates`` runs it on the histograms of a series and returns the
-double-Gaussian fits with the estimates; ``bootstrap`` runs it on all its
-replicas at once.  Every double-Gaussian fit goes through one batched
-Levenberg-Marquardt fitter, ``_fit_mixtures``: every start of every
-histogram is a lane of one array, each lane damped, accepted and stopped on
-its own (when its step falls below 1e-14 of its parameters, when a rejected
-step predicts a decrease within machine epsilon of its cost, or after 2,000
-steps), so a fit is the same bit for bit alone or among thousands.  A
-recorded histogram gets two starts from its data; a bootstrap replica gets
-one, the fit of its record.  The replica-value fits run on the same loop,
-with per-lane bounds.  The bootstrap never draws a sample: a replica of a
-record is a multinomial draw of its bin counts from the exact bin masses of
-the fitted mixture.
+once, and the fitter and both estimators take a stack of histograms.
+``series_estimates`` calls them on the histograms of a series and returns
+the double-Gaussian fits with the estimates; ``bootstrap`` calls the one
+estimator asked for on all its replicas at once, chi_cl on the replica
+histograms alone, chi_mom on their fits.  Every double-Gaussian fit goes
+through one batched Levenberg-Marquardt fitter, ``_fit_mixtures``: every
+start of every histogram is a lane of one array, each lane damped, accepted
+and stopped on its own (when its step falls below 1e-14 of its parameters,
+when a rejected step predicts a decrease within machine epsilon of its
+cost, or after 2,000 steps), so a fit is the same bit for bit alone or
+among thousands.  A recorded histogram gets two starts from its data; a
+bootstrap replica gets one, the fit of its record.  The replica-value fits
+run on the same loop, with per-lane bounds.  The bootstrap never draws a
+sample: a replica of a record is a multinomial draw of its bin counts from
+the exact bin masses of the fitted mixture.
 """
 
 from __future__ import annotations
@@ -626,56 +626,25 @@ def _chi_cl(probabilities: np.ndarray, a: np.ndarray) -> np.ndarray:
     return chi
 
 
-def _estimates(
-    probabilities: np.ndarray,
-    a: np.ndarray,
-    spec: HistogramSpec,
-    names: Sequence[str] = ("zbar", "sigma", "chi_mom", "chi_cl"),
-    starts: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], dict | None]:
-    """The estimator chain on a stack of series, for the estimates ``names``.
-
-    ``probabilities[s, i]`` is the histogram of series s at grid point i.
-    zbar, sigma and chi_mom rest on the double-Gaussian fits of all series,
-    one ``_fit_mixtures`` batch, made only when one of them is asked for,
-    from ``starts`` (series, points, k, 4), by default the data starts of
-    every histogram (``_data_starts``); chi_cl needs the histograms only
-    (``_chi_cl``).  Returns the estimates asked for, each (series, points),
-    and the fits, each field (series, points), or None when no fit was
-    made.
-    """
-    out, fits = {}, None
-    if set(names) - {"chi_cl"}:
-        n_series, n_points, n_bins = probabilities.shape
-        if starts is not None:
-            starts = starts.reshape(n_series * n_points, -1, 4)
-        fits = {
-            k: v.reshape(n_series, n_points)
-            for k, v in _fit_mixtures(
-                probabilities.reshape(-1, n_bins), spec, starts
-            ).items()
-        }
-        zbar, sigma = fits["separation"], fits["width"]
-        out = {"zbar": zbar, "sigma": sigma, "chi_mom": _chi_mom(zbar, sigma, a)}
-    if "chi_cl" in names:
-        out["chi_cl"] = _chi_cl(probabilities, a)
-    return {k: out[k] for k in names}, fits
-
-
 def series_estimates(
     series: MeasurementSeries, spec: HistogramSpec | None = None
 ) -> tuple[dict[str, np.ndarray], tuple[DoubleGaussianFit, ...]]:
     """Estimates zbar, sigma, chi_mom and chi_cl of a series, per grid point
     (chi_cl NaN at the endpoints), and the double-Gaussian fit of every
-    record, which ``bootstrap`` takes as ``base_fits``."""
+    record, from its two data starts, which ``bootstrap`` takes as
+    ``base_fits``."""
     spec = spec or HistogramSpec()
-    estimates, fits = _estimates(
-        _histograms(series.records, spec)[None], series.scattering_lengths, spec
-    )
-    return (
-        {k: v[0] for k, v in estimates.items()},
-        tuple(_fit_at(fits, (0, i)) for i in range(series.n_points)),
-    )
+    a = series.scattering_lengths
+    hists = _histograms(series.records, spec)
+    fits = _fit_mixtures(hists, spec)
+    zbar, sigma = fits["separation"], fits["width"]
+    estimates = {
+        "zbar": zbar,
+        "sigma": sigma,
+        "chi_mom": _chi_mom(zbar, sigma, a),
+        "chi_cl": _chi_cl(hists, a),
+    }
+    return estimates, tuple(_fit_at(fits, i) for i in range(series.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +661,6 @@ def _valid_fits(fits: dict) -> np.ndarray:
     for k in ("separation", "width", "amplitude_plus", "amplitude_minus", "residual"):
         ok &= np.isfinite(fits[k])
     return ok
-
-
-def _valid_series(fits: dict | None, n_series: int) -> np.ndarray:
-    """Per series of a fit stack from ``_estimates``: is every fit valid.
-
-    Valid as in ``_valid_fits``; a stack without fits (chi_cl) is valid.
-    """
-    if fits is None:
-        return np.ones(n_series, dtype=bool)
-    return np.all(_valid_fits(fits), axis=1)
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -763,7 +722,8 @@ def bootstrap(
 
     All replicas are drawn, then run through the chain together for the
     requested estimator only: for chi_mom one batched fit
-    (``_fit_mixtures``), for chi_cl one array of overlaps (``_chi_cl``).
+    (``_fit_mixtures``), for chi_cl one array of overlaps (``_chi_cl``),
+    which needs no fit, so no chi_cl replica fails.
     The base fit is the law a replica histogram is drawn from, so each
     replica histogram is fitted from its record's base fit as its only
     start, where the original records were fitted from two data starts.  A
@@ -850,31 +810,35 @@ def _bootstraps(
     params = ("separation", "width", "amplitude_plus", "amplitude_minus")
     base_start = np.stack([base[k] for k in params], axis=1)[:, None, :]
     a = series.scattering_lengths
-    n_points = a.size
+    n_points, n_bins = masses.shape
     first = _replica_histograms(seed, range(n_replicas), 0, counts, masses)
     results = {}
     for estimator in estimators:
-        hists = first
-        values = np.full((n_replicas, n_points), np.nan)
-        pending = np.arange(n_replicas)
-        for attempt in (0, 1):
-            if attempt:
-                hists = _replica_histograms(seed, pending, attempt, counts, masses)
-            estimates, mixtures = _estimates(
-                hists, a, spec, (estimator,),
-                np.broadcast_to(base_start, (pending.size, *base_start.shape)),
-            )
-            valid = _valid_series(mixtures, pending.size)
-            values[pending[valid]] = estimates[estimator][valid]
-            pending = pending[~valid]
-            if not pending.size:
-                break
-        n_failures = int(pending.size)
-        if n_failures > int(0.1 * n_replicas):
-            raise RuntimeError(
-                f"{n_failures} of {n_replicas} bootstrap replicas failed "
-                f"(> 10%); aborting"
-            )
+        if estimator == "chi_cl":
+            values, n_failures = _chi_cl(first, a), 0
+        else:
+            values = np.full((n_replicas, n_points), np.nan)
+            hists, pending = first, np.arange(n_replicas)
+            for attempt in (0, 1):
+                if attempt:
+                    hists = _replica_histograms(seed, pending, attempt, counts, masses)
+                mixtures = _fit_mixtures(
+                    hists.reshape(-1, n_bins), spec,
+                    np.tile(base_start, (pending.size, 1, 1)),
+                )
+                zbar, sigma = (mixtures[k].reshape(-1, n_points)
+                               for k in ("separation", "width"))
+                valid = np.all(_valid_fits(mixtures).reshape(-1, n_points), axis=1)
+                values[pending[valid]] = _chi_mom(zbar, sigma, a)[valid]
+                pending = pending[~valid]
+                if not pending.size:
+                    break
+            n_failures = int(pending.size)
+            if n_failures > int(0.1 * n_replicas):
+                raise RuntimeError(
+                    f"{n_failures} of {n_replicas} bootstrap replicas failed "
+                    f"(> 10%); aborting"
+                )
         background_kind = "exponential" if estimator == "chi_mom" else "none"
         replica_cols = [values[np.isfinite(values[:, i]), i] for i in range(n_points)]
         fitted = [i for i, col in enumerate(replica_cols) if col.size >= 2]

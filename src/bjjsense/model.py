@@ -485,7 +485,11 @@ def _occupied_levels(
                 )
         return _eigh(d, off, True, n_levels=1)
     e0 = float(_eigh(d, off, False, n_levels=1)[0])
-    top = e0 + temperature * np.log(1.0 / REL_CUTOFF)
+    # At a tiny T, E_0 + T ln(1 / REL_CUTOFF) rounds to E_0 and the window's
+    # bisection may place the ground level just above it; a floor of a few
+    # units of roundoff keeps it in.
+    roundoff = RESIDUAL_ROUNDOFF * np.finfo(float).eps * _gershgorin(np.abs(d), off)
+    top = e0 + max(temperature * np.log(1.0 / REL_CUTOFF), roundoff)
     window = None if top > _gershgorin(d, off) else (e0 - 1.0, top)
     return _eigh(d, off, True, window=window)
 
@@ -520,10 +524,12 @@ def equilibrium_states(params: ModelParams, lambdas, temperature: float):
     iteration.  At T > 0 the ground energy E_0 comes first, then one
     bisection call returns the eigenpairs with E - E_0 <= T ln(1 /
     REL_CUTOFF), i.e. every level whose relative Boltzmann weight is at
-    least REL_CUTOFF, and inverse iteration their vectors.  When that bound
-    lies above the Gershgorin upper bound of H, every level is occupied and
-    one full solve replaces the bisection.  The weight left out is at most
-    dimension * REL_CUTOFF.
+    least REL_CUTOFF, and inverse iteration their vectors; the bound is at
+    least RESIDUAL_ROUNDOFF eps ||H||, so that a T too small to move E_0 in
+    floating point still leaves the ground level in the window.  When that
+    bound lies above the Gershgorin upper bound of H, every level is
+    occupied and one full solve replaces the bisection.  The weight left
+    out is at most dimension * REL_CUTOFF.
     """
     return _states(params, lambdas, temperature)
 

@@ -592,6 +592,8 @@ def _series_csv(tmp_path):
     ("scaling", {"n_values": [40, 40, 40]}, "n_values", []),
     ("scaling", {"n_values": [1, 2, 3]}, "n_values", []),
     ("scaling", {"n_values": [1, 2, 3]}, "n_values", ["--quick"]),
+    ("scan", {"n_particles": 1, "sweep": "temperature", "temperatures": [0.5],
+              "lambda_value": "critical"}, "n_particles", []),
 ])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, no_work, command,
                                            payload, key, extra):
@@ -608,12 +610,14 @@ def test_bad_input_exits_2_before_any_work(tmp_path, capsys, no_work, command,
 
 
 def test_scaling_size_floor_is_the_gap_of_scaling_study():
-    # cmd_scaling checks n_values against critical-point's default levels,
-    # which must be the levels that scaling_study's lambda_c uses
+    # cmd_scaling checks n_values, and a scan at lambda_value 'critical' its
+    # n_particles, against critical-point's default levels, which must be
+    # the levels that locate_critical_gap uses by default
     from bjjsense.criticality import locate_critical_gap
 
     levels = locate_critical_gap.__kwdefaults__["levels"]
     assert tuple(cli.CRITICAL_KEYS["levels"][0]) == levels
+    assert cli._GAP_LEVELS is cli.CRITICAL_KEYS["levels"][0]
 
 
 def test_series_requires_input_or_parameters(tmp_path, capsys):

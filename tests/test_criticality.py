@@ -365,6 +365,21 @@ def test_chi_is_exactly_zero_when_dh_dlambda_is_constant(temperature):
         assert chi == {"moment": 0.0, "classical": 0.0, "quantum": 0.0}
 
 
+@pytest.mark.parametrize("n, temperature", [(200, 1e-16), (1000, 1e-15),
+                                            (20, 1e-300)])
+def test_tiny_temperature_scan_matches_ground_state(n, temperature):
+    # T ln(1 / REL_CUTOFF) below the roundoff of E_0: the thermal window
+    # must still hold the ground level, not leave an empty state whose
+    # chi_cl, chi_q and Var(J_z) read 0
+    grid = np.linspace(-1.2, -1.0, 21)
+    params = ModelParams(n, imbalance=2e-3)
+    tiny, ground = (scan_lambda(ScanConfig(params, grid, t))
+                    for t in (temperature, 0.0))
+    for name in ("var_jz", "chi_mom", "chi_cl", "chi_q"):
+        assert_allclose(getattr(tiny, name), getattr(ground, name),
+                        rtol=1e-11, atol=0.0, err_msg=name)
+
+
 @pytest.mark.parametrize("n", [80, 100])
 def test_untilted_ground_state_below_roundoff_is_rejected(n):
     # Deep in the broken phase the tunnel splitting of the two wells falls
@@ -625,7 +640,8 @@ def test_scaling_study_small_systems():
 
 def test_scaling_study_scans_each_tilt_once(monkeypatch):
     # one window per (N, delta), for all methods at once: the moment and
-    # classical root finds often share a bracket end
+    # classical root finds often share a bracket end, and a bracket end
+    # (exp of the log of a grid tilt) is the grid tilt, not one ulp off it
     real_points = criticality._points
     windows, asked = [], set()
 
@@ -642,7 +658,9 @@ def test_scaling_study_scans_each_tilt_once(monkeypatch):
         window_points=15,
     )
     assert windows
-    assert len(windows) == len(set(windows))
+    for n in {n for n, _ in windows}:
+        tilts = np.sort([d for m, d in windows if m == n])
+        assert np.all(np.diff(tilts) > 1e-12 * tilts[1:]), n
     assert asked == {METHODS}
 
 

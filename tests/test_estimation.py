@@ -430,29 +430,63 @@ def test_bootstrap_redraws_failed_replicas_once(monkeypatch):
     a = np.array([-2.0, -1.8, -1.6])
     gens = [_mixture(0.4, 0.1) for _ in a]
     series = synth_samples(a, gens, 200, seed=4)
-    real_check = est._valid_series
-    calls = {"n": 0}
+    real_check, real_draw = est._valid_fits, est._replica_histograms
+    batches, draws = [], []
 
-    def flaky(fits, n_series):
+    def flaky(fits):
         # every replica of the first batch fails, every redraw succeeds
-        calls["n"] += 1
-        valid = real_check(fits, n_series)
-        return valid & (calls["n"] % 2 == 0)
+        valid = real_check(fits)
+        if valid.size == a.size:  # the base fits
+            return valid
+        batches.append(valid.size)
+        return valid & (len(batches) > 1)
 
-    monkeypatch.setattr(est, "_valid_series", flaky)
-    result = bootstrap(series, "chi_cl", n_replicas=120, seed=2)
+    def counted(seed, replicas, attempt, counts, masses):
+        draws.append(attempt)
+        return real_draw(seed, replicas, attempt, counts, masses)
+
+    monkeypatch.setattr(est, "_valid_fits", flaky)
+    monkeypatch.setattr(est, "_replica_histograms", counted)
+    result = bootstrap(series, "chi_mom", n_replicas=120, seed=2)
+    assert batches == [120 * a.size, 120 * a.size]
+    assert draws == [0, 1]
     assert result.n_failures == 0
-    assert all(col.size == 120 for col in result.replica_values[1:-1])
+    assert all(col.size == 120 for col in result.replica_values)
 
 
 def test_bootstrap_aborts_on_persistent_failures(monkeypatch):
     a = np.array([-2.0, -1.8, -1.6])
     gens = [_mixture(0.4, 0.1) for _ in a]
     series = synth_samples(a, gens, 200, seed=4)
-    monkeypatch.setattr(est, "_valid_series",
-                        lambda fits, n_series: np.zeros(n_series, dtype=bool))
-    with pytest.raises(RuntimeError):
-        bootstrap(series, "chi_cl", n_replicas=120, seed=2)
+    real_check = est._valid_fits
+    # the base fits stay valid, every replica fit fails
+    monkeypatch.setattr(est, "_valid_fits",
+                        lambda fits: real_check(fits) & (fits["width"].size == a.size))
+    with pytest.raises(RuntimeError, match="120 of 120 bootstrap replicas failed"):
+        bootstrap(series, "chi_mom", n_replicas=120, seed=2)
+
+
+def test_chi_cl_bootstrap_fits_nothing_and_draws_once(monkeypatch):
+    # a chi_cl replica is its histograms alone: no fit, so it cannot fail
+    a = np.array([-2.0, -1.8, -1.6, -1.4])
+    series = synth_samples(a, [_mixture(0.4, 0.1) for _ in a], 200, seed=4)
+    _, base = series_estimates(series)
+    real_draw = est._replica_histograms
+    draws = []
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("chi_cl bootstrap fitted a mixture")
+
+    def counted(seed, replicas, attempt, counts, masses):
+        draws.append(attempt)
+        return real_draw(seed, replicas, attempt, counts, masses)
+
+    monkeypatch.setattr(est, "_fit_mixtures", no_fit)
+    monkeypatch.setattr(est, "_replica_histograms", counted)
+    result = bootstrap(series, "chi_cl", n_replicas=100, seed=2, base_fits=base)
+    assert draws == [0]
+    assert result.n_failures == 0
+    assert all(col.size == 100 for col in result.replica_values[1:-1])
 
 
 def _fit_arrays(fits):

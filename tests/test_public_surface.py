@@ -56,7 +56,8 @@ ESTIMATION = [
     "bootstrap",
 ]
 
-# The one-histogram layer beside the stacked estimator chain.
+# The one-histogram layer beside the stacked estimator chain, and the
+# private chain that the series estimates and the bootstrap shared.
 RETIRED_ESTIMATION = [
     "Histogram",
     "build_histogram",
@@ -66,6 +67,8 @@ RETIRED_ESTIMATION = [
     "chi_cl_experimental",
     "fit_gaussian_with_background",
     "_series_estimates",
+    "_estimates",
+    "_valid_series",
 ]
 
 
