@@ -25,7 +25,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .model import GAP_ROUNDOFF, ModelParams, _outside, _parity_levels, _states
+from .model import (
+    GAP_ROUNDOFF, ModelParams, _outside, _parity_levels, _spin, _states,
+)
 
 METHODS = ("moment", "classical", "quantum")
 
@@ -107,11 +109,11 @@ class SusceptibilityCurve:
 
 def _peak(x: np.ndarray, y: np.ndarray) -> PeakEstimate:
     """``SusceptibilityCurve.peak`` of the curve y(x)."""
-    i = int(np.argmax(y))
+    i = int(y.argmax())
     if i == 0 or i == x.size - 1:
         return PeakEstimate(float(x[i]), float(y[i]), i, interior=False)
-    x0, x1, x2 = (float(v) for v in x[i - 1 : i + 2])
-    y0, y1, y2 = (float(v) for v in y[i - 1 : i + 2])
+    x0, x1, x2 = x[i - 1 : i + 2].tolist()
+    y0, y1, y2 = y[i - 1 : i + 2].tolist()
     # y = y1 + b (x - x1) + c (x - x1)^2 from the divided differences
     left, right = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
     c = (right - left) / (x2 - x0)
@@ -219,13 +221,10 @@ def _points(
     non-positive Var(J_z) raises ValueError when ``"moment"`` is in
     ``which``.
     """
-    n = params.n_particles
-    m = np.arange(n + 1) - n / 2.0
-    v = (1.0 / n) * m * m
-    v = v - v.mean()
+    m, v, _ = _spin(params.n_particles)
     mean, var = np.empty(lambdas.size), np.empty(lambdas.size)
     chi = {w: np.empty(lambdas.size) for w in METHODS}
-    ground = np.empty((lambdas.size, n + 1)) if temperature == 0.0 else None
+    ground = np.empty((lambdas.size, m.size)) if temperature == 0.0 else None
     for first, s in _states(params, lambdas, temperature, start):
         at = slice(first, first + s.size)
         # Eigenvectors are rows: u[b, k] is level k at point b.
@@ -235,8 +234,8 @@ def _points(
         prob = s.probabilities
         # Row sums, not matrix-vector products, whose rounding depends on the
         # stack's size: a point's numbers do not depend on its stack.
-        mean[at] = np.sum(prob * m, axis=1)
-        var[at] = np.sum((m - mean[at, None]) ** 2 * prob, axis=1)
+        mean[at] = (prob * m).sum(axis=1)
+        var[at] = ((m - mean[at, None]) ** 2 * prob).sum(axis=1)
         if not which:
             continue
         bad = var[at] <= 0
@@ -247,10 +246,10 @@ def _points(
                 f"{replace(params, lambda_control=float(lambdas[first + i]))}"
             )
         vu = u * v
-        vw = u @ np.swapaxes(vu, 1, 2)
-        if p.shape[1] <= n:
-            y = _outside(s, np.swapaxes(vw, 1, 2) @ u - vu, params, lambdas[at])
-            y -= (y @ np.swapaxes(u, 1, 2)) @ u
+        vw = u @ vu.swapaxes(1, 2)
+        if p.shape[1] < m.size:
+            y = _outside(s, vw.swapaxes(1, 2) @ u - vu, params, lambdas[at])
+            y -= (y @ u.swapaxes(1, 2)) @ u
         else:
             y = np.zeros_like(u)
         dp = 2.0 * (p[:, None, :] @ (u * y))[:, 0]
@@ -268,18 +267,15 @@ def _points(
             g[:, level, level] = -beta * p * (
                 vdiag - np.sum(p * vdiag, axis=1, keepdims=True)
             )
-            dp += np.sum(u * (np.swapaxes(g, 1, 2) @ u), axis=1)
+            dp += np.sum(u * (g.swapaxes(1, 2) @ u), axis=1)
             bures = np.sum(g * g / (p[:, :, None] + p[:, None, :]), axis=(1, 2))
-        chi["quantum"][at] = 2.0 * bures + 4.0 * np.sum(
-            p * np.sum(y * y, axis=2), axis=1
-        )
-        occupied = prob > 0.0
-        fisher = np.zeros_like(dp)
-        fisher[occupied] = dp[occupied] ** 2 / prob[occupied]
-        chi["classical"][at] = np.sum(fisher, axis=1)
+        chi["quantum"][at] = 2.0 * bures + 4.0 * (p * (y * y).sum(axis=2)).sum(axis=1)
+        # (dP)^2 / P where P > 0; an empty entry of P(m) adds nothing.
+        fisher = np.divide(dp * dp, prob, out=np.zeros_like(dp), where=prob > 0.0)
+        chi["classical"][at] = fisher.sum(axis=1)
         # A zero Var(J_z) has raised above, unless chi_mom is dropped.
         with np.errstate(divide="ignore", invalid="ignore"):
-            chi["moment"][at] = np.sum(dp * m, axis=1) ** 2 / var[at]
+            chi["moment"][at] = (dp * m).sum(axis=1) ** 2 / var[at]
     return mean, var, {w: chi[w] for w in which}, ground
 
 

@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from numbers import Integral
@@ -136,6 +137,23 @@ class ModelParams:
         return self.n_particles + 1
 
 
+@lru_cache(maxsize=32)
+def _spin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What N alone fixes, built once per size as read-only arrays: the J_z
+    eigenvalues m = -j..j, V = J_z**2 / N shifted to zero mean (a constant
+    changes no chi), and the (N,) off-diagonal of H, the J_x couplings."""
+    j = n / 2.0
+    m = np.arange(n + 1, dtype=float) - j
+    mm = m[:-1]
+    # J_x matrix element between m and m+1: sqrt(j(j+1) - m(m+1)) / 2
+    off = -0.5 * np.sqrt(j * (j + 1.0) - mm * (mm + 1.0))
+    v = (1.0 / n) * m * m
+    v = v - v.mean()
+    for a in (m, v, off):
+        a.flags.writeable = False
+    return m, v, off
+
+
 def _diagonals(
     params: ModelParams, lambdas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -143,21 +161,16 @@ def _diagonals(
 
     N and delta come from ``params``; its own lambda is not read.
     Returns the (B, N+1) diagonals zeta * m**2 + delta * m and the (N,)
-    off-diagonal, which lambda does not change.  Raises ValueError when an
-    entry overflows.
+    off-diagonal of ``_spin``, which lambda does not change.  Raises
+    ValueError when an entry overflows.
     """
     n = params.n_particles
-    j = n / 2.0
-    m = np.arange(n + 1, dtype=float) - j
-    mm = m[:-1]
+    m, _, off = _spin(n)
     with np.errstate(over="ignore", invalid="ignore"):
         zeta = lambdas / n
         diag = zeta[:, None] * m * m + params.imbalance * m
-        # J_x matrix element between m and m+1: sqrt(j(j+1) - m(m+1)) / 2
-        off = -0.5 * np.sqrt(j * (j + 1.0) - mm * (mm + 1.0))
-    finite = np.isfinite(diag).all(axis=1) & np.isfinite(off).all()
-    if not finite.all():
-        lam = float(lambdas[np.argmin(finite)])
+    if not np.isfinite(diag).all():
+        lam = float(lambdas[np.argmin(np.isfinite(diag).all(axis=1))])
         raise ValueError(
             f"Hamiltonian entries overflow at N={n}, lambda={lam}, "
             f"delta={params.imbalance} (in units of Omega)"
@@ -171,10 +184,10 @@ def _select_sign(rows: np.ndarray) -> np.ndarray:
     Eigenvectors are the rows (last axis) of ``rows``, so a (B, k, N+1)
     stack is fixed at once.
     """
-    idx = np.argmax(np.abs(rows), axis=-1)[..., None]
-    signs = np.sign(np.take_along_axis(rows, idx, axis=-1))
+    flat = rows.reshape(-1, rows.shape[-1])
+    signs = np.sign(flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)])
     signs[signs == 0] = 1.0
-    return rows * signs
+    return rows * signs.reshape(rows.shape[:-1] + (1,))
 
 
 def _eigh(
@@ -232,58 +245,57 @@ def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def _gershgorin(diagonal: np.ndarray, offdiagonal: np.ndarray):
-    """max_i (diagonal_i + |e_(i-1)| + |e_i|) over the rows of H, for each
+    """max_i (diagonal_i + |e_i| + |e_(i-1)|) over the rows of H, for each
     diagonal along the last axis of ``diagonal``."""
     off = np.abs(offdiagonal)
-    return np.max(diagonal + np.append(off, 0.0) + np.append(0.0, off), axis=-1)
+    rows = diagonal.copy()
+    rows[..., :-1] += off
+    rows[..., 1:] += off
+    return rows.max(axis=-1)
 
 
-def _blocks(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, n) stack of matrices with off-diagonal ``off``, shared (n-1,)
-    or one row each (B, n-1), as one block-diagonal tridiagonal: its
-    diagonal and its coupling, which is zero between blocks, so that an
-    elimination runs through each block as it would through that block
-    alone."""
-    band = np.zeros_like(diag)
-    band[:, :-1] = off
-    return diag.reshape(-1), band.reshape(-1)[:-1]
-
-
-def _matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H x for each row of the stacks ``diag`` and ``x``."""
+def _matvec(diag: np.ndarray, band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x for each row of the stacks ``diag`` and ``x``, with the couplings
+    ``band`` of ``_solve_shifted``: two passes over the whole flattened
+    stack, where the zero coupling between blocks adds nothing."""
     hx = diag * x
-    hx[:, :-1] += off * x[:, 1:]
-    hx[:, 1:] += off * x[:, :-1]
+    flat, xs, coupling = hx.reshape(-1), x.reshape(-1), band.reshape(-1)[:-1]
+    flat[:-1] += coupling * xs[1:]
+    flat[1:] += coupling * xs[:-1]
     return hx
 
 
 def _solve_shifted(
-    shifted: np.ndarray, off: np.ndarray, rhs: np.ndarray
+    shifted: np.ndarray, band: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (H_b - shift_b) y_b = rhs_b for every row b by one ``dgtsv`` call.
 
-    ``shifted`` (B, n) holds the diagonals of H_b - shift_b, ``off`` their
-    couplings: one (n-1,) row that all share, or one row each (B, n-1).
-    Returns y and a mask of the rows whose elimination met an exactly zero
-    pivot; those are left out of the solve, and their y is 0.
+    ``shifted`` (B, n) holds the diagonals of H_b - shift_b and ``band``
+    (B, n) their couplings, each row ending in the zero that couples it to
+    the next, so that the elimination runs through each block as it would
+    through that block alone.  No argument is written to.  Returns y and a
+    mask of the rows whose elimination met an exactly zero pivot; those are
+    left out of the solve, and their y is 0.
     """
-    points, size = shifted.shape
-    y = np.zeros_like(rhs)
+    points, size = rhs.shape
     singular = np.zeros(points, dtype=bool)
-    rows = np.arange(points)
-    while rows.size:
-        d, coupling = _blocks(shifted[rows], off if off.ndim == 1 else off[rows])
-        *_, sol, info = dgtsv(
-            coupling, d, coupling, rhs[rows].reshape(-1, 1),
-            overwrite_d=True, overwrite_b=True,
+    while len(rhs):
+        coupling = band.reshape(-1)[:-1]
+        *_, y, info = dgtsv(
+            coupling, shifted.reshape(-1), coupling, rhs.reshape(-1, 1)
         )
         if info == 0:
-            y[rows] = sol.reshape(rows.size, size)
             break
+        # Leave out the block that met the zero pivot; solve the others again.
         bad = (info - 1) // size
-        singular[rows[bad]] = True
-        rows = np.delete(rows, bad)
-    return y, singular
+        singular[np.flatnonzero(~singular)[bad]] = True
+        shifted, band, rhs = (np.delete(a, bad, axis=0) for a in (shifted, band, rhs))
+    if len(rhs) == points:
+        return y.reshape(points, size), singular
+    out = np.zeros((points, size))
+    if len(rhs):
+        out[~singular] = y.reshape(-1, size)
+    return out, singular
 
 
 def _outside(
@@ -292,25 +304,25 @@ def _outside(
     """y_n = Q d|n> for every occupied level n of every point of ``s``.
 
     Solves (H - E_n) y = rhs_n, pinned to 0 at the largest entry of |n>;
-    ``rhs`` (B, k, N+1) is overwritten.  The B k pinned systems are the
-    blocks of one ``_solve_shifted`` call.  Raises EigensolverError, naming
-    the point's lambda (N and delta from ``params``), when a system meets an
-    exactly zero pivot.
+    ``rhs`` (B, k, N+1) is set to 0 at the pins.  The B k pinned systems are
+    the blocks of one ``_solve_shifted`` call.  Raises EigensolverError,
+    naming the point's lambda (N and delta from ``params``), when a system
+    meets an exactly zero pivot.
     """
     points, levels, size = rhs.shape
-    shifted = s.diagonal[:, None, :] - s.energies[:, :, None]
-    pin = np.argmax(np.abs(s.vectors), axis=2)
-    point, level = np.indices(pin.shape)
-    off = np.empty((points, levels, size - 1))
-    off[...] = s.offdiagonal
-    # Cut both couplings of the pinned row (one only, at either end).
-    off[point, level, np.maximum(pin - 1, 0)] = 0.0
-    off[point, level, np.minimum(pin, size - 2)] = 0.0
-    shifted[point, level, pin] = 1.0
-    rhs[point, level, pin] = 0.0
-    y, singular = _solve_shifted(
-        shifted.reshape(-1, size), off.reshape(-1, size - 1), rhs.reshape(-1, size)
-    )
+    shifted = (s.diagonal[:, None, :] - s.energies[:, :, None]).reshape(-1, size)
+    rhs = rhs.reshape(-1, size)
+    pin = np.abs(s.vectors).argmax(axis=2).reshape(-1)
+    row = np.arange(pin.size)
+    band = np.zeros_like(shifted)
+    band[:, :-1] = s.offdiagonal
+    # Cut both couplings of the pinned row; at either end, pin - 1 = -1 or
+    # pin = size - 1 indexes the zero between blocks.
+    band[row, pin - 1] = 0.0
+    band[row, pin] = 0.0
+    shifted[row, pin] = 1.0
+    rhs[row, pin] = 0.0
+    y, singular = _solve_shifted(shifted, band, rhs)
     if singular.any():
         lam = float(lambdas[np.argmax(singular) // levels])
         raise EigensolverError(
@@ -321,7 +333,7 @@ def _outside(
 
 
 def _rayleigh(
-    diag: np.ndarray, off: np.ndarray, x: np.ndarray, shift: np.ndarray,
+    diag: np.ndarray, band: np.ndarray, x: np.ndarray, shift: np.ndarray,
     eps_h: np.ndarray, coarse: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rayleigh-quotient iteration from the unit rows ``x`` and ``shift``.
@@ -331,35 +343,47 @@ def _rayleigh(
     next x_b.  That vector has residual |(H_b - shift_b) y / |y|| = 1 / |y|
     against the old shift, and the row stops once that is at most
     RESIDUAL_ROUNDOFF eps ||H_b||.  Rows stop on their own test, so a row's
-    numbers do not depend on the other rows.  When ``coarse``, the first
-    shifts are bisection estimates rather than Rayleigh quotients, and the
-    first step is not tested.  Returns (energies, vectors, converged); a row
-    that meets a zero pivot or runs out of RQI_STEPS steps has not
-    converged.
+    numbers do not depend on the other rows; the rows still stepping are
+    gathered only when one stops or fails.  ``band`` holds the shared
+    couplings of the stack (see ``_solve_shifted``), each step takes its
+    leading rows.  When ``coarse``, the first shifts are bisection
+    estimates rather than Rayleigh quotients, and the first step is not
+    tested.  Returns (energies, vectors, converged); a row that meets a zero
+    pivot or runs out of RQI_STEPS steps has not converged.
     """
-    energies, vectors = np.empty(x.shape[0]), np.empty_like(x)
-    converged = np.zeros(x.shape[0], dtype=bool)
-    rows = np.arange(x.shape[0])
+    points = x.shape[0]
+    energies, vectors = np.empty(points), np.empty_like(x)
+    converged = np.zeros(points, dtype=bool)
+    rows, limit = np.arange(points), RESIDUAL_ROUNDOFF * eps_h
     for step in range(RQI_STEPS):
-        y, singular = _solve_shifted(diag[rows] - shift[:, None], off, x)
-        keep = ~singular
-        rows, x, y, shift = rows[keep], x[keep], y[keep], shift[keep]
-        norm = np.sqrt(np.sum(y * y, axis=1))
-        shift = shift + np.sum(x * y, axis=1) / (norm * norm)
+        y, singular = _solve_shifted(diag - shift[:, None], band[: len(x)], x)
+        if singular.any():
+            keep = ~singular
+            rows, diag, x, y, shift, limit = (
+                rows[keep], diag[keep], x[keep], y[keep], shift[keep], limit[keep]
+            )
+            if not rows.size:
+                break
+        norm = np.sqrt((y * y).sum(axis=1))
+        shift = shift + (x * y).sum(axis=1) / (norm * norm)
         x = y / norm[:, None]
-        done = (1.0 / norm <= RESIDUAL_ROUNDOFF * eps_h[rows]) & (
-            step > 0 or not coarse
-        )
-        energies[rows[done]], vectors[rows[done]] = shift[done], x[done]
-        converged[rows[done]] = True
-        rows, x, shift = rows[~done], x[~done], shift[~done]
-        if not rows.size:
-            break
+        if coarse and not step:
+            continue
+        done = 1.0 / norm <= limit
+        if done.any():
+            at = rows[done]
+            energies[at], vectors[at], converged[at] = shift[done], x[done], True
+            if len(at) == len(rows):
+                break
+            rest = ~done
+            rows, diag, x, shift, limit = (
+                rows[rest], diag[rest], x[rest], shift[rest], limit[rest]
+            )
     return energies, vectors, converged
 
 
 def _certified(
-    diag: np.ndarray, off: np.ndarray, energies: np.ndarray,
+    diag: np.ndarray, band: np.ndarray, energies: np.ndarray,
     vectors: np.ndarray, eps_h: np.ndarray,
 ) -> np.ndarray:
     """Mask of the rows whose (energy, vector) is certified as the ground
@@ -371,17 +395,20 @@ def _certified(
     (Kahan), so no eigenvalue lies below E - tau, while the residual puts
     one within the residual of E: for a gap above tau plus the residual,
     that eigenvalue is the lowest, and x its eigenvector.  All rows share
-    one factorization of the block-diagonal stack, restarted after the
+    one factorization of the block-diagonal stack, whose couplings are the
+    leading rows of ``band`` (see ``_solve_shifted``), restarted after the
     first block that fails.
     """
     points, size = diag.shape
-    r = _matvec(diag, off, vectors) - energies[:, None] * vectors
-    ok = np.sqrt(np.sum(r * r, axis=1)) <= RESIDUAL_ROUNDOFF * eps_h
+    band = band[:points]
+    r = _matvec(diag, band, vectors) - energies[:, None] * vectors
+    ok = np.sqrt((r * r).sum(axis=1)) <= RESIDUAL_ROUNDOFF * eps_h
     shifted = diag - (energies - INERTIA_MARGIN * eps_h)[:, None]
     first = 0
     while first < points:
         info = dpttrf(
-            *_blocks(shifted[first:], off), overwrite_d=True, overwrite_e=True
+            shifted[first:].reshape(-1), band[first:].reshape(-1)[:-1],
+            overwrite_d=True,
         )[2]
         if info == 0:
             break
@@ -404,25 +431,31 @@ def _ground_states(
     first shift of the iteration, which starts from the uniform vector
     (the ground state of a Jacobi matrix with negative couplings has
     positive entries, so it is never orthogonal to it).  Each row is kept
-    only if ``_certified``.  Returns (energies (B,), vectors (B, n),
-    solved (B,)); the rows not solved are left to ``_eigh``.
+    only if ``_certified``.  The couplings of the block-diagonal stack are
+    built once, and every solve and factorization takes their leading rows.
+    Returns (energies (B,), vectors (B, n), solved (B,)); the rows not
+    solved are left to ``_eigh``.
     """
     points, size = diag.shape
     eps_h = np.finfo(float).eps * _gershgorin(np.abs(diag), off)
+    band = np.zeros((points, size))
+    band[:, :-1] = off
     energies, vectors = np.empty(points), np.empty_like(diag)
     solved = np.zeros(points, dtype=bool)
 
     def run(rows: np.ndarray, x: np.ndarray, shift: np.ndarray, coarse: bool):
-        e, v, converged = _rayleigh(diag[rows], off, x, shift, eps_h[rows], coarse)
-        rows, e, v = rows[converged], e[converged], v[converged]
-        ok = _certified(diag[rows], off, e, v, eps_h[rows])
-        energies[rows[ok]], vectors[rows[ok]] = e[ok], v[ok]
-        solved[rows[ok]] = True
+        d, eps = diag[rows], eps_h[rows]
+        e, v, ok = _rayleigh(d, band, x, shift, eps, coarse)
+        if not ok.all():
+            rows, d, eps, e, v = rows[ok], d[ok], eps[ok], e[ok], v[ok]
+        ok = _certified(d, band, e, v, eps)
+        if not ok.all():
+            rows, e, v = rows[ok], e[ok], v[ok]
+        energies[rows], vectors[rows], solved[rows] = e, v, True
 
     if start is not None:
-        x = start / np.sqrt(np.sum(start * start, axis=1))[:, None]
-        run(np.arange(points), x,
-            np.sum(x * _matvec(diag, off, x), axis=1), False)
+        x = start / np.sqrt((start * start).sum(axis=1))[:, None]
+        run(np.arange(points), x, (x * _matvec(diag, band, x)).sum(axis=1), False)
     cold, shift = [], []
     for b in np.flatnonzero(~solved):
         count, w, _, _, info = dstebz(
@@ -631,7 +664,7 @@ def _parity_levels(
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     diag, off = _diagonals(ModelParams(n_particles), lambdas)
     c = (n_particles + 1) // 2  # index of m = 0 (even N) or m = 1/2 (odd N)
-    m = np.arange(c, n_particles + 1) - n_particles / 2.0
+    m = _spin(n_particles)[0][c:]
     energies = np.empty((lambdas.size, len(levels)))
     slopes = np.empty_like(energies)
     for parity in {k % 2 for k in levels}:

@@ -283,6 +283,56 @@ def test_untilted_stack_rejects_unresolved_splitting():
         scan_lambda(config)
 
 
+def test_zero_pivot_in_a_warm_step_sends_only_its_point_cold(monkeypatch):
+    # The first Rayleigh-quotient step of a warm window meets an exactly
+    # zero pivot in one block: that point alone leaves the iteration and is
+    # solved cold (one coarse bisection), and every point of the window
+    # keeps the numbers it gets when solved on its own.
+    import bjjsense.model as model
+
+    n, hit = 24, 3
+    window = criticality._peak_window(n, locate_critical_gap(n).lambda_c, 7)
+    start = criticality._points(
+        ModelParams(n, imbalance=1e-3), window, 0.0, METHODS
+    )[3]
+    params = ModelParams(n, imbalance=2e-3)
+
+    def solo(i):
+        return criticality._points(
+            params, window[i : i + 1], 0.0, METHODS,
+            None if i == hit else start[i : i + 1],
+        )
+
+    alone = [solo(i) for i in range(window.size)]
+    real_dgtsv, real_dstebz = model.dgtsv, model.dstebz
+    calls, coarse = [], []
+
+    def zero_pivot(dl, d, du, b, **kwargs):
+        if not calls:  # block `hit` of the first step becomes a zero matrix
+            dl = du = dl.copy()  # the stack's couplings are shared by its steps
+            first = hit * (n + 1)
+            d[first:first + n + 1] = 0.0
+            dl[first:first + n] = 0.0
+        calls.append(d.size // (n + 1))
+        return real_dgtsv(dl, d, du, b, **kwargs)
+
+    def bisecting(d, e, *args):
+        coarse.append((d.tobytes(), args[-2]))
+        return real_dstebz(d, e, *args)
+
+    monkeypatch.setattr(model, "dgtsv", zero_pivot)
+    monkeypatch.setattr(model, "dstebz", bisecting)
+    mean, var, chi, ground = criticality._points(params, window, 0.0, METHODS, start)
+    diag, _ = model._diagonals(params, window)
+    assert coarse == [(diag[hit].tobytes(), model.COARSE_ABSTOL)]
+    assert calls[:2] == [window.size, window.size - 1]  # the retry leaves it out
+    for i, (m, v, c, g) in enumerate(alone):
+        assert mean[i] == m[0] and var[i] == v[0]
+        assert ground[i].tobytes() == g[0].tobytes()
+        for method in METHODS:
+            assert chi[method][i] == c[method][0], (i, method)
+
+
 def test_outside_solve_failure_names_its_point(monkeypatch):
     # At T > 0 the states come from bisection, so dgtsv solves only the
     # outside systems: one per occupied level of each point, point-major.

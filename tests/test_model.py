@@ -277,6 +277,99 @@ def test_parity_blocks_interleave_to_the_full_spectrum(n):
         assert np.max(np.abs(e - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("singular_block", [None, 2])
+def test_stacked_solve_equals_solo_solves_bit_for_bit(shared, singular_block):
+    # Each block of the stack is eliminated as it would be alone.  A block
+    # whose elimination meets an exactly zero pivot is left out: it alone
+    # is masked, and its y is 0.  No argument is written to.
+    rng = np.random.default_rng(5)
+    blocks, size = 5, 9
+    shifted = rng.uniform(-3.0, 3.0, (blocks, size))
+    band = np.zeros((blocks, size))
+    band[:, :-1] = rng.uniform(-1.0, 1.0, size - 1 if shared else (blocks, size - 1))
+    rhs = rng.standard_normal((blocks, size))
+    if singular_block is not None:
+        # tridiag(1, [1, 2, ..., 2, 1], 1): every pivot is 1 but the last, 0
+        shifted[singular_block] = [1.0] + [2.0] * (size - 2) + [1.0]
+        band[singular_block, :-1] = 1.0
+        if shared:
+            band[:, :-1] = 1.0
+    inputs = [a.copy() for a in (shifted, band, rhs)]
+    y, singular = model._solve_shifted(shifted, band, rhs)
+    for a, before in zip((shifted, band, rhs), inputs):
+        assert a.tobytes() == before.tobytes()
+    assert singular.tolist() == [b == singular_block for b in range(blocks)]
+    for b in range(blocks):
+        alone, masked = model._solve_shifted(
+            shifted[b : b + 1], band[b : b + 1], rhs[b : b + 1]
+        )
+        assert masked.tolist() == [b == singular_block]
+        assert y[b].tobytes() == alone[0].tobytes()
+    if singular_block is not None:
+        assert not y[singular_block].any()
+
+
+def test_warm_window_pays_one_solve_per_step(monkeypatch):
+    # A warm window of the tilt search: one dgtsv call per Rayleigh-quotient
+    # step (no retry) plus one for its outside systems, one dpttrf call for
+    # the certificate, and no bisection, since every point is certified.
+    import bjjsense.criticality as criticality
+
+    n = 150
+    window = criticality._peak_window(
+        n, criticality.locate_critical_gap(n).lambda_c, 21
+    )
+    start = criticality._points(
+        ModelParams(n, imbalance=1e-3), window, 0.0, criticality.METHODS
+    )[3]
+    counts = {}
+
+    def counting(name):
+        real = getattr(model, name)
+
+        def call(*args, **kwargs):
+            d = args[1] if name == "dgtsv" else args[0]  # the diagonal
+            counts.setdefault(name, []).append(d.size // (n + 1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, call)
+
+    for name in ("dgtsv", "dpttrf", "dstebz"):
+        counting(name)
+    steps = []
+    real_solve = model._solve_shifted
+
+    def solving(shifted, band, rhs):
+        steps.append(len(rhs))
+        return real_solve(shifted, band, rhs)
+
+    monkeypatch.setattr(model, "_solve_shifted", solving)
+    criticality._points(
+        ModelParams(n, imbalance=1.5e-3), window, 0.0, criticality.METHODS, start
+    )
+    assert counts["dgtsv"] == steps  # one call per solve: no zero pivot
+    *rqi, outside = steps
+    assert 2 <= len(rqi) <= model.RQI_STEPS
+    assert rqi[0] == outside == window.size
+    assert rqi == sorted(rqi, reverse=True)  # only the rows still stepping
+    assert counts["dpttrf"] == [window.size]
+    assert "dstebz" not in counts
+
+
+def test_per_size_arrays_are_built_once_and_read_only():
+    for n in (7, 8):
+        assert all(a is b for a, b in zip(model._spin(n), model._spin(n)))
+        m, v, off = model._spin(n)
+        assert_allclose(m, np.arange(n + 1) - n / 2.0, rtol=0, atol=0)
+        assert abs(v.mean()) < 1e-15
+        for array in (m, v, off):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    params = ModelParams(8, lambda_control=-1.1, imbalance=1e-3)
+    assert model._diagonals(params, np.array([-1.1]))[1] is model._spin(8)[2]
+
+
 def test_warm_start_from_excited_states_returns_the_ground_state(monkeypatch):
     # Started from the first excited states, Rayleigh-quotient iteration
     # converges to them; the inertia count rejects every one, and the cold
