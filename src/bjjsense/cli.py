@@ -154,7 +154,7 @@ SERIES_KEYS = {
     "scattering_lengths": (None, "synthetic grid (units a0)",
                            _Rule(float, count="list")),
     "zbar": (None, "synthetic separations per point", _Rule(float, 0, count="list")),
-    "sigma": (None, "synthetic width(s), scalar or list",
+    "sigma": (0.1, "synthetic width(s), scalar or list",
               _Rule(float, 0, strict=True, count="one or list")),
     "amplitude_plus": (1.0, "synthetic +zbar weight(s)", _WEIGHTS),
     "amplitude_minus": (1.0, "synthetic -zbar weight(s)", _WEIGHTS),
@@ -267,8 +267,6 @@ def cmd_scan(args) -> int:
     lo, hi, step = (float(config[k]) for k in keys)
     if not lo < hi:
         raise CliError("config", f"lambda_min must be < lambda_max: {lo!r}, {hi!r}")
-    if args.quick:
-        config["lambda_step"] = step = max(step, 1e-2)
     grid = default_lambda_grid(lo, hi, step)
     if grid.size < 2:
         raise CliError(
@@ -317,14 +315,6 @@ def cmd_scaling(args) -> int:
     config = _load_config(args, SCALING_KEYS)
     _check_outdir(args.out)
     n_values = config["n_values"]
-    delta_points = config["delta_points"]
-    window_points = config["window_points"]
-    if args.quick:
-        n_values = [n for n in n_values if n <= 300]
-        if len(n_values) < 3:
-            n_values = [80, 120, 200]
-        delta_points = min(delta_points, 13)
-        window_points = min(window_points, 21)
     if len(n_values) < 3:
         raise CliError("config", f"n_values must hold >= 3 sizes for the power-law "
                        f"fits, got {n_values!r}; use critical-point for lambda_c alone")
@@ -337,8 +327,8 @@ def cmd_scaling(args) -> int:
     result = scaling_study(
         n_values,
         float(config["temperature"]),
-        delta_grid=np.logspace(-6.0, -1.0, delta_points),
-        window_points=window_points,
+        delta_grid=np.logspace(-6.0, -1.0, config["delta_points"]),
+        window_points=config["window_points"],
     )
     write_columns(
         _out(args, "scaling.csv"),
@@ -424,8 +414,7 @@ def _resolve_series(config):
             )
         return [float(v) for v in value]
 
-    sigma = per_point(config["sigma"] if config["sigma"] is not None else 0.1,
-                      "sigma")
+    sigma = per_point(config["sigma"], "sigma")
     ap = per_point(config["amplitude_plus"], "amplitude_plus")
     am = per_point(config["amplitude_minus"], "amplitude_minus")
     gens = [
@@ -442,14 +431,6 @@ def _resolve_series(config):
         raise CliError("series", str(err))
 
 
-def _bootstrap_settings(args, config) -> tuple[int, HistogramSpec]:
-    """Replica count (at most 100 under --quick) and histogram spec."""
-    n_replicas = config["n_replicas"]
-    if args.quick:
-        n_replicas = min(n_replicas, 100)
-    return n_replicas, HistogramSpec(bin_width=float(config["bin_width"]))
-
-
 def _replica_table(result):
     pairs = zip(result.scattering_lengths, result.replica_values)
     return [(a, v) for a, col in pairs for v in col]
@@ -458,13 +439,12 @@ def _replica_table(result):
 def cmd_pipeline(args) -> int:
     config = _load_config(args, PIPELINE_KEYS)
     _check_outdir(args.out)
-    n_replicas, spec = _bootstrap_settings(args, config)
+    spec = HistogramSpec(bin_width=float(config["bin_width"]))
     series = _resolve_series(config)
     estimates, fits = series_estimates(series, spec)
     comments = _provenance("pipeline", config)
-    boots = _bootstraps(
-        series, ("chi_mom", "chi_cl"), n_replicas, config["seed"], spec, fits
-    )
+    boots = _bootstraps(series, ("chi_mom", "chi_cl"), config["n_replicas"],
+                        config["seed"], spec, fits)
     write_columns(
         _out(args, "pipeline_results.csv"),
         {
@@ -493,12 +473,11 @@ def cmd_bootstrap(args) -> int:
     config = _load_config(args, BOOTSTRAP_KEYS)
     _check_outdir(args.out)
     estimator = config["estimator"]
-    n_replicas, spec = _bootstrap_settings(args, config)
+    spec = HistogramSpec(bin_width=float(config["bin_width"]))
     series = _resolve_series(config)
     try:
-        result = bootstrap(
-            series, estimator, n_replicas=n_replicas, seed=config["seed"], spec=spec
-        )
+        result = bootstrap(series, estimator, n_replicas=config["n_replicas"],
+                           seed=config["seed"], spec=spec)
     except (ValueError, RuntimeError) as err:
         raise CliError("bootstrap", str(err), exit_code=1)
     comments = _provenance("bootstrap", config)
@@ -557,10 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory (must exist)")
         if "seed" in KEYS_BY_COMMAND[name]:
             p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument(
-            "--quick", action="store_true",
-            help="reduced grids and replica counts for CI",
-        )
         p.set_defaults(handler=handler)
     return parser
 

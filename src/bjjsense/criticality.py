@@ -572,8 +572,8 @@ def _tilt_grid(delta_grid: np.ndarray | None, window_points: int) -> np.ndarray:
             f"window_points < 3 leaves no interior peak, got {window_points}"
         )
     deltas = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
-    if deltas.size < 2 or np.any(deltas <= 0):
-        raise ValueError("delta_grid must hold >= 2 positive values")
+    if deltas.size < 2 or not np.all((deltas > 0) & (deltas < np.inf)):
+        raise ValueError("delta_grid must hold >= 2 positive finite values")
     return np.sort(deltas)
 
 
@@ -725,13 +725,15 @@ def scaling_study(
     Raises
     ------
     ValueError
-        For fewer than 3 sizes or a repeated size, and as the searches do.
+        For a size that is not an integer >= 1, fewer than 3 sizes or a
+        repeated size, and as the searches do.
 
     Returns
     -------
     ScalingStudyResult
     """
-    n_values = np.asarray(list(n_values), dtype=int)
+    # every size by the rule of ModelParams (an integer >= 1), before any solve
+    n_values = np.array([ModelParams(n).n_particles for n in n_values], dtype=int)
     if n_values.size < 3:
         raise ValueError(f"need >= 3 system sizes, got {n_values.size}")
     if len(set(n_values.tolist())) < n_values.size:

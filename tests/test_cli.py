@@ -253,8 +253,7 @@ def test_sample_counts_per_point_match_one_count(tmp_path):
     for name, counts in (("one", 300), ("each", [300] * 8)):
         config = _pipeline_config(tmp_path, n_samples=counts)
         out = _outdir(tmp_path, name)
-        assert main(["bootstrap", "--config", config, "--out", out,
-                     "--quick"]) == 0
+        assert main(["bootstrap", "--config", config, "--out", out]) == 0
         rows.append(_data_rows(os.path.join(out, "bootstrap.csv")))
     assert rows[0] == rows[1]
 
@@ -305,29 +304,12 @@ def test_refine_without_methods_exits_2(tmp_path, capsys):
     ({"delta": float("nan")}, "delta"),
     ({"n_particles": 0}, "n_particles"),
 ])
-@pytest.mark.parametrize("quick", [False, True])
-def test_scan_bad_lambda_grid_exits_2(tmp_path, capsys, payload, key, quick):
+def test_scan_bad_lambda_grid_exits_2(tmp_path, capsys, payload, key):
     config = _write_config(tmp_path, "cfg.json", {"n_particles": 20, **payload})
     out = _outdir(tmp_path, "out")
-    argv = ["scan", "--config", config, "--out", out] + ["--quick"] * quick
-    assert main(argv) == 2
+    assert main(["scan", "--config", config, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: config: {key} must")
     assert os.listdir(out) == []
-
-
-def test_scan_quick_step_leaving_one_point_exits_2(tmp_path, capsys):
-    # 3 points at the configured step, 1 once --quick coarsens it to 1e-2
-    config = _write_config(tmp_path, "cfg.json", {
-        "n_particles": 20, "lambda_min": -1.0, "lambda_max": -0.996,
-    })
-    out = _outdir(tmp_path, "out")
-    assert main(["scan", "--config", config, "--out", out]) == 0
-    quick_out = _outdir(tmp_path, "quick")
-    argv = ["scan", "--config", config, "--out", quick_out, "--quick"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config: lambda_step must leave >= 2")
-    assert os.listdir(quick_out) == []
 
 
 @pytest.mark.parametrize("payload,key", [
@@ -384,7 +366,7 @@ def test_scaling_quick_emits_table_and_fits(tmp_path):
         "window_points": 15,
     })
     out = _outdir(tmp_path, "out")
-    assert main(["scaling", "--config", config, "--out", out, "--quick"]) == 0
+    assert main(["scaling", "--config", config, "--out", out]) == 0
     table, _ = read_table(os.path.join(out, "scaling.csv"))
     assert list(table["N"].astype(int)) == [40, 60, 80]
     assert np.all(table["shift"] > 0)
@@ -425,7 +407,7 @@ def _pipeline_config(tmp_path, seed=3, **extra):
         "zbar": zbar,
         "sigma": 0.1,
         "n_samples": 300,
-        "n_replicas": 120,
+        "n_replicas": 100,
         "seed": seed,
     }
     payload.update(extra)
@@ -435,7 +417,7 @@ def _pipeline_config(tmp_path, seed=3, **extra):
 def test_pipeline_outputs_and_provenance(tmp_path):
     config = _pipeline_config(tmp_path, write_replicas=True)
     out = _outdir(tmp_path, "out")
-    assert main(["pipeline", "--config", config, "--out", out, "--quick"]) == 0
+    assert main(["pipeline", "--config", config, "--out", out]) == 0
     results, comments = read_table(os.path.join(out, "pipeline_results.csv"))
     assert list(results) == ["a_s", "zbar", "sigma_z", "chi_mom",
                              "chi_mom_err", "chi_cl", "chi_cl_err"]
@@ -457,8 +439,7 @@ def test_pipeline_rerun_byte_identical(tmp_path):
     blobs = []
     for name in ("r1", "r2"):
         out = _outdir(tmp_path, name)
-        assert main(["pipeline", "--config", config, "--out", out,
-                     "--quick"]) == 0
+        assert main(["pipeline", "--config", config, "--out", out]) == 0
         with open(os.path.join(out, "pipeline_results.csv"), "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
@@ -470,7 +451,7 @@ def test_seed_flag_overrides_config(tmp_path):
     for name, seed in (("a", "1"), ("b", "2"), ("c", "1")):
         out = _outdir(tmp_path, name)
         assert main(["pipeline", "--config", config, "--out", out,
-                     "--seed", seed, "--quick"]) == 0
+                     "--seed", seed]) == 0
         with open(os.path.join(out, "pipeline_results.csv"), "rb") as fh:
             outs[name] = fh.read()
     assert outs["a"] == outs["c"]
@@ -480,8 +461,7 @@ def test_seed_flag_overrides_config(tmp_path):
 def test_bootstrap_command(tmp_path):
     config = _pipeline_config(tmp_path, estimator="chi_cl", write_replicas=True)
     out = _outdir(tmp_path, "out")
-    assert main(["bootstrap", "--config", config, "--out", out,
-                 "--quick"]) == 0
+    assert main(["bootstrap", "--config", config, "--out", out]) == 0
     table, _ = read_table(os.path.join(out, "bootstrap.csv"))
     assert list(table) == ["a_s", "center", "width"]
     interior = slice(1, -1)
@@ -489,6 +469,56 @@ def test_bootstrap_command(tmp_path):
     replicas, _ = read_table(os.path.join(out, "replicas_chi_cl.csv"))
     assert list(replicas) == ["a_s", "chi"]
     assert set(replicas["a_s"]) <= set(table["a_s"])
+
+
+def _outputs(out):
+    blobs = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            blobs[name] = fh.read()
+    return blobs
+
+
+# A synthetic series without sigma: its outputs record the width it ran with.
+_NO_SIGMA = {
+    "scattering_lengths": [-2.4, -2.1, -1.8, -1.5, -1.2],
+    "zbar": [0.2, 0.26, 0.42, 0.6, 0.7],
+    "n_samples": 300,
+    "n_replicas": 100,
+    "write_replicas": True,
+}
+
+
+@pytest.mark.parametrize("command,payload,extra", [
+    ("scan", {"n_particles": 40, "lambda_min": -1.3, "lambda_max": -0.9,
+              "lambda_step": 0.02, "refine": True}, []),
+    ("scan", {"n_particles": 20, "sweep": "temperature",
+              "temperatures": [0.1, 0.5], "lambda_value": "critical"}, []),
+    ("scaling", {"n_values": [20, 30, 40], "delta_points": 4,
+                 "window_points": 7}, []),
+    ("critical-point", {"n_values": [20, 40]}, []),
+    ("pipeline", _NO_SIGMA, ["--seed", "5"]),
+    ("bootstrap", {**_NO_SIGMA, "estimator": "chi_mom"}, []),
+], ids=["scan-refine", "scan-temperature", "scaling", "critical-point",
+        "pipeline-seed", "bootstrap"])
+def test_recorded_config_reruns_byte_identical(tmp_path, command, payload, extra):
+    config = _write_config(tmp_path, "cfg.json", payload)
+    first = _outdir(tmp_path, "first")
+    assert main([command, "--config", config, "--out", first, *extra]) == 0
+    blobs = _outputs(first)
+    recorded = {line for blob in blobs.values()
+                for line in blob.decode("utf-8").splitlines()
+                if line.startswith("# config: ")}
+    assert len(recorded) == 1
+    resolved = json.loads(recorded.pop().split("config: ", 1)[1])
+    if "sigma" in resolved:
+        assert resolved["sigma"] == 0.1
+    if extra:
+        assert resolved["seed"] == 5
+    rerun = _outdir(tmp_path, "rerun")
+    recorded_config = _write_config(tmp_path, "recorded.json", resolved)
+    assert main([command, "--config", recorded_config, "--out", rerun]) == 0
+    assert _outputs(rerun) == blobs
 
 
 def test_bootstrap_rejects_bad_estimator(tmp_path, capsys):
@@ -506,13 +536,11 @@ def test_bootstrap_rejects_bad_estimator(tmp_path, capsys):
     ("bootstrap", {"bin_width": 2.5}, "bin_width"),
     ("bootstrap", {"bin_width": "x"}, "bin_width"),
 ])
-@pytest.mark.parametrize("quick", [False, True])
 def test_bootstrap_config_out_of_range_exits_2(tmp_path, capsys, command,
-                                               payload, key, quick):
+                                               payload, key):
     config = _pipeline_config(tmp_path, **payload)
     out = _outdir(tmp_path, "out")
-    argv = [command, "--config", config, "--out", out] + ["--quick"] * quick
-    assert main(argv) == 2
+    assert main([command, "--config", config, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: config: {key} must")
     assert os.listdir(out) == []
 
@@ -529,12 +557,10 @@ def test_scaling_bad_temperature_exits_2(tmp_path, capsys, temperature):
 
 
 @pytest.mark.parametrize("n_values", [[0, 100, 200], [100, -1, 200]])
-@pytest.mark.parametrize("quick", [False, True])
-def test_scaling_sizes_below_one_exit_2(tmp_path, capsys, n_values, quick):
+def test_scaling_sizes_below_one_exit_2(tmp_path, capsys, n_values):
     config = _write_config(tmp_path, "cfg.json", {"n_values": n_values})
     out = _outdir(tmp_path, "out")
-    argv = ["scaling", "--config", config, "--out", out] + ["--quick"] * quick
-    assert main(argv) == 2
+    assert main(["scaling", "--config", config, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: config: n_values must")
     assert os.listdir(out) == []
 
@@ -591,7 +617,6 @@ def _series_csv(tmp_path):
     ("pipeline", {"input_csv": "csv"}, "seed", ["--seed", "-1"]),
     ("scaling", {"n_values": [40, 40, 40]}, "n_values", []),
     ("scaling", {"n_values": [1, 2, 3]}, "n_values", []),
-    ("scaling", {"n_values": [1, 2, 3]}, "n_values", ["--quick"]),
     ("scan", {"n_particles": 1, "sweep": "temperature", "temperatures": [0.5],
               "lambda_value": "critical"}, "n_particles", []),
 ])
@@ -636,6 +661,8 @@ def test_help_lists_every_config_key(capsys):
         text = capsys.readouterr().out
         for key in keys:
             assert key in text
+        if "sigma" in keys:
+            assert "synthetic width(s), scalar or list (default: 0.1)" in text
 
 
 def test_version_flag(capsys):

@@ -725,6 +725,36 @@ def test_scaling_study_needs_three_sizes(monkeypatch):
         scaling_study(n_values=(40, 60, 40))
 
 
+@pytest.mark.parametrize("sizes", [(40.7, 60, 80), (40, 60.0, 80),
+                                   (True, 60, 80), ("40", 60, 80)])
+def test_scaling_study_rejects_non_integer_sizes(sizes, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr(criticality, "locate_critical_gap", no_solve)
+    monkeypatch.setattr(criticality, "_points", no_solve)
+    with pytest.raises(ValueError, match="n_particles must be an integer"):
+        scaling_study(sizes)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tilt_search_rejects_non_finite_tilts(bad, monkeypatch):
+    real_points = criticality._points
+    windows = []
+
+    def recording_points(params, *args):
+        windows.append(params)
+        return real_points(params, *args)
+
+    monkeypatch.setattr(criticality, "_points", recording_points)
+    grid = [1e-3, bad, 1e-2]
+    with pytest.raises(ValueError, match="positive finite"):
+        optimize_delta(40, "classical", delta_grid=grid)
+    with pytest.raises(ValueError, match="positive finite"):
+        scaling_study((20, 30, 40), delta_grid=grid)
+    assert windows == []
+
+
 # ---------------------------------------------------------------------------
 # the in-package root search against scipy's
 

@@ -1,6 +1,11 @@
 """The package's advertised names exist, and no others are advertised."""
 
+import argparse
+
+import pytest
+
 import bjjsense
+from bjjsense.cli import KEYS_BY_COMMAND, build_parser, main
 
 PUBLIC = [
     "ModelParams",
@@ -94,3 +99,24 @@ def test_no_energy_unit_or_background_knob():
                  crit.optimize_delta, crit._optimize_deltas, crit.scaling_study):
         assert "tunneling" not in inspect.signature(func).parameters
     assert "background_kind" not in inspect.signature(est.bootstrap).parameters
+
+
+def test_cli_options_are_pinned():
+    # A run is the config it records: the options name the config and the
+    # output directory, and override the seed of the commands that draw.
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(KEYS_BY_COMMAND)
+    for command, subparser in sub.choices.items():
+        options = {o for a in subparser._actions for o in a.option_strings}
+        seed = {"--seed"} if command in ("pipeline", "bootstrap") else set()
+        assert options == {"-h", "--help", "--config", "--out", *seed}, command
+
+
+@pytest.mark.parametrize("command", list(KEYS_BY_COMMAND))
+def test_quick_flag_exits_2(tmp_path, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", str(tmp_path), "--quick"])
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
