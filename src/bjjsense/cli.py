@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -392,6 +393,9 @@ def cmd_critical_point(args) -> int:
 
 def _resolve_series(config):
     if config["input_csv"] is not None:
+        if config["scattering_lengths"] is not None or config["zbar"] is not None:
+            raise CliError("config", "input_csv must not be set together with "
+                           "'scattering_lengths' or 'zbar'")
         try:
             return read_series_csv(config["input_csv"])
         except (OSError, ValueError) as err:
@@ -551,6 +555,11 @@ def main(argv=None) -> int:
         print(f"error: runtime: {err}", file=sys.stderr)
         return 1
 
+
+# The objects alive once the CLI is loaded, mostly numpy's and scipy's, live
+# until exit.  Moving them out of the cyclic collector's reach spares each run
+# the full collections over them while the interpreter tears down its modules.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -619,6 +619,9 @@ def _series_csv(tmp_path):
     ("scaling", {"n_values": [1, 2, 3]}, "n_values", []),
     ("scan", {"n_particles": 1, "sweep": "temperature", "temperatures": [0.5],
               "lambda_value": "critical"}, "n_particles", []),
+    ("pipeline", {"input_csv": "csv", "scattering_lengths": [-9, -8, -7, -6],
+                  "zbar": [0.3, 0.4, 0.5, 0.6], "sigma": 0.2}, "input_csv", []),
+    ("bootstrap", {"input_csv": "csv", "zbar": [0.3, 0.4, 0.5]}, "input_csv", []),
 ])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, no_work, command,
                                            payload, key, extra):
@@ -696,14 +699,44 @@ def test_cli_does_not_import_scipy_optimize_special_or_linalg(statement):
     # and scipy.linalg's package init about 0.2 s more, mostly its array API
     # layer importing numpy.f2py and numpy.testing; LAPACK is loaded without it.
     # numpy.ma, which np.unique imports on first use, costs about 9 ms.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (statement + "\nimport sys\nprint(sorted(m for m in sys.modules if "
              "m.startswith(('scipy.optimize', 'scipy.special')) or m in "
              "('scipy.linalg', 'scipy._lib._array_api', 'numpy.f2py', "
              "'numpy.testing', 'numpy.ma')))")
+    assert _last_line_of_fresh_python(probe) == "[]"
+
+
+def _last_line_of_fresh_python(probe):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    return out.splitlines()[-1]
+
+
+_RUN_AS_MAIN = (
+    "import runpy, sys\nsys.argv = ['bjjsense', '--version']\n"
+    "try:\n    runpy.run_module('bjjsense.cli', run_name='__main__')\n"
+    "except SystemExit:\n    pass"
+)
+
+
+@pytest.mark.parametrize("statement", ["import bjjsense.cli", _RUN_AS_MAIN],
+                         ids=["import", "run-as-main"])
+def test_cli_freezes_its_import_time_heap(statement):
+    # The interpreter's, numpy's and scipy's objects live until exit; left to
+    # the cyclic collector, its full collections over them at teardown cost a
+    # CLI process about 30 CPU ms.  Run as __main__, the freeze must happen
+    # above the guard.
+    probe = (statement + "\nimport gc\n"
+             "print(gc.get_freeze_count(), len(gc.get_objects()))")
+    frozen, tracked = map(int, _last_line_of_fresh_python(probe).split())
+    assert frozen > 0
+    assert tracked < 1000
+
+
+def test_library_import_freezes_nothing():
+    probe = "import bjjsense, gc\nprint(gc.get_freeze_count())"
+    assert _last_line_of_fresh_python(probe) == "0"
