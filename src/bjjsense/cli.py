@@ -556,9 +556,9 @@ def main(argv=None) -> int:
         return 1
 
 
-# The objects alive once the CLI is loaded, mostly numpy's and scipy's, live
-# until exit.  Moving them out of the cyclic collector's reach spares each run
-# the full collections over them while the interpreter tears down its modules.
+# The objects alive once the CLI is loaded, mostly numpy's, live until exit.
+# Moving them out of the cyclic collector's reach spares each run the full
+# collections over them while the interpreter tears down its modules.
 gc.freeze()
 
 if __name__ == "__main__":

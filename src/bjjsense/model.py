@@ -26,47 +26,211 @@ by Rayleigh-quotient iteration on the block-diagonal stack of a grid's
 matrices, and each is certified by an LDL^T inertia count
 (``_ground_states``).  Every linear solve, that iteration's and the pinned
 systems of a susceptibility's outside part (``_outside``), is one ``dgtsv``
-call on a block-diagonal stack (``_solve_shifted``).
+call on a block-diagonal stack (``_solve_shifted``).  The five LAPACK
+routines come from the OpenBLAS that numpy links, bound with ctypes
+(``_bind_lapack``) and called through thin wrappers (``dgtsv``, ``dpttrf``,
+``dstebz``, ``dstein``, ``dstevd``); no other module binds LAPACK.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-import os
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 from numbers import Integral
 
 import numpy as np
-import scipy
 
 
-def _load_flapack():
-    """scipy's LAPACK extension, loaded without ``scipy.linalg``'s package init.
+def _bind_lapack():
+    """The five LAPACK routines, from the OpenBLAS that numpy links.
 
-    That init costs about 0.2 s per process, mostly scipy's array API layer
-    importing ``numpy.f2py`` and ``numpy.testing``.  The module is registered
-    under its own name, so a later ``import scipy.linalg`` reuses it, and an
-    earlier one is reused here: ``scipy.linalg.lapack`` re-exports the very
-    same routines.
+    numpy's wheel ships OpenBLAS with LAPACK built for 64-bit integers
+    (ILP64), its symbols named ``scipy_<routine>_64_``.  numpy's linear
+    algebra extension has that library loaded already, so opening the
+    extension resolves them with no second copy of LAPACK in the process.
+    Every argument goes by address, integers as int64, and each character
+    argument takes gfortran's hidden length after the others.
     """
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
-        module = module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+    path = np.linalg._umath_linalg.__file__
+    lib = ctypes.CDLL(path)
+    routines = []
+    for name, pointers, characters in (
+        ("dgtsv", 8, 0), ("dpttrf", 4, 0), ("dstebz", 18, 2),
+        ("dstein", 13, 0), ("dstevd", 11, 1),
+    ):
+        symbol = f"scipy_{name}_64_"
+        try:
+            routine = getattr(lib, symbol)
+        except AttributeError:
+            raise ImportError(
+                f"numpy {np.__version__} has no LAPACK symbol {symbol} (looked "
+                f"up through {path}); bjjsense needs a numpy wheel whose "
+                f"OpenBLAS exports it"
+            ) from None
+        routine.argtypes = (
+            [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * characters
+        )
+        routine.restype = None
+        routines.append(routine)
+    return routines
 
 
-_flapack = _load_flapack()
-dgtsv, dpttrf, dstebz, dstein, dstevd = (
-    _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz, _flapack.dstein,
-    _flapack.dstevd,
-)
+_dgtsv, _dpttrf, _dstebz, _dstein, _dstevd = _bind_lapack()
+_RANGE = (b"A", b"V", b"I")
+# Scalar arguments go in small ctypes arrays.  These names keep their types
+# alive: ctypes caches an array type only while something refers to it, and
+# making one costs about 12 us.
+_INTS, _REALS = ctypes.c_int64 * 8, ctypes.c_double * 3
+
+
+def _address(a: np.ndarray) -> int:
+    """Address of the writable C-contiguous array ``a``, of any shape, or 0
+    when it is empty (LAPACK then reads nothing there).
+
+    A one-byte ctypes view of the buffer gives it in about 0.7 us, against
+    about 1.5 us for ``ndarray.ctypes.data``, and needs no ctypes type per
+    size; it raises unless ``a`` is writable and C-contiguous.
+    """
+    return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.size else 0
+
+
+def _inout(a: np.ndarray, size: int) -> int:
+    """Address of ``a``, which LAPACK overwrites: a writable C-contiguous
+    float64 array of ``size`` entries."""
+    if a.dtype != np.float64 or a.size != size:
+        raise ValueError(
+            f"LAPACK overwrites {size} float64 entries, got {a.dtype} {a.shape}"
+        )
+    return _address(a)
+
+
+def _check_size(a: np.ndarray, size: int) -> None:
+    """Raise unless ``a`` holds ``size`` entries, the number LAPACK reads."""
+    if a.size != size:
+        raise ValueError(f"LAPACK reads {size} entries, got {a.shape}")
+
+
+def _copy(a, size: int) -> np.ndarray:
+    """A C-contiguous float64 copy of ``a``, which must hold ``size``
+    entries."""
+    a = np.array(a, dtype=np.float64)
+    _check_size(a, size)
+    return a
+
+
+def dgtsv(dl, d, du, b) -> int:
+    """Solve the tridiagonal system with subdiagonal ``dl``, diagonal ``d``
+    and superdiagonal ``du`` (n - 1, n and n - 1 entries) for the right-hand
+    side ``b`` (n entries).  ``dl`` and ``du`` are copied; LAPACK overwrites
+    ``d`` and ``b``, which then holds the solution.  Returns LAPACK's info:
+    0, or i > 0 when the elimination met an exactly zero pivot at row i
+    (from 1), which stops it there.
+    """
+    n = d.size
+    if not n:
+        return 0
+    _check_size(dl, n - 1)
+    _check_size(du, n - 1)
+    bands = np.empty((2, n - 1))  # DL, DU
+    bands[0], bands[1] = dl, du
+    ints = _INTS()  # N, NRHS, LDB, INFO
+    ints[0] = ints[2] = n
+    ints[1] = 1
+    i, low = ctypes.addressof(ints), _address(bands)
+    _dgtsv(i, i + 8, low, _inout(d, n), low + 8 * (n - 1), _inout(b, n),
+           i + 16, i + 24)
+    return ints[3]
+
+
+def dpttrf(d, e) -> int:
+    """Factor the symmetric tridiagonal matrix with diagonal ``d`` and
+    off-diagonal ``e`` as L D L^T.  ``e`` is copied; LAPACK overwrites ``d``
+    with D.  Returns LAPACK's info: 0, or i > 0 when the i-th pivot (from
+    1) is not positive, which stops the factorization there and leaves the
+    entries of ``d`` past i as they were.
+    """
+    n = d.size
+    off = _copy(e, max(n - 1, 0))
+    ints = _INTS()  # N, INFO
+    ints[0] = n
+    i = ctypes.addressof(ints)
+    _dpttrf(i, _inout(d, n), _address(off), i + 8)
+    return ints[1]
+
+
+def dstebz(d, e, select, vl, vu, il, iu, abstol, order):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal ``d``
+    and off-diagonal ``e`` by bisection: all (``select`` 0), those in
+    (vl, vu] (1) or the il-th to iu-th from 1 (2), to absolute tolerance
+    ``abstol``, in block order ("B") or ascending ("E").  Returns (m, w,
+    iblock, isplit, info): the first m entries of w are the eigenvalues,
+    of iblock their blocks, and isplit holds the block ends.
+    """
+    n = d.size
+    _check_size(e, n - 1)
+    floats = np.empty(7 * n - 1)  # D, E, W, WORK
+    floats[:n], floats[n : 2 * n - 1] = d, e
+    iwork = np.empty(5 * n, dtype=np.int64)  # IBLOCK, ISPLIT, IWORK
+    ints, reals = _INTS(), _REALS()  # N, IL, IU, M, NSPLIT, INFO; VL, VU, ABSTOL
+    ints[0], ints[1], ints[2] = n, il, iu
+    reals[0], reals[1], reals[2] = vl, vu, abstol
+    i, r = ctypes.addressof(ints), ctypes.addressof(reals)
+    f, iw = _address(floats), _address(iwork)
+    w_at = f + 8 * (2 * n - 1)
+    _dstebz(_RANGE[select], order.encode(), i, r, r + 8, i + 8, i + 16, r + 16,
+            f, f + 8 * n, i + 24, i + 32, w_at, iw, iw + 8 * n, w_at + 8 * n,
+            iw + 16 * n, i + 40, 1, 1)
+    w = floats[2 * n - 1 : 3 * n - 1]
+    return ints[3], w, iwork[:n], iwork[n : 2 * n], ints[5]
+
+
+def dstein(d, e, w, iblock, isplit):
+    """Eigenvectors of the symmetric tridiagonal matrix with diagonal ``d``
+    and off-diagonal ``e`` for the m eigenvalues ``w`` that ``dstebz``
+    returned in block order, with its ``iblock`` and ``isplit``, by inverse
+    iteration.  Returns (z, info): z (n, m) holds the eigenvectors as
+    columns.
+    """
+    n, m = d.size, w.size
+    for a, size in ((e, n - 1), (iblock, n), (isplit, n)):
+        _check_size(a, size)
+    floats = np.empty(2 * n - 1 + m + m * n + 5 * n)  # D, E, W, Z, WORK
+    floats[:n], floats[n : 2 * n - 1], floats[2 * n - 1 : 2 * n - 1 + m] = d, e, w
+    iwork = np.empty(3 * n + m, dtype=np.int64)  # IBLOCK, ISPLIT, IWORK, IFAIL
+    iwork[:n], iwork[n : 2 * n] = iblock, isplit
+    ints = _INTS()  # N, M, LDZ, INFO
+    ints[0], ints[1], ints[2] = n, m, n
+    i, f, iw = ctypes.addressof(ints), _address(floats), _address(iwork)
+    z_at = f + 8 * (2 * n - 1 + m)
+    _dstein(i, f, f + 8 * n, i + 8, f + 8 * (2 * n - 1), iw, iw + 8 * n, z_at,
+            i + 16, z_at + 8 * m * n, iw + 16 * n, iw + 24 * n, i + 24)
+    z = floats[2 * n - 1 + m : 2 * n - 1 + m + m * n]  # the columns of Z
+    return z.reshape(m, n).T, ints[3]
+
+
+def dstevd(d, e, compute_v=True):
+    """All eigenvalues, and the eigenvectors when ``compute_v``, of the
+    symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``
+    by divide and conquer.  Returns (w, z, info): the eigenvalues
+    ascending and z (n, n) the eigenvectors as columns, or None without
+    them.
+    """
+    n = d.size
+    lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if compute_v and n > 1 else (1, 1)
+    w, ee = _copy(d, n), _copy(e, n - 1)
+    z = np.empty((n, n) if compute_v else 0)  # the columns of Z, each contiguous
+    work = np.empty(lwork)
+    iwork = np.empty(liwork, dtype=np.int64)
+    ints = _INTS()  # N, LDZ, LWORK, LIWORK, INFO
+    ints[0], ints[1], ints[2], ints[3] = n, n, lwork, liwork
+    i = ctypes.addressof(ints)
+    _dstevd(b"V" if compute_v else b"N", i, _address(w), _address(ee),
+            _address(z), i + 8, _address(work), i + 16, _address(iwork),
+            i + 24, i + 32, 1)
+    return w, z.T if compute_v else None, ints[4]
+
 
 # Levels whose Boltzmann weight relative to the ground state falls below
 # this are left out of thermal states; the neglected weight is at most
@@ -207,8 +371,6 @@ def _eigh(
     (``dstebz``) plus inverse iteration (``dstein``).  Returns the
     eigenvalues, or (eigenvalues, eigenvectors) when ``vectors``.
     """
-    if not e.size:  # a 1 x 1 matrix; the wrappers want e to hold one entry
-        e = np.zeros(1)
     if window is None and n_levels in (None, d.size):
         driver = "dstevd"
         w, v, info = dstevd(d, e, compute_v=vectors)
@@ -265,37 +427,21 @@ def _matvec(diag: np.ndarray, band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return hx
 
 
-def _solve_shifted(
-    shifted: np.ndarray, band: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_shifted(shifted: np.ndarray, band: np.ndarray, rhs: np.ndarray) -> int:
     """Solve (H_b - shift_b) y_b = rhs_b for every row b by one ``dgtsv`` call.
 
-    ``shifted`` (B, n) holds the diagonals of H_b - shift_b and ``band``
-    (B, n) their couplings, each row ending in the zero that couples it to
-    the next, so that the elimination runs through each block as it would
-    through that block alone.  No argument is written to.  Returns y and a
-    mask of the rows whose elimination met an exactly zero pivot; those are
-    left out of the solve, and their y is 0.
+    ``shifted`` (B, n) holds the diagonals of H_b - shift_b and the leading
+    B rows of ``band`` their couplings, each row ending in the zero that
+    couples it to the next, so that the elimination runs through each block
+    as it would through that block alone.  LAPACK overwrites ``shifted`` and
+    the C-contiguous ``rhs``, which then holds y; ``band`` is read.
+    Returns -1, or the first row whose elimination met an exactly zero
+    pivot, where the solve stopped: ``rhs`` then holds no solution.
     """
     points, size = rhs.shape
-    singular = np.zeros(points, dtype=bool)
-    while len(rhs):
-        coupling = band.reshape(-1)[:-1]
-        *_, y, info = dgtsv(
-            coupling, shifted.reshape(-1), coupling, rhs.reshape(-1, 1)
-        )
-        if info == 0:
-            break
-        # Leave out the block that met the zero pivot; solve the others again.
-        bad = (info - 1) // size
-        singular[np.flatnonzero(~singular)[bad]] = True
-        shifted, band, rhs = (np.delete(a, bad, axis=0) for a in (shifted, band, rhs))
-    if len(rhs) == points:
-        return y.reshape(points, size), singular
-    out = np.zeros((points, size))
-    if len(rhs):
-        out[~singular] = y.reshape(-1, size)
-    return out, singular
+    coupling = band[:points].reshape(-1)[:-1]
+    info = dgtsv(coupling, shifted.reshape(-1), coupling, rhs)
+    return (info - 1) // size if info else -1
 
 
 def _outside(
@@ -305,9 +451,9 @@ def _outside(
 
     Solves (H - E_n) y = rhs_n, pinned to 0 at the largest entry of |n>;
     ``rhs`` (B, k, N+1) is set to 0 at the pins.  The B k pinned systems are
-    the blocks of one ``_solve_shifted`` call.  Raises EigensolverError,
-    naming the point's lambda (N and delta from ``params``), when a system
-    meets an exactly zero pivot.
+    the blocks of one ``_solve_shifted`` call, which writes y over ``rhs``.
+    Raises EigensolverError, naming the point's lambda (N and delta from
+    ``params``), when a system meets an exactly zero pivot.
     """
     points, levels, size = rhs.shape
     shifted = (s.diagonal[:, None, :] - s.energies[:, :, None]).reshape(-1, size)
@@ -322,14 +468,14 @@ def _outside(
     band[row, pin] = 0.0
     shifted[row, pin] = 1.0
     rhs[row, pin] = 0.0
-    y, singular = _solve_shifted(shifted, band, rhs)
-    if singular.any():
-        lam = float(lambdas[np.argmax(singular) // levels])
+    bad = _solve_shifted(shifted, band, rhs)
+    if bad >= 0:
+        lam = float(lambdas[bad // levels])
         raise EigensolverError(
             f"tridiagonal solve met a zero pivot at "
             f"{replace(params, lambda_control=lam)}"
         )
-    return y.reshape(points, levels, size)
+    return rhs.reshape(points, levels, size)
 
 
 def _rayleigh(
@@ -344,11 +490,12 @@ def _rayleigh(
     against the old shift, and the row stops once that is at most
     RESIDUAL_ROUNDOFF eps ||H_b||.  Rows stop on their own test, so a row's
     numbers do not depend on the other rows; the rows still stepping are
-    gathered only when one stops or fails.  ``band`` holds the shared
-    couplings of the stack (see ``_solve_shifted``), each step takes its
-    leading rows.  When ``coarse``, the first shifts are bisection
-    estimates rather than Rayleigh quotients, and the first step is not
-    tested.  Returns (energies, vectors, converged); a row that meets a zero
+    gathered only when one stops or fails: a row whose solve meets an
+    exactly zero pivot leaves, and the others are solved again.  ``band``
+    holds the shared couplings of the stack (see ``_solve_shifted``), each
+    step takes its leading rows.  When ``coarse``, the first shifts are
+    bisection estimates rather than Rayleigh quotients, and the first step
+    is not tested.  Returns (energies, vectors, converged); a row that meets a zero
     pivot or runs out of RQI_STEPS steps has not converged.
     """
     points = x.shape[0]
@@ -356,14 +503,15 @@ def _rayleigh(
     converged = np.zeros(points, dtype=bool)
     rows, limit = np.arange(points), RESIDUAL_ROUNDOFF * eps_h
     for step in range(RQI_STEPS):
-        y, singular = _solve_shifted(diag - shift[:, None], band[: len(x)], x)
-        if singular.any():
-            keep = ~singular
-            rows, diag, x, y, shift, limit = (
-                rows[keep], diag[keep], x[keep], y[keep], shift[keep], limit[keep]
+        y = x.copy()
+        while (bad := _solve_shifted(diag - shift[:, None], band, y)) >= 0:
+            keep = np.arange(rows.size) != bad
+            rows, diag, x, shift, limit = (
+                rows[keep], diag[keep], x[keep], shift[keep], limit[keep]
             )
-            if not rows.size:
-                break
+            y = x.copy()
+        if not rows.size:
+            break
         norm = np.sqrt((y * y).sum(axis=1))
         shift = shift + (x * y).sum(axis=1) / (norm * norm)
         x = y / norm[:, None]
@@ -397,7 +545,8 @@ def _certified(
     that eigenvalue is the lowest, and x its eigenvector.  All rows share
     one factorization of the block-diagonal stack, whose couplings are the
     leading rows of ``band`` (see ``_solve_shifted``), restarted after the
-    first block that fails.
+    first block that fails: ``dpttrf`` leaves the blocks past a failed
+    pivot as they were.
     """
     points, size = diag.shape
     band = band[:points]
@@ -406,10 +555,7 @@ def _certified(
     shifted = diag - (energies - INERTIA_MARGIN * eps_h)[:, None]
     first = 0
     while first < points:
-        info = dpttrf(
-            shifted[first:].reshape(-1), band[first:].reshape(-1)[:-1],
-            overwrite_d=True,
-        )[2]
+        info = dpttrf(shifted[first:], band[first:].reshape(-1)[:-1])
         if info == 0:
             break
         bad = first + (info - 1) // size

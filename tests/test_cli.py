@@ -691,18 +691,40 @@ _READ_SERIES = (
 )
 
 
+# A small scaling study and a pipeline on a synthetic series, one process.
+_RUN_SCALING_AND_PIPELINE = (
+    "import json, os, tempfile\nfrom bjjsense.cli import main\n"
+    "with tempfile.TemporaryDirectory() as d:\n"
+    "    for command, config in (\n"
+    "        ('scaling', {'n_values': [40, 60, 80], 'delta_points': 8,\n"
+    "                     'window_points': 15}),\n"
+    "        ('pipeline', {'scattering_lengths': [-2.0, -1.8, -1.6, -1.4],\n"
+    "                      'zbar': [0.6, 0.5, 0.4, 0.3], 'sigma': 0.1,\n"
+    "                      'n_samples': 300, 'n_replicas': 100, 'seed': 3})):\n"
+    "        path = os.path.join(d, command + '.json')\n"
+    "        with open(path, 'w') as fh:\n"
+    "            json.dump(config, fh)\n"
+    "        out = os.path.join(d, command)\n"
+    "        os.mkdir(out)\n"
+    "        assert main([command, '--config', path, '--out', out]) == 0"
+)
+
+
 @pytest.mark.parametrize("statement", [
     "import bjjsense.cli", _help("pipeline"), _help("scaling"), _READ_SERIES,
-], ids=["import", "pipeline-help", "scaling-help", "read-series"])
+    _RUN_SCALING_AND_PIPELINE,
+], ids=["import", "pipeline-help", "scaling-help", "read-series", "runs"])
 def test_cli_does_not_import_scipy_optimize_special_or_linalg(statement):
-    # scipy.optimize alone costs about a quarter of a CPU second per process,
-    # and scipy.linalg's package init about 0.2 s more, mostly its array API
-    # layer importing numpy.f2py and numpy.testing; LAPACK is loaded without it.
-    # numpy.ma, which np.unique imports on first use, costs about 9 ms.
+    # No scipy module at all: scipy.optimize alone costs about a quarter of a
+    # CPU second per process, scipy.linalg's package init about 0.2 s more,
+    # and even its bare LAPACK extension a second OpenBLAS, about 15 ms of
+    # start-up and 4 MB; LAPACK comes from the OpenBLAS numpy links, and
+    # whole runs load no scipy module either.  Nor numpy.f2py and
+    # numpy.testing, or numpy.ma, which np.unique imports on first use
+    # (about 9 ms).
     probe = (statement + "\nimport sys\nprint(sorted(m for m in sys.modules if "
-             "m.startswith(('scipy.optimize', 'scipy.special')) or m in "
-             "('scipy.linalg', 'scipy._lib._array_api', 'numpy.f2py', "
-             "'numpy.testing', 'numpy.ma')))")
+             "m.split('.')[0] == 'scipy' or m in "
+             "('numpy.f2py', 'numpy.testing', 'numpy.ma')))")
     assert _last_line_of_fresh_python(probe) == "[]"
 
 
@@ -726,7 +748,7 @@ _RUN_AS_MAIN = (
 @pytest.mark.parametrize("statement", ["import bjjsense.cli", _RUN_AS_MAIN],
                          ids=["import", "run-as-main"])
 def test_cli_freezes_its_import_time_heap(statement):
-    # The interpreter's, numpy's and scipy's objects live until exit; left to
+    # The interpreter's and numpy's objects live until exit; left to
     # the cyclic collector, its full collections over them at teardown cost a
     # CLI process about 30 CPU ms.  Run as __main__, the freeze must happen
     # above the guard.

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from dense_oracle import dense_hamiltonian, dense_thermal_rho, jacobi_eigh
 from fd_reference import jz_moments, state_at
@@ -139,6 +140,87 @@ def test_eigh_is_bit_identical_to_scipy_eigh_tridiagonal():
                 for a, b in zip(got, want):
                     assert a.shape == b.shape
                     assert np.array_equal(a, b)
+
+
+def _same(ours, theirs):
+    for a, b in zip(ours, theirs):
+        assert np.shape(a) == np.shape(b)
+        assert np.array_equal(a, b)
+
+
+# The wrappers of the five LAPACK routines against scipy's, bit for bit, on
+# the model's matrices: scipy stays a test-side reference.
+def _stack(n, lambdas, shift):
+    """The shifted diagonals of H at ``lambdas`` and their couplings, as the
+    blocks of one block-diagonal system (see ``_solve_shifted``)."""
+    diag, off = model._diagonals(ModelParams(n, imbalance=1e-3), np.asarray(lambdas))
+    band = np.zeros_like(diag)
+    band[:, :-1] = off
+    return (diag - shift).reshape(-1), band.reshape(-1)[:-1]
+
+
+@pytest.mark.parametrize("pivot", [False, True])
+def test_dgtsv_wrapper_is_bit_identical_to_scipy(pivot):
+    d, e = _stack(60, np.linspace(-1.4, -0.8, 5), -0.7)
+    if pivot:  # the third block becomes a zero matrix
+        d[2 * 61 : 3 * 61] = 0.0
+        e[2 * 61 : 3 * 61 - 1] = 0.0
+    b = np.random.default_rng(3).standard_normal(d.size)
+    _, dd, _, x, info = lapack.dgtsv(e, d, e, b[:, None])
+    coupling, ours_d, y = e.copy(), d.copy(), b.copy()
+    assert model.dgtsv(coupling, ours_d, coupling, y) == info
+    assert info == (2 * 61 + 1 if pivot else 0)
+    _same((ours_d, y, coupling), (dd, x[:, 0], e))
+
+
+@pytest.mark.parametrize("shift", [-40.0, 0.5])
+def test_dpttrf_wrapper_is_bit_identical_to_scipy(shift):
+    # The ground energies lie near -30; a shift above them leaves a matrix
+    # that is not positive definite, and the factorization stops at its
+    # first non-positive pivot.
+    d, e = _stack(60, np.linspace(-1.4, -0.8, 5), shift)
+    dd, _, info = lapack.dpttrf(d, e)
+    ours_d, ours_e = d.copy(), e.copy()
+    assert model.dpttrf(ours_d, ours_e) == info
+    assert (info > 0) == (shift > 0)
+    _same((ours_d, ours_e), (dd, e))
+
+
+def test_dstebz_dstein_wrappers_are_bit_identical_to_scipy():
+    for d, e in _solver_cases():
+        vals = eigh_tridiagonal(d, e, eigvals_only=True)
+        top = min(3, d.size - 1)
+        lo, hi = vals[0] - 1.0, 0.5 * (vals[top - 1] + vals[top])
+        for args in ((0, 0.0, 1.0, 1, 1, 0.0), (1, lo, hi, 1, 1, 0.0),
+                     (2, 0.0, 1.0, 1, top, 0.0),
+                     (2, 0.0, 1.0, 1, 1, model.COARSE_ABSTOL)):
+            for order in ("B", "E"):
+                m, w, iblock, isplit, info = lapack.dstebz(d, e, *args, order)
+                ours = model.dstebz(d, e, *args, order)
+                assert ours[0] == m and ours[4] == info == 0
+                assert m == (d.size if args[0] == 0 else top if args[0] == 1
+                             else args[4])
+                blocks = iblock[:m].max()
+                _same((ours[1][:m], ours[2][:m], ours[3][:blocks]),
+                      (w[:m], iblock[:m], isplit[:blocks]))
+                if order == "B":
+                    _same(model.dstein(d, e, ours[1][:m], ours[2], ours[3]),
+                          lapack.dstein(d, e, w[:m], iblock, isplit))
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_dstevd_wrapper_is_bit_identical_to_scipy(vectors):
+    for d, e in _solver_cases():
+        before = d.copy(), e.copy()
+        w, z, info = model.dstevd(d, e, compute_v=vectors)
+        want_w, want_z, want_info = lapack.dstevd(d, e, compute_v=vectors)
+        _same((d, e), before)
+        assert info == want_info == 0
+        _same((w,), (want_w,))
+        if vectors:
+            _same((z,), (want_z,))
+        else:
+            assert z is None
 
 
 def test_diagonalize_two_by_two():
@@ -280,9 +362,11 @@ def test_parity_blocks_interleave_to_the_full_spectrum(n):
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("singular_block", [None, 2])
 def test_stacked_solve_equals_solo_solves_bit_for_bit(shared, singular_block):
-    # Each block of the stack is eliminated as it would be alone.  A block
-    # whose elimination meets an exactly zero pivot is left out: it alone
-    # is masked, and its y is 0.  No argument is written to.
+    # Each block of the stack is eliminated as it would be alone.  The solve
+    # overwrites the diagonals and the right-hand sides, which then hold y,
+    # and never the couplings.  An exactly zero pivot stops it and names the
+    # first block that met one; solved again without that block, every other
+    # block gets the y it gets alone.
     rng = np.random.default_rng(5)
     blocks, size = 5, 9
     shifted = rng.uniform(-3.0, 3.0, (blocks, size))
@@ -296,18 +380,22 @@ def test_stacked_solve_equals_solo_solves_bit_for_bit(shared, singular_block):
         if shared:
             band[:, :-1] = 1.0
     inputs = [a.copy() for a in (shifted, band, rhs)]
-    y, singular = model._solve_shifted(shifted, band, rhs)
-    for a, before in zip((shifted, band, rhs), inputs):
-        assert a.tobytes() == before.tobytes()
-    assert singular.tolist() == [b == singular_block for b in range(blocks)]
+    bad = model._solve_shifted(shifted, band, rhs)
+    assert band.tobytes() == inputs[1].tobytes()
+    rows = np.arange(blocks)
+    if singular_block is None:
+        assert bad == -1
+    else:
+        assert bad == singular_block
+        rows = rows[rows != singular_block]
+        shifted, band, rhs = (a[rows] for a in inputs)
+        assert model._solve_shifted(shifted, band, rhs) == -1
+    assert shifted.tobytes() != inputs[0][rows].tobytes()
     for b in range(blocks):
-        alone, masked = model._solve_shifted(
-            shifted[b : b + 1], band[b : b + 1], rhs[b : b + 1]
-        )
-        assert masked.tolist() == [b == singular_block]
-        assert y[b].tobytes() == alone[0].tobytes()
-    if singular_block is not None:
-        assert not y[singular_block].any()
+        d, e, y = (a[b : b + 1].copy() for a in inputs)
+        assert model._solve_shifted(d, e, y) == (0 if b == singular_block else -1)
+        if b != singular_block:
+            assert rhs[list(rows).index(b)].tobytes() == y[0].tobytes()
 
 
 def test_warm_window_pays_one_solve_per_step(monkeypatch):
@@ -593,45 +681,56 @@ def test_diagonalize_rejects_bad_level_count():
         eigenvalues(params, [0.0], 8)
 
 
-def test_lapack_loaded_without_scipy_linalg_is_scipys_own():
-    # model loads scipy.linalg._flapack without scipy.linalg's package init;
-    # a later import of scipy.linalg must reuse that module and its routines.
+def test_lapack_is_the_openblas_numpy_links():
+    # model binds the five routines in the OpenBLAS that numpy has loaded:
+    # a process that imports the package maps one OpenBLAS, the routines
+    # lie in it, and no scipy module is loaded.
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("reads the process's memory map from /proc")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = """
-import sys
-import bjjsense
+import ctypes, sys
 import bjjsense.model as model
-print("scipy.linalg" in sys.modules)
-import scipy.linalg.lapack as lapack
-print(lapack._flapack is sys.modules["scipy.linalg._flapack"] is model._flapack)
-print(all(getattr(model, name) is getattr(lapack, name)
-          for name in ("dgtsv", "dpttrf", "dstebz", "dstein", "dstevd")))
+spans = {}
+with open("/proc/self/maps") as fh:
+    for fields in map(str.split, fh):
+        if len(fields) == 6 and "openblas" in fields[5].lower():
+            lo, hi = (int(x, 16) for x in fields[0].split("-"))
+            spans.setdefault(fields[5], []).append((lo, hi))
+routines = (model._dgtsv, model._dpttrf, model._dstebz, model._dstein, model._dstevd)
+inside = [any(lo <= ctypes.cast(f, ctypes.c_void_p).value < hi
+              for ranges in spans.values() for lo, hi in ranges) for f in routines]
+print(len(spans), all(inside), [m for m in sys.modules if m.split(".")[0] == "scipy"])
 """
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "True", "True"]
+    assert out.split() == ["1", "True", "[]"]
 
 
 def test_lapack_is_bound_in_model_only():
-    # The linear algebra lives in one module, and every tridiagonal linear
-    # solve goes through its one dgtsv call site.
+    # The linear algebra lives in one module, which alone loads a library,
+    # and every tridiagonal linear solve goes through its one dgtsv call
+    # site.
     import importlib
     import pkgutil
 
     import bjjsense
 
-    routines = {id(v) for v in vars(model._flapack).values() if callable(v)}
-    routines.add(id(model._flapack))
+    names = ("dgtsv", "dpttrf", "dstebz", "dstein", "dstevd")
+    routines = {id(getattr(model, prefix + name))
+                for name in names for prefix in ("", "_")}
     modules = [bjjsense] + [importlib.import_module(f"bjjsense.{info.name}")
                             for info in pkgutil.iter_modules(bjjsense.__path__)]
     calls = {}
     for module in modules:
+        with open(module.__file__, encoding="utf-8") as fh:
+            source = fh.read()
         if module is not model:
             bound = [k for k, v in vars(module).items() if id(v) in routines]
             assert bound == [], module.__name__
-        with open(module.__file__, encoding="utf-8") as fh:
-            calls[module.__name__] = fh.read().count("dgtsv(")
+            assert "ctypes" not in source, module.__name__
+        calls[module.__name__] = len(re.findall(r"(?<!def )\bdgtsv\(", source))
     assert {name: n for name, n in calls.items() if n} == {"bjjsense.model": 1}
