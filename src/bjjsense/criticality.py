@@ -502,11 +502,19 @@ def locate_critical_gap(
             f"no interior gap minimum in lambda_bracket={lambda_bracket}: the "
             f"smallest grid gap is {gap[i]:.3g}, at lambda={grid[i]:.6g}"
         )
-    lam_c = _brentq(lambda lam: gaps(lam)[1][0], grid[k], grid[k + 1], 1e-12)
+    seen = {}  # the gap at each lambda the root find evaluates
+
+    def slope_at(lam: float) -> float:
+        gap, slope = gaps(lam)
+        seen[lam] = gap[0]
+        return slope[0]
+
+    # _brentq returns a lambda it has evaluated
+    lam_c = _brentq(slope_at, grid[k], grid[k + 1], 1e-12)
     return CriticalPointResult(
         n_particles=n_particles,
         lambda_c=float(lam_c),
-        gap=float(gaps(lam_c)[0][0]),
+        gap=float(seen[lam_c]),
         levels=levels,
     )
 
@@ -540,7 +548,11 @@ def optimize_delta(
     [1e-6, 1e-1]); ties break toward smaller delta.  When the peak offset
     changes sign across the grid, a root find in log(delta) refines delta*
     to the crossing.  The returned ``within_tolerance`` flag records
-    whether the final offset is below half a window-grid step.
+    whether the final offset is below half a window-grid step.  At T = 0
+    each window's ground states start from those of a solved tilt: on the
+    grid from the grid tilt below it, in the root find from the nearest in
+    log(delta) of the bracket ends, the best tilts so far and the root
+    find's own tilts (see ``_optimize_deltas``).
 
     Parameters
     ----------
@@ -584,6 +596,7 @@ def _optimize_deltas(
     lambda_c: float,
     deltas: np.ndarray,
     window_points: int,
+    starts: dict[float, np.ndarray] | None = None,
 ) -> dict[str, DeltaOptimization]:
     """``optimize_delta`` for several methods, scanning each tilt once.
 
@@ -593,33 +606,71 @@ def _optimize_deltas(
     root find then run per method, and a tilt that any search has scanned,
     on the grid or in a root find, is never scanned again (``_brentq``
     returns a tilt it has already evaluated, and the searches often share
-    bracket ends).  At T = 0 each window's ground states start from those
-    of the window solved before it, so most of them need no bisection, and
-    since the ground state is real with positive amplitudes, chi_Q equals
-    chi_cl and the quantum tilt is the classical one: when both are asked
-    for, only the classical one is searched.
+    bracket ends).  At T = 0, since the ground state is real with positive
+    amplitudes, chi_Q equals chi_cl and the quantum tilt is the classical
+    one: when both are asked for, only the classical one is searched.
+
+    At T = 0 each window's ground states start from those of a nearby
+    tilt, so most of them need no bisection.  The grid is a ladder: each
+    grid tilt starts from the one below it.  A root-find tilt starts from
+    the nearest, in log delta, of the windows whose states the search
+    keeps: the ends of each bracket (the grid tilts next to its root), each
+    method's best tilt so far, and the windows its own root find has
+    solved.  The states of any other window are dropped as soon as no rule
+    can pick them, so the search holds a few windows' states per method,
+    however long the grid.  ``starts``, when given, receives for each
+    method's delta* the ground state (1, N+1) of the point of its window
+    nearest lambda_c: the start of chi at (lambda_c, delta*).
     """
     shared = temperature == 0.0 and {"classical", "quantum"} <= set(methods)
     searched = tuple(m for m in methods if not (shared and m == "quantum"))
     window = _peak_window(n_particles, lambda_c, window_points)
     tol = 0.5 * (window[1] - window[0])
 
-    known: dict[float, dict[str, float | None]] = {}
-    last = None  # the ground states of the window solved last, at T = 0
+    def scan(delta: float, start: np.ndarray | None):
+        """The peak offset of each searched method in the window at
+        ``delta``, and the window's ground states (None at T > 0)."""
+        _, _, chi, ground = _points(
+            ModelParams(n_particles=n_particles, imbalance=delta), window,
+            temperature, METHODS, start,
+        )
+        peaks = {m: _peak(window, chi[m]) for m in searched}
+        offsets = {
+            m: peak.lambda_peak - lambda_c if peak.interior else None
+            for m, peak in peaks.items()
+        }
+        return offsets, ground
 
-    def offsets(delta: float) -> dict[str, float | None]:
-        nonlocal last
-        if delta not in known:
-            _, _, chi, last = _points(
-                ModelParams(n_particles=n_particles, imbalance=delta), window,
-                temperature, METHODS, last,
-            )
-            peaks = {m: _peak(window, chi[m]) for m in searched}
-            known[delta] = {
-                m: peak.lambda_peak - lambda_c if peak.interior else None
-                for m, peak in peaks.items()
-            }
-        return known[delta]
+    known: dict[float, dict[str, float | None]] = {}
+    states: dict[float, np.ndarray | None] = {}
+    # per method: the (tilt, offset) nearest the peak so far, the bracket of
+    # its first sign change and, on the ladder, the last tilt with an offset
+    best: dict[str, tuple[float, float]] = {}
+    bracket: dict[str, tuple[float, float]] = {}
+    below: dict[str, tuple[float, float]] = {}
+
+    def keep(*tilts: float) -> None:
+        """Drop the states of every window but ``tilts``, the bracket ends
+        and the best tilts."""
+        wanted = {*tilts, *(d for ends in bracket.values() for d in ends)}
+        wanted.update(d for d, _ in best.values())
+        for d in states.keys() - wanted:
+            del states[d]
+
+    ground = None
+    for d in map(float, deltas):
+        known[d], ground = scan(d, ground)
+        states[d] = ground
+        for m, off in known[d].items():
+            if off is None:
+                continue
+            # strict: the first, i.e. the smaller, delta wins a tie
+            if m not in best or abs(off) < abs(best[m][1]):
+                best[m] = (d, off)
+            if m not in bracket and m in below and below[m][1] * off < 0:
+                bracket[m] = (below[m][0], d)
+            below[m] = (d, off)
+        keep(*(below[m][0] for m in below if m not in bracket))
 
     # exp(log d) is often d one ulp off: a log-tilt of the grid maps back to
     # its grid tilt, so that a bracket end or a root on one is not scanned
@@ -629,34 +680,31 @@ def _optimize_deltas(
     def tilt(u: float) -> float:
         return on_grid.get(float(u), float(np.exp(u)))
 
-    rows = [offsets(d) for d in deltas]
     result = {}
     for method in searched:
-        valid = [(d, row[method]) for d, row in zip(deltas, rows)
-                 if row[method] is not None]
-        if not valid:
+        if method not in best:
             raise ValueError(
                 f"no delta in [{deltas[0]:.3g}, {deltas[-1]:.3g}] produced an "
                 f"interior peak for method {method!r}"
             )
-        # min keeps the first, i.e. the smaller, delta on ties.
-        best_delta, best_off = min(valid, key=lambda v: abs(v[1]))
-        bracket = None
-        for (d1, o1), (d2, o2) in zip(valid[:-1], valid[1:]):
-            if o1 * o2 < 0:
-                bracket = (d1, d2)
-                break
-        if bracket is not None:
+        if method in bracket:
+
+            def offset(u: float) -> float | None:
+                delta = tilt(u)
+                if delta not in known:
+                    near = min(states, key=lambda d: abs(math.log(d / delta)))
+                    known[delta], states[delta] = scan(delta, states[near])
+                return known[delta][method]
+
             log_star = _brentq(
-                lambda u: offsets(tilt(u))[method],
-                np.log(bracket[0]),
-                np.log(bracket[1]),
+                offset, np.log(bracket[method][0]), np.log(bracket[method][1]),
                 1e-3,
             )
-            cand = tilt(log_star)
-            cand_off = offsets(cand)[method]
-            if cand_off is not None and abs(cand_off) < abs(best_off):
-                best_delta, best_off = cand, cand_off
+            cand_off = offset(log_star)
+            if cand_off is not None and abs(cand_off) < abs(best[method][1]):
+                best[method] = (tilt(log_star), cand_off)
+            keep()
+        best_delta, best_off = best[method]
         result[method] = DeltaOptimization(
             n_particles=n_particles,
             method=method,
@@ -666,6 +714,9 @@ def _optimize_deltas(
             peak_offset=float(best_off),
             within_tolerance=bool(abs(best_off) <= tol),
         )
+    if starts is not None and temperature == 0.0:
+        at = int(np.argmin(np.abs(window - lambda_c)))
+        starts.update((d, states[d][[at]]) for d, _ in best.values())
     if shared:
         result["quantum"] = replace(result["classical"], method="quantum")
     return {m: result[m] for m in methods}
@@ -719,8 +770,12 @@ def scaling_study(
     (their peaks sit at slightly different tilts; one window scan per tilt
     serves all three, and at T = 0 the quantum tilt is the classical one),
     then evaluate all three chi at (lambda_c^(N), delta*) once per distinct
-    delta* and keep each method's own.  Fits are chi/N against N for each
-    method, plus the critical-point shift -1 - lambda_c^(N) against N.
+    delta* and keep each method's own.  That point is a one-point
+    ``_points`` call; at T = 0 its ground state starts from the point of
+    the delta* window nearest lambda_c^(N), which the tilt search has just
+    solved, and at T > 0 it is solved cold, as ``chi_at_point`` does.  Fits
+    are chi/N against N for each method, plus the critical-point shift
+    -1 - lambda_c^(N) against N.
 
     Raises
     ------
@@ -745,18 +800,22 @@ def scaling_study(
     for i, n in enumerate(n_values):
         crit = locate_critical_gap(int(n))
         lambda_c[i] = crit.lambda_c
+        starts: dict[float, np.ndarray] = {}
         opts = _optimize_deltas(
-            int(n), METHODS, temperature, crit.lambda_c, deltas, window_points
+            int(n), METHODS, temperature, crit.lambda_c, deltas, window_points,
+            starts,
         )
         points = {
-            delta: chi_at_point(
-                ModelParams(int(n), crit.lambda_c, delta), temperature
-            )
+            delta: _points(
+                ModelParams(int(n), crit.lambda_c, delta),
+                np.array([crit.lambda_c]), temperature, METHODS,
+                starts.get(delta),
+            )[2]
             for delta in dict.fromkeys(opt.delta for opt in opts.values())
         }
         for m, opt in opts.items():
             delta_star[m][i] = opt.delta
-            chi[m][i] = points[opt.delta][m]
+            chi[m][i] = points[opt.delta][m][0]
     fits = {
         m: fit_power_law(n_values, chi[m] / n_values) for m in METHODS
     }

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -275,6 +276,89 @@ def test_warm_tilt_ladder_matches_dense_oracle(monkeypatch):
                                 err_msg=f"{method} at {(lam, delta)}")
     # the first window is cold; later ones are mostly warm
     assert window.size <= len(coarse) < len(ladder) * window.size
+
+
+def test_root_find_windows_match_dense_oracle(monkeypatch):
+    # The tilt search's other route: each root-find window starts from the
+    # ground states of the nearest window the search keeps.
+    n, grid = 24, np.logspace(-4, -1, 5)
+    real = criticality._points
+    windows = []
+
+    def recording(params, lambdas, temperature, which, start=None):
+        out = real(params, lambdas, temperature, which, start)
+        windows.append((params.imbalance, lambdas, start is not None, out[2]))
+        return out
+
+    monkeypatch.setattr(criticality, "_points", recording)
+    criticality._optimize_deltas(
+        n, METHODS, 0.0, locate_critical_gap(n).lambda_c, grid, 5
+    )
+    root_find = windows[grid.size:]
+    assert len(root_find) >= 2
+    for delta, lambdas, warm, chi in root_find:
+        assert warm
+        for i, lam in enumerate(lambdas):
+            ref = dense_exact_chi(n, lam, delta, 0.0)
+            for method in METHODS:
+                assert_allclose(chi[method][i], ref[method], rtol=1e-8,
+                                err_msg=f"{method} at {(lam, delta)}")
+
+
+def _coarse_bisections(monkeypatch) -> list[int]:
+    """The sizes of the matrices that get a cold start's coarse bisection
+    from now on."""
+    import bjjsense.model as model
+
+    real = model.dstebz
+    sizes = []
+
+    def bisecting(d, e, *args):
+        if args[-2] == model.COARSE_ABSTOL:
+            sizes.append(d.size)
+        return real(d, e, *args)
+
+    monkeypatch.setattr(model, "dstebz", bisecting)
+    return sizes
+
+
+def test_tilt_search_bisects_only_its_first_window(monkeypatch):
+    # At N = 101 every window of the T = 0 search but the first starts warm
+    # and is certified: the grid ladder from the tilt below, each root-find
+    # window from its nearest kept tilt.  Starting the root-find windows
+    # from the window solved last (the grid's far end, for the first one)
+    # instead sends 12 more points cold: 33 coarse bisections.
+    n = 101
+    lambda_c = locate_critical_gap(n).lambda_c
+    coarse = _coarse_bisections(monkeypatch)
+    criticality._optimize_deltas(
+        n, METHODS, 0.0, lambda_c, np.logspace(-6, -1, 13), 21
+    )
+    assert coarse == [n + 1] * 21
+
+
+def test_tilt_search_keeps_a_bounded_number_of_windows(monkeypatch):
+    # The ground states of a few windows per method stay alive at once, not
+    # one per tilt: at most 12 with a 13-tilt grid and with a 241-tilt one.
+    n = 40
+    lambda_c = locate_critical_gap(n).lambda_c
+    real = criticality._points
+    alive, most = [], []
+
+    def recording(params, lambdas, temperature, which, start=None):
+        out = real(params, lambdas, temperature, which, start)
+        alive.append(weakref.ref(out[3]))
+        most[-1] = max(most[-1], sum(r() is not None for r in alive))
+        return out
+
+    monkeypatch.setattr(criticality, "_points", recording)
+    for tilts in (13, 241):
+        alive.clear()
+        most.append(0)
+        criticality._optimize_deltas(
+            n, METHODS, 0.0, lambda_c, np.logspace(-6, -1, tilts), 9
+        )
+    assert most[0] <= 12 and most[1] <= 12, most
 
 
 def test_untilted_stack_rejects_unresolved_splitting():
@@ -712,6 +796,45 @@ def test_scaling_study_scans_each_tilt_once(monkeypatch):
         tilts = np.sort([d for m, d in windows if m == n])
         assert np.all(np.diff(tilts) > 1e-12 * tilts[1:]), n
     assert asked == {METHODS}
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+def test_scaling_study_chi_at_delta_star_is_chi_at_point(temperature,
+                                                         monkeypatch):
+    # At T = 0 the point (lambda_c, delta*) starts from the delta* window's
+    # ground state nearest lambda_c, so it needs no bisection and its chi
+    # matches a cold chi_at_point to roundoff; at T > 0 it is that cold
+    # solve, bit for bit.
+    real = criticality._points
+    coarse = _coarse_bisections(monkeypatch)
+    cold = []  # the coarse bisections of each one-point call
+
+    def recording(params, lambdas, t, which, start=None):
+        before = len(coarse)
+        out = real(params, lambdas, t, which, start)
+        if lambdas.size == 1:
+            cold.append(len(coarse) - before)
+        return out
+
+    monkeypatch.setattr(criticality, "_points", recording)
+    res = scaling_study(
+        (40, 60, 80), temperature, delta_grid=np.logspace(-4, -2, 6),
+        window_points=15,
+    )
+    monkeypatch.undo()
+    assert len(cold) >= 3
+    if temperature == 0.0:
+        assert cold == [0] * len(cold)
+    for i, n in enumerate(res.n_values):
+        for method in METHODS:
+            point = chi_at_point(
+                ModelParams(int(n), res.lambda_c[i], res.delta_star[method][i]),
+                temperature,
+            )[method]
+            if temperature == 0.0:
+                assert_allclose(res.chi[method][i], point, rtol=1e-10)
+            else:
+                assert res.chi[method][i] == point
 
 
 def test_scaling_study_needs_three_sizes(monkeypatch):
