@@ -502,19 +502,23 @@ def locate_critical_gap(
             f"no interior gap minimum in lambda_bracket={lambda_bracket}: the "
             f"smallest grid gap is {gap[i]:.3g}, at lambda={grid[i]:.6g}"
         )
-    seen = {}  # the gap at each lambda the root find evaluates
+    # (gap, slope) at each lambda the root find evaluates, seeded with its
+    # bracket ends: each row is solved on its own, so the grid's rows are
+    # what a one-point solve gives
+    seen = {float(grid[j]): (gap[j], slope[j]) for j in (k, k + 1)}
 
     def slope_at(lam: float) -> float:
-        gap, slope = gaps(lam)
-        seen[lam] = gap[0]
-        return slope[0]
+        if lam not in seen:
+            g, s = gaps(lam)
+            seen[lam] = (g[0], s[0])
+        return seen[lam][1]
 
     # _brentq returns a lambda it has evaluated
     lam_c = _brentq(slope_at, grid[k], grid[k + 1], 1e-12)
     return CriticalPointResult(
         n_particles=n_particles,
         lambda_c=float(lam_c),
-        gap=float(seen[lam_c]),
+        gap=float(seen[lam_c][0]),
         levels=levels,
     )
 
@@ -545,14 +549,17 @@ def optimize_delta(
     """Tilt delta* whose chi(lambda) peak is closest to lambda_c^(N).
 
     Scans ``delta_grid`` (default: 25 points, logarithmic over
-    [1e-6, 1e-1]); ties break toward smaller delta.  When the peak offset
-    changes sign across the grid, a root find in log(delta) refines delta*
-    to the crossing.  The returned ``within_tolerance`` flag records
-    whether the final offset is below half a window-grid step.  At T = 0
-    each window's ground states start from those of a solved tilt: on the
-    grid from the grid tilt below it, in the root find from the nearest in
-    log(delta) of the bracket ends, the best tilts so far and the root
-    find's own tilts (see ``_optimize_deltas``).
+    [1e-6, 1e-1]) upward, and stops at the first sign change of the peak
+    offset, the bracket of a root find in log(delta) that refines delta*
+    to the crossing; without a sign change it scans the whole grid.
+    delta* is the tilt of smallest |offset| among the grid tilts scanned
+    and the root find's tilts; ties break toward smaller delta.  The
+    returned ``within_tolerance`` flag records whether the final offset is
+    below half a window-grid step.  At T = 0 each window's ground states
+    start from those of a solved tilt: on the grid from the grid tilt below
+    it, in the root find from the nearest in log(delta) of the bracket
+    ends, the best tilts so far and the root find's own tilts (see
+    ``_optimize_deltas``).
 
     Parameters
     ----------
@@ -602,8 +609,14 @@ def _optimize_deltas(
 
     ``deltas`` comes sorted from ``_tilt_grid``, which has checked it with
     ``window_points``.  One window scan per tilt gives the peak offsets of
-    every searched method, kept as one row per tilt; the bracket and the
-    root find then run per method, and a tilt that any search has scanned,
+    every searched method, kept as one row per tilt.  The grid is scanned
+    upward until every searched method has its bracket, the first sign
+    change of its offset between consecutive tilts with an offset; the
+    tilts above the last bracket are never scanned.  So each method's
+    delta* is the smallest |offset| among the grid tilts up to the last
+    bracket and its root-find tilts: the full grid's answer unless a tilt
+    above held a strictly smaller |offset|.  The root find then runs per
+    method, and a tilt that any search has scanned,
     on the grid or in a root find, is never scanned again (``_brentq``
     returns a tilt it has already evaluated, and the searches often share
     bracket ends).  At T = 0, since the ground state is real with positive
@@ -671,6 +684,10 @@ def _optimize_deltas(
                 bracket[m] = (below[m][0], d)
             below[m] = (d, off)
         keep(*(below[m][0] for m in below if m not in bracket))
+        if len(bracket) == len(searched):
+            # Brent's method needs only the brackets, and a root-find tilt,
+            # inside its bracket, is nearer the upper end than any tilt above
+            break
 
     # exp(log d) is often d one ulp off: a log-tilt of the grid maps back to
     # its grid tilt, so that a bracket end or a root on one is not scanned
@@ -768,7 +785,9 @@ def scaling_study(
 
     Per N: locate lambda_c^(N), optimize delta separately for each method
     (their peaks sit at slightly different tilts; one window scan per tilt
-    serves all three, and at T = 0 the quantum tilt is the classical one),
+    serves all three, at T = 0 the quantum tilt is the classical one, and
+    the grid is scanned up to the last method's bracket only, so delta* is
+    the smallest |offset| among those grid tilts and the root-find tilts),
     then evaluate all three chi at (lambda_c^(N), delta*) once per distinct
     delta* and keep each method's own.  That point is a one-point
     ``_points`` call; at T = 0 its ground state starts from the point of

@@ -325,9 +325,10 @@ def _coarse_bisections(monkeypatch) -> list[int]:
 def test_tilt_search_bisects_only_its_first_window(monkeypatch):
     # At N = 101 every window of the T = 0 search but the first starts warm
     # and is certified: the grid ladder from the tilt below, each root-find
-    # window from its nearest kept tilt.  Starting the root-find windows
-    # from the window solved last (the grid's far end, for the first one)
-    # instead sends 12 more points cold: 33 coarse bisections.
+    # window from its nearest kept tilt.  A root-find window started cold
+    # would add one coarse bisection per point.  Since the ladder stops at
+    # the last bracket's upper end, the window solved last is as good a
+    # start here: that rule also reads 21.
     n = 101
     lambda_c = locate_critical_gap(n).lambda_c
     coarse = _coarse_bisections(monkeypatch)
@@ -359,6 +360,77 @@ def test_tilt_search_keeps_a_bounded_number_of_windows(monkeypatch):
             n, METHODS, 0.0, lambda_c, np.logspace(-6, -1, tilts), 9
         )
     assert most[0] <= 12 and most[1] <= 12, most
+
+
+def _scanned_tilts(monkeypatch) -> list[float]:
+    """The tilt of every window ``_points`` scans from now on."""
+    real = criticality._points
+    tilts = []
+
+    def recording(params, lambdas, temperature, which, start=None):
+        tilts.append(params.imbalance)
+        return real(params, lambdas, temperature, which, start)
+
+    monkeypatch.setattr(criticality, "_points", recording)
+    return tilts
+
+
+def test_tilt_search_stops_once_every_method_is_bracketed(monkeypatch):
+    # At N = 101 the moment and classical brackets both lie below 5.62e-3:
+    # the ladder stops there, and the three tilts above it, the costliest
+    # windows, are never scanned.  Scanning the whole grid takes 20 windows.
+    n, grid = 101, np.logspace(-6, -1, 13)
+    lambda_c = locate_critical_gap(n).lambda_c
+    tilts = _scanned_tilts(monkeypatch)
+    criticality._optimize_deltas(n, METHODS, 0.0, lambda_c, grid, 21)
+    assert len(tilts) == 17
+    on_grid = [d for d in tilts if d in grid.tolist()]
+    assert on_grid == grid[:10].tolist()
+    assert_allclose(max(on_grid), 5.62e-3, rtol=1e-3)
+    assert not set(grid[10:].tolist()) & set(tilts)
+
+
+@pytest.mark.parametrize(
+    "n, temperature, tilts, window_points",
+    [(40, 0.0, 13, 21), (60, 0.0, 13, 21), (101, 0.0, 13, 21),
+     (40, 0.0, 25, 41), (60, 0.0, 25, 41), (101, 0.0, 25, 41),
+     (40, 0.3, 13, 21)],
+)
+def test_tilt_search_stop_returns_the_full_grid_answer(
+    n, temperature, tilts, window_points, monkeypatch
+):
+    # The stopped search returns what a scan of the whole grid would: each
+    # searched method's first sign change lies on the tilts it scanned, and
+    # no grid tilt it skips has a strictly smaller peak offset than delta*'s.
+    # (At T = 0.3 and N = 40 a method has no sign change on this grid.)
+    grid = np.logspace(-6, -1, tilts).tolist()
+    lambda_c = locate_critical_gap(n).lambda_c
+    scanned = _scanned_tilts(monkeypatch)
+    found = criticality._optimize_deltas(
+        n, METHODS, temperature, lambda_c, np.array(grid), window_points
+    )
+    monkeypatch.undo()
+    searched = ("moment", "classical") if temperature == 0.0 else METHODS
+    skipped = [d for d in grid if d not in scanned]
+    if temperature == 0.0:
+        assert skipped
+    window = criticality._peak_window(n, lambda_c, window_points)
+    offsets = {m: [] for m in searched}  # (tilt, offset) along the grid
+    for delta in grid:
+        chi = criticality._points(
+            ModelParams(n, imbalance=delta), window, temperature, METHODS
+        )[2]
+        for method in searched:
+            peak = criticality._peak(window, chi[method])
+            if peak.interior:
+                offsets[method].append((delta, peak.lambda_peak - lambda_c))
+    for method, row in offsets.items():
+        uppers = [d for (_, a), (d, b) in zip(row, row[1:]) if a * b < 0]
+        # a method without a sign change has no bracket: nothing is skipped
+        assert uppers[0] in scanned if uppers else not skipped, method
+        for delta, off in row:
+            if delta in skipped:
+                assert abs(off) >= abs(found[method].peak_offset), (method, delta)
 
 
 def test_untilted_stack_rejects_unresolved_splitting():
@@ -651,6 +723,25 @@ def test_critical_point_is_stationary_on_the_oracle_gap(n):
     assert_allclose(crit.gap, gap(crit.lambda_c), rtol=1e-12)
 
 
+def test_critical_gap_root_find_reuses_its_grid_bracket(monkeypatch):
+    # The root find starts at the two grid points of its bracket, whose gap
+    # and slope the 14-point grid has already solved: at N = 150 no grid
+    # lambda is solved again, 20 parity-block solves in all (22 with them).
+    real = criticality._parity_levels
+    solved = []
+
+    def recording(n_particles, lambdas, levels):
+        solved.append(np.atleast_1d(lambdas).tolist())
+        return real(n_particles, lambdas, levels)
+
+    monkeypatch.setattr(criticality, "_parity_levels", recording)
+    locate_critical_gap(150)
+    grid, *root_find = solved
+    assert grid == np.linspace(-1.5, -0.85, 14).tolist()
+    assert not set(grid) & {lam for lams in root_find for lam in lams}
+    assert len(grid) + sum(map(len, root_find)) == 20
+
+
 def test_locate_critical_gap_needs_interior_minimum():
     with pytest.raises(ValueError):
         locate_critical_gap(200, lambda_bracket=(-0.7, -0.4))
@@ -796,6 +887,28 @@ def test_scaling_study_scans_each_tilt_once(monkeypatch):
         tilts = np.sort([d for m, d in windows if m == n])
         assert np.all(np.diff(tilts) > 1e-12 * tilts[1:]), n
     assert asked == {METHODS}
+
+
+def test_scaling_study_lapack_call_ceiling(monkeypatch):
+    # The ground-scaling benchmark's seed-1 study, in process.  The counts
+    # repeat exactly from run to run; scanning the grid above the last
+    # bracket reads 274 dgtsv, 144 dstebz, 85 dpttrf and 65 dstein calls.
+    import bjjsense.model as model
+
+    ceiling = {"dgtsv": 206, "dstebz": 122, "dpttrf": 58, "dstein": 59}
+    calls = dict.fromkeys(ceiling, 0)
+    for name in ceiling:
+        real = getattr(model, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counting)
+    scaling_study(
+        (101, 150, 202), delta_grid=np.logspace(-6, -1, 13), window_points=21
+    )
+    assert all(calls[name] <= ceiling[name] for name in ceiling), calls
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.3])
