@@ -291,9 +291,12 @@ def _jacobian(p: np.ndarray, w: float, gauss) -> np.ndarray:
     """(lanes, 4, bins) derivatives of the model in (zbar, sigma, A+, A-)."""
     up, um, gp, gm = gauss
     sigma, ap, am = p[:, 1:2], p[:, 2:3], p[:, 3:4]
-    d_zbar = w * (ap * up * gp - am * um * gm) / sigma
-    d_sigma = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
-    return np.stack([d_zbar, d_sigma, w * gp, w * gm], axis=1)
+    jac = np.empty((len(p), 4, up.shape[1]))
+    jac[:, 0] = w * (ap * up * gp - am * um * gm) / sigma
+    jac[:, 1] = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
+    np.multiply(w, gp, out=jac[:, 2])
+    np.multiply(w, gm, out=jac[:, 3])
+    return jac
 
 
 def _normal_equations(jac: np.ndarray, r: np.ndarray):
@@ -301,11 +304,18 @@ def _normal_equations(jac: np.ndarray, r: np.ndarray):
 
     Every entry is a sum along one lane's contiguous bin axis, so a lane's
     numbers never depend on the other lanes (a BLAS product may block them).
+    J^T J is built one row at a time, row i (i = 0, 1, ...) from the
+    (lanes, n, bins) product J_i * J, and J^T r from J * r, so no temporary
+    is larger than J itself.  Each entry of row i is the same elementwise
+    product, in the same operand order, summed by the same reduction along
+    the same contiguous axis as in one (lanes, n, n, bins) product, so the
+    rows are that product's sum bit for bit.
     """
-    return (
-        (jac[:, :, None, :] * jac[:, None, :, :]).sum(axis=-1),
-        (jac * r[:, None, :]).sum(axis=-1),
-    )
+    lanes, n, _ = jac.shape
+    a = np.empty((lanes, n, n))
+    for i in range(n):
+        a[:, i] = (jac[:, i : i + 1] * jac).sum(axis=-1)
+    return a, (jac * r[:, None, :]).sum(axis=-1)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,6 +411,7 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
     r, terms = residuals(p, np.arange(len(p)))
     cost = 0.5 * np.sum(r * r, axis=1)
     a, g = _normal_equations(jacobian(p, terms), r)
+    del r, terms  # the loop makes its own; free the start's before it runs
     scale = np.maximum(np.diagonal(a, axis1=1, axis2=2), _TINY)
     mu = np.full(len(p), _MU0)
     nu = np.full(len(p), 2.0)
@@ -502,9 +513,11 @@ def _fit_mixtures(
     winner is not finite gets the moment start of ``_data_starts`` with
     equal amplitudes, residual inf and ``converged`` False.
 
-    Lanes are fitted in blocks of _BLOCK to bound memory; no lane's
-    arithmetic depends on another, so a histogram's fit from given starts
-    is the same bit for bit alone or in any batch.
+    Lanes are fitted in blocks of _BLOCK to bound memory, and with one
+    start per histogram the histograms are the lanes' rows as they stand,
+    with no per-start copy; no lane's arithmetic depends on another, so a
+    histogram's fit from given starts is the same bit for bit alone or in
+    any batch.
 
     Returns a dict of per-histogram arrays keyed by the fields of
     ``DoubleGaussianFit``.
@@ -517,7 +530,7 @@ def _fit_mixtures(
     n_starts = starts.shape[1]
     # lanes k * i .. k * i + k - 1 are the starts of histogram i
     lanes_p = starts.reshape(-1, 4)
-    lanes_h = np.repeat(h, n_starts, axis=0)
+    lanes_h = h if n_starts == 1 else np.repeat(h, n_starts, axis=0)
     free = np.full(lanes_p.shape, np.inf)
     p = np.empty_like(lanes_p)
     cost = np.empty(len(lanes_p))
@@ -885,12 +898,15 @@ def _gaussian_residuals(q: np.ndarray, x: np.ndarray, y: np.ndarray):
 def _gaussian_jacobian(q: np.ndarray, terms) -> np.ndarray:
     """(lanes, parameters, bins) derivatives in (c, w, A[, B, tau])."""
     x, u, g, *background = terms
-    d_c = q[:, 2:3] * g * u / q[:, 1:2]
-    columns = [d_c, d_c * u, g]
+    jac = np.empty((len(q), q.shape[1], g.shape[1]))
+    jac[:, 0] = q[:, 2:3] * g * u / q[:, 1:2]
+    np.multiply(jac[:, 0], u, out=jac[:, 1])
+    jac[:, 2] = g
     if background:
         e, tau = background[0], q[:, 4:5]
-        columns += [e, q[:, 3:4] * e * x / (tau * tau)]
-    return np.stack(columns, axis=1)
+        jac[:, 3] = e
+        jac[:, 4] = q[:, 3:4] * e * x / (tau * tau)
+    return jac
 
 
 def _fit_gaussians(

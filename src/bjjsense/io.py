@@ -8,6 +8,7 @@ temporary file renamed into place on success.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from typing import Iterable, Sequence
@@ -82,30 +83,31 @@ def read_series_csv(path: str) -> MeasurementSeries:
 
     A line starting with ``#`` is a comment (as in the tables that
     :func:`write_table` writes), blank lines are skipped and the first other
-    line is the header; the two columns are parsed in one ``np.loadtxt``
-    call.  Rows are grouped by scattering length, in file order within a
-    group; the grid is sorted ascending.
+    line is the header.  The rows stream from the open file into
+    ``np.loadtxt`` one line at a time, so the file's text is never held
+    whole; only the two columns are kept.  Rows are grouped by scattering
+    length, in file order within a group; the grid is sorted ascending.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [
-            line for line in fh.read().split("\n")
-            if line and not line.startswith("#")
-        ]
-    if not lines:
-        raise ValueError(f"{path}: no header row")
-    index = {name: j for j, name in enumerate(lines[0].split(","))}
-    for required in ("scattering_length_a0", "z"):
-        if required not in index:
-            raise ValueError(f"{path}: missing column {required!r}")
-    rows = lines[1:]
-    try:
-        # comments=None: a "#" inside a row is data, so "0.2#x" is rejected
-        table = np.loadtxt(
-            rows, delimiter=",", comments=None, ndmin=2,
-            usecols=(index["scattering_length_a0"], index["z"]),
-        ) if rows else np.empty((0, 2))
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric data") from None
+        lines = (line for line in fh if line != "\n" and not line.startswith("#"))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
+        index = {name: j for j, name in enumerate(header.rstrip("\n").split(","))}
+        for required in ("scattering_length_a0", "z"):
+            if required not in index:
+                raise ValueError(f"{path}: missing column {required!r}")
+        # np.loadtxt warns on an empty input, so a header-only file is
+        # caught here and fails in MeasurementSeries like any short grid
+        first = next(lines, None)
+        try:
+            # comments=None: a "#" inside a row is data, so "0.2#x" is rejected
+            table = np.loadtxt(
+                itertools.chain((first,), lines), delimiter=",", comments=None,
+                ndmin=2, usecols=(index["scattering_length_a0"], index["z"]),
+            ) if first is not None else np.empty((0, 2))
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric data") from None
     # A stable sort keeps each group's rows in file order; np.unique would
     # do the grouping too, but it imports numpy.ma (about 9 ms) on first use.
     order = np.argsort(table[:, 0], kind="stable")

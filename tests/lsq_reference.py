@@ -16,6 +16,11 @@ Both share no fitting code with the package, only its result types and
 package's Levenberg-Marquardt loop as it was before it took bounds, run
 on the package's own residual, Jacobian and solve helpers, so that any
 arithmetic the bounds add to an unbounded lane shows as a bit difference.
+``normal_equations``, ``mixture_jacobian`` and ``gaussian_jacobian`` are
+the fitter's kernels in their one-expression forms: J^T J as one
+(lanes, n, n, bins) product summed over its bins, and each Jacobian as
+``np.stack`` of its columns.  The package builds J^T J row by row and
+fills each Jacobian into one array, and must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -308,3 +313,31 @@ def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
             converged[active[small | flat]] = True
             active = active[~stop]
     return p, cost, converged
+
+
+def normal_equations(jac: np.ndarray, r: np.ndarray):
+    """J^T J and J^T r per lane from one (lanes, n, n, bins) product."""
+    return (
+        (jac[:, :, None, :] * jac[:, None, :, :]).sum(axis=-1),
+        (jac * r[:, None, :]).sum(axis=-1),
+    )
+
+
+def mixture_jacobian(p: np.ndarray, w: float, gauss) -> np.ndarray:
+    """``bjjsense.estimation._jacobian`` with its columns stacked."""
+    up, um, gp, gm = gauss
+    sigma, ap, am = p[:, 1:2], p[:, 2:3], p[:, 3:4]
+    d_zbar = w * (ap * up * gp - am * um * gm) / sigma
+    d_sigma = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
+    return np.stack([d_zbar, d_sigma, w * gp, w * gm], axis=1)
+
+
+def gaussian_jacobian(q: np.ndarray, terms) -> np.ndarray:
+    """``bjjsense.estimation._gaussian_jacobian`` with its columns stacked."""
+    x, u, g, *background = terms
+    d_c = q[:, 2:3] * g * u / q[:, 1:2]
+    columns = [d_c, d_c * u, g]
+    if background:
+        e, tau = background[0], q[:, 4:5]
+        columns += [e, q[:, 3:4] * e * x / (tau * tau)]
+    return np.stack(columns, axis=1)

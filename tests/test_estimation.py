@@ -1,5 +1,7 @@
 """Imbalance records: histograms, mixture fits, estimators, bootstrap."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -599,6 +601,22 @@ def test_replica_fit_from_base_fit_is_independent_of_its_batch():
         assert est._fit_at(alone, 0) == est._fit_at(batch, i)
 
 
+def test_replica_fit_memory_ceiling():
+    # The 1,050 one-start replica lanes of a 150-replica bootstrap of the
+    # README series.  The traced peak repeats exactly from run to run.
+    # Summing one (lanes, 4, 4, bins) product per step for J^T J, with the
+    # histograms copied once per start, peaked at 5.92 MB.
+    hists, starts = _replica_stack(1, 4000, 150)
+    assert hists.shape == (1050, 40)
+    tracemalloc.start()
+    try:
+        est._fit_mixtures(hists, HistogramSpec(), starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
+
+
 def _counted_fit(starts, hists, spec):
     """``_levenberg_marquardt`` on the double-Gaussian model of ``hists``
     from ``starts`` (lanes, 4), and the trial steps each lane took."""
@@ -915,6 +933,54 @@ def test_bounds_leave_unbounded_mixture_lanes_unchanged(monkeypatch):
     reference = est._fit_mixtures(probabilities, HistogramSpec())
     for k in fits:
         assert np.array_equal(fits[k], reference[k]), k
+
+
+def _with_a_non_finite_lane(x):
+    """``x`` with inf and NaN entries in its last lane."""
+    x = x.copy()
+    x[-1].flat[[0, 3]] = np.inf, -np.inf
+    x[-1].flat[[1, 5]] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("lanes, n, bins", [
+    (512, 4, 40), (26, 4, 40), (1, 4, 40), (7, 5, 100), (1, 5, 100), (5, 3, 100),
+])
+@np.errstate(all="ignore")
+def test_fitter_kernels_match_their_stacked_forms(lanes, n, bins):
+    # The Jacobians fill one preallocated array and J^T J is built row by
+    # row; each must equal the stacked, one-product form bit for bit, on the
+    # lane shapes of the mixture fits (4 parameters, 40 bins) and of the
+    # replica-value fits (5 or 3, 100 bins), a non-finite lane included.
+    rng = np.random.default_rng([lanes, n, bins])
+    if n == 4:
+        spec = HistogramSpec()
+        assert spec.centers.size == bins
+        p = np.column_stack([rng.uniform(0.1, 0.8, lanes), rng.uniform(0.05, 0.3, lanes),
+                             rng.uniform(0.0, 1.0, (lanes, 2))])
+        p[-1] = [0.3, 0.0, 1.0, np.nan]  # zero width: inf offsets, NaN peaks
+        r, gauss = est._residuals(p, rng.random((lanes, bins)), spec.centers,
+                                  spec.bin_width)
+        jac = est._jacobian(p, spec.bin_width, gauss)
+        reference = lsq_reference.mixture_jacobian(p, spec.bin_width, gauss)
+    else:
+        x = np.sort(rng.uniform(0.0, 50.0, (lanes, bins)), axis=1)
+        q = np.column_stack([rng.uniform(1.0, 50.0, lanes), rng.uniform(0.05, 5.0, lanes),
+                             rng.uniform(0.0, 1.0, (lanes, n - 2))])
+        if n == 5:
+            q[:, 4] = rng.uniform(1.0, 20.0, lanes)
+        q[-1, :2] = [np.inf, 0.0]
+        r, terms = est._gaussian_residuals(q, x, rng.random((lanes, bins)))
+        jac = est._gaussian_jacobian(q, terms)
+        reference = lsq_reference.gaussian_jacobian(q, terms)
+    assert jac.shape == (lanes, n, bins)
+    assert not np.isfinite(reference[-1]).all()
+    assert np.array_equal(jac, reference, equal_nan=True)
+    jac, r = _with_a_non_finite_lane(jac), _with_a_non_finite_lane(r)
+    for got, want in zip(est._normal_equations(jac, r),
+                         lsq_reference.normal_equations(jac, r)):
+        assert np.isnan(want[-1]).any() and np.isfinite(want[:-1]).all()
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def _replica_histograms(seed, count):

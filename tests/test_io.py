@@ -2,6 +2,8 @@
 
 import os
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,9 +123,67 @@ def test_read_series_skips_comments_and_blank_lines(tmp_path):
     ("scattering_length_a0,z\n1,0.2#x\n", "non-numeric data"),
     ("scattering_length_a0,z\n1,abc\n", "non-numeric data"),
     ("scattering_length_a0,z\n1\n", "non-numeric data"),
+    ("scattering_length_a0,z\n1,0.1\n \n2,0.2\n", "non-numeric data"),
+    ("scattering_length_a0,z\n1,0.1\n\t", "non-numeric data"),
 ])
 def test_read_series_rejects_bad_tables(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     path.write_text("# header comment\n" + body, encoding="utf-8")
-    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
-        read_series_csv(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            read_series_csv(str(path))
+
+
+@pytest.mark.parametrize("body", [
+    "scattering_length_a0,z\n",
+    "scattering_length_a0,z",
+    "# provenance\nz,scattering_length_a0\n\n# done\n",
+])
+def test_read_series_header_only_is_an_empty_grid(tmp_path, body):
+    # Fails where any grid under two points does, with no warning on the way.
+    path = tmp_path / "empty.csv"
+    path.write_text(body, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^need >= 2 scattering lengths, got 0$"):
+            read_series_csv(str(path))
+
+
+@pytest.mark.parametrize("newline, trailing", [
+    ("\r\n", True), ("\r", True), ("\n", False), ("\r\n", False),
+])
+def test_read_series_line_endings(tmp_path, newline, trailing):
+    # test_read_series_skips_comments_and_blank_lines with other line ends
+    lines = ["# provenance", "", "z,extra,scattering_length_a0", "0.25,x,-1.5",
+             "-0.5,y,-2", "", "0.75,z,-1.5"]
+    path = tmp_path / "series.csv"
+    path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode())
+    series = read_series_csv(str(path))
+    assert list(series.scattering_lengths) == [-2.0, -1.5]
+    assert [list(r) for r in series.records] == [[-0.5], [0.25, 0.75]]
+
+
+def test_read_series_memory_ceiling(tmp_path):
+    # A shot-pipeline-sized series: 7 points of 4,000 records, 28,000 rows.
+    # The traced peak repeats exactly from run to run; holding the file's
+    # lines as strings for one np.loadtxt call peaked at 3.9 MB.
+    gens = [DoubleGaussianFit(separation=z, width=0.1,
+                              amplitude_plus=0.5, amplitude_minus=0.5)
+            for z in (0.20, 0.25, 0.31, 0.42, 0.57, 0.65, 0.70)]
+    series = synth_samples([-2.4, -2.2, -2.0, -1.8, -1.6, -1.4, -1.2], gens,
+                           4000, seed=11)
+    path = str(tmp_path / "series.csv")
+    write_table(path, ["scattering_length_a0", "z"], [
+        (a, z) for a, record in zip(series.scattering_lengths, series.records)
+        for z in record
+    ])
+    read_series_csv(path)  # first-use allocations are not the reader's
+    tracemalloc.start()
+    try:
+        back = read_series_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.size for r in back.records) == 28000
+    assert peak <= 1.5e6
