@@ -140,7 +140,7 @@ SCALING_KEYS = {
                  _Rule(int, 1, count="list")),
     "temperature": (0.0, "temperature in units of Omega", _Rule(float, 0)),
     "delta_points": (25, "log-spaced tilt grid size over [1e-6, 1e-1]", _Rule(int, 2)),
-    "window_points": (41, "lambda window points per tilt", _Rule(int, 3)),
+    "window_points": (41, "odd lambda window size, centred on lambda_c", _Rule(int, 3)),
 }
 
 CRITICAL_KEYS = {
@@ -324,12 +324,15 @@ def cmd_scaling(args) -> int:
     if min(n_values) < max(_GAP_LEVELS):
         raise CliError("config", f"n_values must be >= {max(_GAP_LEVELS)} for the "
                        f"gap levels {_GAP_LEVELS}, got {n_values!r}")
+    window = config["window_points"]
+    if window % 2 == 0:
+        raise CliError("config", f"window_points must be odd, got {window}")
     comments = _provenance("scaling", config)
     result = scaling_study(
         n_values,
         float(config["temperature"]),
         delta_grid=np.logspace(-6.0, -1.0, config["delta_points"]),
-        window_points=config["window_points"],
+        window_points=window,
     )
     write_columns(
         _out(args, "scaling.csv"),

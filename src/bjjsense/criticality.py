@@ -143,7 +143,7 @@ class CriticalPointResult:
 
 @dataclass(frozen=True)
 class DeltaOptimization:
-    """Tilt placing a susceptibility peak at the finite-size critical point."""
+    """Tilt placing a susceptibility peak at lambda_c^(N), and chi there."""
 
     n_particles: int
     method: str
@@ -152,6 +152,7 @@ class DeltaOptimization:
     peak_lambda: float
     peak_offset: float
     within_tolerance: bool
+    chi: float
 
 
 @dataclass(frozen=True)
@@ -309,10 +310,11 @@ def scan_lambda(config: ScanConfig) -> SusceptibilityCurve:
 def default_lambda_grid(
     lo: float = -1.6, hi: float = -0.4, step: float = 2e-3
 ) -> np.ndarray:
-    """Uniform scan grid; endpoints included when step divides the span."""
+    """Uniform scan grid from lo up to hi; hi included when step divides the span."""
     if not (-math.inf < lo < hi < math.inf and 0 < step < math.inf):
         raise ValueError(f"lambda grid needs finite lo < hi, step > 0: {lo, hi, step}")
-    n = int(round((hi - lo) / step))
+    # the tolerance keeps hi when roundoff puts the span a hair below n steps
+    n = math.floor((hi - lo) / step * (1.0 + 1e-9))
     return lo + step * np.arange(n + 1)
 
 
@@ -532,9 +534,12 @@ def default_delta_grid() -> np.ndarray:
 
 
 def _peak_window(n_particles: int, lambda_c: float, n_points: int) -> np.ndarray:
+    """``n_points`` (odd) evenly spaced lambdas over lambda_c +- 8 N^(-2/3),
+    the middle one lambda_c exactly."""
     # Width ~ N^(-2/3) tracks the narrowing critical region.
     half = 8.0 * n_particles ** (-2.0 / 3.0)
-    return np.linspace(lambda_c - half, lambda_c + half, n_points)
+    k = n_points // 2
+    return lambda_c + np.arange(-k, k + 1) / k * half
 
 
 def optimize_delta(
@@ -555,11 +560,12 @@ def optimize_delta(
     delta* is the tilt of smallest |offset| among the grid tilts scanned
     and the root find's tilts; ties break toward smaller delta.  The
     returned ``within_tolerance`` flag records whether the final offset is
-    below half a window-grid step.  At T = 0 each window's ground states
-    start from those of a solved tilt: on the grid from the grid tilt below
-    it, in the root find from the nearest in log(delta) of the bracket
-    ends, the best tilts so far and the root find's own tilts (see
-    ``_optimize_deltas``).
+    below half a window-grid step.  A window is ``window_points`` (odd)
+    lambdas centred on lambda_c: the returned ``chi`` is its middle point's
+    at delta*.  At T = 0 each window's ground states start from those of a
+    solved tilt: on the grid from the grid tilt below it, in the root find
+    from the nearest in log(delta) of the bracket ends and the root find's
+    own tilts (see ``_optimize_deltas``).
 
     Parameters
     ----------
@@ -590,6 +596,8 @@ def _tilt_grid(delta_grid: np.ndarray | None, window_points: int) -> np.ndarray:
         raise ValueError(
             f"window_points < 3 leaves no interior peak, got {window_points}"
         )
+    if window_points % 2 == 0:
+        raise ValueError(f"window_points must be odd, got {window_points}")
     deltas = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
     if deltas.size < 2 or not np.all((deltas > 0) & (deltas < np.inf)):
         raise ValueError("delta_grid must hold >= 2 positive finite values")
@@ -603,59 +611,65 @@ def _optimize_deltas(
     lambda_c: float,
     deltas: np.ndarray,
     window_points: int,
-    starts: dict[float, np.ndarray] | None = None,
 ) -> dict[str, DeltaOptimization]:
     """``optimize_delta`` for several methods, scanning each tilt once.
 
     ``deltas`` comes sorted from ``_tilt_grid``, which has checked it with
     ``window_points``.  One window scan per tilt gives the peak offsets of
-    every searched method, kept as one row per tilt.  The grid is scanned
-    upward until every searched method has its bracket, the first sign
+    every searched method and, at the window's middle point lambda_c, the
+    chi of all three, kept as one row per tilt: each result's ``chi`` is
+    its method's chi there at its delta*.  The grid is scanned upward
+    until every searched method has its bracket, the first sign
     change of its offset between consecutive tilts with an offset; the
     tilts above the last bracket are never scanned.  So each method's
     delta* is the smallest |offset| among the grid tilts up to the last
     bracket and its root-find tilts: the full grid's answer unless a tilt
     above held a strictly smaller |offset|.  The root find then runs per
-    method, and a tilt that any search has scanned,
-    on the grid or in a root find, is never scanned again (``_brentq``
+    method, and a tilt that any search has scanned, on the grid or in a
+    root find, is never scanned again (``_brentq``
     returns a tilt it has already evaluated, and the searches often share
     bracket ends).  At T = 0, since the ground state is real with positive
     amplitudes, chi_Q equals chi_cl and the quantum tilt is the classical
-    one: when both are asked for, only the classical one is searched.
+    one: when both are asked for, only the classical one is searched, and
+    the quantum result takes its tilt with the window's own chi_Q.
 
     At T = 0 each window's ground states start from those of a nearby
     tilt, so most of them need no bisection.  The grid is a ladder: each
     grid tilt starts from the one below it.  A root-find tilt starts from
     the nearest, in log delta, of the windows whose states the search
-    keeps: the ends of each bracket (the grid tilts next to its root), each
-    method's best tilt so far, and the windows its own root find has
-    solved.  The states of any other window are dropped as soon as no rule
-    can pick them, so the search holds a few windows' states per method,
-    however long the grid.  ``starts``, when given, receives for each
-    method's delta* the ground state (1, N+1) of the point of its window
-    nearest lambda_c: the start of chi at (lambda_c, delta*).
+    keeps: the ends of each bracket (the grid tilts next to its root) and
+    the windows its own root find has solved.  The states of any other
+    window are dropped as soon as no rule can pick them, so the search
+    holds a few windows' states per method, however long the grid.
     """
     shared = temperature == 0.0 and {"classical", "quantum"} <= set(methods)
     searched = tuple(m for m in methods if not (shared and m == "quantum"))
     window = _peak_window(n_particles, lambda_c, window_points)
     tol = 0.5 * (window[1] - window[0])
+    middle = window_points // 2  # window[middle] == lambda_c
 
-    def scan(delta: float, start: np.ndarray | None):
-        """The peak offset of each searched method in the window at
-        ``delta``, and the window's ground states (None at T > 0)."""
+    # per scanned tilt: each searched method's peak offset, each method's
+    # chi at lambda_c and, while a rule below can pick them, the window's
+    # ground states (None at T > 0)
+    known: dict[float, dict[str, float | None]] = {}
+    chi_c: dict[float, dict[str, float]] = {}
+    states: dict[float, np.ndarray | None] = {}
+
+    def scan(delta: float, start: np.ndarray | None) -> np.ndarray | None:
+        """Solve the window at ``delta``, record its row and return its
+        ground states."""
         _, _, chi, ground = _points(
             ModelParams(n_particles=n_particles, imbalance=delta), window,
             temperature, METHODS, start,
         )
         peaks = {m: _peak(window, chi[m]) for m in searched}
-        offsets = {
+        known[delta] = {
             m: peak.lambda_peak - lambda_c if peak.interior else None
             for m, peak in peaks.items()
         }
-        return offsets, ground
+        chi_c[delta] = {m: float(c[middle]) for m, c in chi.items()}
+        return ground
 
-    known: dict[float, dict[str, float | None]] = {}
-    states: dict[float, np.ndarray | None] = {}
     # per method: the (tilt, offset) nearest the peak so far, the bracket of
     # its first sign change and, on the ladder, the last tilt with an offset
     best: dict[str, tuple[float, float]] = {}
@@ -663,17 +677,14 @@ def _optimize_deltas(
     below: dict[str, tuple[float, float]] = {}
 
     def keep(*tilts: float) -> None:
-        """Drop the states of every window but ``tilts``, the bracket ends
-        and the best tilts."""
+        """Drop the states of every window but ``tilts`` and the bracket ends."""
         wanted = {*tilts, *(d for ends in bracket.values() for d in ends)}
-        wanted.update(d for d, _ in best.values())
         for d in states.keys() - wanted:
             del states[d]
 
     ground = None
     for d in map(float, deltas):
-        known[d], ground = scan(d, ground)
-        states[d] = ground
+        states[d] = ground = scan(d, ground)
         for m, off in known[d].items():
             if off is None:
                 continue
@@ -697,7 +708,6 @@ def _optimize_deltas(
     def tilt(u: float) -> float:
         return on_grid.get(float(u), float(np.exp(u)))
 
-    result = {}
     for method in searched:
         if method not in best:
             raise ValueError(
@@ -710,7 +720,7 @@ def _optimize_deltas(
                 delta = tilt(u)
                 if delta not in known:
                     near = min(states, key=lambda d: abs(math.log(d / delta)))
-                    known[delta], states[delta] = scan(delta, states[near])
+                    states[delta] = scan(delta, states[near])
                 return known[delta][method]
 
             log_star = _brentq(
@@ -721,22 +731,18 @@ def _optimize_deltas(
             if cand_off is not None and abs(cand_off) < abs(best[method][1]):
                 best[method] = (tilt(log_star), cand_off)
             keep()
-        best_delta, best_off = best[method]
-        result[method] = DeltaOptimization(
-            n_particles=n_particles,
-            method=method,
-            delta=float(best_delta),
-            lambda_c=float(lambda_c),
-            peak_lambda=float(lambda_c + best_off),
-            peak_offset=float(best_off),
-            within_tolerance=bool(abs(best_off) <= tol),
-        )
-    if starts is not None and temperature == 0.0:
-        at = int(np.argmin(np.abs(window - lambda_c)))
-        starts.update((d, states[d][[at]]) for d, _ in best.values())
     if shared:
-        result["quantum"] = replace(result["classical"], method="quantum")
-    return {m: result[m] for m in methods}
+        best["quantum"] = best["classical"]
+    result = {}
+    for method in methods:
+        delta, off = best[method]
+        result[method] = DeltaOptimization(
+            n_particles=n_particles, method=method, delta=delta,
+            lambda_c=float(lambda_c), peak_lambda=float(lambda_c + off),
+            peak_offset=float(off), within_tolerance=bool(abs(off) <= tol),
+            chi=chi_c[delta][method],
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -788,19 +794,17 @@ def scaling_study(
     serves all three, at T = 0 the quantum tilt is the classical one, and
     the grid is scanned up to the last method's bracket only, so delta* is
     the smallest |offset| among those grid tilts and the root-find tilts),
-    then evaluate all three chi at (lambda_c^(N), delta*) once per distinct
-    delta* and keep each method's own.  That point is a one-point
-    ``_points`` call; at T = 0 its ground state starts from the point of
-    the delta* window nearest lambda_c^(N), which the tilt search has just
-    solved, and at T > 0 it is solved cold, as ``chi_at_point`` does.  Fits
-    are chi/N against N for each method, plus the critical-point shift
-    -1 - lambda_c^(N) against N.
+    and take each method's chi at (lambda_c^(N), delta*) from the middle
+    point of its delta* window (``DeltaOptimization.chi``): at T > 0 that
+    is ``chi_at_point``'s value bit for bit, at T = 0 it agrees to roundoff
+    (the window starts warm).  Fits are chi/N against N for each method,
+    plus the critical-point shift -1 - lambda_c^(N) against N.
 
     Raises
     ------
     ValueError
         For a size that is not an integer >= 1, fewer than 3 sizes or a
-        repeated size, and as the searches do.
+        repeated size, an even ``window_points``, and as the searches do.
 
     Returns
     -------
@@ -819,22 +823,11 @@ def scaling_study(
     for i, n in enumerate(n_values):
         crit = locate_critical_gap(int(n))
         lambda_c[i] = crit.lambda_c
-        starts: dict[float, np.ndarray] = {}
         opts = _optimize_deltas(
-            int(n), METHODS, temperature, crit.lambda_c, deltas, window_points,
-            starts,
+            int(n), METHODS, temperature, crit.lambda_c, deltas, window_points
         )
-        points = {
-            delta: _points(
-                ModelParams(int(n), crit.lambda_c, delta),
-                np.array([crit.lambda_c]), temperature, METHODS,
-                starts.get(delta),
-            )[2]
-            for delta in dict.fromkeys(opt.delta for opt in opts.values())
-        }
         for m, opt in opts.items():
-            delta_star[m][i] = opt.delta
-            chi[m][i] = points[opt.delta][m][0]
+            delta_star[m][i], chi[m][i] = opt.delta, opt.chi
     fits = {
         m: fit_power_law(n_values, chi[m] / n_values) for m in METHODS
     }

@@ -567,6 +567,7 @@ def test_scaling_sizes_below_one_exit_2(tmp_path, capsys, n_values):
 
 @pytest.mark.parametrize("key, value, least", [
     ("window_points", 1, 3), ("window_points", 2, 3), ("delta_points", 1, 2),
+    ("window_points", 4, None),  # no window point at lambda_c
 ])
 def test_scaling_grid_sizes_too_small_exit_2(tmp_path, capsys, monkeypatch, key,
                                              value, least):
@@ -580,9 +581,8 @@ def test_scaling_grid_sizes_too_small_exit_2(tmp_path, capsys, monkeypatch, key,
     })
     out = _outdir(tmp_path, "out")
     assert main(["scaling", "--config", config, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: config: {key} must be >= {least}"
-    )
+    rule = "odd" if least is None else f">= {least}"
+    assert capsys.readouterr().err.startswith(f"error: config: {key} must be {rule}")
     assert os.listdir(out) == []
 
 

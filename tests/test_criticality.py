@@ -73,6 +73,20 @@ def test_default_lambda_grid_shape():
     assert_allclose(np.diff(grid), 2e-3, rtol=1e-10)
 
 
+@pytest.mark.parametrize("lo,hi,step,last", [
+    # steps that do not divide the span: the grid stops short of hi
+    (-1.2, -1.0, 0.03, -1.02), (-1.6, -0.4, 0.7, -0.9), (-1.3, -0.9, 0.15, -1.0),
+    # steps that do, some a hair short of it in floating point: hi is kept
+    (-1.3, -0.9, 0.02, -0.9), (-1.2, -0.8, 0.1, -0.8), (0.1, 0.7, 0.1, 0.7),
+    (-1.6, -0.4, 1e-4, -0.4),
+])
+def test_default_lambda_grid_ends_on_its_last_step_within_hi(lo, hi, step, last):
+    grid = default_lambda_grid(lo, hi, step)
+    assert_allclose(grid[-1], last, atol=1e-12)
+    assert grid[-1] <= hi + 1e-12
+    assert_allclose(np.diff(grid), step, rtol=1e-9)
+
+
 @pytest.mark.parametrize("lo,hi,step", [
     (-1.6, -0.4, 0.0), (-1.6, -0.4, -0.01), (-1.6, -0.4, math.nan),
     (-0.4, -1.6, 2e-3), (-0.4, -0.4, 2e-3), (-math.inf, -0.4, 2e-3),
@@ -340,7 +354,8 @@ def test_tilt_search_bisects_only_its_first_window(monkeypatch):
 
 def test_tilt_search_keeps_a_bounded_number_of_windows(monkeypatch):
     # The ground states of a few windows per method stay alive at once, not
-    # one per tilt: at most 12 with a 13-tilt grid and with a 241-tilt one.
+    # one per tilt: at most 9 with a 13-tilt grid and with a 241-tilt one
+    # (9 and 7 here; keeping each method's best tilt too kept 10 and 7).
     n = 40
     lambda_c = locate_critical_gap(n).lambda_c
     real = criticality._points
@@ -359,7 +374,7 @@ def test_tilt_search_keeps_a_bounded_number_of_windows(monkeypatch):
         criticality._optimize_deltas(
             n, METHODS, 0.0, lambda_c, np.logspace(-6, -1, tilts), 9
         )
-    assert most[0] <= 12 and most[1] <= 12, most
+    assert most[0] <= 9 and most[1] <= 9, most
 
 
 def _scanned_tilts(monkeypatch) -> list[float]:
@@ -431,6 +446,31 @@ def test_tilt_search_stop_returns_the_full_grid_answer(
         for delta, off in row:
             if delta in skipped:
                 assert abs(off) >= abs(found[method].peak_offset), (method, delta)
+
+
+def test_tilt_search_chi_is_each_methods_own_at_lambda_c(monkeypatch):
+    # Each result's chi is its method's chi at the middle point, lambda_c,
+    # of its delta* window.  At T = 0 the quantum result shares the
+    # classical tilt but keeps the window's chi_Q, which at N = 100 differs
+    # from chi_cl in the last bits.
+    n = 100
+    lambda_c = locate_critical_gap(n).lambda_c
+    real = criticality._points
+    windows = {}
+
+    def recording(params, lambdas, temperature, which, start=None):
+        out = real(params, lambdas, temperature, which, start)
+        windows[params.imbalance] = out[2]
+        return out
+
+    monkeypatch.setattr(criticality, "_points", recording)
+    found = criticality._optimize_deltas(
+        n, METHODS, 0.0, lambda_c, np.logspace(-6, -1, 13), 21
+    )
+    for method, opt in found.items():
+        assert opt.chi == windows[opt.delta][method][10], method
+    assert found["quantum"].delta == found["classical"].delta
+    assert found["quantum"].chi != found["classical"].chi
 
 
 def test_untilted_stack_rejects_unresolved_splitting():
@@ -830,17 +870,34 @@ def test_fit_power_law_rejects_non_finite_data(x, y):
         fit_power_law(x, y)
 
 
-@pytest.mark.parametrize("window_points", [0, 1, 2])
+@pytest.mark.parametrize("window_points", [0, 1, 2, 4, 20, 40])
 def test_tilt_search_rejects_windows_without_interior_points(window_points,
                                                             monkeypatch):
+    # and an even window, which has no point at lambda_c
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the window check")
 
     monkeypatch.setattr(criticality, "locate_critical_gap", no_solve)
-    with pytest.raises(ValueError, match="window_points < 3"):
+    monkeypatch.setattr(criticality, "_points", no_solve)
+    message = "window_points < 3" if window_points < 3 else "must be odd"
+    with pytest.raises(ValueError, match=message):
         optimize_delta(60, "classical", window_points=window_points)
-    with pytest.raises(ValueError, match="window_points < 3"):
+    with pytest.raises(ValueError, match=message):
         scaling_study((20, 30, 40), window_points=window_points)
+
+
+@pytest.mark.parametrize("n", [28, 30, 40, 101, 150, 202, 1000])
+@pytest.mark.parametrize("window_points", [3, 15, 21, 41])
+def test_peak_window_is_centred_on_lambda_c_exactly(n, window_points):
+    # Among the cases, N = 28 and 30 with 21 points are where np.linspace
+    # misses lambda_c, by 2.2e-16.  The ends are lambda_c -+ 8 N^(-2/3).
+    lambda_c = locate_critical_gap(n).lambda_c
+    window = criticality._peak_window(n, lambda_c, window_points)
+    assert window.size == window_points
+    assert window[window_points // 2] == lambda_c
+    half = 8.0 * n ** (-2.0 / 3.0)
+    assert window[0] == lambda_c - half and window[-1] == lambda_c + half
+    assert_allclose(np.diff(window), 2 * half / (window_points - 1), rtol=1e-12)
 
 
 def test_scaling_study_small_systems():
@@ -892,10 +949,12 @@ def test_scaling_study_scans_each_tilt_once(monkeypatch):
 def test_scaling_study_lapack_call_ceiling(monkeypatch):
     # The ground-scaling benchmark's seed-1 study, in process.  The counts
     # repeat exactly from run to run; scanning the grid above the last
-    # bracket reads 274 dgtsv, 144 dstebz, 85 dpttrf and 65 dstein calls.
+    # bracket reads 274 dgtsv, 144 dstebz, 85 dpttrf and 65 dstein calls,
+    # and a one-point solve of chi at each delta*, started from its window,
+    # 206 dgtsv and 58 dpttrf.
     import bjjsense.model as model
 
-    ceiling = {"dgtsv": 206, "dstebz": 122, "dpttrf": 58, "dstein": 59}
+    ceiling = {"dgtsv": 194, "dstebz": 122, "dpttrf": 52, "dstein": 59}
     calls = dict.fromkeys(ceiling, 0)
     for name in ceiling:
         real = getattr(model, name)
@@ -914,20 +973,17 @@ def test_scaling_study_lapack_call_ceiling(monkeypatch):
 @pytest.mark.parametrize("temperature", [0.0, 0.3])
 def test_scaling_study_chi_at_delta_star_is_chi_at_point(temperature,
                                                          monkeypatch):
-    # At T = 0 the point (lambda_c, delta*) starts from the delta* window's
-    # ground state nearest lambda_c, so it needs no bisection and its chi
-    # matches a cold chi_at_point to roundoff; at T > 0 it is that cold
-    # solve, bit for bit.
+    # chi at (lambda_c, delta*) is the middle point of the delta* window,
+    # which the tilt search has solved: every solve is a whole window.  At
+    # T = 0 that window starts warm, so its chi matches a cold chi_at_point
+    # to roundoff; at T > 0 its states are bisected as chi_at_point's are,
+    # and the two agree bit for bit.
     real = criticality._points
-    coarse = _coarse_bisections(monkeypatch)
-    cold = []  # the coarse bisections of each one-point call
+    sizes = []
 
     def recording(params, lambdas, t, which, start=None):
-        before = len(coarse)
-        out = real(params, lambdas, t, which, start)
-        if lambdas.size == 1:
-            cold.append(len(coarse) - before)
-        return out
+        sizes.append(lambdas.size)
+        return real(params, lambdas, t, which, start)
 
     monkeypatch.setattr(criticality, "_points", recording)
     res = scaling_study(
@@ -935,9 +991,7 @@ def test_scaling_study_chi_at_delta_star_is_chi_at_point(temperature,
         window_points=15,
     )
     monkeypatch.undo()
-    assert len(cold) >= 3
-    if temperature == 0.0:
-        assert cold == [0] * len(cold)
+    assert sizes and set(sizes) == {15}
     for i, n in enumerate(res.n_values):
         for method in METHODS:
             point = chi_at_point(
