@@ -223,8 +223,18 @@ def _check_outdir(path: str) -> None:
         raise CliError("output", f"output directory does not exist: {path}")
 
 
-def _provenance(command: str, config: dict) -> list[str]:
-    resolved = json.dumps(config, sort_keys=True)
+# Keys that one branch of a command reads and the other does not: a run
+# records only the keys it reads.
+_LAMBDA_SWEEP_KEYS = (
+    "lambda_min", "lambda_max", "lambda_step", "refine", "temperature",
+)
+_SYNTHETIC_KEYS = ("sigma", "amplitude_plus", "amplitude_minus", "n_samples")
+
+
+def _provenance(command: str, config: dict, unread=()) -> list[str]:
+    resolved = json.dumps(
+        {k: v for k, v in config.items() if k not in unread}, sort_keys=True
+    )
     lines = [f"bjjsense {__version__} {command}", f"config: {resolved}"]
     if "seed" in config:
         lines.append(f"seed: {config['seed']}")
@@ -259,7 +269,8 @@ def cmd_scan(args) -> int:
         columns = {"T": table["temperature"]}
         columns.update({CHI_COLUMN[m]: table[m] for m in METHODS if m in methods})
         write_columns(
-            _out(args, "scan.csv"), columns, _provenance("scan", config)
+            _out(args, "scan.csv"), columns,
+            _provenance("scan", config, _LAMBDA_SWEEP_KEYS),
         )
         return 0
     if config["refine"] and not methods:
@@ -438,6 +449,11 @@ def _resolve_series(config):
         raise CliError("series", str(err))
 
 
+def _series_unread(config) -> tuple[str, ...]:
+    """The synthetic series' keys, which a series read from a file ignores."""
+    return _SYNTHETIC_KEYS if config["input_csv"] is not None else ()
+
+
 def _replica_table(result):
     pairs = zip(result.scattering_lengths, result.replica_values)
     return [(a, v) for a, col in pairs for v in col]
@@ -449,7 +465,7 @@ def cmd_pipeline(args) -> int:
     spec = HistogramSpec(bin_width=float(config["bin_width"]))
     series = _resolve_series(config)
     estimates, fits = series_estimates(series, spec)
-    comments = _provenance("pipeline", config)
+    comments = _provenance("pipeline", config, _series_unread(config))
     boots = _bootstraps(series, ("chi_mom", "chi_cl"), config["n_replicas"],
                         config["seed"], spec, fits)
     write_columns(
@@ -487,7 +503,7 @@ def cmd_bootstrap(args) -> int:
                            seed=config["seed"], spec=spec)
     except (ValueError, RuntimeError) as err:
         raise CliError("bootstrap", str(err), exit_code=1)
-    comments = _provenance("bootstrap", config)
+    comments = _provenance("bootstrap", config, _series_unread(config))
     write_columns(
         _out(args, "bootstrap.csv"),
         {

@@ -143,7 +143,12 @@ class CriticalPointResult:
 
 @dataclass(frozen=True)
 class DeltaOptimization:
-    """Tilt placing a susceptibility peak at lambda_c^(N), and chi there."""
+    """Tilt placing a susceptibility peak at lambda_c^(N), and chi there.
+
+    ``bracketed`` is False when the peak offset never changed sign over the
+    tilts searched: there is no delta*, and ``delta``, ``peak_lambda``,
+    ``peak_offset`` and ``chi`` are NaN (``within_tolerance`` False).
+    """
 
     n_particles: int
     method: str
@@ -153,6 +158,7 @@ class DeltaOptimization:
     peak_offset: float
     within_tolerance: bool
     chi: float
+    bracketed: bool
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,8 @@ class ScalingStudyResult:
     """Per-N optimized susceptibilities and their power-law fits.
 
     ``delta_star`` and ``chi`` map method name to a per-N array aligned with
-    ``n_values``; ``fits`` maps method name to the fit of chi/N against N.
+    ``n_values``, NaN where the tilt search found no delta*; ``fits`` maps
+    method name to the fit of chi/N against N over the finite rows.
     """
 
     n_values: np.ndarray
@@ -556,7 +563,8 @@ def optimize_delta(
     Scans ``delta_grid`` (default: 25 points, logarithmic over
     [1e-6, 1e-1]) upward, and stops at the first sign change of the peak
     offset, the bracket of a root find in log(delta) that refines delta*
-    to the crossing; without a sign change it scans the whole grid.
+    to the crossing.  Without a sign change it scans the whole grid and
+    reports no delta*: ``bracketed`` False, delta* and chi NaN.
     delta* is the tilt of smallest |offset| among the grid tilts scanned
     and the root find's tilts; ties break toward smaller delta.  The
     returned ``within_tolerance`` flag records whether the final offset is
@@ -624,11 +632,13 @@ def _optimize_deltas(
     tilts above the last bracket are never scanned.  So each method's
     delta* is the smallest |offset| among the grid tilts up to the last
     bracket and its root-find tilts: the full grid's answer unless a tilt
-    above held a strictly smaller |offset|.  The root find then runs per
-    method, and a tilt that any search has scanned, on the grid or in a
-    root find, is never scanned again (``_brentq``
-    returns a tilt it has already evaluated, and the searches often share
-    bracket ends).  At T = 0, since the ground state is real with positive
+    above held a strictly smaller |offset|.  A method without a bracket has
+    no delta*: its result is NaN and not ``bracketed``, however small its
+    best |offset|, since a flat curve's argmax can fall next to lambda_c by
+    chance.  The root find then runs per method, and a tilt that any search
+    has scanned, on the grid or in a root find, is never scanned again
+    (``_brentq`` returns a tilt it has already evaluated, and the searches
+    often share bracket ends).  At T = 0, since the ground state is real with positive
     amplitudes, chi_Q equals chi_cl and the quantum tilt is the classical
     one: when both are asked for, only the classical one is searched, and
     the quantum result takes its tilt with the window's own chi_Q.
@@ -709,11 +719,6 @@ def _optimize_deltas(
         return on_grid.get(float(u), float(np.exp(u)))
 
     for method in searched:
-        if method not in best:
-            raise ValueError(
-                f"no delta in [{deltas[0]:.3g}, {deltas[-1]:.3g}] produced an "
-                f"interior peak for method {method!r}"
-            )
         if method in bracket:
 
             def offset(u: float) -> float | None:
@@ -731,16 +736,19 @@ def _optimize_deltas(
             if cand_off is not None and abs(cand_off) < abs(best[method][1]):
                 best[method] = (tilt(log_star), cand_off)
             keep()
-    if shared:
-        best["quantum"] = best["classical"]
     result = {}
     for method in methods:
-        delta, off = best[method]
+        source = "classical" if shared and method == "quantum" else method
+        if source in bracket:
+            delta, off = best[source]
+            chi = chi_c[delta][method]
+        else:
+            delta = off = chi = math.nan
         result[method] = DeltaOptimization(
             n_particles=n_particles, method=method, delta=delta,
             lambda_c=float(lambda_c), peak_lambda=float(lambda_c + off),
             peak_offset=float(off), within_tolerance=bool(abs(off) <= tol),
-            chi=chi_c[delta][method],
+            chi=chi, bracketed=source in bracket,
         )
     return result
 
@@ -780,6 +788,15 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
     )
 
 
+def _fit_finite(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
+    """``fit_power_law`` over the rows where ``y`` is finite; all NaN with
+    fewer than 3 such rows."""
+    finite = np.isfinite(y)
+    if np.count_nonzero(finite) < 3:
+        return PowerLawFit(prefactor=math.nan, exponent=math.nan, r_squared=math.nan)
+    return fit_power_law(x[finite], y[finite])
+
+
 def scaling_study(
     n_values=(200, 300, 500, 700, 1000),
     temperature: float = 0.0,
@@ -798,7 +815,10 @@ def scaling_study(
     point of its delta* window (``DeltaOptimization.chi``): at T > 0 that
     is ``chi_at_point``'s value bit for bit, at T = 0 it agrees to roundoff
     (the window starts warm).  Fits are chi/N against N for each method,
-    plus the critical-point shift -1 - lambda_c^(N) against N.
+    plus the critical-point shift -1 - lambda_c^(N) against N, each over
+    its finite rows only: a size whose search found no delta* has NaN
+    delta* and chi, and a quantity with fewer than 3 finite rows gets a
+    NaN fit.
 
     Raises
     ------
@@ -828,10 +848,8 @@ def scaling_study(
         )
         for m, opt in opts.items():
             delta_star[m][i], chi[m][i] = opt.delta, opt.chi
-    fits = {
-        m: fit_power_law(n_values, chi[m] / n_values) for m in METHODS
-    }
-    shift_fit = fit_power_law(n_values, -1.0 - lambda_c)
+    fits = {m: _fit_finite(n_values, chi[m] / n_values) for m in METHODS}
+    shift_fit = _fit_finite(n_values, -1.0 - lambda_c)
     return ScalingStudyResult(
         n_values=n_values,
         temperature=temperature,

@@ -12,10 +12,10 @@ Bohr radius a_0).  The analysis chain is:
    (``bhattacharyya_fidelity``), with 1 - F = (chi/8) eps^2 fitted through
    both neighbors in closed form,
 4. error bars by parametric bootstrap: redraw every histogram from its
-   fitted mixture, rerun the chain, and fit a Gaussian (optionally on an
-   exponential background) to the replica histogram of each estimate,
-   all grid points of a bootstrap in one bounded batch
-   (``_fit_gaussians``).
+   fitted mixture, rerun the chain, and read each estimate off its
+   replica values, the median as the center and half the distance between
+   the Phi(-1) and Phi(+1) percentiles as the error bar, with no model
+   fitted to them.
 
 Every step runs on stacks: ``_histograms`` bins all records of a series at
 once, and the fitter and both estimators take a stack of histograms.
@@ -29,10 +29,9 @@ and stopped on its own (when its step falls below 1e-14 of its parameters,
 when a rejected step predicts a decrease within machine epsilon of its
 cost, or after 2,000 steps), so a fit is the same bit for bit alone or
 among thousands.  A recorded histogram gets two starts from its data; a
-bootstrap replica gets one, the fit of its record.  The replica-value fits
-run on the same loop, with per-lane bounds.  The bootstrap never draws a
-sample: a replica of a record is a multinomial draw of its bin counts from
-the exact bin masses of the fitted mixture.
+bootstrap replica gets one, the fit of its record.  The bootstrap never
+draws a sample: a replica of a record is a multinomial draw of its bin
+counts from the exact bin masses of the fitted mixture.
 """
 
 from __future__ import annotations
@@ -58,8 +57,9 @@ _MAX_ITER = 2000
 _TINY = 1e-300
 _BLOCK = 512
 
-# Bins of each grid point's histogram of bootstrap replica values.
-_REPLICA_BINS = 100
+# Percentiles of the standard normal at -1 and +1 sigma, 100 Phi(-+1): half
+# the distance between them is the bootstrap error bar.
+_ONE_SIGMA = (15.865525393145707, 84.13447460685429)
 
 
 def _check_integer(name: str, value, minimum: int) -> None:
@@ -167,41 +167,23 @@ class HistogramSpec:
 
 
 @dataclass(frozen=True)
-class GaussianBackgroundFit:
-    """Gaussian peak, optionally on an exponential background.
-
-    Fitted to a replica histogram in density normalization; the background
-    amplitude is bounded to [0, 1].
-    """
-
-    center: float
-    width: float
-    amplitude: float
-    background_amplitude: float
-    background_scale: float
-    background_kind: str
-    converged: bool
-
-
-@dataclass(frozen=True)
 class BootstrapResult:
     """Per-point bootstrap centers and widths for one estimator.
 
-    ``centers[i] +- widths[i]`` is the Gaussian summary of the replica
-    histogram at ``scattering_lengths[i]``; entries are NaN where the
-    estimator is undefined (chi_cl endpoints).  ``background_kind`` is the
-    histogram model that ran: "exponential" for chi_mom, "none" for chi_cl.
+    ``centers[i]`` is the median of the finite replica values at
+    ``scattering_lengths[i]`` and ``widths[i]`` half the distance between
+    their Phi(-1) and Phi(+1) percentiles (15.87% and 84.13%), sigma for
+    Gaussian replicas; both are NaN where fewer than two replica values are
+    finite (chi_cl endpoints).
     """
 
     estimator: str
     scattering_lengths: np.ndarray
     centers: np.ndarray
     widths: np.ndarray
-    background_kind: str
     n_replicas: int
     n_failures: int
     replica_values: tuple[np.ndarray, ...]
-    fits: tuple[GaussianBackgroundFit | None, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -336,49 +318,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _solve_fixed(
-    a: np.ndarray, b: np.ndarray, fixed: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """``_solve`` with the coordinates ``fixed`` held at ``values``.
-
-    In lanes that fix a coordinate, its row and column of ``a`` become the
-    identity's and the free rows of ``b`` lose its column times its value,
-    so the free coordinates solve the reduced system.  Lanes that fix
-    nothing are solved as they stand.
-    """
-    lanes = fixed.any(axis=1)
-    if not lanes.any():
-        return _solve(a, b)
-    a, b = a.copy(), b.copy()
-    f, v, a_f = fixed[lanes], values[lanes], a[lanes]
-    b[lanes] = np.where(f, v, b[lanes] - np.sum(a_f * v[:, None, :], axis=2))
-    a[lanes] = np.where(f[:, :, None] | f[:, None, :], np.eye(a.shape[-1]), a_f)
-    return np.where(fixed, values, _solve(a, b))
-
-
-def _box_step(damped, g, p, lower, upper):
-    """The damped step of lanes at ``p`` within [lower, upper].
-
-    Coordinates on a bound whose descent direction -g points out of the box
-    are held (step 0).  Where the step leaves the box, the coordinates it
-    takes out go onto their bounds, the free ones are solved again with
-    them fixed, and the result is projected into the box.  Returns the
-    step, the trial point and the lanes whose step was solved again.
-    """
-    held = ((p <= lower) & (g > 0)) | ((p >= upper) & (g < 0))
-    step = _solve_fixed(damped, -g, held, np.zeros_like(p))
-    trial = p + step
-    out = (trial < lower) | (trial > upper)
-    bent = out.any(axis=1)
-    if bent.any():
-        to_bound = np.where(out, np.clip(trial, lower, upper) - p, 0.0)[bent]
-        resolved = _solve_fixed(damped[bent], -g[bent], (held | out)[bent], to_bound)
-        trial[bent] = np.clip(p[bent] + resolved, lower[bent], upper[bent])
-        step[bent] = trial[bent] - p[bent]
-    return step, trial, bent
-
-
-def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
+def _levenberg_marquardt(p: np.ndarray, residuals, jacobian):
     """Minimize the squared residual of every lane from the start ``p``.
 
     ``residuals(q, lanes)`` returns the residual rows of the parameter rows
@@ -396,13 +336,6 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
     precision, and more damping would only shrink the same step), when the
     step is not finite, or after _MAX_ITER steps.  Stopped lanes leave the
     active set.
-
-    ``lower`` and ``upper`` are per-lane bounds (lanes, parameters), +-inf
-    where a parameter is free; the start must lie within them.  Steps come
-    from ``_box_step``, and a step it had to solve again is judged against
-    the Gauss-Newton model's predicted decrease.  Lanes whose step stays
-    inside the box, all lanes when the bounds are infinite, are computed as
-    without bounds, bit for bit.
 
     Returns the parameters, the cost 0.5 |r|^2 and whether the lane stopped
     on its step size or on its predicted decrease, per lane.
@@ -425,19 +358,14 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian, lower, upper):
             p_act, g_act = p[active], g[active]
             damped = a[active]
             damped[:, diag, diag] += mu[active, None] * scale[active]
-            step, trial, bent = _box_step(
-                damped, g_act, p_act, lower[active], upper[active]
-            )
+            step = _solve(damped, -g_act)
+            trial = p_act + step
             r_t, terms_t = residuals(trial, active)
             cost_t = 0.5 * np.sum(r_t * r_t, axis=1)
             better = cost_t < cost[active]
             predicted = 0.5 * np.sum(
                 step * (mu[active, None] * scale[active] * step - g_act), axis=1
             )
-            if bent.any():
-                s_b = step[bent]
-                a_s = np.sum(a[active[bent]] * s_b[:, None, :], axis=2)
-                predicted[bent] = -np.sum(s_b * (g_act[bent] + 0.5 * a_s), axis=1)
             rho = (cost[active] - cost_t) / predicted
             small = (
                 np.sqrt(np.sum(step * step, axis=1))
@@ -531,7 +459,6 @@ def _fit_mixtures(
     # lanes k * i .. k * i + k - 1 are the starts of histogram i
     lanes_p = starts.reshape(-1, 4)
     lanes_h = h if n_starts == 1 else np.repeat(h, n_starts, axis=0)
-    free = np.full(lanes_p.shape, np.inf)
     p = np.empty_like(lanes_p)
     cost = np.empty(len(lanes_p))
     stopped = np.empty(len(lanes_p), dtype=bool)
@@ -542,8 +469,6 @@ def _fit_mixtures(
             lanes_p[at],
             lambda q, lanes: _residuals(q, block[lanes], z, w),
             lambda q, gauss: _jacobian(q, w, gauss),
-            -free[at],
-            free[at],
         )
     cost = np.where(np.isnan(cost), np.inf, cost).reshape(-1, n_starts)
     best = np.argmin(cost, axis=1)
@@ -745,11 +670,12 @@ def bootstrap(
     Replicas still invalid after that count as failures, and more than 10%
     of ``n_replicas`` aborts the bootstrap once the retry batch is done.
 
-    Per grid point the replica values go into a 100-bin histogram fitted
-    with a Gaussian (chi_cl) or a Gaussian on an exponential background
-    anchored at chi = 0 (chi_mom), the histograms of all grid points in
-    one batch (``_fit_gaussians``); the fit's center and width are the
-    reported value and error bar.
+    Per grid point the bootstrap reads its bar straight off the finite
+    replica values, with no model fitted to them: the center is their
+    median and the width half the distance between their Phi(-1) and
+    Phi(+1) percentiles (``np.percentile``, linear rule), which is sigma
+    for Gaussian replicas and ignores the tail of chi_mom toward 0.  A grid
+    point with fewer than two finite values gets NaN for both.
 
     Parameters
     ----------
@@ -852,125 +778,42 @@ def _bootstraps(
                     f"{n_failures} of {n_replicas} bootstrap replicas failed "
                     f"(> 10%); aborting"
                 )
-        background_kind = "exponential" if estimator == "chi_mom" else "none"
         replica_cols = [values[np.isfinite(values[:, i]), i] for i in range(n_points)]
-        fitted = [i for i, col in enumerate(replica_cols) if col.size >= 2]
-        fits: list[GaussianBackgroundFit | None] = [None] * n_points
-        if fitted:
-            value_hists = [
-                np.histogram(replica_cols[i], bins=_REPLICA_BINS) for i in fitted
-            ]
-            batch = _fit_gaussians(
-                np.array([h[0] for h in value_hists], dtype=float),
-                np.array([h[1] for h in value_hists]),
-                background_kind,
-            )
-            for i, fit in zip(fitted, batch):
-                fits[i] = fit
+        centers, widths = np.full(n_points, np.nan), np.full(n_points, np.nan)
+        for i, col in enumerate(replica_cols):
+            if col.size >= 2:
+                centers[i], widths[i] = _replica_bar(col)
         results[estimator] = BootstrapResult(
             estimator=estimator,
             scattering_lengths=a,
-            centers=np.array([np.nan if f is None else f.center for f in fits]),
-            widths=np.array([np.nan if f is None else f.width for f in fits]),
-            background_kind=background_kind,
+            centers=centers,
+            widths=widths,
             n_replicas=n_replicas,
             n_failures=n_failures,
             replica_values=tuple(replica_cols),
-            fits=tuple(fits),
         )
     return results
 
 
-def _gaussian_residuals(q: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """A g + B e minus ``y`` per lane, g = exp(-u^2 / 2), u = (x - c) / w,
-    e = exp(-x / tau); the background terms only for 5-parameter lanes."""
-    u = (x - q[:, :1]) / q[:, 1:2]
-    g = np.exp(-0.5 * u * u)
-    model = q[:, 2:3] * g
-    terms = [x, u, g]
-    if q.shape[1] == 5:
-        e = np.exp(-x / q[:, 4:5])
-        model = model + q[:, 3:4] * e
-        terms.append(e)
-    return model - y, terms
+def _replica_bar(values: np.ndarray) -> tuple[float, float]:
+    """Median of ``values`` (at least 2, all finite) and half the distance
+    between their _ONE_SIGMA percentiles.
 
-
-def _gaussian_jacobian(q: np.ndarray, terms) -> np.ndarray:
-    """(lanes, parameters, bins) derivatives in (c, w, A[, B, tau])."""
-    x, u, g, *background = terms
-    jac = np.empty((len(q), q.shape[1], g.shape[1]))
-    jac[:, 0] = q[:, 2:3] * g * u / q[:, 1:2]
-    np.multiply(jac[:, 0], u, out=jac[:, 1])
-    jac[:, 2] = g
-    if background:
-        e, tau = background[0], q[:, 4:5]
-        jac[:, 3] = e
-        jac[:, 4] = q[:, 3:4] * e * x / (tau * tau)
-    return jac
-
-
-def _fit_gaussians(
-    counts: np.ndarray, edges: np.ndarray, background_kind: str
-) -> list[GaussianBackgroundFit]:
-    """Gaussian fits, on an optional background, of a stack of histograms.
-
-    ``counts`` is (histograms, bins), every row with positive mass, and
-    ``edges`` (histograms, bins + 1).  Each histogram is normalized to unit
-    area and fitted with A exp(-(x - c)^2 / 2 w^2), plus B exp(-x / tau)
-    for ``background_kind`` "exponential", all in one batch: each histogram
-    is one lane of the bounded ``_levenberg_marquardt`` with the analytic
-    Jacobian, within c in [first edge - range, last edge + range], w in
-    [0.1 bin, 10 ranges], A >= 0 and, with the background, B in [0, 1]
-    and tau >= 0.1 bin.  The start puts c at the mean, w at the standard
-    deviation (at least a quarter bin) and A at the peak density; with the
-    background, A less the mean density t of the top 30% of bins (at least
-    1e-3), B at t + 1e-3 (at most 1) and tau at a third of the range (at
-    least a bin).  A fit is converged when its lane stopped on its step
-    size or on its predicted decrease (not on the step cap), with finite
-    parameters and a width inside (0.11 bin, 9.9 ranges).
-    No lane's arithmetic depends on another.
+    Bit for bit ``np.median`` and ``np.percentile``'s default linear rule,
+    which both import numpy.ma on first use (about 9 ms a process): on the
+    sorted values, percentile q sits at position (n - 1) q / 100 and is
+    interpolated between its neighbors a and b as a + (b - a) t, or as
+    b - (b - a) (1 - t) where the fraction t is at least 1/2.
     """
-    total = counts.sum(axis=1)
-    x = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    bin_w = np.mean(np.diff(edges, axis=1), axis=1)
-    y = counts / (total * bin_w)[:, None]
-    span = edges[:, -1] - edges[:, 0]
-    mean = np.sum(x * counts, axis=1) / total
-    std = np.maximum(
-        np.sqrt(np.sum((x - mean[:, None]) ** 2 * counts, axis=1) / total),
-        0.25 * bin_w,
-    )
-    peak = y.max(axis=1)
-    zero, inf = np.zeros_like(span), np.full_like(span, np.inf)
-    lower = [edges[:, 0] - span, 0.1 * bin_w, zero]
-    upper = [edges[:, -1] + span, 10.0 * span, inf]
-    if background_kind == "none":
-        start = [mean, std, peak]
-    else:
-        tail = np.maximum(y[:, int(0.7 * y.shape[1]) :].mean(axis=1), 0.0)
-        start = [mean, std, np.maximum(peak - tail, 1e-3),
-                 np.minimum(tail + 1e-3, 1.0), np.maximum(span / 3.0, bin_w)]
-        lower += [zero, 0.1 * bin_w]
-        upper += [np.ones_like(span), inf]
-    p, _, stopped = _levenberg_marquardt(
-        np.stack(start, axis=1),
-        lambda q, lanes: _gaussian_residuals(q, x[lanes], y[lanes]),
-        _gaussian_jacobian,
-        np.stack(lower, axis=1),
-        np.stack(upper, axis=1),
-    )
-    degenerate = (p[:, 1] <= 0.11 * bin_w) | (p[:, 1] >= 9.9 * span)
-    ok = stopped & np.all(np.isfinite(p), axis=1) & ~degenerate
-    fits = []
-    for k, q in enumerate(p.tolist()):
-        bg_amp, bg_scale = (0.0, float("inf")) if len(q) == 3 else q[3:]
-        fits.append(GaussianBackgroundFit(
-            center=q[0],
-            width=q[1],
-            amplitude=q[2],
-            background_amplitude=bg_amp,
-            background_scale=bg_scale,
-            background_kind=background_kind,
-            converged=bool(ok[k]),
-        ))
-    return fits
+    s = np.sort(values)
+    n = s.size
+    k = n // 2
+    center = s[k] if n % 2 else (s[k - 1] + s[k]) / 2.0
+    bounds = []
+    for percent in _ONE_SIGMA:
+        position = (n - 1) * (percent / 100.0)
+        i = math.floor(position)
+        t = position - i
+        a, b = s[i], s[i + 1]
+        bounds.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return float(center), float(0.5 * (bounds[1] - bounds[0]))

@@ -1,26 +1,22 @@
-"""Per-histogram scipy fits: the references for the batched fitters.
+"""Per-histogram scipy fits: the reference for the batched fitter.
 
 ``bjjsense.estimation`` fits every histogram with its own vectorized
-Levenberg-Marquardt loop.  This module keeps the per-histogram routes it
-replaced:
+Levenberg-Marquardt loop.  This module keeps the per-histogram route it
+replaced, ``fit_double_gaussian``: two starts, each run through MINPACK's
+``least_squares(method="lm")`` with the analytic Jacobian, the lower cost
+winning, then the same canonicalization and stationarity flag.  It shares
+no fitting code with the package, only its result type and
+``HistogramSpec``.
 
-* ``fit_double_gaussian``: two starts, each run through MINPACK's
-  ``least_squares(method="lm")`` with the analytic Jacobian, the lower cost
-  winning, then the same canonicalization and stationarity flag;
-* ``fit_gaussian_with_background``: one bounded ``least_squares``
-  trust-region-reflective (TRF) fit of a Gaussian, optionally on an
-  exponential background, with a finite-difference Jacobian.
-
-Both share no fitting code with the package, only its result types and
-``HistogramSpec``.  ``unbounded_levenberg_marquardt`` is different: it is the
-package's Levenberg-Marquardt loop as it was before it took bounds, run
-on the package's own residual, Jacobian and solve helpers, so that any
-arithmetic the bounds add to an unbounded lane shows as a bit difference.
-``normal_equations``, ``mixture_jacobian`` and ``gaussian_jacobian`` are
-the fitter's kernels in their one-expression forms: J^T J as one
-(lanes, n, n, bins) product summed over its bins, and each Jacobian as
-``np.stack`` of its columns.  The package builds J^T J row by row and
-fills each Jacobian into one array, and must match them bit for bit.
+``unbounded_levenberg_marquardt`` is different: it is a second copy of the
+package's Levenberg-Marquardt loop, kept apart from it and run on the
+package's own residual, Jacobian and solve helpers, so that any change to
+the loop's arithmetic shows as a bit difference.
+``normal_equations`` and ``mixture_jacobian`` are the fitter's kernels in
+their one-expression forms: J^T J as one (lanes, n, n, bins) product summed
+over its bins, and the Jacobian as ``np.stack`` of its columns.  The
+package builds J^T J row by row and fills the Jacobian into one array, and
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +25,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 import bjjsense.estimation as est
-from bjjsense.estimation import (
-    DoubleGaussianFit,
-    GaussianBackgroundFit,
-    HistogramSpec,
-)
+from bjjsense.estimation import DoubleGaussianFit, HistogramSpec
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -181,88 +173,14 @@ def fit_double_gaussian(
     )
 
 
-def fit_gaussian_with_background(
-    counts: np.ndarray,
-    edges: np.ndarray,
-    background_kind: str = "none",
-) -> GaussianBackgroundFit:
-    """Gaussian (plus optional exponential background) fit to a histogram.
-
-    The histogram is normalized to unit area; the model is
-    A exp(-(x - c)^2 / 2 w^2) [+ B exp(-x / tau)] with B in [0, 1], fitted
-    by TRF at xtol = ftol = gtol = 1e-12 and at most 5,000 evaluations, from
-    the same starts and within the same bounds as the package's fitter.
-    """
-    counts = np.asarray(counts, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    total = counts.sum()
-    x = 0.5 * (edges[:-1] + edges[1:])
-    bin_w = float(np.mean(np.diff(edges)))
-    y = counts / (total * bin_w)
-    span = float(edges[-1] - edges[0])
-    mean = float(x @ counts / total)
-    var = float(((x - mean) ** 2) @ counts / total)
-    std = max(np.sqrt(var), 0.25 * bin_w)
-
-    if background_kind == "none":
-        p0 = np.array([mean, std, float(y.max())])
-        lo = [edges[0] - span, 0.1 * bin_w, 0.0]
-        hi = [edges[-1] + span, 10.0 * span, np.inf]
-
-        def model(p):
-            c, w0, amp = p
-            return amp * np.exp(-0.5 * ((x - c) / w0) ** 2)
-
-    else:
-        tail = max(float(y[int(0.7 * y.size):].mean()), 0.0)
-        p0 = np.array(
-            [mean, std, max(float(y.max()) - tail, 1e-3), min(tail + 1e-3, 1.0),
-             max(span / 3.0, bin_w)]
-        )
-        lo = [edges[0] - span, 0.1 * bin_w, 0.0, 0.0, 0.1 * bin_w]
-        hi = [edges[-1] + span, 10.0 * span, np.inf, 1.0, np.inf]
-
-        def model(p):
-            c, w0, amp, bg, tau = p
-            return amp * np.exp(-0.5 * ((x - c) / w0) ** 2) + bg * np.exp(-x / tau)
-
-    try:
-        res = least_squares(
-            lambda p: model(p) - y, p0, bounds=(lo, hi), method="trf",
-            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=5000,
-        )
-        ok = bool(res.success and np.all(np.isfinite(res.x)))
-        p = res.x
-    except Exception:
-        ok = False
-        p = p0
-    width = abs(float(p[1]))
-    degenerate = width <= 0.11 * bin_w or width >= 9.9 * span
-    if background_kind == "none":
-        bg_amp, bg_scale = 0.0, float("inf")
-    else:
-        bg_amp, bg_scale = float(min(p[3], 1.0)), float(p[4])
-    return GaussianBackgroundFit(
-        center=float(p[0]),
-        width=width,
-        amplitude=float(p[2]),
-        background_amplitude=bg_amp,
-        background_scale=bg_scale,
-        background_kind=background_kind,
-        converged=bool(ok and not degenerate),
-    )
-
-
-def unbounded_levenberg_marquardt(p, residuals, jacobian, lower, upper):
+def unbounded_levenberg_marquardt(p, residuals, jacobian):
     """The mixture fitter's loop without bounds, on the package's helpers.
 
-    Same signature as ``bjjsense.estimation._levenberg_marquardt``; the
-    bounds must be infinite and every step is the plain damped solve.  A
-    lane stops on the same rules: a small step, a rejected step whose
+    Same signature as ``bjjsense.estimation._levenberg_marquardt``; every
+    step is the plain damped solve.  A lane stops on the same rules: a small step, a rejected step whose
     predicted decrease is at most machine epsilon times the cost, or a step
     that is not finite; it is flagged on the first two.
     """
-    assert np.all(lower == -np.inf) and np.all(upper == np.inf)
     p = p.copy()
     r, terms = residuals(p, np.arange(len(p)))
     cost = 0.5 * np.sum(r * r, axis=1)
@@ -330,14 +248,3 @@ def mixture_jacobian(p: np.ndarray, w: float, gauss) -> np.ndarray:
     d_zbar = w * (ap * up * gp - am * um * gm) / sigma
     d_sigma = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
     return np.stack([d_zbar, d_sigma, w * gp, w * gm], axis=1)
-
-
-def gaussian_jacobian(q: np.ndarray, terms) -> np.ndarray:
-    """``bjjsense.estimation._gaussian_jacobian`` with its columns stacked."""
-    x, u, g, *background = terms
-    d_c = q[:, 2:3] * g * u / q[:, 1:2]
-    columns = [d_c, d_c * u, g]
-    if background:
-        e, tau = background[0], q[:, 4:5]
-        columns += [e, q[:, 3:4] * e * x / (tau * tau)]
-    return np.stack(columns, axis=1)

@@ -192,8 +192,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 # Retired keys, and the commands that took them: those that changed no
-# number, the energy unit Omega (``tunneling``), and the bootstrap's
-# background model, which follows the estimator.
+# number, the energy unit Omega (``tunneling``), and a background model for
+# the bootstrap's replica values, which it no longer fits.
 RETIRED_KEYS = [
     ("scan", "epsilon0"), ("scaling", "epsilon0"),
     ("scan", "seed"), ("scaling", "seed"), ("critical-point", "seed"),
@@ -519,6 +519,37 @@ def test_recorded_config_reruns_byte_identical(tmp_path, command, payload, extra
     recorded_config = _write_config(tmp_path, "recorded.json", resolved)
     assert main([command, "--config", recorded_config, "--out", rerun]) == 0
     assert _outputs(rerun) == blobs
+
+
+@pytest.mark.parametrize("command,payload,unread", [
+    ("scan", {"n_particles": 20, "sweep": "temperature", "temperatures": [0.1],
+              "lambda_value": "critical"},
+     {"lambda_min", "lambda_max", "lambda_step", "refine", "temperature"}),
+    ("pipeline", {"n_replicas": 100},
+     {"sigma", "amplitude_plus", "amplitude_minus", "n_samples"}),
+    ("bootstrap", {"n_replicas": 100, "estimator": "chi_mom"},
+     {"sigma", "amplitude_plus", "amplitude_minus", "n_samples"}),
+], ids=["scan-temperature", "pipeline-input-csv", "bootstrap-input-csv"])
+def test_a_run_records_only_the_keys_it_reads(tmp_path, command, payload, unread):
+    # a temperature sweep reads no lambda-sweep key, and a series read from
+    # a file none of the synthetic series' keys
+    if command != "scan":
+        rng = np.random.default_rng(8)
+        rows = [f"{a},{float(z)!r}" for a, zbar in ((-2.0, 0.3), (-1.8, 0.4), (-1.6, 0.5))
+                for z in np.clip(zbar * rng.choice([-1.0, 1.0], 400)
+                                 + 0.1 * rng.standard_normal(400), -1.0, 1.0)]
+        path = tmp_path / "shots.csv"
+        path.write_text("scattering_length_a0,z\n" + "\n".join(rows) + "\n")
+        payload = {**payload, "input_csv": str(path)}
+    config = _write_config(tmp_path, "cfg.json", payload)
+    out = _outdir(tmp_path, "out")
+    assert main([command, "--config", config, "--out", out]) == 0
+    recorded = {line for blob in _outputs(out).values()
+                for line in blob.decode("utf-8").splitlines()
+                if line.startswith("# config: ")}
+    assert len(recorded) == 1
+    resolved = json.loads(recorded.pop().split("config: ", 1)[1])
+    assert set(resolved) == set(KEYS_BY_COMMAND[command]) - unread
 
 
 def test_bootstrap_rejects_bad_estimator(tmp_path, capsys):

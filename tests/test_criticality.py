@@ -831,6 +831,57 @@ def test_optimize_delta_centers_peak():
     assert 1e-5 <= opt.delta <= 1e-2
     assert_allclose(opt.peak_lambda, crit.lambda_c + opt.peak_offset,
                     rtol=1e-12)
+    assert opt.bracketed
+
+
+def test_tilt_search_without_a_sign_change_reports_no_peak():
+    # At N = 40 and T = 0.3 chi_mom has all but vanished (1.5e-8 at the
+    # lowest tilt) and its window peak never changes side of lambda_c: the
+    # tilt of smallest |offset| sits within half a window step by chance
+    # and is no delta*.
+    opt = optimize_delta(40, "moment", temperature=0.3,
+                         delta_grid=np.logspace(-6, -1, 9), window_points=15)
+    assert not opt.bracketed
+    assert not opt.within_tolerance
+    for value in (opt.delta, opt.peak_lambda, opt.peak_offset, opt.chi):
+        assert math.isnan(value)
+    assert math.isfinite(opt.lambda_c)
+
+
+def test_quantum_search_shares_the_classical_bracket_at_zero_temperature():
+    # At T = 0 the quantum tilt is the classical one: on a grid too short
+    # for the classical peak to cross lambda_c, neither has a delta*.
+    crit = locate_critical_gap(60)
+    short = criticality._optimize_deltas(
+        60, METHODS, 0.0, crit.lambda_c, np.logspace(-6, -5, 3), 15
+    )
+    full = criticality._optimize_deltas(
+        60, METHODS, 0.0, crit.lambda_c, np.logspace(-4, -1, 6), 15
+    )
+    for method in ("classical", "quantum"):
+        assert not short[method].bracketed
+        assert math.isnan(short[method].delta) and math.isnan(short[method].chi)
+        assert full[method].bracketed
+    assert full["quantum"].delta == full["classical"].delta
+
+
+def test_scaling_fits_each_quantity_over_its_finite_rows():
+    # N = 40 has no moment delta*: the moment fit would rest on 2 sizes and
+    # is NaN, while the other methods still fit all 3
+    res = scaling_study((40, 60, 80), 0.3, delta_grid=np.logspace(-6, -1, 9),
+                        window_points=15)
+    assert math.isnan(res.delta_star["moment"][0])
+    assert math.isnan(res.chi["moment"][0])
+    assert np.all(np.isfinite(res.chi["moment"][1:]))
+    fit = res.fits["moment"]
+    assert all(math.isnan(v) for v in (fit.prefactor, fit.exponent, fit.r_squared))
+    for method in ("classical", "quantum"):
+        assert res.fits[method] == fit_power_law(res.n_values,
+                                                 res.chi[method] / res.n_values)
+    n = np.array([40, 60, 80, 100])
+    y = 0.7 * n ** 0.4
+    y[1] = np.nan
+    assert criticality._fit_finite(n, y) == fit_power_law(n[[0, 2, 3]], y[[0, 2, 3]])
 
 
 def test_optimize_delta_validation():
@@ -987,13 +1038,20 @@ def test_scaling_study_chi_at_delta_star_is_chi_at_point(temperature,
 
     monkeypatch.setattr(criticality, "_points", recording)
     res = scaling_study(
-        (40, 60, 80), temperature, delta_grid=np.logspace(-4, -2, 6),
+        (40, 60, 80), temperature, delta_grid=np.logspace(-4, -1, 6),
         window_points=15,
     )
     monkeypatch.undo()
     assert sizes and set(sizes) == {15}
+    # chi_mom has all but vanished at N = 40 and T = 0.3: no delta* there
+    missing = {(int(n), m) for i, n in enumerate(res.n_values) for m in METHODS
+               if math.isnan(res.delta_star[m][i])}
+    assert missing == (set() if temperature == 0.0 else {(40, "moment")})
     for i, n in enumerate(res.n_values):
         for method in METHODS:
+            if (int(n), method) in missing:
+                assert math.isnan(res.chi[method][i])
+                continue
             point = chi_at_point(
                 ModelParams(int(n), res.lambda_c[i], res.delta_star[method][i]),
                 temperature,

@@ -388,18 +388,77 @@ def test_bootstrap_center_stable_under_doubling():
             < 3.0 * b300.widths[i] / np.sqrt(300))
 
 
-def test_bootstrap_background_defaults():
-    a = np.array([-2.0, -1.8, -1.6])
-    gens = [_mixture(z, 0.1) for z in (0.55, 0.45, 0.35)]
+# Phi(-1) and Phi(+1) in percent: half the distance between these
+# percentiles of a point's replica values is its error bar.
+ONE_SIGMA = (15.865525393145707, 84.13447460685429)
+
+
+@pytest.mark.parametrize("estimator", ["chi_mom", "chi_cl"])
+def test_bootstrap_bars_are_replica_percentiles(estimator):
+    # The bars are read off the replica values with no fit: the median is
+    # the center, half the Phi(-1)..Phi(+1) percentile distance (sigma for
+    # a Gaussian) the width, bit for bit.
+    assert_allclose(ONE_SIGMA, 100.0 * norm.cdf([-1.0, 1.0]), rtol=1e-15)
+    a = np.arange(-2.7, -1.7, 0.18)
+    zbars = 0.25 + 0.40 / (1.0 + np.exp((a + 1.746) / 0.15))
+    series = synth_samples(a, [_mixture(float(z), 0.1) for z in zbars], 400,
+                           seed=5)
+    result = bootstrap(series, estimator, n_replicas=300, seed=9)
+    defined = [i for i, col in enumerate(result.replica_values) if col.size]
+    assert defined == (list(range(1, a.size - 1)) if estimator == "chi_cl"
+                       else list(range(a.size)))
+    for i in defined:
+        col = result.replica_values[i]
+        assert col.size == 300
+        lo, hi = np.percentile(col, ONE_SIGMA)
+        assert result.centers[i] == np.median(col)
+        assert result.widths[i] == 0.5 * (hi - lo)
+        assert result.widths[i] > 0
+
+
+def test_replica_bar_is_numpys_median_and_percentiles():
+    # odd and even counts, ties, and the two-value minimum
+    rng = np.random.default_rng(12)
+    for n in [*range(2, 40), 299, 300, 3000]:
+        for values in (rng.normal(5.0, 2.0, n), np.round(rng.exponential(3.0, n))):
+            lo, hi = np.percentile(values, ONE_SIGMA)
+            assert est._replica_bar(values) == (np.median(values), 0.5 * (hi - lo))
+
+
+def test_replica_bar_of_gaussian_values_is_their_sigma():
+    # the Phi(-1)..Phi(+1) half-width is sigma for a Gaussian, and a tail
+    # toward 0 of 5% of the values moves it far less than it moves the
+    # standard deviation
+    rng = np.random.default_rng(4)
+    values = rng.normal(30.0, 2.5, 20000)
+    center, width = est._replica_bar(values)
+    assert abs(center - 30.0) < 0.05
+    assert abs(width - 2.5) < 0.05
+    tailed = np.concatenate([values, rng.uniform(0.0, 20.0, 1000)])
+    assert abs(est._replica_bar(tailed)[1] - 2.5) < 0.3 < abs(np.std(tailed) - 2.5)
+
+
+def test_bootstrap_bars_need_two_finite_replica_values(monkeypatch):
+    a = np.array([-2.0, -1.8, -1.6, -1.4])
+    gens = [_mixture(z, 0.1) for z in (0.55, 0.45, 0.35, 0.3)]
     series = synth_samples(a, gens, 300, seed=4)
-    b_cl = bootstrap(series, "chi_cl", n_replicas=120, seed=1)
     b_mom = bootstrap(series, "chi_mom", n_replicas=120, seed=1)
-    assert b_cl.background_kind == "none"
-    assert b_mom.background_kind == "exponential"
-    assert np.isnan(b_cl.centers[0]) and np.isnan(b_cl.centers[-1])
-    assert b_cl.widths[1] > 0
     assert np.all(b_mom.widths > 0)
     assert b_mom.n_replicas == 120
+    real = est._chi_cl
+
+    def thinned(probabilities, grid):
+        chi = real(probabilities, grid)
+        chi[1:, 1] = np.nan  # one finite replica value left at point 1
+        chi[2:, 2] = np.nan  # two at point 2
+        return chi
+
+    monkeypatch.setattr(est, "_chi_cl", thinned)
+    b_cl = bootstrap(series, "chi_cl", n_replicas=120, seed=1)
+    assert [col.size for col in b_cl.replica_values] == [0, 1, 2, 0]
+    for i in (0, 1, 3):
+        assert np.isnan(b_cl.centers[i]) and np.isnan(b_cl.widths[i])
+    assert np.isfinite(b_cl.centers[2]) and b_cl.widths[2] > 0
 
 
 def test_bootstrap_validation():
@@ -552,7 +611,6 @@ def test_bootstraps_share_one_draw_of_the_replicas(monkeypatch):
         assert np.array_equal(shared.centers, result.centers, equal_nan=True)
         assert all(np.array_equal(x, y) for x, y in
                    zip(shared.replica_values, result.replica_values))
-        assert shared.fits == result.fits
 
 
 def _replica_stack(seed, n_samples, n_replicas):
@@ -627,9 +685,8 @@ def _counted_fit(starts, hists, spec):
         evaluations[lanes] += 1
         return est._residuals(q, hists[lanes], z, w)
 
-    free = np.full(starts.shape, np.inf)
     fit = est._levenberg_marquardt(
-        starts, residuals, lambda q, gauss: est._jacobian(q, w, gauss), -free, free
+        starts, residuals, lambda q, gauss: est._jacobian(q, w, gauss)
     )
     return fit, evaluations - 1
 
@@ -781,44 +838,6 @@ def test_chi_mom_bootstrap_computes_no_overlap(monkeypatch):
     assert calls == [100]
 
 
-def test_background_fit_pure_gaussian():
-    edges = np.linspace(0.0, 8.0, 101)
-    x = 0.5 * (edges[:-1] + edges[1:])
-    bin_w = edges[1] - edges[0]
-    density = 0.9 * np.exp(-0.5 * ((x - 4.0) / 0.7) ** 2)
-    fit = est._fit_gaussians(5e4 * density[None] * bin_w, edges[None],
-                             "none")[0]
-    assert fit.converged
-    assert_allclose(fit.center, 4.0, rtol=1e-6)
-    assert_allclose(fit.width, 0.7, rtol=1e-6)
-    assert fit.background_amplitude == 0.0
-
-
-def test_background_fit_recovers_both_components():
-    edges = np.linspace(0.0, 8.0, 101)
-    x = 0.5 * (edges[:-1] + edges[1:])
-    bin_w = edges[1] - edges[0]
-    density = (0.8 * np.exp(-0.5 * ((x - 3.0) / 0.5) ** 2)
-               + 0.4 * np.exp(-x / 2.0))
-    fit = est._fit_gaussians(1e5 * density[None] * bin_w, edges[None],
-                             "exponential")[0]
-    assert fit.converged
-    assert_allclose(fit.center, 3.0, rtol=0.1)
-    assert_allclose(fit.width, 0.5, rtol=0.1)
-    assert_allclose(fit.background_scale, 2.0, rtol=0.1)
-    # the fit renormalizes to unit area, so compare the scale-free ratio
-    assert_allclose(fit.amplitude / fit.background_amplitude, 2.0, rtol=0.1)
-
-
-def test_background_amplitude_clamped():
-    edges = np.linspace(0.0, 8.0, 101)
-    x = 0.5 * (edges[:-1] + edges[1:])
-    bin_w = edges[1] - edges[0]
-    counts = 1e5 * np.exp(-x / 0.3) * bin_w
-    fit = est._fit_gaussians(counts[None], edges[None], "exponential")[0]
-    assert fit.background_amplitude <= 1.0 + 1e-12
-
-
 def test_fit_series_matches_pointwise_fit():
     a = np.array([-2.0, -1.8])
     gens = [_mixture(0.5, 0.08), _mixture(0.3, 0.08)]
@@ -948,10 +967,11 @@ def _with_a_non_finite_lane(x):
 ])
 @np.errstate(all="ignore")
 def test_fitter_kernels_match_their_stacked_forms(lanes, n, bins):
-    # The Jacobians fill one preallocated array and J^T J is built row by
+    # The Jacobian fills one preallocated array and J^T J is built row by
     # row; each must equal the stacked, one-product form bit for bit, on the
-    # lane shapes of the mixture fits (4 parameters, 40 bins) and of the
-    # replica-value fits (5 or 3, 100 bins), a non-finite lane included.
+    # lane shapes of the mixture fits (4 parameters, 40 bins), a non-finite
+    # lane included.  J^T J takes any parameter count: lanes of 5 and 3
+    # parameters over 100 bins check it on random Jacobians.
     rng = np.random.default_rng([lanes, n, bins])
     if n == 4:
         spec = HistogramSpec()
@@ -963,81 +983,14 @@ def test_fitter_kernels_match_their_stacked_forms(lanes, n, bins):
                                   spec.bin_width)
         jac = est._jacobian(p, spec.bin_width, gauss)
         reference = lsq_reference.mixture_jacobian(p, spec.bin_width, gauss)
+        assert not np.isfinite(reference[-1]).all()
+        assert np.array_equal(jac, reference, equal_nan=True)
     else:
-        x = np.sort(rng.uniform(0.0, 50.0, (lanes, bins)), axis=1)
-        q = np.column_stack([rng.uniform(1.0, 50.0, lanes), rng.uniform(0.05, 5.0, lanes),
-                             rng.uniform(0.0, 1.0, (lanes, n - 2))])
-        if n == 5:
-            q[:, 4] = rng.uniform(1.0, 20.0, lanes)
-        q[-1, :2] = [np.inf, 0.0]
-        r, terms = est._gaussian_residuals(q, x, rng.random((lanes, bins)))
-        jac = est._gaussian_jacobian(q, terms)
-        reference = lsq_reference.gaussian_jacobian(q, terms)
+        jac = rng.standard_normal((lanes, n, bins)) * rng.uniform(0.01, 50.0, (lanes, n, 1))
+        r = rng.random((lanes, bins))
     assert jac.shape == (lanes, n, bins)
-    assert not np.isfinite(reference[-1]).all()
-    assert np.array_equal(jac, reference, equal_nan=True)
     jac, r = _with_a_non_finite_lane(jac), _with_a_non_finite_lane(r)
     for got, want in zip(est._normal_equations(jac, r),
                          lsq_reference.normal_equations(jac, r)):
         assert np.isnan(want[-1]).any() and np.isfinite(want[:-1]).all()
         assert np.array_equal(got, want, equal_nan=True)
-
-
-def _replica_histograms(seed, count):
-    """100-bin histograms of 100-3,000 normal values, centers in [1, 50],
-    widths in [0.05, 5]: the shape of bootstrap replica histograms."""
-    rng = np.random.default_rng(seed)
-    hists = []
-    for _ in range(count):
-        n = int(10.0 ** rng.uniform(2.0, 3.5))
-        values = rng.normal(rng.uniform(1.0, 50.0), rng.uniform(0.05, 5.0), n)
-        hists.append(np.histogram(values, bins=100))
-    return hists
-
-
-def _gaussian_cost(fit, counts, edges):
-    x = 0.5 * (edges[:-1] + edges[1:])
-    y = counts / (counts.sum() * np.mean(np.diff(edges)))
-    r = fit.amplitude * np.exp(-0.5 * ((x - fit.center) / fit.width) ** 2) - y
-    return 0.5 * float(r @ r)
-
-
-def test_replica_fit_matches_trf_reference():
-    hists = _replica_histograms(0, 40)
-    fits = est._fit_gaussians(np.array([h[0] for h in hists], dtype=float),
-                              np.array([h[1] for h in hists]), "none")
-    for fit, (counts, edges) in zip(fits, hists):
-        ref = lsq_reference.fit_gaussian_with_background(counts, edges, "none")
-        assert fit.converged and ref.converged
-        assert (_gaussian_cost(fit, counts, edges)
-                <= _gaussian_cost(ref, counts, edges) * (1.0 + 1e-12))
-        assert_allclose([fit.center, fit.width], [ref.center, ref.width],
-                        rtol=1e-6)
-
-
-@pytest.mark.parametrize("kind", ["none", "exponential"])
-def test_replica_fit_is_independent_of_its_batch(kind):
-    hists = _replica_histograms(1, 12)
-    counts = np.array([h[0] for h in hists], dtype=float)
-    edges = np.array([h[1] for h in hists])
-    batch = est._fit_gaussians(counts, edges, kind)
-    for i in (0, 5, 11):
-        assert batch[i] == est._fit_gaussians(counts[i : i + 1],
-                                              edges[i : i + 1], kind)[0]
-
-
-@pytest.mark.parametrize("center, width", [(1.5, 0.3), (2.0, 1.0), (3.0, 0.7)])
-def test_background_fit_holds_a_pinned_amplitude(center, width):
-    # The exact histogram of a Gaussian: the background amplitude B wants to
-    # go below 0 and sits on its bound, and the fit must then solve for the
-    # other parameters with B held there.  Projecting the free step onto the
-    # bound instead stalls: every step stays in the box, but the lane creeps
-    # on to the step cap and comes back unconverged.
-    edges = np.linspace(0.0, 8.0, 101)
-    counts = 1e5 * np.diff(norm.cdf((edges - center) / width))
-    pinned = est._fit_gaussians(counts[None], edges[None], "exponential")[0]
-    plain = est._fit_gaussians(counts[None], edges[None], "none")[0]
-    assert pinned.converged
-    assert pinned.background_amplitude == 0.0
-    assert_allclose([pinned.center, pinned.width], [plain.center, plain.width],
-                    rtol=1e-6)

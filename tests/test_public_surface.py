@@ -1,6 +1,7 @@
 """The package's advertised names exist, and no others are advertised."""
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -54,15 +55,15 @@ ESTIMATION = [
     "MeasurementSeries",
     "HistogramSpec",
     "DoubleGaussianFit",
-    "GaussianBackgroundFit",
     "BootstrapResult",
     "synth_samples",
     "series_estimates",
     "bootstrap",
 ]
 
-# The one-histogram layer beside the stacked estimator chain, and the
-# private chain that the series estimates and the bootstrap shared.
+# The one-histogram layer beside the stacked estimator chain, the private
+# chain that the series estimates and the bootstrap shared, and the fit of
+# a Gaussian to the bootstrap replica values that the bars replaced.
 RETIRED_ESTIMATION = [
     "Histogram",
     "build_histogram",
@@ -74,6 +75,8 @@ RETIRED_ESTIMATION = [
     "_series_estimates",
     "_estimates",
     "_valid_series",
+    "GaussianBackgroundFit",
+    "_fit_gaussians",
 ]
 
 
@@ -82,12 +85,14 @@ def test_estimation_surface_is_pinned():
 
     assert [name for name in ESTIMATION if not hasattr(est, name)] == []
     assert [name for name in RETIRED_ESTIMATION if hasattr(est, name)] == []
+    fields = [f.name for f in dataclasses.fields(est.BootstrapResult)]
+    assert fields == ["estimator", "scattering_lengths", "centers", "widths",
+                      "n_replicas", "n_failures", "replica_values"]
 
 
 def test_no_energy_unit_or_background_knob():
-    # Omega is the energy unit, and the bootstrap's background model follows
-    # its estimator: neither is a parameter.
-    import dataclasses
+    # Omega is the energy unit, and the bootstrap fits no background model
+    # to its replica values: neither is a parameter.
     import inspect
 
     import bjjsense.criticality as crit
