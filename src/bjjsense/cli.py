@@ -228,6 +228,7 @@ def _check_outdir(path: str) -> None:
 _LAMBDA_SWEEP_KEYS = (
     "lambda_min", "lambda_max", "lambda_step", "refine", "temperature",
 )
+_TEMPERATURE_SWEEP_KEYS = ("temperatures", "lambda_value")
 _SYNTHETIC_KEYS = ("sigma", "amplitude_plus", "amplitude_minus", "n_samples")
 
 
@@ -309,7 +310,10 @@ def cmd_scan(args) -> int:
         columns = {
             k: np.concatenate([v, extra[k]])[order] for k, v in columns.items()
         }
-    write_columns(_out(args, "scan.csv"), columns, _provenance("scan", config))
+    write_columns(
+        _out(args, "scan.csv"), columns,
+        _provenance("scan", config, _TEMPERATURE_SWEEP_KEYS),
+    )
     return 0
 
 

@@ -27,11 +27,14 @@ through one batched Levenberg-Marquardt fitter, ``_fit_mixtures``: every
 start of every histogram is a lane of one array, each lane damped, accepted
 and stopped on its own (when its step falls below 1e-14 of its parameters,
 when a rejected step predicts a decrease within machine epsilon of its
-cost, or after 2,000 steps), so a fit is the same bit for bit alone or
-among thousands.  A recorded histogram gets two starts from its data; a
-bootstrap replica gets one, the fit of its record.  The bootstrap never
-draws a sample: a replica of a record is a multinomial draw of its bin
-counts from the exact bin masses of the fitted mixture.
+cost, or after its 2,000th step), so a fit is the same bit for bit alone or
+among thousands.  The lanes pass through one rolling window of at most 512:
+a queued lane enters as soon as a lane stops, so no pass runs a few slow
+lanes while others wait, and the memory of a pass stays bounded.  A
+recorded histogram gets two starts from its data; a bootstrap replica gets
+one, the fit of its record.  The bootstrap never draws a sample: a replica
+of a record is a multinomial draw of its bin counts from the exact bin
+masses of the fitted mixture.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 # step size at which a lane stops, predicted decrease relative to the cost
 # below which a rejected lane stops (machine epsilon), step cap per lane,
 # floor of the damping scale (keeps every damped matrix non-singular),
-# lanes per block.
+# most lanes in the rolling window.
 _MU0 = 1e-3
 _XTOL = 1e-14
 _FTOL = float(np.finfo(float).eps)
@@ -270,34 +273,40 @@ def _residuals(p: np.ndarray, h: np.ndarray, z: np.ndarray, w: float):
 
 
 def _jacobian(p: np.ndarray, w: float, gauss) -> np.ndarray:
-    """(lanes, 4, bins) derivatives of the model in (zbar, sigma, A+, A-)."""
+    """(4, lanes, bins) derivatives of the model in (zbar, sigma, A+, A-),
+    parameter-major: each derivative is one contiguous (lanes, bins) row."""
     up, um, gp, gm = gauss
     sigma, ap, am = p[:, 1:2], p[:, 2:3], p[:, 3:4]
-    jac = np.empty((len(p), 4, up.shape[1]))
-    jac[:, 0] = w * (ap * up * gp - am * um * gm) / sigma
-    jac[:, 1] = w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)) / sigma
-    np.multiply(w, gp, out=jac[:, 2])
-    np.multiply(w, gm, out=jac[:, 3])
+    jac = np.empty((4,) + up.shape)
+    np.divide(w * (ap * up * gp - am * um * gm), sigma, out=jac[0])
+    np.divide(w * (ap * gp * (up * up - 1.0) + am * gm * (um * um - 1.0)), sigma,
+              out=jac[1])
+    np.multiply(w, gp, out=jac[2])
+    np.multiply(w, gm, out=jac[3])
     return jac
 
 
 def _normal_equations(jac: np.ndarray, r: np.ndarray):
-    """J^T J and J^T r per lane.
+    """J^T J and J^T r per lane from a parameter-major (n, lanes, bins) J.
 
     Every entry is a sum along one lane's contiguous bin axis, so a lane's
     numbers never depend on the other lanes (a BLAS product may block them).
-    J^T J is built one row at a time, row i (i = 0, 1, ...) from the
-    (lanes, n, bins) product J_i * J, and J^T r from J * r, so no temporary
-    is larger than J itself.  Each entry of row i is the same elementwise
-    product, in the same operand order, summed by the same reduction along
-    the same contiguous axis as in one (lanes, n, n, bins) product, so the
-    rows are that product's sum bit for bit.
+    Each entry of the upper triangle of J^T J is the flat product J_i * J_j
+    of two contiguous (lanes, bins) rows, summed over its bins, and is
+    mirrored below the diagonal; entry i of J^T r is the sum of J_i * r.
+    No temporary is larger than one row.  IEEE multiplication commutes, so
+    every entry is the same elementwise product summed by the same
+    reduction along the same contiguous axis as in one (lanes, n, n, bins)
+    product of the lane-major J, and equals that product's sum bit for bit.
     """
-    lanes, n, _ = jac.shape
+    n, lanes, _ = jac.shape
     a = np.empty((lanes, n, n))
+    g = np.empty((lanes, n))
     for i in range(n):
-        a[:, i] = (jac[:, i : i + 1] * jac).sum(axis=-1)
-    return a, (jac * r[:, None, :]).sum(axis=-1)
+        for j in range(i, n):
+            a[:, i, j] = a[:, j, i] = (jac[i] * jac[j]).sum(axis=-1)
+        g[:, i] = (jac[i] * r).sum(axis=-1)
+    return a, g
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,7 +333,7 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian):
     ``residuals(q, lanes)`` returns the residual rows of the parameter rows
     ``q`` of the batch lanes ``lanes`` (an index array), and the terms, a
     list of (lanes, points) arrays, from which ``jacobian(q, terms)`` builds
-    their (lanes, parameters, points) Jacobian.
+    their (parameters, lanes, points) Jacobian.
 
     Marquardt's damped normal equations (J^T J + mu D) step = -J^T r, D the
     running maximum of diag(J^T J), with Nielsen's update of mu.  A step is
@@ -334,61 +343,80 @@ def _levenberg_marquardt(p: np.ndarray, residuals, jacobian):
     rejected although the model predicts a decrease of at most _FTOL (machine
     epsilon) times the cost (the lane sits at its optimum to working
     precision, and more damping would only shrink the same step), when the
-    step is not finite, or after _MAX_ITER steps.  Stopped lanes leave the
-    active set.
+    step is not finite, or after its _MAX_ITER-th step.
+
+    The lanes run in one rolling window of at most _BLOCK, which bounds the
+    size of every array a pass builds: lanes enter it in order, each with
+    its first residual, normal equations and damping scale, as stopped
+    lanes leave it.  No lane's arithmetic depends on another's, so a lane's
+    numbers are the same bit for bit whichever lanes share its passes.
 
     Returns the parameters, the cost 0.5 |r|^2 and whether the lane stopped
     on its step size or on its predicted decrease, per lane.
     """
     p = p.copy()
-    r, terms = residuals(p, np.arange(len(p)))
-    cost = 0.5 * np.sum(r * r, axis=1)
-    a, g = _normal_equations(jacobian(p, terms), r)
-    del r, terms  # the loop makes its own; free the start's before it runs
-    scale = np.maximum(np.diagonal(a, axis1=1, axis2=2), _TINY)
-    mu = np.full(len(p), _MU0)
-    nu = np.full(len(p), 2.0)
-    converged = np.zeros(len(p), dtype=bool)
-    active = np.arange(len(p))
-    diag = np.arange(p.shape[1])
+    n_lanes, n = p.shape
+    cost = np.empty(n_lanes)
+    a = np.empty((n_lanes, n, n))
+    g = np.empty((n_lanes, n))
+    scale = np.empty((n_lanes, n))
+    mu = np.full(n_lanes, _MU0)
+    nu = np.full(n_lanes, 2.0)
+    steps = np.zeros(n_lanes, dtype=int)
+    converged = np.zeros(n_lanes, dtype=bool)
+    active = np.arange(0)
+    queued = 0  # lanes queued..n_lanes - 1 have not entered the window
+    diag = np.arange(n)
     with np.errstate(all="ignore"):
-        for _ in range(_MAX_ITER):
+        while True:
+            if active.size < _BLOCK and queued < n_lanes:
+                new = np.arange(queued, min(queued + _BLOCK - active.size, n_lanes))
+                queued = new[-1] + 1
+                r, terms = residuals(p[new], new)
+                cost[new] = 0.5 * np.sum(r * r, axis=1)
+                a[new], g[new] = _normal_equations(jacobian(p[new], terms), r)
+                scale[new] = np.maximum(np.diagonal(a[new], axis1=1, axis2=2), _TINY)
+                del r, terms  # freed before the pass allocates its own
+                active = np.concatenate([active, new])
             if not active.size:
                 break
-            p_act, g_act = p[active], g[active]
+            p_act, g_act, cost_act = p[active], g[active], cost[active]
+            damping = mu[active, None] * scale[active]
             damped = a[active]
-            damped[:, diag, diag] += mu[active, None] * scale[active]
+            damped[:, diag, diag] += damping
             step = _solve(damped, -g_act)
             trial = p_act + step
             r_t, terms_t = residuals(trial, active)
             cost_t = 0.5 * np.sum(r_t * r_t, axis=1)
-            better = cost_t < cost[active]
-            predicted = 0.5 * np.sum(
-                step * (mu[active, None] * scale[active] * step - g_act), axis=1
-            )
-            rho = (cost[active] - cost_t) / predicted
+            better = cost_t < cost_act
+            predicted = 0.5 * np.sum(step * (damping * step - g_act), axis=1)
             small = (
                 np.sqrt(np.sum(step * step, axis=1))
                 <= _XTOL * (np.sqrt(np.sum(p_act ** 2, axis=1)) + _XTOL)
             )
-            flat = ~better & (0.0 <= predicted) & (predicted <= _FTOL * cost[active])
-            stop = ~np.all(np.isfinite(step), axis=1) | small | flat
+            flat = ~better & (0.0 <= predicted) & (predicted <= _FTOL * cost_act)
+            steps[active] += 1
+            stop = (~np.all(np.isfinite(step), axis=1) | small | flat
+                    | (steps[active] >= _MAX_ITER))
 
             up = active[better]
             p[up] = trial[better]
             cost[up] = cost_t[better]
-            a[up], g[up] = _normal_equations(
-                jacobian(trial[better], [x[better] for x in terms_t]),
-                r_t[better],
-            )
-            scale[up] = np.maximum(scale[up], np.diagonal(a[up], axis1=1, axis2=2))
-            mu[up] *= np.fmax(1.0 / 3.0, 1.0 - (2.0 * rho[better] - 1.0) ** 3)
+            # drop the rejected lanes' rows before the Jacobian is built
+            r_t, terms_t = r_t[better], [x[better] for x in terms_t]
+            a_up, g[up] = _normal_equations(jacobian(trial[better], terms_t), r_t)
+            a[up] = a_up
+            scale[up] = np.maximum(scale[up], np.diagonal(a_up, axis1=1, axis2=2))
+            rho = (cost_act[better] - cost_t[better]) / predicted[better]
+            mu[up] *= np.fmax(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu[up] = 2.0
             down = active[~better]
             mu[down] *= nu[down]
             nu[down] *= 2.0
             converged[active[small | flat]] = True
             active = active[~stop]
+            # free the pass's arrays before the next pass allocates its own
+            del p_act, damped, step, trial, r_t, terms_t, a_up
     return p, cost, converged
 
 
@@ -441,11 +469,11 @@ def _fit_mixtures(
     winner is not finite gets the moment start of ``_data_starts`` with
     equal amplitudes, residual inf and ``converged`` False.
 
-    Lanes are fitted in blocks of _BLOCK to bound memory, and with one
-    start per histogram the histograms are the lanes' rows as they stand,
-    with no per-start copy; no lane's arithmetic depends on another, so a
-    histogram's fit from given starts is the same bit for bit alone or in
-    any batch.
+    All lanes go to one ``_levenberg_marquardt`` call, whose rolling window
+    of _BLOCK lanes bounds memory; each pass reads its lanes' histogram
+    rows from ``probabilities`` itself, with no per-start copy.  No lane's
+    arithmetic depends on another, so a histogram's fit from given starts
+    is the same bit for bit alone or in any batch.
 
     Returns a dict of per-histogram arrays keyed by the fields of
     ``DoubleGaussianFit``.
@@ -457,19 +485,11 @@ def _fit_mixtures(
         starts = _data_starts(h, spec)
     n_starts = starts.shape[1]
     # lanes k * i .. k * i + k - 1 are the starts of histogram i
-    lanes_p = starts.reshape(-1, 4)
-    lanes_h = h if n_starts == 1 else np.repeat(h, n_starts, axis=0)
-    p = np.empty_like(lanes_p)
-    cost = np.empty(len(lanes_p))
-    stopped = np.empty(len(lanes_p), dtype=bool)
-    for lo in range(0, len(lanes_p), _BLOCK):
-        at = slice(lo, lo + _BLOCK)
-        block = lanes_h[at]
-        p[at], cost[at], stopped[at] = _levenberg_marquardt(
-            lanes_p[at],
-            lambda q, lanes: _residuals(q, block[lanes], z, w),
-            lambda q, gauss: _jacobian(q, w, gauss),
-        )
+    p, cost, stopped = _levenberg_marquardt(
+        starts.reshape(-1, 4),
+        lambda q, lanes: _residuals(q, h[lanes // n_starts], z, w),
+        lambda q, gauss: _jacobian(q, w, gauss),
+    )
     cost = np.where(np.isnan(cost), np.inf, cost).reshape(-1, n_starts)
     best = np.argmin(cost, axis=1)
     p = p.reshape(-1, n_starts, 4)[np.arange(len(h)), best]

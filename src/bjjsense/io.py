@@ -78,34 +78,56 @@ def write_columns(
     write_table(path, names, rows, comments)
 
 
+def _next_row(fh) -> str | None:
+    """The next line of ``fh`` that is neither blank nor a ``#`` comment,
+    read with ``readline`` so that ``fh.tell()`` stays available; None at
+    the end of the file."""
+    for line in iter(fh.readline, ""):
+        if line != "\n" and not line.startswith("#"):
+            return line
+    return None
+
+
 def read_series_csv(path: str) -> MeasurementSeries:
     """Read a measurement series CSV (columns scattering_length_a0, z).
 
     A line starting with ``#`` is a comment (as in the tables that
     :func:`write_table` writes), blank lines are skipped and the first other
     line is the header.  The rows stream from the open file into
-    ``np.loadtxt`` one line at a time, so the file's text is never held
-    whole; only the two columns are kept.  Rows are grouped by scattering
-    length, in file order within a group; the grid is sorted ascending.
+    ``np.loadtxt``, so the file's text is never held whole; only the two
+    columns are kept.  ``np.loadtxt`` skips blank lines itself, so the file
+    goes to it as it stands; only where that fails (a ``#`` line between
+    rows, or bad data) are the rows parsed again, through a filter that
+    drops the comment lines.  Rows are grouped by scattering length, in file
+    order within a group; the grid is sorted ascending.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = (line for line in fh if line != "\n" and not line.startswith("#"))
-        header = next(lines, None)
+        header = _next_row(fh)
         if header is None:
             raise ValueError(f"{path}: no header row")
         index = {name: j for j, name in enumerate(header.rstrip("\n").split(","))}
         for required in ("scattering_length_a0", "z"):
             if required not in index:
                 raise ValueError(f"{path}: missing column {required!r}")
+        body = fh.tell()  # where the lines after the header start
         # np.loadtxt warns on an empty input, so a header-only file is
         # caught here and fails in MeasurementSeries like any short grid
-        first = next(lines, None)
+        first = _next_row(fh)
+        # comments=None: a "#" inside a row is data, so "0.2#x" is rejected
+        options = dict(delimiter=",", comments=None, ndmin=2,
+                       usecols=(index["scattering_length_a0"], index["z"]))
         try:
-            # comments=None: a "#" inside a row is data, so "0.2#x" is rejected
-            table = np.loadtxt(
-                itertools.chain((first,), lines), delimiter=",", comments=None,
-                ndmin=2, usecols=(index["scattering_length_a0"], index["z"]),
-            ) if first is not None else np.empty((0, 2))
+            if first is None:
+                table = np.empty((0, 2))
+            else:
+                try:
+                    table = np.loadtxt(itertools.chain((first,), fh), **options)
+                except ValueError:
+                    fh.seek(body)
+                    table = np.loadtxt((
+                        line for line in fh
+                        if line != "\n" and not line.startswith("#")
+                    ), **options)
         except ValueError:
             raise ValueError(f"{path}: non-numeric data") from None
     # A stable sort keeps each group's rows in file order; np.unique would

@@ -13,10 +13,11 @@ package's Levenberg-Marquardt loop, kept apart from it and run on the
 package's own residual, Jacobian and solve helpers, so that any change to
 the loop's arithmetic shows as a bit difference.
 ``normal_equations`` and ``mixture_jacobian`` are the fitter's kernels in
-their one-expression forms: J^T J as one (lanes, n, n, bins) product summed
-over its bins, and the Jacobian as ``np.stack`` of its columns.  The
-package builds J^T J row by row and fills the Jacobian into one array, and
-must match them bit for bit.
+their one-expression, lane-major forms: J^T J as one (lanes, n, n, bins)
+product summed over its bins, and the Jacobian as ``np.stack`` of its
+columns.  The package fills a parameter-major (n, lanes, bins) Jacobian
+and builds J^T J from the upper triangle of its row products; transposed
+to lane-major, both must match these bit for bit.
 """
 
 from __future__ import annotations
@@ -242,7 +243,8 @@ def normal_equations(jac: np.ndarray, r: np.ndarray):
 
 
 def mixture_jacobian(p: np.ndarray, w: float, gauss) -> np.ndarray:
-    """``bjjsense.estimation._jacobian`` with its columns stacked."""
+    """``bjjsense.estimation._jacobian``, lane-major, with its columns
+    stacked."""
     up, um, gp, gm = gauss
     sigma, ap, am = p[:, 1:2], p[:, 2:3], p[:, 3:4]
     d_zbar = w * (ap * up * gp - am * um * gm) / sigma

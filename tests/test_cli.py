@@ -525,14 +525,19 @@ def test_recorded_config_reruns_byte_identical(tmp_path, command, payload, extra
     ("scan", {"n_particles": 20, "sweep": "temperature", "temperatures": [0.1],
               "lambda_value": "critical"},
      {"lambda_min", "lambda_max", "lambda_step", "refine", "temperature"}),
+    ("scan", {"n_particles": 20, "lambda_min": 0.5, "lambda_max": 1.5,
+              "lambda_step": 0.5},
+     {"temperatures", "lambda_value"}),
     ("pipeline", {"n_replicas": 100},
      {"sigma", "amplitude_plus", "amplitude_minus", "n_samples"}),
     ("bootstrap", {"n_replicas": 100, "estimator": "chi_mom"},
      {"sigma", "amplitude_plus", "amplitude_minus", "n_samples"}),
-], ids=["scan-temperature", "pipeline-input-csv", "bootstrap-input-csv"])
+], ids=["scan-temperature", "scan-lambda", "pipeline-input-csv",
+        "bootstrap-input-csv"])
 def test_a_run_records_only_the_keys_it_reads(tmp_path, command, payload, unread):
-    # a temperature sweep reads no lambda-sweep key, and a series read from
-    # a file none of the synthetic series' keys
+    # a temperature sweep reads no lambda-sweep key, a lambda sweep no
+    # temperature-sweep key, and a series read from a file none of the
+    # synthetic series' keys
     if command != "scan":
         rng = np.random.default_rng(8)
         rows = [f"{a},{float(z)!r}" for a, zbar in ((-2.0, 0.3), (-1.8, 0.4), (-1.6, 0.5))

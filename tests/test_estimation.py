@@ -663,7 +663,9 @@ def test_replica_fit_memory_ceiling():
     # The 1,050 one-start replica lanes of a 150-replica bootstrap of the
     # README series.  The traced peak repeats exactly from run to run.
     # Summing one (lanes, 4, 4, bins) product per step for J^T J, with the
-    # histograms copied once per start, peaked at 5.92 MB.
+    # histograms copied once per start, peaked at 5.92 MB; fixed blocks of
+    # 512 lanes with lane-major Jacobians at 3.13 MB; the rolling window
+    # peaks at 2.60 MB.
     hists, starts = _replica_stack(1, 4000, 150)
     assert hists.shape == (1050, 40)
     tracemalloc.start()
@@ -672,12 +674,13 @@ def test_replica_fit_memory_ceiling():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5e6
+    assert peak <= 2.8e6
 
 
-def _counted_fit(starts, hists, spec):
-    """``_levenberg_marquardt`` on the double-Gaussian model of ``hists``
-    from ``starts`` (lanes, 4), and the trial steps each lane took."""
+def _counted_fit(starts, hists, spec, fitter=None):
+    """``fitter`` (by default ``_levenberg_marquardt``) on the
+    double-Gaussian model of ``hists`` from ``starts`` (lanes, 4), and the
+    trial steps each lane took."""
     z, w = spec.centers, spec.bin_width
     evaluations = np.zeros(len(starts), dtype=int)
 
@@ -685,10 +688,57 @@ def _counted_fit(starts, hists, spec):
         evaluations[lanes] += 1
         return est._residuals(q, hists[lanes], z, w)
 
-    fit = est._levenberg_marquardt(
+    fit = (fitter or est._levenberg_marquardt)(
         starts, residuals, lambda q, gauss: est._jacobian(q, w, gauss)
     )
     return fit, evaluations - 1
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_rolling_window_leaves_every_replica_fit_unchanged(monkeypatch, window):
+    # Lanes enter the window as others stop, so at 7 and 64 lanes most
+    # passes admit some; a window of one fits every lane alone.  Each
+    # lane's fit must be the default window's bit for bit.
+    hists, starts = _replica_stack(1, 4000, 150)
+    spec = HistogramSpec()
+    default = est._fit_mixtures(hists, spec, starts)
+    monkeypatch.setattr(est, "_BLOCK", window)
+    fits = est._fit_mixtures(hists, spec, starts)
+    for k in default:
+        assert np.array_equal(fits[k], default[k]), k
+
+
+def test_rolling_window_takes_the_reference_loops_steps():
+    # The reference loop runs every lane from the first pass to its stop;
+    # the window must give each lane the same trial steps and numbers.
+    spec = HistogramSpec()
+    hists, starts = _replica_stack(1, 4000, 150)
+    fit, steps = _counted_fit(starts[:, 0], hists, spec)
+    reference, reference_steps = _counted_fit(
+        starts[:, 0], hists, spec, lsq_reference.unbounded_levenberg_marquardt
+    )
+    assert np.array_equal(steps, reference_steps)
+    assert steps.sum() == 7496
+    for got, want in zip(fit, reference):
+        assert np.array_equal(got, want)
+
+
+def test_replica_fit_loop_pass_ceiling(monkeypatch):
+    # The 1,050 replica lanes of a 150-replica bootstrap of the README
+    # series, 7,496 trial steps in all.  The count repeats exactly from
+    # run to run; in blocks of 512 lanes, each run until its slowest lane
+    # stopped, the loop made 36 passes.
+    hists, starts = _replica_stack(1, 4000, 150)
+    passes = []
+    real = est._solve
+
+    def counting(a, b):
+        passes.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(est, "_solve", counting)
+    est._fit_mixtures(hists, HistogramSpec(), starts)
+    assert len(passes) <= 21 and max(passes) == est._BLOCK
 
 
 def test_warm_replica_lanes_stop_at_their_optimum():
@@ -967,8 +1017,9 @@ def _with_a_non_finite_lane(x):
 ])
 @np.errstate(all="ignore")
 def test_fitter_kernels_match_their_stacked_forms(lanes, n, bins):
-    # The Jacobian fills one preallocated array and J^T J is built row by
-    # row; each must equal the stacked, one-product form bit for bit, on the
+    # The Jacobian fills one preallocated parameter-major array and J^T J
+    # is built from the products of its rows; transposed to lane-major,
+    # each must equal the stacked, one-product form bit for bit, on the
     # lane shapes of the mixture fits (4 parameters, 40 bins), a non-finite
     # lane included.  J^T J takes any parameter count: lanes of 5 and 3
     # parameters over 100 bins check it on random Jacobians.
@@ -981,7 +1032,7 @@ def test_fitter_kernels_match_their_stacked_forms(lanes, n, bins):
         p[-1] = [0.3, 0.0, 1.0, np.nan]  # zero width: inf offsets, NaN peaks
         r, gauss = est._residuals(p, rng.random((lanes, bins)), spec.centers,
                                   spec.bin_width)
-        jac = est._jacobian(p, spec.bin_width, gauss)
+        jac = est._jacobian(p, spec.bin_width, gauss).transpose(1, 0, 2)
         reference = lsq_reference.mixture_jacobian(p, spec.bin_width, gauss)
         assert not np.isfinite(reference[-1]).all()
         assert np.array_equal(jac, reference, equal_nan=True)
@@ -990,7 +1041,8 @@ def test_fitter_kernels_match_their_stacked_forms(lanes, n, bins):
         r = rng.random((lanes, bins))
     assert jac.shape == (lanes, n, bins)
     jac, r = _with_a_non_finite_lane(jac), _with_a_non_finite_lane(r)
-    for got, want in zip(est._normal_equations(jac, r),
+    parameter_major = np.ascontiguousarray(jac.transpose(1, 0, 2))
+    for got, want in zip(est._normal_equations(parameter_major, r),
                          lsq_reference.normal_equations(jac, r)):
         assert np.isnan(want[-1]).any() and np.isfinite(want[:-1]).all()
         assert np.array_equal(got, want, equal_nan=True)
