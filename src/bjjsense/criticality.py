@@ -26,7 +26,8 @@ from numbers import Integral
 import numpy as np
 
 from .model import (
-    GAP_ROUNDOFF, ModelParams, _outside, _parity_levels, _spin, _states,
+    GAP_ROUNDOFF, ModelParams, _check_temperature, _outside, _parity_levels,
+    _spin, _states,
 )
 
 METHODS = ("moment", "classical", "quantum")
@@ -59,8 +60,7 @@ class ScanConfig:
         bad = [w for w in self.which if w not in METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
-        if not self.temperature >= 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        _check_temperature(self.temperature)
 
 
 @dataclass(frozen=True)
@@ -367,8 +367,8 @@ def temperature_sweep(
     temps = np.asarray(list(temperatures), dtype=float)
     if temps.size < 1:
         raise ValueError("need at least one temperature")
-    if not np.all(temps >= 0):
-        raise ValueError(f"temperatures must be >= 0, got {temps}")
+    for t in temps:
+        _check_temperature(t)
     params = ModelParams(
         n_particles=n_particles, lambda_control=lambda_value, imbalance=imbalance
     )
@@ -590,6 +590,7 @@ def optimize_delta(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
+    _check_temperature(temperature)
     deltas = _tilt_grid(delta_grid, window_points)
     if lambda_c is None:
         lambda_c = locate_critical_gap(n_particles).lambda_c
@@ -600,6 +601,8 @@ def optimize_delta(
 
 def _tilt_grid(delta_grid: np.ndarray | None, window_points: int) -> np.ndarray:
     """The sorted tilt grid of a tilt search, checked with its window size."""
+    if not isinstance(window_points, Integral) or isinstance(window_points, bool):
+        raise ValueError(f"window_points must be an integer, got {window_points!r}")
     if window_points < 3:
         raise ValueError(
             f"window_points < 3 leaves no interior peak, got {window_points}"
@@ -824,7 +827,9 @@ def scaling_study(
     ------
     ValueError
         For a size that is not an integer >= 1, fewer than 3 sizes or a
-        repeated size, an even ``window_points``, and as the searches do.
+        repeated size, a temperature that is not finite and >= 0, a
+        ``window_points`` that is not an odd integer >= 3, and as the
+        searches do.
 
     Returns
     -------
@@ -836,6 +841,7 @@ def scaling_study(
         raise ValueError(f"need >= 3 system sizes, got {n_values.size}")
     if len(set(n_values.tolist())) < n_values.size:
         raise ValueError(f"system sizes must be distinct, got {n_values.tolist()}")
+    _check_temperature(temperature)
     deltas = _tilt_grid(delta_grid, window_points)
     lambda_c = np.empty(n_values.size)
     delta_star = {m: np.empty(n_values.size) for m in METHODS}

@@ -20,8 +20,8 @@ Every solve takes a whole lambda grid at fixed N and delta:
 ``equilibrium_states`` builds the Gibbs states, with their matrices and
 J_z distributions, ``eigenvalues`` the lowest levels alone, and
 ``_parity_levels`` the untilted levels and their slopes from parity blocks.
-Thermal and untilted states come from LAPACK bisection plus inverse
-iteration (``_eigh``); tilted ground states at T = 0 are solved together,
+Thermal states come from LAPACK bisection plus inverse iteration
+(``_eigh``); ground states at T = 0 are solved together,
 by Rayleigh-quotient iteration on the block-diagonal stack of a grid's
 matrices, and each is certified by an LDL^T inertia count
 (``_ground_states``).  Every linear solve, that iteration's and the pinned
@@ -263,6 +263,12 @@ class EigensolverError(RuntimeError):
     """Raised when the tridiagonal eigensolver fails to converge."""
 
 
+def _check_temperature(temperature: float) -> None:
+    """Raise ValueError unless ``temperature`` is finite and >= 0."""
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the two-mode model.
@@ -397,11 +403,8 @@ def _eigh(
 
 
 def _boltzmann(energies: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized Boltzmann weights over the last axis of ``energies``."""
-    if temperature == 0.0:
-        w = np.zeros_like(energies)
-        w[..., 0] = 1.0
-        return w
+    """Normalized Boltzmann weights over the last axis of ``energies``, at
+    ``temperature`` > 0."""
     w = np.exp(-(energies - energies[..., :1]) / temperature)
     return w / w.sum(axis=-1, keepdims=True)
 
@@ -646,22 +649,12 @@ class StateStack:
 
 
 def _occupied_levels(
-    d: np.ndarray, off: np.ndarray, params: ModelParams, lam: float,
-    temperature: float,
+    d: np.ndarray, off: np.ndarray, temperature: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied eigenpairs of one matrix; see ``equilibrium_states``."""
+    """Occupied eigenpairs of one matrix; see ``equilibrium_states``.  At
+    T = 0 it solves only a ground state that ``_ground_states`` did not
+    certify."""
     if temperature == 0.0:
-        if params.imbalance == 0.0:
-            e0, e1 = _eigh(d, off, False, n_levels=2)
-            roundoff = np.finfo(float).eps * _gershgorin(np.abs(d), off)
-            bound = GAP_ROUNDOFF * roundoff
-            if e1 - e0 < bound:
-                raise ValueError(
-                    f"untilted ground state unresolved at N={params.n_particles}, "
-                    f"lambda={lam}: E1 - E0 = {e1 - e0:.3g} is "
-                    f"below the roundoff bound {bound:.3g}; give the junction a "
-                    f"nonzero imbalance"
-                )
         return _eigh(d, off, True, n_levels=1)
     e0 = float(_eigh(d, off, False, n_levels=1)[0])
     # At a tiny T, E_0 + T ln(1 / REL_CUTOFF) rounds to E_0 and the window's
@@ -683,32 +676,29 @@ def equilibrium_states(params: ModelParams, lambdas, temperature: float):
     holds at most STACK_ENTRIES eigenvector entries (1 MB), which bounds
     the memory of a thermal scan at large N.
 
-    Per point: T = 0 is the ground state alone.  With a tilt, the ground
-    states of a run are solved together (``_ground_states``): one coarse
-    bisection per point, then Rayleigh-quotient iteration on the
-    block-diagonal stack of the run's matrices, one ``dgtsv`` call per
-    step.  A point stops on its own residual test, so its state does not
-    depend on the other points of the run, and it is kept only if an
-    L D L^T inertia count certifies it as the ground state; a point that
-    fails is solved alone by bisection plus inverse iteration.  Without a
-    tilt (imbalance 0) the ground state has a mirror partner, and deep in
-    the broken phase their splitting E_1 - E_0 falls below roundoff: the
-    computed ground state is then an arbitrary mix of the two wells and
-    every chi is noise.  So at T = 0 and imbalance 0 the two lowest
-    eigenvalues are computed first, and a splitting below
-    GAP_ROUNDOFF * eps * ||H|| = 1e3 eps ||H|| (eps the double-precision
-    machine epsilon, ||H|| the Gershgorin bound on |E|) raises ValueError:
-    below it the eigenvector error, about eps ||H|| / (E_1 - E_0), exceeds
-    1e-3; the ground state then comes from bisection plus inverse
-    iteration.  At T > 0 the ground energy E_0 comes first, then one
-    bisection call returns the eigenpairs with E - E_0 <= T ln(1 /
-    REL_CUTOFF), i.e. every level whose relative Boltzmann weight is at
-    least REL_CUTOFF, and inverse iteration their vectors; the bound is at
-    least RESIDUAL_ROUNDOFF eps ||H||, so that a T too small to move E_0 in
-    floating point still leaves the ground level in the window.  When that
-    bound lies above the Gershgorin upper bound of H, every level is
-    occupied and one full solve replaces the bisection.  The weight left
-    out is at most dimension * REL_CUTOFF.
+    Per point: T = 0 is the ground state alone, and the ground states of a
+    run are solved together (``_ground_states``): one coarse bisection per
+    point, then Rayleigh-quotient iteration on the block-diagonal stack of
+    the run's matrices, one ``dgtsv`` call per step.  A point stops on its
+    own residual test, so its state does not depend on the other points of
+    the run, and it is kept only if an L D L^T inertia count certifies it
+    as the ground state; a point that fails is solved alone by bisection
+    plus inverse iteration.  Without a tilt (imbalance 0) the ground state
+    has a mirror partner, and deep in the broken phase their splitting
+    E_1 - E_0 falls below roundoff, where every chi would be noise.  So
+    the two lowest eigenvalues of every point are bisected first, and a
+    splitting below GAP_ROUNDOFF * eps * ||H|| (eps the machine epsilon,
+    ||H|| the Gershgorin bound on |E|) raises ValueError before any state
+    is solved: below it the eigenvector error, about
+    eps ||H|| / (E_1 - E_0), exceeds 1e-3.  At T > 0 the ground energy E_0
+    comes first, then one bisection call returns the eigenpairs with
+    E - E_0 <= T ln(1 / REL_CUTOFF), i.e. every level whose relative
+    Boltzmann weight is at least REL_CUTOFF, and inverse iteration their
+    vectors; the bound is at least RESIDUAL_ROUNDOFF eps ||H||, so that a T
+    too small to move E_0 in floating point still leaves the ground level
+    in the window.  When that bound lies above the Gershgorin upper bound
+    of H, every level is occupied and one full solve replaces the
+    bisection.  The weight left out is at most dimension * REL_CUTOFF.
     """
     return _states(params, lambdas, temperature)
 
@@ -718,25 +708,35 @@ def _states(
     start: np.ndarray | None = None,
 ):
     """``equilibrium_states``, with approximate ground states ``start``
-    (B, N+1) to warm-start the tilted T = 0 route (see ``_ground_states``).
+    (B, N+1) to warm-start the T = 0 route (see ``_ground_states``).
     """
-    if not temperature >= 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    _check_temperature(temperature)
     lambdas = np.asarray(lambdas, dtype=float)
     diag, off = _diagonals(params, lambdas)
 
-    def solve(b: int) -> tuple[np.ndarray, np.ndarray]:
+    def solve(b: int, solver, *args):
+        """``solver(diag[b], off, *args)``; an EigensolverError names point
+        b."""
         try:
-            return _occupied_levels(
-                diag[b], off, params, lambdas[b], temperature
-            )
+            return solver(diag[b], off, *args)
         except EigensolverError as err:
             raise EigensolverError(
                 f"{err} at N={params.n_particles}, lambda={lambdas[b]}, "
                 f"delta={params.imbalance}"
             ) from err
 
-    if temperature == 0.0 and params.imbalance != 0.0:
+    if temperature == 0.0:
+        if params.imbalance == 0.0:
+            bound = GAP_ROUNDOFF * np.finfo(float).eps * _gershgorin(np.abs(diag), off)
+            for b in range(lambdas.size):
+                e0, e1 = solve(b, _eigh, False, 2)
+                if e1 - e0 < bound[b]:
+                    raise ValueError(
+                        f"untilted ground state unresolved at N={params.n_particles}, "
+                        f"lambda={lambdas[b]}: E1 - E0 = {e1 - e0:.3g} is "
+                        f"below the roundoff bound {bound[b]:.3g}; give the junction a "
+                        f"nonzero imbalance"
+                    )
         rows = max(1, STACK_ENTRIES // diag.shape[1])
         for first in range(0, lambdas.size, rows):
             at = slice(first, first + rows)
@@ -744,7 +744,7 @@ def _states(
                 diag[at], off, None if start is None else start[at]
             )
             for b in np.flatnonzero(~solved):
-                vals, vecs = solve(first + b)
+                vals, vecs = solve(first + b, _occupied_levels, 0.0)
                 energies[b], vectors[b] = vals[0], vecs[:, 0]
             yield first, StateStack(
                 diag[at], off, energies[:, None],
@@ -762,7 +762,7 @@ def _states(
         )
 
     for b in range(lambdas.size):
-        vals, vecs = solve(b)
+        vals, vecs = solve(b, _occupied_levels, temperature)
         if levels and (
             vals.size != levels[0][0].size
             or (len(levels) + 1) * vecs.size > STACK_ENTRIES
@@ -784,8 +784,11 @@ def eigenvalues(params: ModelParams, lambdas, n_levels: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        Unless 1 <= n_levels <= N + 1, or when an entry of H overflows.
+        Unless n_levels is an integer with 1 <= n_levels <= N + 1, or when
+        an entry of H overflows.
     """
+    if not isinstance(n_levels, Integral) or isinstance(n_levels, bool):
+        raise ValueError(f"n_levels must be an integer, got {n_levels!r}")
     dim = params.dimension
     if not 1 <= n_levels <= dim:
         raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")

@@ -1,7 +1,7 @@
 """Per-column changes between the CSV tables of two output directories.
 
     python tests/csv_diff.py OLD_DIR NEW_DIR
-    PYTHONPATH=src python tests/csv_diff.py --goldens [--rewrite]
+    PYTHONPATH=src python tests/csv_diff.py --goldens [--rewrite NAME...]
 
 For every ``*.csv`` in either directory, prints ``identical`` when the two
 files are byte for byte the same, else one line per column with the
@@ -14,10 +14,13 @@ identical, 1 otherwise.
 
 ``--goldens`` reruns every case of ``tests/golden/cases.json`` with the
 ``bjjsense`` on the path and compares its outputs with the committed ones
-in ``tests/golden/<case>/`` the same way.  ``--rewrite`` then replaces the
-committed outputs with the new ones and records the numpy and OpenBLAS
-versions that wrote them in ``tests/golden/versions.json``; nothing else
-writes there.
+in ``tests/golden/<case>/`` the same way.  ``--rewrite NAME...`` then
+replaces the committed outputs of the named cases alone with the new ones,
+so that a golden that changed by accident is still reported and never
+blessed, and records the numpy and OpenBLAS versions that wrote them in
+``tests/golden/versions.json``; nothing else writes there.  Under other
+versions than the recorded ones, every case must be named, since the file
+speaks for all of them.
 """
 
 from __future__ import annotations
@@ -129,16 +132,27 @@ def run_case(case: dict, out_dir: str) -> None:
         raise RuntimeError(f"{case['command']} exited {code} on {case['config']}")
 
 
-def check_goldens(root: str = GOLDEN_DIR, rewrite: bool = False) -> int:
+def check_goldens(root: str = GOLDEN_DIR, rewrite: tuple[str, ...] = ()) -> int:
     """Rerun every golden case and print its comparison with the committed
-    outputs; with ``rewrite``, replace those outputs and the recorded
-    versions.  Returns 0 when every file was identical, 1 otherwise."""
+    outputs; replace the outputs of the cases named in ``rewrite``, and
+    then the recorded versions.  Returns 0 when every file was identical,
+    1 otherwise.  Raises ValueError, before any run, for a name that is no
+    case, or when other versions would rewrite only some cases."""
+    cases = golden_cases(root)
     written, running = golden_versions(root), library_versions()
+    unknown = sorted(set(rewrite) - set(cases))
+    if unknown:
+        raise ValueError(f"no golden case {unknown}; the cases are {list(cases)}")
+    if rewrite and written != running and set(rewrite) != set(cases):
+        raise ValueError(
+            f"goldens written with {written}, running with {running}: name "
+            f"every case to rewrite them under these versions"
+        )
     if written != running:
         print(f"goldens written with {written}, running with {running}")
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, case in golden_cases(root).items():
+        for name, case in cases.items():
             fresh, golden = os.path.join(tmp, name), os.path.join(root, name)
             run_case(case, fresh)
             if os.path.isdir(golden):
@@ -148,7 +162,7 @@ def check_goldens(root: str = GOLDEN_DIR, rewrite: bool = False) -> int:
             identical &= same
             print(f"[{name}]")
             print("\n".join(lines))
-            if rewrite:
+            if name in rewrite:
                 shutil.rmtree(golden, ignore_errors=True)
                 shutil.copytree(fresh, golden)
     if rewrite:
@@ -160,11 +174,17 @@ def check_goldens(root: str = GOLDEN_DIR, rewrite: bool = False) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if args and args[0] == "--goldens" and args[1:] in ([], ["--rewrite"]):
-        return check_goldens(rewrite=bool(args[1:]))
+    if args == ["--goldens"]:
+        return check_goldens()
+    if args[:2] == ["--goldens", "--rewrite"] and args[2:]:
+        try:
+            return check_goldens(rewrite=tuple(args[2:]))
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     if len(args) != 2 or not all(os.path.isdir(d) for d in args):
         print("usage: python tests/csv_diff.py OLD_DIR NEW_DIR\n"
-              "       python tests/csv_diff.py --goldens [--rewrite]",
+              "       python tests/csv_diff.py --goldens [--rewrite NAME...]",
               file=sys.stderr)
         return 2
     lines, identical = compare(*args)

@@ -479,6 +479,109 @@ def test_untilted_stack_rejects_unresolved_splitting():
         scan_lambda(config)
 
 
+def test_untilted_scan_takes_every_state_from_the_stack(monkeypatch):
+    # One T = 0 route: untilted ground states are solved and certified on
+    # the stack as tilted ones are.  The splitting check bisects the two
+    # lowest eigenvalues of each point, and no eigenvector comes from _eigh.
+    import bjjsense.model as model
+
+    real_eigh, real_ground = model._eigh, model._ground_states
+    eigh_calls, solved = [], []
+
+    def eigh(d, e, vectors, n_levels=None, window=None):
+        eigh_calls.append((vectors, n_levels))
+        return real_eigh(d, e, vectors, n_levels, window)
+
+    def ground(*args):
+        out = real_ground(*args)
+        solved.append(out[2])
+        return out
+
+    monkeypatch.setattr(model, "_eigh", eigh)
+    monkeypatch.setattr(model, "_ground_states", ground)
+    grid = -1.2 + 0.02 * np.arange(21)
+    curve = scan_lambda(ScanConfig(ModelParams(n_particles=40), grid))
+    assert eigh_calls == [(False, 2)] * grid.size
+    assert len(solved) == 1 and solved[0].shape == grid.shape
+    assert solved[0].all()
+    assert np.all(curve.chi_mom <= 1e-12 * curve.chi_q)
+
+
+def test_untilted_grid_is_checked_before_any_state_is_solved(monkeypatch):
+    # Only the last point is unresolved, and it is rejected before the
+    # points ahead of it are solved.
+    import bjjsense.model as model
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was solved before the splitting check")
+
+    monkeypatch.setattr(model, "_ground_states", no_state)
+    monkeypatch.setattr(model, "dstein", no_state)
+    with pytest.raises(ValueError, match=r"N=80, lambda=-2.0: E1 - E0 = 0 "):
+        list(model.equilibrium_states(
+            ModelParams(n_particles=80), [-1.0, -1.2, -2.0], 0.0
+        ))
+
+
+@pytest.mark.parametrize("temperature", [math.inf, -math.inf, math.nan, -0.5])
+@pytest.mark.parametrize("entry", [
+    "ScanConfig", "chi_at_point", "temperature_sweep", "optimize_delta",
+    "scaling_study", "equilibrium_states",
+])
+def test_temperature_must_be_finite_and_non_negative(entry, temperature,
+                                                     monkeypatch):
+    # rejected where it enters, before any solve: at T = inf every chi read
+    # 0, and the tilt search solved every window for an unbracketed NaN
+    import bjjsense.model as model
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the temperature check")
+
+    for module, name in ((model, "_eigh"), (model, "_ground_states"),
+                         (criticality, "locate_critical_gap")):
+        monkeypatch.setattr(module, name, no_solve)
+    params = ModelParams(n_particles=20, lambda_control=-1.0, imbalance=2e-3)
+    grid = np.logspace(-6, -1, 9)
+    calls = {
+        "ScanConfig": lambda: ScanConfig(params, np.array([-1.1, -1.0]),
+                                         temperature),
+        "chi_at_point": lambda: chi_at_point(params, temperature),
+        "temperature_sweep": lambda: temperature_sweep(20, [0.1, temperature],
+                                                       -1.0),
+        "optimize_delta": lambda: optimize_delta(
+            20, "classical", temperature=temperature, lambda_c=-1.1,
+            delta_grid=grid, window_points=15,
+        ),
+        "scaling_study": lambda: scaling_study(
+            (20, 30, 40), temperature, delta_grid=grid, window_points=15
+        ),
+        "equilibrium_states": lambda: list(model.equilibrium_states(
+            params, [-1.0], temperature
+        )),
+    }
+    with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("window_points", [21.0, 21.5, True, np.float64(15.0)])
+def test_tilt_search_rejects_a_window_size_that_is_no_integer(window_points,
+                                                             monkeypatch):
+    # rejected by name before any solve; 21.0 and 21.5 used to solve a
+    # window and then die on numpy's IndexError, and True counted as 1
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the window check")
+
+    monkeypatch.setattr(criticality, "locate_critical_gap", no_solve)
+    monkeypatch.setattr(criticality, "_points", no_solve)
+    message = "window_points must be an integer"
+    with pytest.raises(ValueError, match=message):
+        optimize_delta(40, "classical", lambda_c=-1.08,
+                       delta_grid=np.logspace(-6, -1, 9),
+                       window_points=window_points)
+    with pytest.raises(ValueError, match=message):
+        scaling_study((20, 30, 40), window_points=window_points)
+
+
 def test_zero_pivot_in_a_warm_step_sends_only_its_point_cold(monkeypatch):
     # The first Rayleigh-quotient step of a warm window meets an exactly
     # zero pivot in one block: that point alone leaves the iteration and is

@@ -62,3 +62,12 @@ def test_csv_diff_runs_as_a_script(tmp_path):
     assert run.returncode == 1
     assert run.stdout.split() == ["t.csv:", "x", "max", "rel", "0.5", "max",
                                   "abs", "0.5"]
+
+
+def test_goldens_rewrite_needs_the_names_of_its_cases(capsys):
+    # Bare --rewrite would bless every golden, an accidental change too;
+    # an unknown name is refused before any case runs.
+    assert main(["--goldens", "--rewrite"]) == 2
+    assert "--goldens [--rewrite NAME...]" in capsys.readouterr().err
+    assert main(["--goldens", "--rewrite", "no-such-case"]) == 2
+    assert "no golden case ['no-such-case']" in capsys.readouterr().err

@@ -681,6 +681,19 @@ def test_diagonalize_rejects_bad_level_count():
         eigenvalues(params, [0.0], 8)
 
 
+@pytest.mark.parametrize("n_levels", [2.0, 2.5, True, np.float64(2.0)], ids=repr)
+def test_eigenvalues_reject_a_level_count_that_is_no_integer(n_levels,
+                                                            monkeypatch):
+    # rejected by name before LAPACK sees it: 2.0 used to fail inside the
+    # dstebz wrapper with a ctypes TypeError, and True counted as 1
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the level-count check")
+
+    monkeypatch.setattr(model, "_eigh", no_solve)
+    with pytest.raises(ValueError, match="n_levels must be an integer"):
+        eigenvalues(ModelParams(n_particles=6), [0.0], n_levels)
+
+
 def test_lapack_is_the_openblas_numpy_links():
     # model binds the five routines in the OpenBLAS that numpy has loaded:
     # a process that imports the package maps one OpenBLAS, the routines
