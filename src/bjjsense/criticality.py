@@ -536,6 +536,13 @@ def locate_critical_gap(
 # delta optimization
 
 
+# The tilt search starts at the grid tilt nearest PRIOR_DELTA_N / N in log.
+# In the effective quartic oscillator of the critical region (Dusuel & Vidal,
+# PRB 71, 224420 (2005)) the optimal tilts tend to delta* N -> 0.136
+# (classical, quantum) and 0.160 (moment).
+PRIOR_DELTA_N = 0.14
+
+
 def default_delta_grid() -> np.ndarray:
     return np.logspace(-6.0, -1.0, 25)
 
@@ -561,19 +568,21 @@ def optimize_delta(
     """Tilt delta* whose chi(lambda) peak is closest to lambda_c^(N).
 
     Scans ``delta_grid`` (default: 25 points, logarithmic over
-    [1e-6, 1e-1]) upward, and stops at the first sign change of the peak
-    offset, the bracket of a root find in log(delta) that refines delta*
-    to the crossing.  Without a sign change it scans the whole grid and
-    reports no delta*: ``bracketed`` False, delta* and chi NaN.
-    delta* is the tilt of smallest |offset| among the grid tilts scanned
-    and the root find's tilts; ties break toward smaller delta.  The
-    returned ``within_tolerance`` flag records whether the final offset is
-    below half a window-grid step.  A window is ``window_points`` (odd)
+    [1e-6, 1e-1]) from its tilt nearest the scaling prior 0.14 / N,
+    widening the scanned range one grid tilt at a time toward the sign
+    change of the peak offset, and stops once the range holds one: its
+    first sign change is the bracket of a root find in log(delta) that
+    refines delta* to the crossing.  Without a sign change it scans the
+    whole grid and reports no delta*: ``bracketed`` False, delta* and chi
+    NaN.  delta* is the tilt of smallest |offset| among the grid tilts
+    scanned and the root find's tilts; ties break toward smaller delta.
+    The returned ``within_tolerance`` flag records whether the final offset
+    is below half a window-grid step.  A window is ``window_points`` (odd)
     lambdas centred on lambda_c: the returned ``chi`` is its middle point's
     at delta*.  At T = 0 each window's ground states start from those of a
-    solved tilt: on the grid from the grid tilt below it, in the root find
-    from the nearest in log(delta) of the bracket ends and the root find's
-    own tilts (see ``_optimize_deltas``).
+    solved tilt: on the grid from the neighbouring grid tilt already
+    scanned, in the root find from the nearest in log(delta) of the bracket
+    ends and the root find's own tilts (see ``_optimize_deltas``).
 
     Parameters
     ----------
@@ -629,26 +638,30 @@ def _optimize_deltas(
     ``window_points``.  One window scan per tilt gives the peak offsets of
     every searched method and, at the window's middle point lambda_c, the
     chi of all three, kept as one row per tilt: each result's ``chi`` is
-    its method's chi there at its delta*.  The grid is scanned upward
-    until every searched method has its bracket, the first sign
-    change of its offset between consecutive tilts with an offset; the
-    tilts above the last bracket are never scanned.  So each method's
-    delta* is the smallest |offset| among the grid tilts up to the last
-    bracket and its root-find tilts: the full grid's answer unless a tilt
-    above held a strictly smaller |offset|.  A method without a bracket has
-    no delta*: its result is NaN and not ``bracketed``, however small its
-    best |offset|, since a flat curve's argmax can fall next to lambda_c by
-    chance.  The root find then runs per method, and a tilt that any search
-    has scanned, on the grid or in a root find, is never scanned again
-    (``_brentq`` returns a tilt it has already evaluated, and the searches
-    often share bracket ends).  At T = 0, since the ground state is real with positive
+    its method's chi there at its delta*.  The grid is walked: the scanned
+    range of consecutive grid tilts starts at the tilt nearest
+    PRIOR_DELTA_N / N in log and grows one tilt at a time, up while a
+    method without a bracket has a negative or no offset at the range's
+    top, else down, and the other way once a grid end is reached, until
+    every searched method has its bracket, the first sign change along the
+    range of its offset between consecutive tilts with an offset, or the
+    range covers the grid.  A sign change or a smaller |offset| outside the
+    range goes unseen.  Each method's delta* is the smallest |offset| among
+    the scanned grid tilts (the smaller tilt winning a tie) and its
+    root-find tilts.  A method without a bracket has no delta*: its result
+    is NaN and not ``bracketed``, however small its best |offset|, since a
+    flat curve's argmax can fall next to lambda_c by chance.  The root find
+    then runs per method, and a tilt that any search has scanned, on the
+    grid or in a root find, is never scanned again (``_brentq`` returns a
+    tilt it has already evaluated, and the searches often share bracket
+    ends).  At T = 0, since the ground state is real with positive
     amplitudes, chi_Q equals chi_cl and the quantum tilt is the classical
     one: when both are asked for, only the classical one is searched, and
     the quantum result takes its tilt with the window's own chi_Q.
 
     At T = 0 each window's ground states start from those of a nearby
-    tilt, so most of them need no bisection.  The grid is a ladder: each
-    grid tilt starts from the one below it.  A root-find tilt starts from
+    tilt, so only the first window needs bisection.  Each new grid tilt
+    starts from the range end it extends.  A root-find tilt starts from
     the nearest, in log delta, of the windows whose states the search
     keeps: the ends of each bracket (the grid tilts next to its root) and
     the windows its own root find has solved.  The states of any other
@@ -683,11 +696,20 @@ def _optimize_deltas(
         chi_c[delta] = {m: float(c[middle]) for m, c in chi.items()}
         return ground
 
-    # per method: the (tilt, offset) nearest the peak so far, the bracket of
-    # its first sign change and, on the ladder, the last tilt with an offset
-    best: dict[str, tuple[float, float]] = {}
+    def first_change(method: str, tilts: list[float]) -> tuple[float, float] | None:
+        """The first sign change of ``method``'s offset along ``tilts``,
+        between consecutive tilts with an offset."""
+        below = None
+        for d in tilts:
+            off = known[d][method]
+            if off is None:
+                continue
+            if below is not None and below[1] * off < 0:
+                return below[0], d
+            below = (d, off)
+        return None
+
     bracket: dict[str, tuple[float, float]] = {}
-    below: dict[str, tuple[float, float]] = {}
 
     def keep(*tilts: float) -> None:
         """Drop the states of every window but ``tilts`` and the bracket ends."""
@@ -695,23 +717,39 @@ def _optimize_deltas(
         for d in states.keys() - wanted:
             del states[d]
 
-    ground = None
-    for d in map(float, deltas):
-        states[d] = ground = scan(d, ground)
-        for m, off in known[d].items():
-            if off is None:
-                continue
-            # strict: the first, i.e. the smaller, delta wins a tie
-            if m not in best or abs(off) < abs(best[m][1]):
-                best[m] = (d, off)
-            if m not in bracket and m in below and below[m][1] * off < 0:
-                bracket[m] = (below[m][0], d)
-            below[m] = (d, off)
-        keep(*(below[m][0] for m in below if m not in bracket))
-        if len(bracket) == len(searched):
-            # Brent's method needs only the brackets, and a root-find tilt,
-            # inside its bracket, is nearer the upper end than any tilt above
+    # the walk: the scanned range grid[lo:hi + 1] grows from the prior's tilt,
+    # and each new window starts from the range end it extends
+    grid, last = deltas.tolist(), deltas.size - 1
+    prior = math.log(PRIOR_DELTA_N / n_particles)
+    lo = hi = int(np.argmin(np.abs(np.log(deltas) - prior)))
+    states[grid[lo]] = scan(grid[lo], None)
+    while True:
+        scanned = grid[lo:hi + 1]
+        bracket = {
+            m: ends for m in searched
+            if (ends := first_change(m, scanned)) is not None
+        }
+        keep(grid[lo], grid[hi])
+        pending = [m for m in searched if m not in bracket]
+        if not pending or len(scanned) == len(grid):
             break
+        top = known[grid[hi]]
+        if lo == 0 or (hi < last and any(
+            top[m] is None or top[m] <= 0 for m in pending
+        )):
+            hi += 1
+            states[grid[hi]] = scan(grid[hi], states[grid[hi - 1]])
+        else:
+            lo -= 1
+            states[grid[lo]] = scan(grid[lo], states[grid[lo + 1]])
+    keep()
+    # per method: the (tilt, offset) of smallest |offset| on the range; the
+    # range ascends, so min keeps the smaller tilt of a tie
+    best = {}
+    for m in bracket:
+        d = min((t for t in scanned if known[t][m] is not None),
+                key=lambda t: abs(known[t][m]))
+        best[m] = (d, known[d][m])
 
     # exp(log d) is often d one ulp off: a log-tilt of the grid maps back to
     # its grid tilt, so that a bracket end or a root on one is not scanned
@@ -812,8 +850,9 @@ def scaling_study(
     Per N: locate lambda_c^(N), optimize delta separately for each method
     (their peaks sit at slightly different tilts; one window scan per tilt
     serves all three, at T = 0 the quantum tilt is the classical one, and
-    the grid is scanned up to the last method's bracket only, so delta* is
-    the smallest |offset| among those grid tilts and the root-find tilts),
+    the grid is walked from the tilt nearest 0.14 / N only until every
+    method's offset has changed sign, so delta* is the smallest |offset|
+    among the grid tilts walked and the root-find tilts),
     and take each method's chi at (lambda_c^(N), delta*) from the middle
     point of its delta* window (``DeltaOptimization.chi``): at T > 0 that
     is ``chi_at_point``'s value bit for bit, at T = 0 it agrees to roundoff

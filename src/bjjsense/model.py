@@ -568,7 +568,8 @@ def _certified(
 
 
 def _ground_states(
-    diag: np.ndarray, off: np.ndarray, start: np.ndarray | None = None
+    diag: np.ndarray, off: np.ndarray, start: np.ndarray | None = None,
+    lowest: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ground states of the (B, n) stack ``diag`` with shared off-diagonal
     ``off``, solved together.
@@ -576,8 +577,10 @@ def _ground_states(
     Warm start, when ``start`` (B, n) holds approximate ground states (the
     states of a nearby tilt): Rayleigh-quotient iteration from them, with
     no bisection.  Cold start, for every row the warm start did not
-    certify: one ``dstebz`` bisection per row to COARSE_ABSTOL gives the
-    first shift of the iteration, which starts from the uniform vector
+    certify: one ``dstebz`` bisection per row to COARSE_ABSTOL, or the
+    row's entry of ``lowest`` (B,) when its lowest eigenvalue has already
+    been bisected, gives the first shift of the iteration, which starts
+    from the uniform vector
     (the ground state of a Jacobi matrix with negative couplings has
     positive entries, so it is never orthogonal to it).  Each row is kept
     only if ``_certified``.  The couplings of the block-diagonal stack are
@@ -607,12 +610,17 @@ def _ground_states(
         run(np.arange(points), x, (x * _matvec(diag, band, x)).sum(axis=1), False)
     cold, shift = [], []
     for b in np.flatnonzero(~solved):
-        count, w, _, _, info = dstebz(
-            diag[b], off, 2, 0.0, 1.0, 1, 1, COARSE_ABSTOL, "E"
-        )
-        if info == 0 and count == 1:
-            cold.append(b)
-            shift.append(w[0])
+        if lowest is None:
+            count, w, _, _, info = dstebz(
+                diag[b], off, 2, 0.0, 1.0, 1, 1, COARSE_ABSTOL, "E"
+            )
+            if info != 0 or count != 1:
+                continue
+            e0 = w[0]
+        else:
+            e0 = lowest[b]
+        cold.append(b)
+        shift.append(e0)
     if cold:
         run(np.array(cold), np.full((len(cold), size), size ** -0.5),
             np.array(shift), True)
@@ -678,7 +686,9 @@ def equilibrium_states(params: ModelParams, lambdas, temperature: float):
 
     Per point: T = 0 is the ground state alone, and the ground states of a
     run are solved together (``_ground_states``): one coarse bisection per
-    point, then Rayleigh-quotient iteration on the block-diagonal stack of
+    point (none without a tilt, where the splitting check below has
+    bisected E_0 already), then Rayleigh-quotient iteration on the
+    block-diagonal stack of
     the run's matrices, one ``dgtsv`` call per step.  A point stops on its
     own residual test, so its state does not depend on the other points of
     the run, and it is kept only if an L D L^T inertia count certifies it
@@ -726,8 +736,10 @@ def _states(
             ) from err
 
     if temperature == 0.0:
+        lowest = None
         if params.imbalance == 0.0:
             bound = GAP_ROUNDOFF * np.finfo(float).eps * _gershgorin(np.abs(diag), off)
+            lowest = np.empty(lambdas.size)
             for b in range(lambdas.size):
                 e0, e1 = solve(b, _eigh, False, 2)
                 if e1 - e0 < bound[b]:
@@ -737,11 +749,13 @@ def _states(
                         f"below the roundoff bound {bound[b]:.3g}; give the junction a "
                         f"nonzero imbalance"
                     )
+                lowest[b] = e0
         rows = max(1, STACK_ENTRIES // diag.shape[1])
         for first in range(0, lambdas.size, rows):
             at = slice(first, first + rows)
             energies, vectors, solved = _ground_states(
-                diag[at], off, None if start is None else start[at]
+                diag[at], off, None if start is None else start[at],
+                None if lowest is None else lowest[at],
             )
             for b in np.flatnonzero(~solved):
                 vals, vecs = solve(first + b, _occupied_levels, 0.0)

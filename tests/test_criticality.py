@@ -338,11 +338,9 @@ def _coarse_bisections(monkeypatch) -> list[int]:
 
 def test_tilt_search_bisects_only_its_first_window(monkeypatch):
     # At N = 101 every window of the T = 0 search but the first starts warm
-    # and is certified: the grid ladder from the tilt below, each root-find
-    # window from its nearest kept tilt.  A root-find window started cold
-    # would add one coarse bisection per point.  Since the ladder stops at
-    # the last bracket's upper end, the window solved last is as good a
-    # start here: that rule also reads 21.
+    # and is certified: each grid tilt of the walk from the range end it
+    # extends, each root-find window from its nearest kept tilt.  A window
+    # started cold would add one coarse bisection per point.
     n = 101
     lambda_c = locate_critical_gap(n).lambda_c
     coarse = _coarse_bisections(monkeypatch)
@@ -391,18 +389,20 @@ def _scanned_tilts(monkeypatch) -> list[float]:
 
 
 def test_tilt_search_stops_once_every_method_is_bracketed(monkeypatch):
-    # At N = 101 the moment and classical brackets both lie below 5.62e-3:
-    # the ladder stops there, and the three tilts above it, the costliest
-    # windows, are never scanned.  Scanning the whole grid takes 20 windows.
+    # At N = 101 the walk starts at 2.15e-3, the grid tilt nearest 0.14 / N
+    # in log, steps up to 5.62e-3 and down to 8.25e-4, where both the moment
+    # and the classical offset have changed sign: 3 grid windows and 7 of the
+    # root finds.  The seven lowest tilts, where every offset is negative,
+    # and the three highest, the costliest windows, are never scanned.
     n, grid = 101, np.logspace(-6, -1, 13)
     lambda_c = locate_critical_gap(n).lambda_c
     tilts = _scanned_tilts(monkeypatch)
     criticality._optimize_deltas(n, METHODS, 0.0, lambda_c, grid, 21)
-    assert len(tilts) == 17
+    assert len(tilts) == 10
     on_grid = [d for d in tilts if d in grid.tolist()]
-    assert on_grid == grid[:10].tolist()
-    assert_allclose(max(on_grid), 5.62e-3, rtol=1e-3)
-    assert not set(grid[10:].tolist()) & set(tilts)
+    assert on_grid == grid[[8, 9, 7]].tolist()
+    assert_allclose(on_grid, [2.154e-3, 5.623e-3, 8.254e-4], rtol=1e-3)
+    assert not set(grid[:7].tolist() + grid[10:].tolist()) & set(tilts)
 
 
 @pytest.mark.parametrize(
@@ -451,9 +451,9 @@ def test_tilt_search_stop_returns_the_full_grid_answer(
 def test_tilt_search_chi_is_each_methods_own_at_lambda_c(monkeypatch):
     # Each result's chi is its method's chi at the middle point, lambda_c,
     # of its delta* window.  At T = 0 the quantum result shares the
-    # classical tilt but keeps the window's chi_Q, which at N = 100 differs
+    # classical tilt but keeps the window's chi_Q, which at N = 90 differs
     # from chi_cl in the last bits.
-    n = 100
+    n = 90
     lambda_c = locate_critical_gap(n).lambda_c
     real = criticality._points
     windows = {}
@@ -482,11 +482,19 @@ def test_untilted_stack_rejects_unresolved_splitting():
 def test_untilted_scan_takes_every_state_from_the_stack(monkeypatch):
     # One T = 0 route: untilted ground states are solved and certified on
     # the stack as tilted ones are.  The splitting check bisects the two
-    # lowest eigenvalues of each point, and no eigenvector comes from _eigh.
+    # lowest eigenvalues of each point, no eigenvector comes from _eigh,
+    # and the cold start takes its first shift from that check's E_0: one
+    # dstebz call per point, where bisecting again for the shift made two.
     import bjjsense.model as model
 
-    real_eigh, real_ground = model._eigh, model._ground_states
-    eigh_calls, solved = [], []
+    real_eigh, real_ground, real_dstebz = (
+        model._eigh, model._ground_states, model.dstebz
+    )
+    eigh_calls, solved, bisections = [], [], []
+
+    def bisecting(d, e, *args):
+        bisections.append(args[-2])
+        return real_dstebz(d, e, *args)
 
     def eigh(d, e, vectors, n_levels=None, window=None):
         eigh_calls.append((vectors, n_levels))
@@ -499,9 +507,11 @@ def test_untilted_scan_takes_every_state_from_the_stack(monkeypatch):
 
     monkeypatch.setattr(model, "_eigh", eigh)
     monkeypatch.setattr(model, "_ground_states", ground)
+    monkeypatch.setattr(model, "dstebz", bisecting)
     grid = -1.2 + 0.02 * np.arange(21)
     curve = scan_lambda(ScanConfig(ModelParams(n_particles=40), grid))
     assert eigh_calls == [(False, 2)] * grid.size
+    assert bisections == [0.0] * grid.size
     assert len(solved) == 1 and solved[0].shape == grid.shape
     assert solved[0].all()
     assert np.all(curve.chi_mom <= 1e-12 * curve.chi_q)
@@ -937,18 +947,29 @@ def test_optimize_delta_centers_peak():
     assert opt.bracketed
 
 
-def test_tilt_search_without_a_sign_change_reports_no_peak():
+def test_tilt_search_without_a_sign_change_reports_no_peak(monkeypatch):
     # At N = 40 and T = 0.3 chi_mom has all but vanished (1.5e-8 at the
     # lowest tilt) and its window peak never changes side of lambda_c: the
     # tilt of smallest |offset| sits within half a window step by chance
-    # and is no delta*.
-    opt = optimize_delta(40, "moment", temperature=0.3,
-                         delta_grid=np.logspace(-6, -1, 9), window_points=15)
-    assert not opt.bracketed
-    assert not opt.within_tolerance
-    for value in (opt.delta, opt.peak_lambda, opt.peak_offset, opt.chi):
-        assert math.isnan(value)
-    assert math.isfinite(opt.lambda_c)
+    # and is no delta*.  At N = 101 and T = 0 the grid lies wholly below
+    # delta*: the walk starts at its top tilt, the one nearest the prior
+    # 0.14 / N, and runs down the whole grid.  Either way every grid tilt is
+    # scanned once, the first being the one nearest the prior.
+    tilts = _scanned_tilts(monkeypatch)
+    for n, method, temperature, grid, window_points, first in (
+        (40, "moment", 0.3, np.logspace(-6, -1, 9), 15, 6),
+        (101, "classical", 0.0, np.logspace(-6, -4, 9), 21, 8),
+    ):
+        tilts.clear()
+        opt = optimize_delta(n, method, temperature=temperature,
+                             delta_grid=grid, window_points=window_points)
+        assert tilts[0] == grid[first]
+        assert sorted(tilts) == grid.tolist()
+        assert not opt.bracketed
+        assert not opt.within_tolerance
+        for value in (opt.delta, opt.peak_lambda, opt.peak_offset, opt.chi):
+            assert math.isnan(value)
+        assert math.isfinite(opt.lambda_c)
 
 
 def test_quantum_search_shares_the_classical_bracket_at_zero_temperature():
@@ -1101,14 +1122,16 @@ def test_scaling_study_scans_each_tilt_once(monkeypatch):
 
 
 def test_scaling_study_lapack_call_ceiling(monkeypatch):
-    # The ground-scaling benchmark's seed-1 study, in process.  The counts
-    # repeat exactly from run to run; scanning the grid above the last
-    # bracket reads 274 dgtsv, 144 dstebz, 85 dpttrf and 65 dstein calls,
-    # and a one-point solve of chi at each delta*, started from its window,
-    # 206 dgtsv and 58 dpttrf.
+    # The ground-scaling benchmark's seed-1 study, in process: 32 windows,
+    # one dpttrf each.  The counts repeat exactly from run to run.  A ladder
+    # up the grid from its lowest tilt to the last bracket read 52 windows,
+    # 194 dgtsv and 52 dpttrf; scanning the whole grid, 274 dgtsv, 144
+    # dstebz, 85 dpttrf and 65 dstein.  dstein and 59 of the dstebz calls
+    # locate the critical points; the rest bisect each size's cold first
+    # window.
     import bjjsense.model as model
 
-    ceiling = {"dgtsv": 194, "dstebz": 122, "dpttrf": 52, "dstein": 59}
+    ceiling = {"dgtsv": 112, "dstebz": 122, "dpttrf": 32, "dstein": 59}
     calls = dict.fromkeys(ceiling, 0)
     for name in ceiling:
         real = getattr(model, name)
